@@ -48,7 +48,7 @@ pub use engine::{
     best_fused_impl, run_fused_auto, run_scan, run_scan_telemetered, scan_columns_auto,
     scan_columns_auto_telemetered, EngineError, RegWidth, ScanElem, ScanImpl,
 };
-pub use fused::bytesliced::{scan_bytesliced, ByteSliceStats};
+pub use fused::bytesliced::{scan_bytesliced, ByteSliceStats, ByteSlicedPred};
 pub use fused::for_scan::{
     fused_scan_for, scan_for_reference, ForPred, ForScanError, ForScanStats,
 };

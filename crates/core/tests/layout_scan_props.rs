@@ -4,7 +4,7 @@
 //! random widths/offsets/clusterings, and needles both inside and far
 //! outside the stored domain (the overflow-rewrite paths).
 
-use fts_core::{fused_scan_for, scan_bytesliced, ForPred, OutputMode, TypedPred};
+use fts_core::{fused_scan_for, scan_bytesliced, ByteSlicedPred, ForPred, OutputMode, TypedPred};
 use fts_storage::{ByteSlicedColumn, CmpOp, ForColumn, NativeType, PosList};
 use proptest::prelude::*;
 
@@ -128,9 +128,10 @@ proptest! {
         let needle = needle_for(0, span, pick, raw);
         let expected = oracle(&[&v], &[op], &[needle]);
 
-        let (got, _) = scan_bytesliced(&col, op, needle, OutputMode::Positions);
+        let chain = [ByteSlicedPred { col: &col, op, needle }];
+        let (got, _) = scan_bytesliced(&chain, OutputMode::Positions);
         prop_assert_eq!(got.positions().unwrap(), &expected, "positions");
-        let (got, stats) = scan_bytesliced(&col, op, needle, OutputMode::Count);
+        let (got, stats) = scan_bytesliced(&chain, OutputMode::Count);
         prop_assert_eq!(got.count(), expected.len() as u64, "count");
         // The early-exit never reads more plane-groups than exist.
         let groups = rows.div_ceil(64) as u64;

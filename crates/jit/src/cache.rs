@@ -2,9 +2,13 @@
 //!
 //! Paper §V: *"Especially when compiled operators are cached for future
 //! use, we do not see the additional compile time as a deciding
-//! bottleneck."* The cache maps a [`ScanSig`] to its [`CompiledKernel`]
-//! and tracks hit/miss statistics plus the total time spent compiling, so
+//! bottleneck."* The cache maps a signature to its compiled kernel and
+//! tracks hit/miss statistics plus the total time spent compiling, so
 //! the `ablation_jit` benchmark can report exactly that amortization.
+//! It is generic over the signature ([`CacheSig`]): plain chains
+//! ([`ScanSig`] → [`CompiledKernel`]) and bit-packed chains
+//! ([`PackedScanSig`] → [`CompiledPackedKernel`]) share one
+//! implementation, one LRU bound and one set of statistics.
 //!
 //! Concurrency: the hot path (a hit) takes only a *read* lock plus a few
 //! relaxed atomic bumps, so a server's worth of concurrent scans can look
@@ -22,12 +26,60 @@
 //! keep working).
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
+use crate::compile_packed::{CompiledPackedKernel, PackedScanSig};
 use crate::ir::{JitError, KernelVariant, ScanSig};
 use crate::kernel::{CompiledKernel, JitBackend};
+
+/// A kernel signature the cache can key on and compile.
+pub trait CacheSig: Clone + Eq + Hash {
+    /// The compiled kernel this signature produces.
+    type Kernel;
+
+    /// Compile the signature. `backend` is the cache's configured
+    /// default; a signature may pin its own.
+    fn compile(&self, backend: JitBackend) -> Result<Self::Kernel, JitError>;
+
+    /// Code-generation + mapping time of a compiled kernel.
+    fn compile_time(kernel: &Self::Kernel) -> Duration;
+}
+
+impl CacheSig for ScanSig {
+    type Kernel = CompiledKernel;
+
+    fn compile(&self, backend: JitBackend) -> Result<CompiledKernel, JitError> {
+        // The signature's variant picks the code generator; `Auto` means
+        // the cache's configured default, so one cache can hold several
+        // variants of the same chain under distinct keys.
+        let backend = match self.variant {
+            KernelVariant::Auto => backend,
+            KernelVariant::Avx512 => JitBackend::Avx512,
+            KernelVariant::Scalar => JitBackend::Scalar,
+        };
+        CompiledKernel::compile(self.clone(), backend)
+    }
+
+    fn compile_time(kernel: &CompiledKernel) -> Duration {
+        kernel.compile_time()
+    }
+}
+
+impl CacheSig for PackedScanSig {
+    type Kernel = CompiledPackedKernel;
+
+    /// Packed kernels have a single (AVX-512 VBMI2) code generator.
+    fn compile(&self, _backend: JitBackend) -> Result<CompiledPackedKernel, JitError> {
+        CompiledPackedKernel::compile(self.clone())
+    }
+
+    fn compile_time(kernel: &CompiledPackedKernel) -> Duration {
+        kernel.compile_time()
+    }
+}
 
 /// Default capacity: generous for any realistic query mix, small enough
 /// to bound executable memory.
@@ -48,8 +100,8 @@ pub struct CacheStats {
     pub compile_time: Duration,
 }
 
-struct Entry {
-    kernel: Arc<CompiledKernel>,
+struct Entry<K> {
+    kernel: Arc<K>,
     /// Logical timestamp of the last lookup, for LRU eviction. Atomic so
     /// hits can refresh it under the *read* lock.
     last_used: AtomicU64,
@@ -61,10 +113,10 @@ struct Entry {
 /// of cached kernels never serialize; misses re-check under the write
 /// lock so each signature is charged exactly one miss no matter how many
 /// threads race to compile it.
-pub struct KernelCache {
+pub struct KernelCache<S: CacheSig = ScanSig> {
     backend: JitBackend,
     capacity: usize,
-    map: RwLock<HashMap<ScanSig, Entry>>,
+    map: RwLock<HashMap<S, Entry<S::Kernel>>>,
     /// Logical LRU clock.
     tick: AtomicU64,
     hits: AtomicU64,
@@ -74,14 +126,14 @@ pub struct KernelCache {
     compile_ns: AtomicU64,
 }
 
-impl KernelCache {
+impl<S: CacheSig> KernelCache<S> {
     /// Empty cache for the given backend with [`DEFAULT_CACHE_CAPACITY`].
-    pub fn new(backend: JitBackend) -> KernelCache {
+    pub fn new(backend: JitBackend) -> KernelCache<S> {
         KernelCache::with_capacity(backend, DEFAULT_CACHE_CAPACITY)
     }
 
     /// Empty cache holding at most `capacity` kernels (min 1).
-    pub fn with_capacity(backend: JitBackend, capacity: usize) -> KernelCache {
+    pub fn with_capacity(backend: JitBackend, capacity: usize) -> KernelCache<S> {
         KernelCache {
             backend,
             capacity: capacity.max(1),
@@ -96,20 +148,20 @@ impl KernelCache {
 
     // A panic while holding either lock leaves plain counters/maps, not
     // an invariant violation — keep serving.
-    fn read(&self) -> RwLockReadGuard<'_, HashMap<ScanSig, Entry>> {
+    fn read(&self) -> RwLockReadGuard<'_, HashMap<S, Entry<S::Kernel>>> {
         self.map
             .read()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    fn write(&self) -> RwLockWriteGuard<'_, HashMap<ScanSig, Entry>> {
+    fn write(&self) -> RwLockWriteGuard<'_, HashMap<S, Entry<S::Kernel>>> {
         self.map
             .write()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Fetch the kernel for `sig`, compiling it on first use.
-    pub fn get_or_compile(&self, sig: &ScanSig) -> Result<Arc<CompiledKernel>, JitError> {
+    pub fn get_or_compile(&self, sig: &S) -> Result<Arc<S::Kernel>, JitError> {
         {
             let map = self.read();
             if let Some(entry) = map.get(sig) {
@@ -123,15 +175,7 @@ impl KernelCache {
         }
         // Compile outside any lock; a racing thread may compile the same
         // signature — the first insert wins, both results are valid.
-        // The signature's variant picks the code generator; `Auto` means
-        // this cache's configured default, so one cache can hold several
-        // variants of the same chain under distinct keys.
-        let backend = match sig.variant {
-            KernelVariant::Auto => self.backend,
-            KernelVariant::Avx512 => JitBackend::Avx512,
-            KernelVariant::Scalar => JitBackend::Scalar,
-        };
-        let kernel = Arc::new(CompiledKernel::compile(sig.clone(), backend)?);
+        let kernel = Arc::new(sig.compile(self.backend)?);
         let mut map = self.write();
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(entry) = map.get(sig) {
@@ -142,8 +186,10 @@ impl KernelCache {
             return Ok(Arc::clone(&entry.kernel));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.compile_ns
-            .fetch_add(kernel.compile_time().as_nanos() as u64, Ordering::Relaxed);
+        self.compile_ns.fetch_add(
+            S::compile_time(&kernel).as_nanos() as u64,
+            Ordering::Relaxed,
+        );
         if map.len() >= self.capacity {
             if let Some(lru) = map
                 .iter()
@@ -195,7 +241,7 @@ impl KernelCache {
     }
 }
 
-impl std::fmt::Debug for KernelCache {
+impl<S: CacheSig> std::fmt::Debug for KernelCache<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = self.stats();
         write!(
@@ -384,6 +430,32 @@ mod tests {
             let got = cache.get_or_compile(&avx).unwrap();
             assert_eq!(got.run(&[&a[..], &a[..]]).unwrap().count(), 2);
         }
+    }
+
+    #[test]
+    fn packed_signatures_share_the_bound_and_stats() {
+        if !fts_simd::has_avx512() || !std::arch::is_x86_feature_detected!("avx512vbmi2") {
+            eprintln!("skipping: no AVX-512 VBMI2");
+            return;
+        }
+        use crate::compile_packed::PackedColSig;
+        let cache: KernelCache<PackedScanSig> = KernelCache::with_capacity(JitBackend::Avx512, 2);
+        let sig = |needle| PackedScanSig {
+            preds: vec![PackedColSig::Packed {
+                bits: 8,
+                op: CmpOp::Lt,
+                needle,
+            }],
+            emit_positions: false,
+        };
+        for needle in 0..4 {
+            cache.get_or_compile(&sig(needle)).unwrap();
+        }
+        cache.get_or_compile(&sig(3)).unwrap();
+        assert_eq!(cache.len(), 2, "LRU bound holds for packed kernels");
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.evictions), (1, 4, 2));
+        assert!(s.compile_time > Duration::ZERO);
     }
 
     #[test]

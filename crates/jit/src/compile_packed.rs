@@ -586,64 +586,6 @@ impl CompiledPackedKernel {
     }
 }
 
-/// A signature-keyed cache of compiled packed kernels (the packed-chain
-/// sibling of [`crate::KernelCache`]).
-pub struct PackedKernelCache {
-    map: std::sync::Mutex<
-        std::collections::HashMap<PackedScanSig, std::sync::Arc<CompiledPackedKernel>>,
-    >,
-}
-
-impl Default for PackedKernelCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PackedKernelCache {
-    /// Empty cache.
-    pub fn new() -> PackedKernelCache {
-        PackedKernelCache {
-            map: std::sync::Mutex::new(std::collections::HashMap::new()),
-        }
-    }
-
-    fn lock(
-        &self,
-    ) -> std::sync::MutexGuard<
-        '_,
-        std::collections::HashMap<PackedScanSig, std::sync::Arc<CompiledPackedKernel>>,
-    > {
-        self.map
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Fetch the kernel for `sig`, compiling on first use.
-    pub fn get_or_compile(
-        &self,
-        sig: &PackedScanSig,
-    ) -> Result<std::sync::Arc<CompiledPackedKernel>, JitError> {
-        if let Some(k) = self.lock().get(sig) {
-            return Ok(std::sync::Arc::clone(k));
-        }
-        let kernel = std::sync::Arc::new(CompiledPackedKernel::compile(sig.clone())?);
-        let mut map = self.lock();
-        let entry = map.entry(sig.clone()).or_insert(kernel);
-        Ok(std::sync::Arc::clone(entry))
-    }
-
-    /// Number of cached kernels.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

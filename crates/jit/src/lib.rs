@@ -17,9 +17,10 @@
 //!   into the emitted code;
 //! * [`kernel`] — safe wrappers that validate inputs, run the code, and
 //!   handle the non-multiple-of-16 tail;
-//! * [`cache`] — the compiled-kernel cache ("especially when compiled
-//!   operators are cached for future use, we do not see the additional
-//!   compile time as a deciding bottleneck", §V);
+//! * [`cache`] — the compiled-kernel cache, one LRU-bounded
+//!   implementation for plain and packed signatures ("especially when
+//!   compiled operators are cached for future use, we do not see the
+//!   additional compile time as a deciding bottleneck", §V);
 //! * [`source_gen`] — the C++ code-template generator the paper's Hyrise
 //!   prototype uses, reproduced as a text artifact.
 
@@ -35,10 +36,8 @@ pub mod kernel;
 pub mod mem;
 pub mod source_gen;
 
-pub use cache::{CacheStats, KernelCache};
-pub use compile_packed::{
-    CompiledPackedKernel, PackedColRef, PackedColSig, PackedKernelCache, PackedScanSig,
-};
+pub use cache::{CacheSig, CacheStats, KernelCache};
+pub use compile_packed::{CompiledPackedKernel, PackedColRef, PackedColSig, PackedScanSig};
 pub use ir::{
     BoolSig, JitElem, JitError, JitPred, KernelArgs, KernelFn, KernelLayout, KernelVariant,
     ScanSig, MAX_JIT_PREDICATES,

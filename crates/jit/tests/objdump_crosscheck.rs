@@ -5,12 +5,17 @@
 
 use std::io::Write;
 use std::process::Command;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use fts_jit::asm::{Asm, Cond, Gpr, KReg, Mem, Zmm};
 
 fn disassemble(code: &[u8]) -> Option<Vec<String>> {
+    // One file per call: the test harness runs tests on parallel threads
+    // of one process, so a per-process name would be clobbered.
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir();
-    let path = dir.join(format!("fts-jit-objdump-{}.bin", std::process::id()));
+    let path = dir.join(format!("fts-jit-objdump-{}-{call}.bin", std::process::id()));
     let mut f = std::fs::File::create(&path).ok()?;
     f.write_all(code).ok()?;
     drop(f);

@@ -1,21 +1,27 @@
 //! Physical execution (paper Fig. 9: LQP Translator → Physical Query Plan
 //! → Executor).
 //!
-//! Per chunk, the scan translator rewrites each bound predicate into its
-//! *effective* form:
+//! Per chunk, the scan translator rewrites each bound predicate once into
+//! its per-layout form, keeping the optimizer's ascending-selectivity
+//! order:
 //!
-//! * a plain `u32` segment scans directly;
+//! * a plain `u32` segment scans its values directly;
 //! * a **dictionary** segment of *any* type rewrites into a `u32` value-id
 //!   predicate (paper assumption 3 — this is how non-32-bit types reach the
-//!   fused kernel);
-//! * plain `i32`/`f32` segments use their own typed kernels when the whole
-//!   chain shares the type;
-//! * anything else becomes a row-wise dynamic predicate.
+//!   fused kernels);
+//! * bit-packed, frame-of-reference and byte-sliced segments keep their
+//!   encoded form;
+//! * every other plain segment keeps its native type; `u8`/`u16`/`i8`/`i16`
+//!   have no scan kernel, so they never drive and only filter survivors.
 //!
-//! The `u32` portion of the chain runs through one Fused Table Scan —
-//! either the pre-monomorphized kernels of `fts-core` or, when enabled, a
-//! machine-code kernel from `fts-jit`'s cache — and the dynamic remainder
-//! filters the resulting position list row by row.
+//! Then **one driver scan** runs per chunk: among the groups a kernel
+//! evaluates in one pass — the plain/dictionary `u32` chain (JIT or the
+//! adaptively calibrated static kernels), packed + `u32`, FoR + `u32`,
+//! all byte-sliced predicates, a same-type typed chain — the one with the
+//! lowest estimated selectivity drives. A driver covering the whole chain
+//! runs in the caller's mode (count or positions); otherwise it emits
+//! positions and every other predicate **filters the survivors** in chain
+//! order with one typed loop per layout, the paper's gather step.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -31,13 +37,16 @@ use fts_core::{
     value_key_bits, BoolExpr, BoundVerdict, ColumnPred, OutputMode, RegWidth, ScanImpl, ScanOutput,
     ScanTelemetry, TelemetryLevel, TypedPred,
 };
-use fts_core::{fused_scan_for, scan_bytesliced, ForPred};
+use fts_core::{fused_scan_for, scan_bytesliced, ByteSlicedPred, ForPred};
 use fts_jit::{
-    JitBackend, KernelCache, KernelVariant, PackedColRef, PackedColSig, PackedKernelCache,
-    PackedScanSig, ScanSig,
+    CacheStats, JitBackend, KernelCache, KernelVariant, PackedColRef, PackedColSig, PackedScanSig,
+    ScanSig,
 };
 use fts_simd::SimdLevel;
-use fts_storage::{Chunk, CmpOp, DataType, IdPredicate, PosList, Segment, Value};
+use fts_storage::{
+    with_native, ByteSlicedColumn, Chunk, CmpOp, Column, DataType, ForColumn, IdPredicate,
+    NativeType, PackedColumn, PosList, Segment, Value,
+};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -66,8 +75,9 @@ pub struct ExecContext {
     pub adaptive: bool,
     /// Compiled-kernel cache (used when `jit == On`).
     pub kernels: Arc<KernelCache>,
-    /// Compiled packed-kernel cache (bit-packed chains, `jit == On`).
-    pub packed_kernels: Arc<PackedKernelCache>,
+    /// Compiled packed-kernel cache (bit-packed chains, `jit == On`),
+    /// bounded and counted like `kernels`.
+    pub packed_kernels: Arc<KernelCache<PackedScanSig>>,
     /// Shared adaptive-calibration state, keyed by (table, sub-chain
     /// signature) — concurrent statements on the same chain feed one
     /// calibrator instead of each re-probing from scratch.
@@ -88,7 +98,7 @@ impl Default for ExecContext {
             },
             adaptive: true,
             kernels: Arc::new(KernelCache::new(JitBackend::Avx512)),
-            packed_kernels: Arc::new(PackedKernelCache::new()),
+            packed_kernels: Arc::new(KernelCache::new(JitBackend::Avx512)),
             calibration: Arc::new(CalibrationRegistry::new()),
             chunks_pruned: AtomicU64::new(0),
             chunks_scanned: AtomicU64::new(0),
@@ -158,8 +168,8 @@ impl QueryResult {
 }
 
 /// Everything an `EXPLAIN ANALYZE` statement observed while executing:
-/// merged phase-1 scan telemetry, chunk pruning, phase-2 row-wise filter
-/// traffic and JIT kernel-cache activity.
+/// merged phase-1 (driver) scan telemetry, chunk pruning, phase-2
+/// survivor-filter traffic and JIT kernel-cache activity.
 #[derive(Debug, Clone, Default)]
 pub struct AnalyzeReport {
     /// Phase-1 scan telemetry merged across all scanned chunks (`morsels`
@@ -169,7 +179,9 @@ pub struct AnalyzeReport {
     pub chunks_pruned: u64,
     /// Chunks actually scanned.
     pub chunks_scanned: u64,
-    /// Positions entering the row-wise phase-2 filter.
+    /// Positions entering phase 2: the driver's survivors that the
+    /// chain's other predicates filter (every row of the chunk when no
+    /// predicate has a kernel, or for a `FilterTree`).
     pub phase2_rows_in: u64,
     /// Positions surviving phase 2.
     pub phase2_rows_out: u64,
@@ -183,7 +195,8 @@ pub struct AnalyzeReport {
     /// Byte-sliced plane units skipped by the most-significant-first
     /// early exit.
     pub bs_plane_groups_skipped: u64,
-    /// JIT kernel-cache hits during the statement.
+    /// JIT kernel-cache hits during the statement (plain and packed
+    /// kernels).
     pub jit_hits: u64,
     /// JIT kernel-cache misses (fresh compilations) during the statement.
     pub jit_misses: u64,
@@ -265,7 +278,7 @@ impl AnalyzeReport {
         if self.phase2_rows_in > 0 {
             let _ = writeln!(
                 out,
-                "phase 2 (row-wise): rows_in={}  rows_out={}",
+                "phase 2 (survivor filter): rows_in={}  rows_out={}",
                 self.phase2_rows_in, self.phase2_rows_out
             );
         }
@@ -527,7 +540,7 @@ pub struct AdaptiveDecision {
 /// Build the adaptive-selection state for a statement whose scan the
 /// selector covers: a non-empty predicate chain over plain-`u32` or
 /// dictionary segments (both run the fused `u32` kernels). Other shapes
-/// (packed, typed, row-wise) return None and run their usual path.
+/// (packed, FoR, byte-sliced, typed) return None and run uncalibrated.
 fn build_adaptive(
     entry: &CatalogEntry,
     preds: &[BoundPred],
@@ -603,8 +616,209 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
+/// One predicate of a chunk's chain in its per-layout form.
+#[derive(Debug, Clone, Copy)]
+enum LayoutPred<'c> {
+    /// Plain `u32` values or dictionary value ids.
+    U32(&'c [u32], CmpOp, u32),
+    /// Bit-packed `u32` column.
+    Packed(&'c PackedColumn, CmpOp, u32),
+    /// Frame-of-reference `u32` column.
+    For(&'c ForColumn, CmpOp, u32),
+    /// Byte-sliced `u32` column.
+    ByteSliced(&'c ByteSlicedColumn, CmpOp, u32),
+    /// Plain non-`u32` column (`u8`/`u16`/`i8`/`i16` have no scan kernel
+    /// and only filter survivors).
+    Typed(&'c Column, CmpOp, Value),
+}
+
+/// A translated predicate plus what the driver choice needs from its
+/// bound form (column, logical operator, selectivity estimate).
+struct ChunkPred<'c, 'p> {
+    form: LayoutPred<'c>,
+    bound: &'p BoundPred,
+}
+
+/// Translate each predicate once into its per-layout form for `chunk`,
+/// in chain order. Dictionary predicates become value-id predicates;
+/// `MatchAll` ones vanish. Returns `None` when a dictionary rewrite
+/// proves that nothing in the chunk matches.
+fn translate_chain<'c, 'p>(
+    chunk: &'c Chunk,
+    preds: &'p [BoundPred],
+) -> Result<Option<Vec<ChunkPred<'c, 'p>>>, ExecError> {
+    let mut out = Vec::with_capacity(preds.len());
+    for p in preds {
+        let seg = chunk.segment(p.column);
+        let u32_needle = || match p.value {
+            Value::U32(n) => Ok(n),
+            _ => Err(ExecError::PredicateTypeError),
+        };
+        let form = match seg {
+            Segment::Dict(d) => match d
+                .translate(p.op, p.value)
+                .ok_or(ExecError::PredicateTypeError)?
+            {
+                IdPredicate::MatchNone => return Ok(None),
+                IdPredicate::MatchAll => continue,
+                IdPredicate::Cmp(op, id) => LayoutPred::U32(d.value_ids(), op, id),
+            },
+            Segment::Packed(col) => LayoutPred::Packed(col, p.op, u32_needle()?),
+            Segment::For(col) => LayoutPred::For(col, p.op, u32_needle()?),
+            Segment::ByteSliced(col) => LayoutPred::ByteSliced(col, p.op, u32_needle()?),
+            Segment::Plain(col) => match col.data_type() {
+                DataType::U32 => LayoutPred::U32(
+                    col.as_native::<u32>()
+                        .ok_or(ExecError::PredicateTypeError)?,
+                    p.op,
+                    u32_needle()?,
+                ),
+                _ => LayoutPred::Typed(col, p.op, p.value),
+            },
+        };
+        out.push(ChunkPred { form, bound: p });
+    }
+    Ok(Some(out))
+}
+
+/// A group of predicates one existing kernel evaluates in a single pass
+/// over the chunk — a candidate driver.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Driver {
+    /// Plain/dictionary `u32` chain ([`run_u32_chain`]: JIT + calibration).
+    U32,
+    /// Bit-packed + `u32` chain ([`run_packed_chain`]; needs VBMI2).
+    Packed,
+    /// Frame-of-reference + `u32` chain ([`fused_scan_for`]).
+    For,
+    /// Byte-sliced conjunction ([`scan_bytesliced`]).
+    ByteSliced,
+    /// Same-type typed chain ([`scan_columns_auto_telemetered`]).
+    Typed(DataType),
+}
+
+impl Driver {
+    /// The group a predicate anchors (None: it can only filter).
+    fn anchored_by(form: &LayoutPred<'_>) -> Option<Driver> {
+        match form {
+            LayoutPred::U32(..) => Some(Driver::U32),
+            LayoutPred::Packed(..) => packed_kernel_available().then_some(Driver::Packed),
+            LayoutPred::For(..) => Some(Driver::For),
+            LayoutPred::ByteSliced(..) => Some(Driver::ByteSliced),
+            LayoutPred::Typed(col, ..) => match col.data_type() {
+                DataType::U8 | DataType::U16 | DataType::I8 | DataType::I16 => None,
+                ty => Some(Driver::Typed(ty)),
+            },
+        }
+    }
+
+    /// Most predicates the group's kernel takes in one pass; the rest
+    /// filter survivors.
+    fn limit(self) -> usize {
+        match self {
+            Driver::ByteSliced => usize::MAX,
+            _ => fts_core::fused::MAX_PREDICATES,
+        }
+    }
+
+    /// Whether this group's kernel evaluates `form` in its pass.
+    fn admits(self, form: &LayoutPred<'_>) -> bool {
+        match form {
+            // Plain u32 predicates fuse into the packed and FoR chains.
+            LayoutPred::U32(..) => matches!(self, Driver::U32 | Driver::Packed | Driver::For),
+            other => Driver::anchored_by(other) == Some(self),
+        }
+    }
+}
+
+/// Estimated selectivity of a conjunction. Per column, the tightest
+/// lower bound and the tightest upper bound combine as one range
+/// (`s_lo + s_hi − 1`) instead of independent factors — the halves of a
+/// narrow `BETWEEN` are each unselective, their intersection is not.
+/// Every other predicate, and every column, multiplies.
+fn conjunction_selectivity<'p>(preds: impl Iterator<Item = &'p BoundPred>) -> f64 {
+    // Per column: (column, tightest lower bound, tightest upper bound,
+    // product of the other predicates).
+    let mut cols: Vec<(usize, Option<f64>, Option<f64>, f64)> = Vec::new();
+    for p in preds {
+        let at = match cols.iter().position(|c| c.0 == p.column) {
+            Some(at) => at,
+            None => {
+                cols.push((p.column, None, None, 1.0));
+                cols.len() - 1
+            }
+        };
+        let c = &mut cols[at];
+        let s = p.selectivity;
+        match p.op {
+            CmpOp::Gt | CmpOp::Ge => c.1 = Some(c.1.map_or(s, |lo| lo.min(s))),
+            CmpOp::Lt | CmpOp::Le => c.2 = Some(c.2.map_or(s, |hi| hi.min(s))),
+            CmpOp::Eq | CmpOp::Ne => c.3 *= s,
+        }
+    }
+    cols.iter()
+        .map(|&(_, lo, hi, other)| {
+            let range = match (lo, hi) {
+                (Some(lo), Some(hi)) => (lo + hi - 1.0).max(0.0),
+                (Some(s), None) | (None, Some(s)) => s,
+                (None, None) => 1.0,
+            };
+            range * other
+        })
+        .product()
+}
+
+/// Pick the chunk's driver: among the groups an existing kernel runs in
+/// one pass (each capped at its kernel's predicate limit, in chain
+/// order), the one with the lowest estimated selectivity; ties go to the
+/// group covering more predicates. Returns the group and its members'
+/// chain indices, or None when no predicate has a kernel.
+fn choose_driver(chain: &[ChunkPred<'_, '_>]) -> Option<(Driver, Vec<usize>)> {
+    let mut kinds: Vec<Driver> = Vec::new();
+    for p in chain {
+        if let Some(k) = Driver::anchored_by(&p.form) {
+            if !kinds.contains(&k) {
+                kinds.push(k);
+            }
+        }
+    }
+    let mut best: Option<(f64, Driver, Vec<usize>)> = None;
+    for kind in kinds {
+        let members: Vec<usize> = (0..chain.len())
+            .filter(|&i| kind.admits(&chain[i].form))
+            .take(kind.limit())
+            .collect();
+        // A packed/FoR group capped down to its plain u32 predicates is
+        // the u32 group already.
+        if !members
+            .iter()
+            .any(|&i| Driver::anchored_by(&chain[i].form) == Some(kind))
+        {
+            continue;
+        }
+        let sel = conjunction_selectivity(members.iter().map(|&i| chain[i].bound));
+        let better = match &best {
+            None => true,
+            Some((best_sel, _, best_members)) => {
+                sel < *best_sel || (sel == *best_sel && members.len() > best_members.len())
+            }
+        };
+        if better {
+            best = Some((sel, kind, members));
+        }
+    }
+    best.map(|(_, kind, members)| (kind, members))
+}
+
 /// Evaluate the predicate chain over one chunk, returning matching
-/// positions (chunk-relative).
+/// positions (chunk-relative) or their count.
+///
+/// One **driver** scan per chunk: the cheapest single-pass group (see
+/// [`choose_driver`]) runs its kernel. When it covers the whole chain it
+/// runs in the caller's mode (so `COUNT(*)` keeps its popcount paths);
+/// otherwise it emits positions and every other predicate **filters its
+/// survivors** in chain order — the paper's gather step, proportional to
+/// the rows that survive rather than to the chunk.
 fn scan_chunk(
     chunk: &Chunk,
     preds: &[BoundPred],
@@ -613,267 +827,302 @@ fn scan_chunk(
     mut analyze: Option<&mut AnalyzeReport>,
     adaptive: Option<&mut AdaptiveState>,
 ) -> Result<ScanOutput, ExecError> {
-    let level = if analyze.is_some() {
-        TelemetryLevel::Full
-    } else {
-        TelemetryLevel::Off
+    let rows = chunk.rows() as u32;
+    let Some(chain) = translate_chain(chunk, preds)? else {
+        return Ok(match mode {
+            OutputMode::Count => ScanOutput::Count(0),
+            OutputMode::Positions => ScanOutput::Positions(PosList::new()),
+        });
     };
-    // 1. Rewrite into effective predicates.
-    let mut u32_preds: Vec<(&[u32], CmpOp, u32)> = Vec::new();
-    let mut packed_preds: Vec<(&fts_storage::PackedColumn, CmpOp, u32)> = Vec::new();
-    let mut for_preds: Vec<(&fts_storage::ForColumn, CmpOp, u32)> = Vec::new();
-    let mut bs_preds: Vec<(&fts_storage::ByteSlicedColumn, CmpOp, u32)> = Vec::new();
-    let mut typed: Vec<ColumnPred<'_>> = Vec::new();
-    let mut dynp: Vec<(&Segment, CmpOp, Value)> = Vec::new();
-
-    for p in preds {
-        let seg = chunk.segment(p.column);
-        match seg {
-            Segment::Dict(d) => {
-                let ip = d
-                    .translate(p.op, p.value)
-                    .ok_or(ExecError::PredicateTypeError)?;
-                match ip {
-                    IdPredicate::MatchNone => {
-                        return Ok(match mode {
-                            OutputMode::Count => ScanOutput::Count(0),
-                            OutputMode::Positions => ScanOutput::Positions(PosList::new()),
-                        });
-                    }
-                    IdPredicate::MatchAll => { /* predicate vanishes */ }
-                    IdPredicate::Cmp(op, id) => u32_preds.push((d.value_ids(), op, id)),
-                }
-            }
-            Segment::Packed(pc) => {
-                let Value::U32(needle) = p.value else {
-                    return Err(ExecError::PredicateTypeError);
-                };
-                if packed_kernel_available() {
-                    packed_preds.push((pc, p.op, needle));
-                } else {
-                    // No VBMI2: evaluate row-wise in phase 2.
-                    dynp.push((seg, p.op, p.value));
-                }
-            }
-            Segment::For(col) => {
-                let Value::U32(needle) = p.value else {
-                    return Err(ExecError::PredicateTypeError);
-                };
-                for_preds.push((col, p.op, needle));
-            }
-            Segment::ByteSliced(col) => {
-                let Value::U32(needle) = p.value else {
-                    return Err(ExecError::PredicateTypeError);
-                };
-                bs_preds.push((col, p.op, needle));
-            }
-            Segment::Plain(col) => match col.data_type() {
-                DataType::U32 => {
-                    let data = col.as_native::<u32>().expect("type checked");
-                    let Value::U32(needle) = p.value else {
-                        return Err(ExecError::PredicateTypeError);
-                    };
-                    u32_preds.push((data, p.op, needle));
-                }
-                DataType::I32 | DataType::F32 | DataType::U64 | DataType::I64 | DataType::F64 => {
-                    typed.push(ColumnPred {
-                        column: col,
-                        op: p.op,
-                        needle: p.value,
-                    });
-                }
-                _ => dynp.push((seg, p.op, p.value)),
-            },
-        }
+    if chain.is_empty() {
+        return Ok(match mode {
+            OutputMode::Count => ScanOutput::Count(rows as u64),
+            OutputMode::Positions => ScanOutput::Positions((0..rows).collect()),
+        });
     }
 
-    // Homogeneous typed chain with nothing else: one fused typed scan.
-    if u32_preds.is_empty()
-        && packed_preds.is_empty()
-        && for_preds.is_empty()
-        && bs_preds.is_empty()
-        && dynp.is_empty()
-        && !typed.is_empty()
-    {
-        let same = typed
-            .windows(2)
-            .all(|w| w[0].column.data_type() == w[1].column.data_type());
-        if same {
-            let (out, t) = scan_columns_auto_telemetered(&typed, mode, level)
+    let (positions, members) = match choose_driver(&chain) {
+        Some((driver, members)) => {
+            let whole = members.len() == chain.len();
+            let driver_mode = if whole { mode } else { OutputMode::Positions };
+            // Calibration covers exactly the chains it was built for: a
+            // u32 driver that is the whole chain.
+            let adaptive = if whole { adaptive } else { None };
+            let group: Vec<&LayoutPred<'_>> = members.iter().map(|&i| &chain[i].form).collect();
+            let out = run_driver(
+                driver,
+                &group,
+                rows as u64,
+                ctx,
+                driver_mode,
+                analyze.as_deref_mut(),
+                adaptive,
+            )?;
+            if whole {
+                return Ok(out);
+            }
+            let ScanOutput::Positions(pl) = out else {
+                unreachable!("positions requested from a partial driver")
+            };
+            (pl, members)
+        }
+        // No predicate has a kernel: every row is a candidate.
+        None => ((0..rows).collect(), Vec::new()),
+    };
+
+    // The followers, grouped by column in chain order of first
+    // appearance: a column's predicates share one read of each row.
+    let mut followers: Vec<(usize, Vec<&LayoutPred<'_>>)> = Vec::new();
+    for (i, p) in chain.iter().enumerate() {
+        if members.contains(&i) {
+            continue;
+        }
+        match followers.iter_mut().find(|(c, _)| *c == p.bound.column) {
+            Some((_, group)) => group.push(&p.form),
+            None => followers.push((p.bound.column, vec![&p.form])),
+        }
+    }
+    let mut survivors = positions.into_vec();
+    let rows_in = survivors.len() as u64;
+    for (_, group) in &followers {
+        if survivors.is_empty() {
+            break;
+        }
+        filter_survivors(&mut survivors, group)?;
+    }
+    if let Some(r) = analyze {
+        r.phase2_rows_in += rows_in;
+        r.phase2_rows_out += survivors.len() as u64;
+    }
+    Ok(match mode {
+        OutputMode::Count => ScanOutput::Count(survivors.len() as u64),
+        OutputMode::Positions => ScanOutput::Positions(PosList::from_vec(survivors)),
+    })
+}
+
+/// Run one driver group's kernel over a chunk of `rows` rows.
+fn run_driver(
+    driver: Driver,
+    group: &[&LayoutPred<'_>],
+    rows: u64,
+    ctx: &ExecContext,
+    mode: OutputMode,
+    analyze: Option<&mut AnalyzeReport>,
+    adaptive: Option<&mut AdaptiveState>,
+) -> Result<ScanOutput, ExecError> {
+    let u32_preds = || -> Vec<(&[u32], CmpOp, u32)> {
+        group
+            .iter()
+            .filter_map(|p| match **p {
+                LayoutPred::U32(d, op, n) => Some((d, op, n)),
+                _ => None,
+            })
+            .collect()
+    };
+    let started = analyze.is_some().then(Instant::now);
+    match driver {
+        Driver::U32 => Ok(run_u32_chain(&u32_preds(), ctx, mode, analyze, adaptive)),
+        Driver::Packed => {
+            let packed: Vec<(&PackedColumn, CmpOp, u32)> = group
+                .iter()
+                .filter_map(|p| match **p {
+                    LayoutPred::Packed(c, op, n) => Some((c, op, n)),
+                    _ => None,
+                })
+                .collect();
+            run_packed_chain(&u32_preds(), &packed, ctx, mode, analyze)
+        }
+        Driver::For => {
+            let chain: Vec<ForPred<'_>> = group
+                .iter()
+                .filter_map(|p| match **p {
+                    LayoutPred::U32(d, op, n) => Some(ForPred::Plain(TypedPred::new(d, op, n))),
+                    LayoutPred::For(col, op, needle) => Some(ForPred::For { col, op, needle }),
+                    _ => None,
+                })
+                .collect();
+            let (out, stats) = fused_scan_for(&chain, mode)
+                .map_err(|e| ExecError::UnsupportedPlan(e.to_string()))?;
+            if let (Some(r), Some(started)) = (analyze, started) {
+                r.for_blocks_scanned += stats.blocks_scanned;
+                r.for_blocks_pruned += stats.blocks_pruned;
+                // Plain columns at 4 B/row, FoR columns at their payload
+                // and header bytes.
+                let bytes = group
+                    .iter()
+                    .map(|p| match **p {
+                        LayoutPred::U32(..) => rows * 4,
+                        LayoutPred::For(col, ..) => col.heap_bytes() as u64,
+                        _ => 0,
+                    })
+                    .sum();
+                r.note_scan(&timing_record(
+                    "fused-for",
+                    rows,
+                    group.len(),
+                    fts_storage::FOR_BLOCK_LEN,
+                    bytes,
+                    started.elapsed(),
+                ));
+            }
+            Ok(out)
+        }
+        Driver::ByteSliced => {
+            let chain: Vec<ByteSlicedPred<'_>> = group
+                .iter()
+                .filter_map(|p| match **p {
+                    LayoutPred::ByteSliced(col, op, needle) => {
+                        Some(ByteSlicedPred { col, op, needle })
+                    }
+                    _ => None,
+                })
+                .collect();
+            let (out, stats) = scan_bytesliced(&chain, mode);
+            if let (Some(r), Some(started)) = (analyze, started) {
+                r.bs_plane_groups_read += stats.plane_groups_read;
+                r.bs_plane_groups_skipped += stats.plane_groups_skipped;
+                // Each plane group read is 64 bytes.
+                r.note_scan(&timing_record(
+                    "bytesliced",
+                    rows,
+                    group.len(),
+                    64,
+                    stats.plane_groups_read * 64,
+                    started.elapsed(),
+                ));
+            }
+            Ok(out)
+        }
+        Driver::Typed(_) => {
+            let chain: Vec<ColumnPred<'_>> = group
+                .iter()
+                .filter_map(|p| match **p {
+                    LayoutPred::Typed(column, op, needle) => {
+                        Some(ColumnPred { column, op, needle })
+                    }
+                    _ => None,
+                })
+                .collect();
+            let level = if analyze.is_some() {
+                TelemetryLevel::Full
+            } else {
+                TelemetryLevel::Off
+            };
+            let (out, t) = scan_columns_auto_telemetered(&chain, mode, level)
                 .ok_or(ExecError::PredicateTypeError)?;
             if let Some(r) = analyze {
                 r.note_scan(&t);
             }
-            return Ok(out);
+            Ok(out)
         }
     }
-    // Mixed chains: typed predicates degrade to the row-wise phase.
-    for t in typed {
-        dynp.push((
-            chunk
-                .segments()
-                .iter()
-                .find(|s| s.as_plain() == Some(t.column))
-                .expect("segment"),
-            t.op,
-            t.needle,
-        ));
-    }
-
-    // 2. Phase 1 — fused scans over the u32/compressed predicates. Each
-    // group (plain+packed chain, plain+FoR chain, each byte-sliced
-    // predicate) runs as one fused scan over its layout; when several
-    // groups are present each emits a position list and the lists
-    // intersect. Plain u32 predicates fuse into the packed or FoR chain
-    // instead of running alone.
-    let rows = chunk.rows() as u32;
-    let u32_standalone = !u32_preds.is_empty() && packed_preds.is_empty() && for_preds.is_empty();
-    let groups = usize::from(!packed_preds.is_empty())
-        + usize::from(!for_preds.is_empty())
-        + bs_preds.len()
-        + usize::from(u32_standalone);
-    let phase1_mode = if dynp.is_empty() && groups <= 1 {
-        mode
-    } else {
-        OutputMode::Positions
-    };
-    let mut outs: Vec<ScanOutput> = Vec::with_capacity(groups);
-    if !packed_preds.is_empty() {
-        // Mixed packed + plain-u32 chain runs as one packed fused scan —
-        // JIT-compiled when enabled and the chain fits one kernel.
-        outs.push(run_packed_chain(
-            &u32_preds,
-            &packed_preds,
-            ctx,
-            phase1_mode,
-            analyze.as_deref_mut(),
-        )?);
-    }
-    if !for_preds.is_empty() {
-        // Plain predicates join the FoR chain unless the packed chain
-        // already consumed them.
-        let plain: &[(&[u32], CmpOp, u32)] = if packed_preds.is_empty() {
-            &u32_preds
-        } else {
-            &[]
-        };
-        let chain: Vec<ForPred<'_>> = plain
-            .iter()
-            .map(|&(d, op, n)| ForPred::Plain(TypedPred::new(d, op, n)))
-            .chain(
-                for_preds
-                    .iter()
-                    .map(|&(col, op, needle)| ForPred::For { col, op, needle }),
-            )
-            .collect();
-        let (out, stats) = fused_scan_for(&chain, phase1_mode)
-            .map_err(|e| ExecError::UnsupportedPlan(e.to_string()))?;
-        if let Some(r) = analyze.as_deref_mut() {
-            r.for_blocks_scanned += stats.blocks_scanned;
-            r.for_blocks_pruned += stats.blocks_pruned;
-        }
-        outs.push(out);
-    }
-    for &(col, op, needle) in &bs_preds {
-        let (out, stats) = scan_bytesliced(col, op, needle, phase1_mode);
-        if let Some(r) = analyze.as_deref_mut() {
-            r.bs_plane_groups_read += stats.plane_groups_read;
-            r.bs_plane_groups_skipped += stats.plane_groups_skipped;
-        }
-        outs.push(out);
-    }
-    if u32_standalone {
-        outs.push(run_u32_chain(
-            &u32_preds,
-            ctx,
-            phase1_mode,
-            analyze.as_deref_mut(),
-            adaptive,
-        ));
-    }
-    let phase1: ScanOutput = match outs.len() {
-        0 => match phase1_mode {
-            OutputMode::Count if dynp.is_empty() => ScanOutput::Count(rows as u64),
-            _ => ScanOutput::Positions((0..rows).collect()),
-        },
-        1 => outs.pop().expect("one group"),
-        _ => {
-            let mut acc: Option<PosList> = None;
-            for out in outs {
-                let ScanOutput::Positions(pl) = out else {
-                    unreachable!("positions requested from every group")
-                };
-                acc = Some(match acc {
-                    None => pl,
-                    Some(prev) => prev.intersect(&pl),
-                });
-            }
-            ScanOutput::Positions(acc.expect("at least two groups"))
-        }
-    };
-
-    if dynp.is_empty() {
-        return Ok(match (mode, phase1) {
-            (OutputMode::Count, o) => ScanOutput::Count(o.count()),
-            (OutputMode::Positions, o) => o,
-        });
-    }
-
-    // 3. Phase 2 — row-wise dynamic filtering of the position list.
-    let positions = phase1.positions().expect("phase 1 produced positions");
-    let rows_in = positions.len() as u64;
-    let mut out = PosList::new();
-    'rows: for pos in positions {
-        for (seg, op, needle) in &dynp {
-            if !segment_matches(seg, pos as usize, *op, *needle)
-                .ok_or(ExecError::PredicateTypeError)?
-            {
-                continue 'rows;
-            }
-        }
-        out.push(pos);
-    }
-    if let Some(r) = analyze {
-        r.phase2_rows_in += rows_in;
-        r.phase2_rows_out += out.len() as u64;
-    }
-    Ok(match mode {
-        OutputMode::Count => ScanOutput::Count(out.len() as u64),
-        OutputMode::Positions => ScanOutput::Positions(out),
-    })
 }
 
-/// Row-wise predicate evaluation over any segment kind (phase-2 fallback).
-fn segment_matches(seg: &Segment, row: usize, op: CmpOp, needle: Value) -> Option<bool> {
-    use fts_storage::NativeType;
-    match seg {
-        Segment::Plain(col) => col.matches_at(row, op, needle),
-        Segment::Packed(pc) => {
-            let Value::U32(n) = needle else { return None };
-            Some(pc.get(row).cmp_op(op, n))
-        }
-        Segment::For(c) => {
-            let Value::U32(n) = needle else { return None };
-            Some(c.get(row).cmp_op(op, n))
-        }
-        Segment::ByteSliced(c) => {
-            let Value::U32(n) = needle else { return None };
-            Some(c.get(row).cmp_op(op, n))
-        }
-        // Dictionary predicates are always rewritten in phase 1.
-        Segment::Dict(d) => {
-            let Value::U32(_) = needle else { return None };
-            let _ = d;
-            None
+/// A Timing-grade scan record (rows, a bytes model and the measured wall
+/// time) for kernels whose stage statistics are not replayable: the
+/// packed, FoR and byte-sliced drivers.
+fn timing_record(
+    impl_name: &'static str,
+    rows: u64,
+    predicates: usize,
+    lanes: usize,
+    bytes_touched: u64,
+    wall: Duration,
+) -> ScanTelemetry {
+    ScanTelemetry {
+        enabled: true,
+        impl_name,
+        rows,
+        predicates,
+        lanes,
+        blocks: rows.div_ceil(lanes as u64),
+        bytes_touched,
+        wall,
+        morsels: 1,
+        threads: 1,
+        ..ScanTelemetry::default()
+    }
+}
+
+/// Keep the positions whose row satisfies every predicate of `preds`,
+/// which all read one column: one typed loop per layout reads each
+/// surviving row's value once (`data[p]` for plain, dictionary-id and
+/// typed columns, `get(p)` for packed, FoR and byte-sliced ones), so a
+/// `BETWEEN` is one pass, and builds no `Value` per row.
+fn filter_survivors(positions: &mut Vec<u32>, preds: &[&LayoutPred<'_>]) -> Result<(), ExecError> {
+    let u32_tests = || -> Vec<(CmpOp, u32)> {
+        preds
+            .iter()
+            .filter_map(|p| match **p {
+                LayoutPred::U32(_, op, n)
+                | LayoutPred::Packed(_, op, n)
+                | LayoutPred::For(_, op, n)
+                | LayoutPred::ByteSliced(_, op, n) => Some((op, n)),
+                _ => None,
+            })
+            .collect()
+    };
+    match *preds[0] {
+        LayoutPred::U32(data, ..) => keep_matching(positions, &u32_tests(), |r| data[r]),
+        LayoutPred::Packed(col, ..) => keep_matching(positions, &u32_tests(), |r| col.get(r)),
+        LayoutPred::For(col, ..) => keep_matching(positions, &u32_tests(), |r| col.get(r)),
+        LayoutPred::ByteSliced(col, ..) => keep_matching(positions, &u32_tests(), |r| col.get(r)),
+        LayoutPred::Typed(col, ..) => {
+            fn typed<T: NativeType>(
+                positions: &mut Vec<u32>,
+                data: &[T],
+                preds: &[&LayoutPred<'_>],
+            ) -> Result<(), ExecError> {
+                let tests = preds
+                    .iter()
+                    .map(|p| match **p {
+                        LayoutPred::Typed(_, op, needle) => T::from_value(needle).map(|n| (op, n)),
+                        _ => None,
+                    })
+                    .collect::<Option<Vec<(CmpOp, T)>>>()
+                    .ok_or(ExecError::PredicateTypeError)?;
+                keep_matching(positions, &tests, |r| data[r]);
+                Ok(())
+            }
+            return with_native!(col, data => typed(positions, data, preds));
         }
     }
+    Ok(())
+}
+
+/// Compact `positions` to the rows where `get(row) OP needle` holds for
+/// every `(OP, needle)` of `tests` ([`NativeType::cmp_op`], so float NaN
+/// semantics match the kernels).
+#[inline]
+fn keep_matching<T: NativeType>(
+    positions: &mut Vec<u32>,
+    tests: &[(CmpOp, T)],
+    get: impl Fn(usize) -> T,
+) {
+    compact(positions, |r| {
+        let v = get(r);
+        tests.iter().fold(true, |ok, &(op, n)| ok & v.cmp_op(op, n))
+    });
+}
+
+/// Branch-free in-place compaction of `positions` to the rows `keep`
+/// accepts (order preserved).
+#[inline]
+fn compact(positions: &mut Vec<u32>, keep: impl Fn(usize) -> bool) {
+    let mut kept = 0;
+    for i in 0..positions.len() {
+        let pos = positions[i];
+        positions[kept] = pos;
+        kept += usize::from(keep(pos as usize));
+    }
+    positions.truncate(kept);
 }
 
 /// Run a mixed plain/packed chain: the JIT packed backend when possible,
 /// otherwise the static packed kernel.
 fn run_packed_chain(
     u32_preds: &[(&[u32], CmpOp, u32)],
-    packed_preds: &[(&fts_storage::PackedColumn, CmpOp, u32)],
+    packed_preds: &[(&PackedColumn, CmpOp, u32)],
     ctx: &ExecContext,
     mode: OutputMode,
     analyze: Option<&mut AnalyzeReport>,
@@ -938,10 +1187,7 @@ fn run_packed_chain(
         )
     };
     if let (Some(r), Some(started)) = (analyze, started) {
-        // Stage statistics are not replayable for bit-packed chains, so
-        // this path reports a Timing-grade record: rows, a bytes model
-        // (plain columns at 4 B/row, packed columns at bits/8 B/row) and
-        // the measured wall time.
+        // Plain columns at 4 B/row, packed columns at bits/8 B/row.
         let rows = u32_preds
             .first()
             .map(|&(d, _, _)| d.len())
@@ -951,61 +1197,28 @@ fn run_packed_chain(
                 .iter()
                 .map(|&(pc, _, _)| (rows * pc.bits() as u64).div_ceil(8))
                 .sum::<u64>();
-        r.note_scan(&ScanTelemetry {
-            enabled: true,
+        r.note_scan(&timing_record(
             impl_name,
             rows,
-            predicates: total,
-            lanes: 16,
-            blocks: rows.div_ceil(16),
-            bytes_touched: bytes,
-            wall: started.elapsed(),
-            morsels: 1,
-            threads: 1,
-            ..ScanTelemetry::default()
-        });
+            total,
+            16,
+            bytes,
+            started.elapsed(),
+        ));
     }
     Ok(out)
 }
 
-/// Run a homogeneous `u32` chain through the best available engine.
-/// Chains longer than one kernel supports are split into groups whose
-/// position lists are intersected (sorted merge).
+/// Run a homogeneous `u32` chain (at most
+/// [`fts_core::fused::MAX_PREDICATES`] predicates) through the best
+/// available engine.
 fn run_u32_chain(
     preds: &[(&[u32], CmpOp, u32)],
     ctx: &ExecContext,
     mode: OutputMode,
-    mut analyze: Option<&mut AnalyzeReport>,
+    analyze: Option<&mut AnalyzeReport>,
     adaptive: Option<&mut AdaptiveState>,
 ) -> ScanOutput {
-    let max = fts_core::fused::MAX_PREDICATES;
-    if preds.len() > max {
-        let mut acc: Option<PosList> = None;
-        for group in preds.chunks(max) {
-            // Split groups have a different shape than the calibrated
-            // chain, so they run uncalibrated.
-            let out = run_u32_chain(
-                group,
-                ctx,
-                OutputMode::Positions,
-                analyze.as_deref_mut(),
-                None,
-            );
-            let pl = match out {
-                ScanOutput::Positions(pl) => pl,
-                ScanOutput::Count(_) => unreachable!("positions requested"),
-            };
-            acc = Some(match acc {
-                None => pl,
-                Some(prev) => prev.intersect(&pl),
-            });
-        }
-        let pl = acc.expect("at least one group");
-        return match mode {
-            OutputMode::Count => ScanOutput::Count(pl.len() as u64),
-            OutputMode::Positions => ScanOutput::Positions(pl),
-        };
-    }
     // The calibrator (if any) picks this chunk's kernel — a probe
     // candidate while calibrating, the winner in steady state. Without
     // one, the static policy applies: JIT when enabled, else the best
@@ -1116,13 +1329,24 @@ pub fn execute_analyzed(
     ctx: &ExecContext,
 ) -> Result<(QueryResult, AnalyzeReport), ExecError> {
     let mut report = AnalyzeReport::default();
-    let jit0 = ctx.kernels.stats();
+    // Plain and packed kernels share one cache implementation; the
+    // report sums their activity.
+    let jit_stats = || {
+        let (plain, packed) = (ctx.kernels.stats(), ctx.packed_kernels.stats());
+        CacheStats {
+            hits: plain.hits + packed.hits,
+            misses: plain.misses + packed.misses,
+            evictions: plain.evictions + packed.evictions,
+            compile_time: plain.compile_time + packed.compile_time,
+        }
+    };
+    let jit0 = jit_stats();
     let pruned0 = ctx.chunks_pruned.load(Ordering::Relaxed);
     let scanned0 = ctx.chunks_scanned.load(Ordering::Relaxed);
     let started = Instant::now();
     let result = execute_with(plan, ctx, Some(&mut report))?;
     report.wall = started.elapsed();
-    let jit1 = ctx.kernels.stats();
+    let jit1 = jit_stats();
     report.jit_hits = jit1.hits.saturating_sub(jit0.hits);
     report.jit_misses = jit1.misses.saturating_sub(jit0.misses);
     report.jit_evictions = jit1.evictions.saturating_sub(jit0.evictions);
@@ -1311,6 +1535,17 @@ fn execute_with(
             })
         }
         Lqp::Limit { input, n } => {
+            // A projection stops once `n` rows are materialized; anything
+            // else (an aggregate's single row) truncates afterwards.
+            if let Lqp::Project {
+                input,
+                columns,
+                names,
+            } = input.as_ref()
+            {
+                let limit = usize::try_from(*n).unwrap_or(usize::MAX);
+                return project(input, columns, names, limit, ctx, analyze);
+            }
             let inner = execute_with(input, ctx, analyze)?;
             Ok(match inner {
                 QueryResult::Rows { columns, mut rows } => {
@@ -1324,41 +1559,57 @@ fn execute_with(
             input,
             columns,
             names,
-        } => {
-            let (entry, mut scan) = StatementScan::build(input, ctx)?;
-            let mut rows: Vec<Vec<Value>> = Vec::new();
-            for (ci, chunk) in entry.table.chunks().iter().enumerate() {
-                if scan.prune(entry, ci) {
-                    ctx.chunks_pruned.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                ctx.chunks_scanned.fetch_add(1, Ordering::Relaxed);
-                let out = scan.scan(
-                    entry,
-                    ci,
-                    chunk,
-                    ctx,
-                    OutputMode::Positions,
-                    analyze.as_deref_mut(),
-                )?;
-                let positions = out.positions().expect("positions requested");
-                for pos in positions {
-                    rows.push(
-                        columns
-                            .iter()
-                            .map(|&c| chunk.segment(c).value_at(pos as usize))
-                            .collect(),
-                    );
-                }
-            }
-            scan.finish(analyze);
-            Ok(QueryResult::Rows {
-                columns: names.clone(),
-                rows,
-            })
-        }
+        } => project(input, columns, names, usize::MAX, ctx, analyze),
         other => Err(ExecError::UnsupportedPlan(format!("{other:?}"))),
     }
+}
+
+/// Materialize `columns` of the rows the scan under `input` keeps, in
+/// chunk order and ascending position within a chunk, stopping once
+/// `limit` rows are materialized (no further chunk is scanned).
+fn project(
+    input: &Lqp,
+    columns: &[usize],
+    names: &[String],
+    limit: usize,
+    ctx: &ExecContext,
+    mut analyze: Option<&mut AnalyzeReport>,
+) -> Result<QueryResult, ExecError> {
+    let (entry, mut scan) = StatementScan::build(input, ctx)?;
+    let mut rows: Vec<Vec<Value>> = Vec::new();
+    for (ci, chunk) in entry.table.chunks().iter().enumerate() {
+        if rows.len() >= limit {
+            break;
+        }
+        if scan.prune(entry, ci) {
+            ctx.chunks_pruned.fetch_add(1, Ordering::Relaxed);
+            continue;
+        }
+        ctx.chunks_scanned.fetch_add(1, Ordering::Relaxed);
+        let out = scan.scan(
+            entry,
+            ci,
+            chunk,
+            ctx,
+            OutputMode::Positions,
+            analyze.as_deref_mut(),
+        )?;
+        let positions = out.positions().expect("positions requested");
+        let take = positions.len().min(limit - rows.len());
+        for &pos in &positions.as_slice()[..take] {
+            rows.push(
+                columns
+                    .iter()
+                    .map(|&c| chunk.segment(c).value_at(pos as usize))
+                    .collect(),
+            );
+        }
+    }
+    scan.finish(analyze);
+    Ok(QueryResult::Rows {
+        columns: names.to_vec(),
+        rows,
+    })
 }
 
 /// Running state of one aggregate expression.
@@ -2003,6 +2254,29 @@ mod tests {
     }
 
     #[test]
+    fn packed_kernel_cache_activity_reaches_explain_analyze() {
+        if !fts_simd::has_avx512() || !std::arch::is_x86_feature_detected!("avx512vbmi2") {
+            eprintln!("skipping: no AVX-512 VBMI2");
+            return;
+        }
+        let cat = catalog();
+        let base = cat.get("t").unwrap().table.as_ref().clone();
+        let mut cat2 = Catalog::new();
+        cat2.register("tp", base.with_bitpacking(&[0, 1]).unwrap());
+        let ctx = make_ctx(JitMode::On);
+        let sql = "SELECT COUNT(*) FROM tp WHERE a = 5 AND b = 1";
+        let p = optimize(plan(&parse(sql).unwrap(), &cat2).unwrap());
+        let (_, first) = execute_analyzed(&p, &ctx).unwrap();
+        assert_eq!(first.jit_misses, 1, "one packed kernel compiled");
+        assert_eq!(first.jit_hits, 3, "the other three chunks hit it");
+        assert!(first.jit_compile_time > Duration::ZERO);
+        let (_, second) = execute_analyzed(&p, &ctx).unwrap();
+        assert_eq!((second.jit_hits, second.jit_misses), (4, 0));
+        assert_eq!(ctx.packed_kernels.stats().misses, 1);
+        assert!(ctx.packed_kernels.len() <= ctx.packed_kernels.capacity());
+    }
+
+    #[test]
     fn for_and_bytesliced_segments_scan_fused() {
         let cat = catalog();
         let base = cat.get("t").unwrap().table.as_ref().clone();
@@ -2369,7 +2643,7 @@ mod tests {
         assert_eq!(result, QueryResult::Count(expected));
         // `big < 0` prunes the two chunks whose min is ≥ 0 (rows 512..1000),
         // so phase 1 (a = 5) passes only the surviving chunks' positions to
-        // the row-wise phase.
+        // the survivor filter.
         assert_eq!(report.chunks_pruned, 2);
         assert_eq!(
             report.phase2_rows_in,
@@ -2502,6 +2776,285 @@ mod tests {
         let (_, second) = execute_analyzed(&p, &ctx).unwrap();
         assert_eq!(second.jit_misses, 0, "steady state recompiled: {second:?}");
         assert_eq!(second.jit_evictions, 0);
+    }
+
+    fn bound(column: usize, op: CmpOp, value: Value, selectivity: f64) -> BoundPred {
+        BoundPred {
+            column,
+            column_name: format!("c{column}"),
+            op,
+            value,
+            selectivity,
+        }
+    }
+
+    #[test]
+    fn range_halves_combine_into_one_estimate() {
+        // partkey BETWEEN …: halves at 0.33 and 0.73 are one 0.06 range,
+        // not a 0.24 product.
+        let lo = bound(3, CmpOp::Ge, Value::U32(1_333_704), 0.33);
+        let hi = bound(3, CmpOp::Le, Value::U32(1_453_703), 0.73);
+        let sel = conjunction_selectivity([&lo, &hi].into_iter());
+        assert!((sel - 0.06).abs() < 1e-9, "{sel}");
+        // Other columns and equalities still multiply; the tightest bound
+        // on each side wins; a disjoint range estimates to zero.
+        let other = bound(1, CmpOp::Lt, Value::U32(3), 0.5);
+        let eq = bound(3, CmpOp::Eq, Value::U32(7), 0.1);
+        let tighter = bound(3, CmpOp::Gt, Value::U32(1_400_000), 0.3);
+        let sel = conjunction_selectivity([&lo, &hi, &other, &eq, &tighter].into_iter());
+        assert!((sel - 0.03 * 0.5 * 0.1).abs() < 1e-9, "{sel}");
+        let disjoint = bound(3, CmpOp::Lt, Value::U32(5), 0.2);
+        assert_eq!(conjunction_selectivity([&lo, &disjoint].into_iter()), 0.0);
+    }
+
+    /// One chunk with a column per (layout, type) the translator sees.
+    fn every_layout_chunk() -> (Table, Vec<BoundPred>) {
+        let n = 300;
+        let u32s = |i: usize| (i % 17) as u32;
+        let t = Table::from_columns(
+            vec![
+                ColumnDef::new("plain", DataType::U32),
+                ColumnDef::new("dict", DataType::U32),
+                ColumnDef::new("packed", DataType::U32),
+                ColumnDef::new("for", DataType::U32),
+                ColumnDef::new("bs", DataType::U32),
+                ColumnDef::new("i32", DataType::I32),
+                ColumnDef::new("f32", DataType::F32),
+                ColumnDef::new("u64", DataType::U64),
+                ColumnDef::new("i64", DataType::I64),
+                ColumnDef::new("f64", DataType::F64),
+                ColumnDef::new("u8", DataType::U8),
+                ColumnDef::new("u16", DataType::U16),
+                ColumnDef::new("i8", DataType::I8),
+                ColumnDef::new("i16", DataType::I16),
+            ],
+            vec![
+                Column::from_fn(n, u32s),
+                Column::from_fn(n, u32s),
+                Column::from_fn(n, u32s),
+                Column::from_fn(n, u32s),
+                Column::from_fn(n, u32s),
+                Column::from_fn(n, |i| i as i32 % 17),
+                Column::from_fn(n, |i| (i % 17) as f32),
+                Column::from_fn(n, |i| (i % 17) as u64),
+                Column::from_fn(n, |i| i as i64 % 17),
+                Column::from_fn(n, |i| (i % 17) as f64),
+                Column::from_fn(n, |i| (i % 17) as u8),
+                Column::from_fn(n, |i| (i % 17) as u16),
+                Column::from_fn(n, |i| (i % 17) as i8),
+                Column::from_fn(n, |i| (i % 17) as i16),
+            ],
+        )
+        .unwrap()
+        .with_dictionary_encoding(&[1])
+        .unwrap()
+        .with_bitpacking(&[2])
+        .unwrap()
+        .with_for_encoding(&[3])
+        .unwrap()
+        .with_byte_slicing(&[4])
+        .unwrap();
+        let preds = t
+            .schema()
+            .iter()
+            .enumerate()
+            .map(|(c, def)| {
+                let v = Value::U32(5).cast_to(def.data_type).unwrap();
+                bound(c, CmpOp::Lt, v, 0.3)
+            })
+            .collect();
+        (t, preds)
+    }
+
+    #[test]
+    fn kernel_less_types_never_drive() {
+        let (t, preds) = every_layout_chunk();
+        let chunk = &t.chunks()[0];
+        let chain = translate_chain(chunk, &preds).unwrap().unwrap();
+        assert_eq!(chain.len(), preds.len());
+        for p in &chain {
+            let ty = t.schema()[p.bound.column].data_type;
+            let no_kernel = matches!(
+                ty,
+                DataType::U8 | DataType::U16 | DataType::I8 | DataType::I16
+            );
+            // Exactly the predicates with a kernel can anchor a driver
+            // group (packed needs VBMI2; without it, it filters survivors
+            // with its own typed loop). The rest only filter survivors.
+            let anchors = Driver::anchored_by(&p.form).is_some();
+            let packed = matches!(p.form, LayoutPred::Packed(..));
+            assert_eq!(
+                anchors,
+                !no_kernel && (!packed || packed_kernel_available()),
+                "{}",
+                p.bound.column_name
+            );
+        }
+        // Whatever drives, every chain shape over these columns agrees
+        // with a row loop: each column is `i % 17 < 5`.
+        let expected = (0..300).filter(|i| i % 17 < 5).count() as u64;
+        let ctx = make_ctx(JitMode::Off);
+        for k in 0..preds.len() {
+            let rotated: Vec<BoundPred> = preds[k..].iter().chain(&preds[..k]).cloned().collect();
+            let mut report = AnalyzeReport::default();
+            let out = scan_chunk(
+                chunk,
+                &rotated,
+                &ctx,
+                OutputMode::Count,
+                Some(&mut report),
+                None,
+            )
+            .unwrap();
+            assert_eq!(out.count(), expected, "rotation {k}");
+            assert_eq!(report.phase2_rows_out, expected, "rotation {k}");
+        }
+        // Kernel-less columns alone: every row is a candidate and each
+        // column's predicates (a BETWEEN here) filter in one pass.
+        let col = |name: &str| t.schema().iter().position(|d| d.name == name).unwrap();
+        let (u8c, i16c) = (col("u8"), col("i16"));
+        let chain = vec![
+            bound(u8c, CmpOp::Ge, Value::U8(2), 0.8),
+            bound(i16c, CmpOp::Ne, Value::I16(3), 0.9),
+            bound(u8c, CmpOp::Le, Value::U8(9), 0.6),
+        ];
+        let mut report = AnalyzeReport::default();
+        let out = scan_chunk(
+            chunk,
+            &chain,
+            &ctx,
+            OutputMode::Positions,
+            Some(&mut report),
+            None,
+        )
+        .unwrap();
+        let expected: Vec<u32> = (0..300u32)
+            .filter(|i| (2..=9).contains(&(i % 17)) && i % 17 != 3)
+            .collect();
+        assert_eq!(out.positions().unwrap().as_slice(), &expected[..]);
+        assert_eq!(report.phase2_rows_in, 300);
+        // A literal of the wrong type is an error, not a silent miss.
+        let bad = vec![bound(u8c, CmpOp::Eq, Value::U32(2), 0.1)];
+        assert_eq!(
+            scan_chunk(chunk, &bad, &ctx, OutputMode::Count, None, None),
+            Err(ExecError::PredicateTypeError)
+        );
+    }
+
+    #[test]
+    fn mixed_chains_drive_once_and_filter_survivors() {
+        let (t, preds) = every_layout_chunk();
+        let chunk = &t.chunks()[0];
+        let by_name = |name: &str| {
+            preds
+                .iter()
+                .find(|p| t.schema()[p.column].name == name)
+                .unwrap()
+                .clone()
+        };
+        // A selective byte-sliced range drives; the FoR predicate only
+        // sees its survivors.
+        let mut lo = by_name("bs");
+        lo.op = CmpOp::Ge;
+        lo.value = Value::U32(3);
+        lo.selectivity = 0.85;
+        let mut hi = by_name("bs");
+        hi.value = Value::U32(4);
+        hi.selectivity = 0.2;
+        let mut f = by_name("for");
+        f.selectivity = 0.1;
+        let chain_preds = vec![f.clone(), hi, lo];
+        let chain = translate_chain(chunk, &chain_preds).unwrap().unwrap();
+        let (driver, members) = choose_driver(&chain).unwrap();
+        assert_eq!(driver, Driver::ByteSliced, "range 0.05 beats 0.1");
+        assert_eq!(members, vec![1, 2]);
+        let ctx = make_ctx(JitMode::Off);
+        let mut report = AnalyzeReport::default();
+        let out = scan_chunk(
+            chunk,
+            &chain_preds,
+            &ctx,
+            OutputMode::Positions,
+            Some(&mut report),
+            None,
+        )
+        .unwrap();
+        let expected: Vec<u32> = (0..300u32).filter(|i| i % 17 == 3).collect();
+        assert_eq!(out.positions().unwrap().as_slice(), &expected[..]);
+        // Survivor filtering reports through phase 2: the FoR follower saw
+        // only the byte-sliced driver's survivors.
+        assert_eq!(report.phase2_rows_in, expected.len() as u64);
+        assert_eq!(report.phase2_rows_out, expected.len() as u64);
+        assert_eq!(report.scan.impl_name, "bytesliced");
+        assert!(report.scan.enabled && report.scan.rows == 300);
+
+        // A FoR chain longer than one kernel: the first 8 predicates
+        // drive, the 9th filters survivors.
+        let mut long: Vec<BoundPred> = (0..8).map(|_| f.clone()).collect();
+        long.push(by_name("dict"));
+        let chain = translate_chain(chunk, &long).unwrap().unwrap();
+        let (driver, members) = choose_driver(&chain).unwrap();
+        assert_eq!(driver, Driver::For);
+        assert_eq!(members, (0..8).collect::<Vec<_>>());
+        let out = scan_chunk(chunk, &long, &ctx, OutputMode::Count, None, None).unwrap();
+        assert_eq!(out.count(), (0..300).filter(|i| i % 17 < 5).count() as u64);
+    }
+
+    #[test]
+    fn for_and_bytesliced_drivers_report_timing_records() {
+        let cat = catalog();
+        let base = cat.get("t").unwrap().table.as_ref().clone();
+        let mut cat2 = Catalog::new();
+        cat2.register("tf", base.with_for_encoding(&[0, 1]).unwrap());
+        cat2.register("tb", base.with_byte_slicing(&[0, 1]).unwrap());
+        let expected = expected_count(|i| i % 10 == 5 && i % 4 == 1);
+        let ctx = make_ctx(JitMode::Off);
+        for (table, name) in [("tf", "fused-for"), ("tb", "bytesliced")] {
+            let sql = format!("SELECT COUNT(*) FROM {table} WHERE a = 5 AND b = 1");
+            let p = optimize(plan(&parse(&sql).unwrap(), &cat2).unwrap());
+            let (result, report) = execute_analyzed(&p, &ctx).unwrap();
+            assert_eq!(result, QueryResult::Count(expected), "{table}");
+            assert!(report.scan.enabled, "{table}");
+            assert_eq!(report.scan.impl_name, name);
+            assert_eq!(report.scan.rows, 1000, "{table}");
+            assert_eq!(report.scan.morsels, 4, "{table}: one record per chunk");
+            assert_eq!(report.scan.predicates, 2, "{table}");
+            assert!(report.scan.bytes_touched > 0, "{table}");
+            assert!(report.scan.wall > Duration::ZERO, "{table}");
+            assert_eq!(
+                report.phase2_rows_in, 0,
+                "{table}: one driver, no followers"
+            );
+            let text = report.render(10.0);
+            assert!(text.contains(&format!("Scan [{name}]")), "{text}");
+        }
+    }
+
+    #[test]
+    fn limit_projection_stops_scanning_early() {
+        let cat = many_chunk_catalog();
+        let full = "SELECT a, b FROM big WHERE a = 5 AND b = 1";
+        let limited = "SELECT a, b FROM big WHERE a = 5 AND b = 1 LIMIT 30";
+        let ctx_full = make_ctx(JitMode::Off);
+        let p = optimize(plan(&parse(full).unwrap(), &cat).unwrap());
+        let QueryResult::Rows { rows: all, .. } = execute(&p, &ctx_full).unwrap() else {
+            panic!("rows expected")
+        };
+        let ctx = make_ctx(JitMode::Off);
+        let p = optimize(plan(&parse(limited).unwrap(), &cat).unwrap());
+        let QueryResult::Rows { columns, rows } = execute(&p, &ctx).unwrap() else {
+            panic!("rows expected")
+        };
+        assert_eq!(columns, vec!["a", "b"]);
+        assert_eq!(rows, all[..30].to_vec(), "same rows, same order");
+        // 512-row chunks hold 25 matches each: two chunks cover LIMIT 30.
+        assert_eq!(ctx.chunks_scanned.load(Ordering::Relaxed), 2);
+        assert_eq!(ctx_full.chunks_scanned.load(Ordering::Relaxed), 40);
+        // LIMIT 0 scans nothing.
+        let ctx = make_ctx(JitMode::Off);
+        let p = optimize(plan(&parse(&format!("{full} LIMIT 0")).unwrap(), &cat).unwrap());
+        assert_eq!(execute(&p, &ctx).unwrap().num_rows(), 0);
+        assert_eq!(ctx.chunks_scanned.load(Ordering::Relaxed), 0);
     }
 
     #[test]

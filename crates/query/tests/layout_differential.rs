@@ -51,6 +51,13 @@ fn variants() -> Vec<(&'static str, Table)> {
                 .with_bitpacking(&[0])
                 .unwrap(),
         ),
+        (
+            "for_dict",
+            t.with_dictionary_encoding(&[0])
+                .unwrap()
+                .with_for_encoding(&[1, 2])
+                .unwrap(),
+        ),
     ]
 }
 
@@ -97,6 +104,22 @@ fn all_layouts_agree_on_all_statements() {
         "SELECT COUNT(*) FROM t WHERE qty < 5 OR code >= 99000",
         // Projection output (ordered rows with LIMIT).
         "SELECT qty, base, price FROM t WHERE qty = 49 AND code < 60000 LIMIT 7",
+        // One driver per chunk, every other predicate filters survivors;
+        // each layout group drives in turn. A byte-sliced BETWEEN drives a
+        // FoR follower (`mixed`: code byte-sliced, base FoR) ...
+        "SELECT COUNT(*) FROM t WHERE code BETWEEN 1000 AND 2500 AND base >= 3000000100",
+        // ... FoR drives a packed follower (`mixed`: qty packed) ...
+        "SELECT SUM(price) FROM t WHERE base BETWEEN 3000000100 AND 3000000110 AND qty < 40",
+        // ... an i64 driver with a u32 follower, and the reverse.
+        "SELECT COUNT(*) FROM t WHERE price BETWEEN 100 AND 400 AND qty < 40",
+        "SELECT MAX(price) FROM t WHERE price >= 0 AND qty = 3",
+        // Nine predicates over FoR + dictionary columns: the first eight
+        // drive, the ninth filters survivors.
+        "SELECT COUNT(*) FROM t WHERE qty >= 1 AND qty < 49 AND qty <> 7 \
+         AND base >= 3000000010 AND base < 3000000990 AND base <> 3000000500 \
+         AND code > 10 AND code < 99990 AND code <> 41728",
+        "SELECT code, price FROM t WHERE code BETWEEN 1000 AND 9000 AND price >= 0 \
+         AND base < 3000000500 AND qty <> 3 LIMIT 9",
     ];
 
     for jit in [JitMode::Off, JitMode::On] {
@@ -122,6 +145,38 @@ fn all_layouts_agree_on_all_statements() {
                     "layout `{name}` diverged (jit {jit:?}) on: {stmt}"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn nine_predicate_for_dict_chain_returns_the_correct_count() {
+    let sql = "SELECT COUNT(*) FROM t WHERE qty >= 1 AND qty < 49 AND qty <> 7 \
+               AND base >= 3000000010 AND base < 3000000990 AND base <> 3000000500 \
+               AND code > 10 AND code < 99990 AND code <> 41728";
+    let expected = (0..ROWS)
+        .filter(|&i| {
+            let (qty, base, code) = (
+                (i % 50) as u32,
+                3_000_000_000 + ((i * 7) % 1000) as u32,
+                ((i * 2654435761usize) % 100_000) as u32,
+            );
+            (1..49).contains(&qty)
+                && qty != 7
+                && (3_000_000_010..3_000_000_990).contains(&base)
+                && base != 3_000_000_500
+                && code > 10
+                && code < 99_990
+                && code != 41_728
+        })
+        .count() as u64;
+    for (name, table) in variants() {
+        for jit in [JitMode::Off, JitMode::On] {
+            let engine = Engine::with_jit(jit);
+            engine.register("t", table.clone());
+            let p = engine.prepare(sql).expect(sql);
+            let got = engine.execute(&p).expect(sql);
+            assert_eq!(got, QueryResult::Count(expected), "{name} {jit:?}");
         }
     }
 }
