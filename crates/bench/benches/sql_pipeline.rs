@@ -3,7 +3,7 @@
 //! and off, over plain / dictionary-encoded / bit-packed storage.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fts_query::{Database, JitMode, QueryResult};
+use fts_query::{Engine, JitMode, QueryResult};
 use fts_storage::{Column, ColumnDef, DataType, Table};
 
 const ROWS: usize = 2_000_000;
@@ -34,7 +34,7 @@ fn bench(c: &mut Criterion) {
     let agg_sql = "SELECT SUM(price), AVG(price) FROM t WHERE a = 5 AND b = 2";
 
     for (name, jit) in [("jit_off", JitMode::Off), ("jit_on", JitMode::On)] {
-        let mut db = Database::with_jit(jit);
+        let db = Engine::with_jit(jit);
         db.register("t", base.clone());
         let expected = db.query(count_sql).unwrap();
         group.bench_function(format!("count_plain_{name}"), |b| {
@@ -42,21 +42,21 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    let mut db = Database::new();
+    let db = Engine::new();
     db.register("t", base.with_dictionary_encoding(&[0, 2]).unwrap());
     let expected = db.query(count_sql).unwrap();
     group.bench_function("count_dictionary", |b| {
         b.iter(|| assert_eq!(db.query(count_sql).unwrap(), expected));
     });
 
-    let mut db = Database::new();
+    let db = Engine::new();
     db.register("t", base.with_bitpacking(&[0, 1]).unwrap());
     let expected = db.query(count_sql).unwrap();
     group.bench_function("count_bitpacked", |b| {
         b.iter(|| assert_eq!(db.query(count_sql).unwrap(), expected));
     });
 
-    let mut db = Database::new();
+    let db = Engine::new();
     db.register("t", base.clone());
     let expected = db.query(agg_sql).unwrap();
     assert!(matches!(expected, QueryResult::Rows { .. }));

@@ -1,23 +1,28 @@
-//! The adaptive-selector benchmark (`BENCH_adaptive.json`): the
-//! cost-model + calibration pipeline of `fts_core::adaptive` against every
-//! static kernel it can choose from, swept across selectivity × chain
-//! length × encoding. The acceptance bar for the selector is that its
-//! end-to-end time (calibration probes included) stays within a few
-//! percent of the best static kernel at every point while never degrading
-//! to the worst one — i.e. it buys Fig. 5's per-configuration winner
-//! without knowing the configuration up front.
+//! The adaptive-selector benchmark (`BENCH_adaptive.json`): the SQL
+//! executor's cost model + calibration loop — the path every statement
+//! takes — against every kernel it can choose from, swept across
+//! selectivity × chain length × encoding. The acceptance bar for the
+//! selector is that its end-to-end time (calibration probes and JIT
+//! compilation included) stays within a few percent of the best kernel at
+//! every point while never degrading to the worst one — i.e. it buys
+//! Fig. 5's per-configuration winner without knowing the configuration up
+//! front.
+
+use std::time::Instant;
 
 use fts_core::fused::packed::{fused_scan_packed, packed_kernel_available, PackedPred};
 use fts_core::{
-    candidate_scan_impls, estimate_cost, estimate_packed_cost, run_scan, run_scan_adaptive,
-    AdaptiveConfig, ChainProfile, Encoding, OutputMode, PredProfile, RegWidth, ScanImpl,
-    TelemetryLevel, TypedPred, DEFAULT_MORSEL_ROWS,
+    candidate_scan_impls, estimate_cost, estimate_packed_cost, run_scan, ChainProfile, Encoding,
+    OutputMode, PredProfile, RegWidth, ScanImpl, TypedPred,
 };
+use fts_jit::{CompiledKernel, JitBackend, ScanSig};
 use fts_metrics::timing;
-use fts_storage::PackedColumn;
+use fts_query::executor::{execute, execute_analyzed};
+use fts_query::{Engine, ExecContext, JitMode, Prepared};
+use fts_storage::{CmpOp, Column, ColumnDef, DataType, PackedColumn, Table, DEFAULT_CHUNK_ROWS};
 
 use crate::report::FigureResult;
-use crate::workload::{equality_chain, preds_of, Scale};
+use crate::workload::{equality_chain, Scale};
 
 /// Selectivity axis of the adaptive sweep — a subset of Fig. 5's axis
 /// spanning the bandwidth-bound low end, the mispredict-heavy middle, and
@@ -27,6 +32,9 @@ pub const ADAPTIVE_SELECTIVITIES: [f64; 5] = [1e-5, 1e-3, 0.01, 0.1, 0.5];
 /// Chain lengths of the sweep (the paper evaluates up to 5 predicates;
 /// 1/2/4 covers the no-gather, one-gather and gather-heavy shapes).
 pub const CHAIN_LENGTHS: [usize; 3] = [1, 2, 4];
+
+/// Label of the compiled JIT kernel's series.
+const JIT_LABEL: &str = "jit-avx512(w512)";
 
 fn median_ms(reps: usize, f: impl FnMut()) -> f64 {
     timing::measure(reps, f).median_ms()
@@ -42,111 +50,176 @@ fn median(samples: &mut [f64]) -> f64 {
     }
 }
 
-/// Probe granularity scaled to the table: ~1/256th of the rows, so the
-/// three calibration probes stay ≈ 1 % of the scan at every scale.
-fn morsel_rows_for(rows: usize) -> usize {
-    (rows / 256)
-        .next_power_of_two()
-        .clamp(1 << 10, DEFAULT_MORSEL_ROWS)
+/// The chain's columns as table `t` (`c0`, `c1`, …) chunked at
+/// [`DEFAULT_CHUNK_ROWS`] — the layout SQL users get — and the planned
+/// `SELECT COUNT(*) FROM t WHERE c0 = n0 AND c1 = n1 …` over it.
+fn count_statement(columns: Vec<Vec<u32>>, needles: &[u32]) -> (Table, Prepared) {
+    let defs = (0..columns.len())
+        .map(|i| ColumnDef::new(format!("c{i}"), DataType::U32))
+        .collect();
+    let columns = columns.into_iter().map(Column::from_vec).collect();
+    let table =
+        Table::from_chunked_columns(defs, columns, DEFAULT_CHUNK_ROWS).expect("bench table");
+    let engine = Engine::new();
+    engine.register("t", table.clone());
+    let chain: Vec<String> = needles
+        .iter()
+        .enumerate()
+        .map(|(i, n)| format!("c{i} = {n}"))
+        .collect();
+    let sql = format!("SELECT COUNT(*) FROM t WHERE {}", chain.join(" AND "));
+    let prepared = engine.prepare(&sql).expect("bench statement");
+    (table, prepared)
 }
 
-/// The adaptive runner's configuration for a bench table of `rows` rows:
-/// single-threaded steady state (so the comparison against the
-/// single-threaded static kernels is apples-to-apples) and scaled morsels.
-pub fn bench_adaptive_config(rows: usize) -> AdaptiveConfig {
-    let mut cfg = AdaptiveConfig {
-        threads: 1,
-        morsel_rows: morsel_rows_for(rows),
-        ..AdaptiveConfig::default()
-    };
-    // Three timed morsels per candidate: averages out the probe-timing
-    // noise that could crown the wrong kernel, for ~2–3 % more rows spent
-    // probing. The 256- and 512-bit kernels sit ~20 % apart per morsel,
-    // which single probes cannot reliably separate on a shared host.
-    cfg.calibration.probes_per_candidate = 3;
-    // With the ranking tie-broken by compute headroom the top two
-    // candidates are the only realistic winners; probing a third only
-    // spends morsels on the slowest loser and pads the adaptive total.
-    cfg.calibration.top_candidates = 2;
-    cfg
+/// One `COUNT(*)` through the executor on a fresh context, so the run
+/// pays what a first statement pays: plan-time ranking, calibration
+/// probes and JIT compilation.
+fn run_adaptive(prepared: &Prepared) -> u64 {
+    let ctx = ExecContext::default();
+    execute(prepared.plan(), &ctx)
+        .expect("adaptive scan")
+        .count()
+        .expect("count statement")
+}
+
+/// The kernel calibration settles on for `prepared` on a fresh context.
+fn adaptive_winner(prepared: &Prepared) -> &'static str {
+    let (_, report) =
+        execute_analyzed(prepared.plan(), &ExecContext::default()).expect("adaptive scan");
+    report
+        .adaptive
+        .and_then(|a| a.winner)
+        .unwrap_or("(calibrating)")
 }
 
 /// The adaptive sweep: for every chain length × selectivity, the median
-/// runtime of each static candidate kernel and of the adaptive selector
-/// (cost model + calibration probes + steady state, re-calibrated every
-/// repetition). Adaptive points carry `ratio_vs_best` / `ratio_vs_worst`
-/// against the static field. A second section sweeps the encoding axis:
-/// plain 32-bit values versus the bit-packed compressed-domain kernel,
-/// with the cost model's estimates alongside the measurements.
+/// runtime of each static candidate kernel, of the compiled JIT kernel
+/// (compiled once, outside the timing) and of the SQL executor's adaptive
+/// selector (a fresh context per repetition, so calibration and JIT
+/// compilation are paid every time). Every kernel runs chunk by chunk over
+/// the same table the executor scans. Adaptive points carry
+/// `ratio_vs_best` / `ratio_vs_worst` against that field. A second section
+/// sweeps the encoding axis: plain 32-bit values versus the bit-packed
+/// compressed-domain kernel, with the cost model's estimates alongside the
+/// measurements.
 pub fn bench_adaptive(scale: &Scale) -> FigureResult {
     let mut fig = FigureResult::new(
         "BENCH_adaptive",
-        "adaptive kernel selection vs every static kernel (selectivity × chain length × encoding)",
+        "SQL executor's adaptive kernel selection vs every kernel it can choose (selectivity × chain length × encoding)",
         "selectivity",
     );
     fig.config("rows", scale.rows);
     fig.config("reps", scale.reps);
-    fig.config("morsel_rows", morsel_rows_for(scale.rows));
+    fig.config("chunk_rows", DEFAULT_CHUNK_ROWS);
     fig.config("isa", fts_simd::detect());
 
-    let candidates = candidate_scan_impls::<u32>();
-    let cfg = bench_adaptive_config(scale.rows);
+    let statics = candidate_scan_impls::<u32>();
+    let jit_on = ExecContext::default().jit == JitMode::On;
 
     for (pi, &p) in CHAIN_LENGTHS.iter().enumerate() {
         for (si, &sel) in ADAPTIVE_SELECTIVITIES.iter().enumerate() {
-            let point_started = std::time::Instant::now();
+            let point_started = Instant::now();
             let chain = equality_chain(scale.rows, p, sel, (1000 + pi * 100 + si) as u64);
-            let preds = preds_of(&chain);
             let expected = chain.matching_rows.len() as u64;
+            let needles: Vec<u32> = (0..p).map(|i| 5 + i as u32).collect();
+            let (table, prepared) = count_statement(chain.columns, &needles);
 
-            let profile = ChainProfile::uniform_u32(scale.rows as u64, p, sel);
-            let mut winner = fts_core::best_fused_impl::<u32>();
+            // Per-chunk predicates over the executor's own chunks.
+            let chunk_cols: Vec<Vec<&[u32]>> = table
+                .chunks()
+                .iter()
+                .map(|c| {
+                    (0..p)
+                        .map(|i| {
+                            c.segment(i)
+                                .as_plain()
+                                .and_then(|col| col.as_native::<u32>())
+                                .expect("plain u32 segment")
+                        })
+                        .collect()
+                })
+                .collect();
+            let chunk_preds: Vec<Vec<TypedPred<'_, u32>>> = chunk_cols
+                .iter()
+                .map(|cols| {
+                    cols.iter()
+                        .zip(&needles)
+                        .map(|(&c, &n)| TypedPred::new(c, CmpOp::Eq, n))
+                        .collect()
+                })
+                .collect();
+            let jit = jit_on
+                .then(|| {
+                    let pairs: Vec<(CmpOp, u32)> =
+                        needles.iter().map(|&n| (CmpOp::Eq, n)).collect();
+                    CompiledKernel::compile(ScanSig::u32_chain(&pairs, false), JitBackend::Avx512)
+                        .ok()
+                })
+                .flatten();
 
-            // Interleave the static kernels and the adaptive runner inside
+            // Interleave every kernel and the adaptive executor inside
             // every repetition (round 0 is a discarded warmup). Timing them
             // in separate consecutive loops lets slow drift on a shared
             // host (CPU steal, thermal) land on one series but not the
             // other, which swamps the few-percent acceptance bar; round-
             // robin measurement cancels that drift out of the ratios.
-            let mut samples: Vec<Vec<f64>> = vec![Vec::new(); candidates.len() + 1];
+            let fixed = statics.len() + usize::from(jit.is_some());
+            let mut samples: Vec<Vec<f64>> = vec![Vec::new(); fixed + 1];
             for round in 0..=scale.reps {
-                for (k, &imp) in candidates.iter().enumerate() {
-                    let t0 = std::time::Instant::now();
-                    let out = run_scan(imp, &preds, OutputMode::Count).expect("static scan");
+                let mut timed = |k: usize, f: &mut dyn FnMut() -> u64, what: &str| {
+                    let t0 = Instant::now();
+                    let n = f();
                     let ms = t0.elapsed().as_secs_f64() * 1e3;
-                    assert_eq!(out.count(), expected, "{} wrong result", imp.name());
+                    assert_eq!(n, expected, "{what} wrong result");
                     if round > 0 {
                         samples[k].push(ms);
                     }
+                };
+                for (k, &imp) in statics.iter().enumerate() {
+                    timed(
+                        k,
+                        &mut || {
+                            chunk_preds
+                                .iter()
+                                .map(|preds| {
+                                    run_scan(imp, preds, OutputMode::Count)
+                                        .expect("static scan")
+                                        .count()
+                                })
+                                .sum()
+                        },
+                        imp.name(),
+                    );
                 }
-                let t0 = std::time::Instant::now();
-                let (out, _, report) = run_scan_adaptive(
-                    &preds,
-                    OutputMode::Count,
-                    &profile,
-                    &cfg,
-                    TelemetryLevel::Off,
-                )
-                .expect("adaptive scan");
-                let adaptive_ms = t0.elapsed().as_secs_f64() * 1e3;
-                assert_eq!(out.count(), expected, "adaptive wrong result");
-                if let Some(w) = report.calibration.winner {
-                    winner = w;
+                if let Some(kernel) = &jit {
+                    timed(
+                        statics.len(),
+                        &mut || {
+                            chunk_cols
+                                .iter()
+                                .map(|cols| kernel.run(cols).expect("jit scan").count())
+                                .sum()
+                        },
+                        JIT_LABEL,
+                    );
                 }
-                if round > 0 {
-                    samples[candidates.len()].push(adaptive_ms);
-                }
+                timed(fixed, &mut || run_adaptive(&prepared), "adaptive");
             }
 
             let mut best = f64::INFINITY;
             let mut worst: f64 = 0.0;
-            for (k, &imp) in candidates.iter().enumerate() {
+            let labels = statics
+                .iter()
+                .map(|imp| imp.name())
+                .chain(jit.iter().map(|_| JIT_LABEL));
+            for (k, label) in labels.enumerate() {
                 let ms = median(&mut samples[k]);
                 best = best.min(ms);
                 worst = worst.max(ms);
-                fig.push(&format!("{} P{p}", imp.name()), sel, &[("median_ms", ms)]);
+                fig.push(&format!("{label} P{p}"), sel, &[("median_ms", ms)]);
             }
-            let ms = median(&mut samples[candidates.len()]);
+            let ms = median(&mut samples[fixed]);
             fig.push(
                 &format!("adaptive P{p}"),
                 sel,
@@ -158,11 +231,11 @@ pub fn bench_adaptive(scale: &Scale) -> FigureResult {
                     ("ratio_vs_worst", ms / worst),
                 ],
             );
-            fig.config(&format!("winner_p{p}_sel{sel}"), winner.name());
+            let winner = adaptive_winner(&prepared);
+            fig.config(&format!("winner_p{p}_sel{sel}"), winner);
             eprintln!(
                 "  [P{p} sel={sel}] adaptive {ms:.2}ms vs best {best:.2}ms / worst {worst:.2}ms \
-                 (winner {}) in {:.1}s",
-                winner.name(),
+                 (winner {winner}) in {:.1}s",
                 point_started.elapsed().as_secs_f64()
             );
         }
@@ -174,7 +247,7 @@ pub fn bench_adaptive(scale: &Scale) -> FigureResult {
 
 /// The encoding axis: the same logical two-predicate chain over plain
 /// 32-bit values and over bit-packed value ids at 4/8/16 bits, measured
-/// (adaptive plain, best static plain, compressed-domain kernel) and
+/// (adaptive plain through the executor, compressed-domain kernel) and
 /// modeled (`estimate_cost` vs `estimate_packed_cost`). The model's
 /// bandwidth term is what makes the packed kernel win at narrow widths,
 /// which is exactly what the measurements should confirm on a
@@ -184,7 +257,6 @@ fn encoding_sweep(scale: &Scale, fig: &mut FigureResult) {
         return;
     }
     let rows = scale.rows;
-    let cfg = bench_adaptive_config(rows);
     let peak = fts_core::stride::peak_bandwidth_gbps();
     for bits in [4u8, 8, 16] {
         // ~10 % of rows match the first needle, ~50 % the second, entirely
@@ -242,16 +314,9 @@ fn encoding_sweep(scale: &Scale, fig: &mut FigureResult) {
             estimate_cost(ScanImpl::FusedAvx512(RegWidth::W512), &plain_profile, peak);
         let model_packed = estimate_packed_cost(&packed_profile, peak);
 
+        let (_, prepared) = count_statement(vec![col0.clone(), col1.clone()], &[needle0, needle1]);
         let ms = median_ms(scale.reps, || {
-            let (out, _, _) = run_scan_adaptive(
-                &preds,
-                OutputMode::Count,
-                &plain_profile,
-                &cfg,
-                TelemetryLevel::Off,
-            )
-            .expect("adaptive scan");
-            assert_eq!(out.count(), expected);
+            assert_eq!(run_adaptive(&prepared), expected);
         });
         fig.push(
             "adaptive (plain 32-bit)",
@@ -266,12 +331,12 @@ fn encoding_sweep(scale: &Scale, fig: &mut FigureResult) {
         let ppreds = [
             PackedPred::Packed {
                 col: &packed[0],
-                op: fts_storage::CmpOp::Eq,
+                op: CmpOp::Eq,
                 needle: needle0,
             },
             PackedPred::Packed {
                 col: &packed[1],
-                op: fts_storage::CmpOp::Eq,
+                op: CmpOp::Eq,
                 needle: needle1,
             },
         ];
@@ -293,9 +358,9 @@ fn encoding_sweep(scale: &Scale, fig: &mut FigureResult) {
 }
 
 /// The acceptance numbers over a finished sweep: the worst
-/// `ratio_vs_best` (must stay ≤ 1.05 for "within 5 % of the best static
-/// kernel at every point") and the worst `ratio_vs_worst` (must stay < 1
-/// for "strictly beats the worst") across every adaptive point.
+/// `ratio_vs_best` (must stay ≤ 1.05 for "within 5 % of the best kernel
+/// at every point") and the worst `ratio_vs_worst` (must stay < 1 for
+/// "strictly beats the worst") across every adaptive point.
 pub fn acceptance(fig: &FigureResult) -> Option<(f64, f64)> {
     let mut max_vs_best = f64::NEG_INFINITY;
     let mut max_vs_worst = f64::NEG_INFINITY;
@@ -350,8 +415,10 @@ mod tests {
                 assert!(pt.metrics["ratio_vs_best"] > 0.0);
             }
         }
-        // Every static candidate produced a series per chain length.
-        let statics = candidate_scan_impls::<u32>().len();
+        // Every static candidate, plus the JIT kernel where it runs,
+        // produced a series per chain length.
+        let statics = candidate_scan_impls::<u32>().len()
+            + usize::from(ExecContext::default().jit == JitMode::On);
         let static_series = fig
             .series
             .iter()
@@ -365,12 +432,5 @@ mod tests {
         if packed_kernel_available() {
             assert!(fig.series.iter().any(|s| s.label == "bit-packed fused"));
         }
-    }
-
-    #[test]
-    fn morsels_scale_with_rows() {
-        assert_eq!(morsel_rows_for(16_000_000), DEFAULT_MORSEL_ROWS);
-        assert!(morsel_rows_for(1_000_000) < DEFAULT_MORSEL_ROWS);
-        assert_eq!(morsel_rows_for(0), 1 << 10);
     }
 }

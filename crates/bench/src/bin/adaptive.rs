@@ -1,4 +1,5 @@
-//! Run the adaptive-selector sweep and persist `BENCH_adaptive.json`.
+//! Run the adaptive-selector sweep — the SQL executor's calibration loop
+//! against every kernel it can pick — and persist `BENCH_adaptive.json`.
 //!
 //! ```text
 //! adaptive [--scale quick|default|paper] [--out DIR]
@@ -43,8 +44,8 @@ fn main() {
     println!("{}", fig.table("median_ms"));
     if let Some((vs_best, vs_worst)) = adaptive_bench::acceptance(&fig) {
         println!(
-            "acceptance: worst adaptive/best-static = {vs_best:.3} (bar: <= 1.05), \
-             worst adaptive/worst-static = {vs_worst:.3} (bar: < 1.0)"
+            "acceptance: worst adaptive/best kernel = {vs_best:.3} (bar: <= 1.05), \
+             worst adaptive/worst kernel = {vs_worst:.3} (bar: < 1.0)"
         );
     }
     if let Err(e) = fig.save(&out_dir) {

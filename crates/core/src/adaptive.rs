@@ -21,17 +21,12 @@
 //!
 //! The [`Calibrator`] is a pure state machine — timings are injected via
 //! [`Calibrator::observe`], so the protocol is deterministic and unit
-//! testable without a clock. [`run_scan_adaptive`] drives it with real
-//! measurements over [`crate::engine::run_scan`] morsels.
+//! testable without a clock. The query executor drives it with real
+//! measurements, one chunk per morsel.
 
-use std::time::Instant;
-
-use fts_storage::PosList;
-
-use crate::engine::{best_fused_impl, EngineError, RegWidth, ScanElem, ScanImpl};
-use crate::parallel::{run_scan_parallel_telemetered, DEFAULT_MORSEL_ROWS};
-use crate::pred::{OutputMode, ScanOutput, TypedPred};
-use crate::telemetry::{BoundVerdict, ScanTelemetry, TelemetryLevel};
+use crate::engine::{RegWidth, ScanElem, ScanImpl};
+use crate::parallel::DEFAULT_MORSEL_ROWS;
+use crate::telemetry::BoundVerdict;
 use fts_simd::{detect, SimdLevel};
 use fts_storage::DataType;
 
@@ -582,173 +577,9 @@ impl<C: Copy + PartialEq> Calibrator<C> {
     }
 }
 
-/// Knobs for [`run_scan_adaptive`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveConfig {
-    /// Calibration protocol parameters.
-    pub calibration: CalibrationConfig,
-    /// Worker threads for the steady-state phase.
-    pub threads: usize,
-    /// Morsel size in rows (probe granularity and parallel work unit).
-    pub morsel_rows: usize,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> AdaptiveConfig {
-        AdaptiveConfig {
-            calibration: CalibrationConfig::default(),
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            morsel_rows: DEFAULT_MORSEL_ROWS,
-        }
-    }
-}
-
-/// What an adaptive scan decided and why.
-#[derive(Debug, Clone)]
-pub struct AdaptiveScanReport {
-    /// Plan-time ranking of all candidates (cheapest first).
-    pub ranked: Vec<RankedKernel<ScanImpl>>,
-    /// What runtime calibration measured and chose.
-    pub calibration: CalibrationReport<ScanImpl>,
-}
-
-impl AdaptiveScanReport {
-    /// The plan-time verdict of the top-ranked kernel — the
-    /// bandwidth-vs-compute regime that justified the ranking.
-    pub fn plan_verdict(&self) -> Option<BoundVerdict> {
-        self.ranked.first().map(|r| r.cost.verdict())
-    }
-}
-
-/// Run the chain adaptively: rank candidates with the cost model, probe
-/// the top ones on the first morsels, then run the winner on the
-/// remainder (morsel-parallel across `cfg.threads`), re-probing if the
-/// observed selectivity drifts. Produces exactly the single-kernel result
-/// (positions ascending), merged telemetry across both phases, and a
-/// report of the decision.
-pub fn run_scan_adaptive<T: ScanElem>(
-    preds: &[TypedPred<'_, T>],
-    mode: OutputMode,
-    profile: &ChainProfile,
-    cfg: &AdaptiveConfig,
-    level: TelemetryLevel,
-) -> Result<(ScanOutput, ScanTelemetry, AdaptiveScanReport), EngineError> {
-    let peak = crate::stride::peak_bandwidth_gbps();
-    let candidates = candidate_scan_impls::<T>();
-    let ranked = rank_scan_impls(&candidates, profile, peak);
-    let ranked_kernels: Vec<ScanImpl> = ranked.iter().map(|r| r.kernel).collect();
-    let mut cal = Calibrator::new(
-        &ranked_kernels,
-        profile.expected_selectivity(),
-        cfg.calibration,
-    );
-
-    let rows = preds.first().map_or(0, |p| p.data.len());
-    let morsel_rows = cfg.morsel_rows.max(1);
-    if rows == 0 || preds.is_empty() {
-        let imp = best_fused_impl::<T>();
-        let (out, telemetry) = crate::engine::run_scan_telemetered(imp, preds, mode, level)?;
-        return Ok((
-            out,
-            telemetry,
-            AdaptiveScanReport {
-                ranked,
-                calibration: cal.report(),
-            },
-        ));
-    }
-
-    let started = Instant::now();
-    let mut base = 0usize;
-    let mut total = 0u64;
-    let mut positions = PosList::new();
-    let mut telemetry: Option<ScanTelemetry> = None;
-    let mut stitch = |out: ScanOutput, t: ScanTelemetry, base: usize| {
-        match out {
-            ScanOutput::Count(n) => total += n,
-            ScanOutput::Positions(pl) => {
-                total += pl.len() as u64;
-                for p in &pl {
-                    positions.push(base as u32 + p);
-                }
-            }
-        }
-        match &mut telemetry {
-            None => telemetry = Some(t),
-            Some(acc) => acc.merge(&t),
-        }
-    };
-
-    while base < rows {
-        match cal.phase() {
-            Phase::Calibrating(imp) => {
-                // Probe: one morsel, single-threaded, individually timed.
-                let end = (base + morsel_rows).min(rows);
-                let sub: Vec<TypedPred<'_, T>> = preds
-                    .iter()
-                    .map(|p| TypedPred::new(&p.data[base..end], p.op, p.needle))
-                    .collect();
-                let probe_started = Instant::now();
-                let (out, t) = crate::engine::run_scan_telemetered(imp, &sub, mode, level)?;
-                let wall_ns = probe_started.elapsed().as_nanos() as u64;
-                cal.observe(imp, (end - base) as u64, wall_ns, out.count());
-                stitch(out, t, base);
-                base = end;
-            }
-            Phase::Steady(imp) => {
-                // Steady state: run up to a drift-check window of morsels
-                // in parallel with the winner.
-                let window = (cal.cfg.recheck_rows as usize)
-                    .max(morsel_rows)
-                    .next_multiple_of(morsel_rows);
-                let end = (base + window).min(rows);
-                let sub: Vec<TypedPred<'_, T>> = preds
-                    .iter()
-                    .map(|p| TypedPred::new(&p.data[base..end], p.op, p.needle))
-                    .collect();
-                let (out, t) = run_scan_parallel_telemetered(
-                    imp,
-                    &sub,
-                    mode,
-                    cfg.threads.max(1),
-                    morsel_rows,
-                    level,
-                )?;
-                cal.observe(imp, (end - base) as u64, 0, out.count());
-                stitch(out, t, base);
-                base = end;
-            }
-        }
-    }
-
-    let mut telemetry =
-        telemetry.unwrap_or_else(|| ScanTelemetry::disabled(best_fused_impl::<T>().name()));
-    if level != TelemetryLevel::Off {
-        telemetry.wall = started.elapsed();
-        telemetry.threads = telemetry.threads.max(1);
-    }
-    if let Some(winner) = cal.winner() {
-        telemetry.impl_name = winner.name();
-    }
-    let out = match mode {
-        OutputMode::Count => ScanOutput::Count(total),
-        OutputMode::Positions => ScanOutput::Positions(positions),
-    };
-    Ok((
-        out,
-        telemetry,
-        AdaptiveScanReport {
-            ranked,
-            calibration: cal.report(),
-        },
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference;
-    use fts_storage::CmpOp;
 
     fn cfg_probe(k: usize, top: usize) -> CalibrationConfig {
         CalibrationConfig {
@@ -898,69 +729,6 @@ mod tests {
     fn top_candidates_truncates() {
         let cal = Calibrator::new(&["A", "B", "C", "D"], 0.5, cfg_probe(1, 2));
         assert_eq!(cal.report().candidates.len(), 2);
-    }
-
-    #[test]
-    fn adaptive_scan_matches_reference() {
-        let rows = 200_000u32;
-        let a: Vec<u32> = (0..rows).map(|i| i % 10).collect();
-        let b: Vec<u32> = (0..rows).map(|i| i.wrapping_mul(7) % 4).collect();
-        let preds = [
-            TypedPred::new(&a[..], CmpOp::Eq, 5u32),
-            TypedPred::new(&b[..], CmpOp::Ne, 2u32),
-        ];
-        let expected = reference::scan_positions(&preds);
-        let profile = ChainProfile::uniform_u32(rows as u64, 2, 0.1);
-        let cfg = AdaptiveConfig {
-            calibration: CalibrationConfig {
-                recheck_rows: 4 * (1 << 14),
-                ..CalibrationConfig::default()
-            },
-            threads: 2,
-            morsel_rows: 1 << 14,
-        };
-        let (out, t, report) = run_scan_adaptive(
-            &preds,
-            OutputMode::Positions,
-            &profile,
-            &cfg,
-            TelemetryLevel::Full,
-        )
-        .unwrap();
-        assert_eq!(out.positions().unwrap(), &expected);
-        assert!(report.calibration.winner.is_some());
-        assert!(!report.ranked.is_empty());
-        assert!(report.plan_verdict().is_some());
-        // Telemetry merged across the probe/steady boundary covers every
-        // row and morsel exactly once.
-        assert_eq!(t.rows, rows as u64);
-        assert_eq!(t.morsels, (rows as u64).div_ceil(1 << 14));
-        assert_eq!(*t.pred_survivors.last().unwrap(), expected.len() as u64);
-        let count = run_scan_adaptive(
-            &preds,
-            OutputMode::Count,
-            &profile,
-            &cfg,
-            TelemetryLevel::Off,
-        )
-        .unwrap()
-        .0;
-        assert_eq!(count.count(), expected.len() as u64);
-    }
-
-    #[test]
-    fn adaptive_scan_empty_chain() {
-        let preds: Vec<TypedPred<'_, u32>> = vec![];
-        let profile = ChainProfile::uniform_u32(0, 1, 0.5);
-        let (out, _, _) = run_scan_adaptive(
-            &preds,
-            OutputMode::Count,
-            &profile,
-            &AdaptiveConfig::default(),
-            TelemetryLevel::Off,
-        )
-        .unwrap();
-        assert_eq!(out.count(), 0);
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! 2. **DNF** — distribute AND over OR into a disjunction of conjunctive
 //!    chains, each of which the existing fused kernels (and the JIT) can
 //!    run unchanged. Expansion is capped ([`MAX_DNF_DISJUNCTS`]) because
-//!    DNF can be exponential; past the cap the caller falls back to a
-//!    row-at-a-time tree walk ([`reference_scan_bool`]).
+//!    DNF can be exponential; past the cap the caller evaluates the tree
+//!    row at a time instead.
 //! 3. **Common-prefix factoring** — predicates present in *every* disjunct
 //!    are hoisted into a shared prefix chain that runs once:
 //!    `(p ∧ A) ∨ (p ∧ B) = p ∧ (A ∨ B)`. The factored prefix both saves
@@ -29,20 +29,20 @@
 //!    *least*-selective first so the running union saturates early and the
 //!    remaining disjuncts can be skipped once every row is covered.
 //!
-//! Execution ([`run_scan_bool`]) is mask combination over position lists:
-//! each conjunct runs as a fused sub-chain producing a [`PosList`], the
-//! disjunct lists are merged with [`PosList::union`], and a factored
-//! prefix is re-applied with [`PosList::intersect`]. DESIGN.md §6
-//! documents the IR grammar and these semantics.
+//! The query executor runs the factored form as mask combination over
+//! position lists: each conjunct is a fused sub-chain producing a
+//! [`PosList`], the disjunct lists are merged with [`PosList::union`], and
+//! a factored prefix is re-applied with [`PosList::intersect`]. DESIGN.md
+//! §6 documents the IR grammar and these semantics.
+//!
+//! [`PosList`]: fts_storage::PosList
+//! [`PosList::union`]: fts_storage::PosList::union
+//! [`PosList::intersect`]: fts_storage::PosList::intersect
 
 use std::collections::HashSet;
 use std::hash::Hash;
 
-use fts_storage::{NativeType, PosList, Value};
-
-use crate::engine::{run_scan, EngineError, ScanElem, ScanImpl};
-use crate::fused;
-use crate::pred::{OutputMode, ScanOutput, TypedPred};
+use fts_storage::Value;
 
 /// Cap on the number of disjuncts produced by [`BoolExpr::to_dnf`]. DNF
 /// expansion of `(a1 ∨ b1) ∧ … ∧ (an ∨ bn)` is `2^n`; past this bound the
@@ -52,9 +52,9 @@ pub const MAX_DNF_DISJUNCTS: usize = 32;
 /// A boolean expression tree over leaf predicates of type `P`.
 ///
 /// `P` is generic so the same tree machinery serves the typed core
-/// ([`TypedPred`]) and the query layer's bound predicates. `And`/`Or` are
-/// n-ary; an empty `And` is `true` and an empty `Or` is `false` (the usual
-/// identity elements).
+/// ([`crate::TypedPred`]) and the query layer's bound predicates.
+/// `And`/`Or` are n-ary; an empty `And` is `true` and an empty `Or` is
+/// `false` (the usual identity elements).
 #[derive(Debug, Clone, PartialEq)]
 pub enum BoolExpr<P> {
     /// A leaf predicate.
@@ -329,8 +329,9 @@ impl<P> Dnf<P> {
     /// most selective predicate runs first (it becomes the fused chain's
     /// driver and shrinks every later gather stage); across disjuncts the
     /// *least* selective chain runs first so the running
-    /// [`PosList::union`] saturates as early as possible and remaining
-    /// disjuncts can be skipped once every candidate row is covered.
+    /// [`fts_storage::PosList::union`] saturates as early as possible and
+    /// remaining disjuncts can be skipped once every candidate row is
+    /// covered.
     /// Sorting is stable, so equal-selectivity entries keep plan order.
     pub fn order_by_selectivity(&mut self, sel: &impl Fn(&P) -> f64) {
         for d in &mut self.disjuncts {
@@ -439,20 +440,6 @@ impl<P> FactoredDnf<P> {
     }
 }
 
-impl<P: Clone> FactoredDnf<P> {
-    /// The sub-chains this plan executes, prefix first — the unit of JIT
-    /// compilation and of adaptive calibration (each entry gets its own
-    /// kernel-cache signature and its own calibrator).
-    pub fn sub_chains(&self) -> Vec<Vec<P>> {
-        let mut out = Vec::with_capacity(1 + self.disjuncts.len());
-        if !self.prefix.is_empty() {
-            out.push(self.prefix.clone());
-        }
-        out.extend(self.disjuncts.iter().cloned());
-        out
-    }
-}
-
 /// Stable 64-bit key bits for a literal [`Value`] — float literals key by
 /// IEEE bit pattern, integers by their zero/sign-extended bits. Used to
 /// build hashable sub-chain identities (factoring keys, calibrator keys)
@@ -472,150 +459,9 @@ pub fn value_key_bits(v: Value) -> u64 {
     }
 }
 
-fn typed_pred_key<T: NativeType>(p: &TypedPred<'_, T>) -> (usize, usize, fts_storage::CmpOp, u64) {
-    (
-        p.data.as_ptr() as usize,
-        p.data.len(),
-        p.op,
-        value_key_bits(p.needle.to_value()),
-    )
-}
-
-/// Row-at-a-time reference evaluation of a boolean tree over typed
-/// predicates: the ground truth every mask-combining execution path is
-/// differential-tested against. `rows` bounds the scan (all leaf columns
-/// must cover at least `rows` rows); `Not` is logical complement.
-pub fn reference_scan_bool<T: NativeType>(
-    expr: &BoolExpr<TypedPred<'_, T>>,
-    rows: usize,
-) -> PosList {
-    let mut out = PosList::new();
-    for row in 0..rows {
-        if expr.eval(&mut |p: &TypedPred<'_, T>| p.matches(row)) {
-            out.push(row as u32);
-        }
-    }
-    out
-}
-
-/// Run one conjunctive sub-chain with `imp`, splitting chains longer than
-/// [`fused::MAX_PREDICATES`] into fused segments joined by
-/// [`PosList::intersect`]. An empty conjunct is `true` → all `rows`.
-pub fn scan_conjunct<T: ScanElem>(
-    imp: ScanImpl,
-    preds: &[TypedPred<'_, T>],
-    rows: usize,
-) -> Result<PosList, EngineError> {
-    if preds.is_empty() {
-        return Ok((0..rows as u32).collect());
-    }
-    let mut acc: Option<PosList> = None;
-    for part in preds.chunks(fused::MAX_PREDICATES) {
-        let out = run_scan(imp, part, OutputMode::Positions)?;
-        let pl = match out {
-            ScanOutput::Positions(p) => p,
-            ScanOutput::Count(_) => unreachable!("positions mode returns positions"),
-        };
-        acc = Some(match acc {
-            None => pl,
-            Some(a) => a.intersect(&pl),
-        });
-        if acc.as_ref().is_some_and(|a| a.is_empty()) {
-            break;
-        }
-    }
-    Ok(acc.expect("non-empty chain"))
-}
-
-/// Execute a factored DNF as mask combination of fused sub-chains:
-/// the prefix chain once, then each disjunct chain united into a running
-/// [`PosList::union`] (skipping the rest once the union saturates at
-/// `rows`), finally intersected with the prefix's positions.
-pub fn scan_factored<T: ScanElem>(
-    imp: ScanImpl,
-    plan: &FactoredDnf<TypedPred<'_, T>>,
-    rows: usize,
-) -> Result<PosList, EngineError> {
-    let prefix = if plan.prefix.is_empty() {
-        None
-    } else {
-        let p = scan_conjunct(imp, &plan.prefix, rows)?;
-        if p.is_empty() {
-            return Ok(PosList::new());
-        }
-        Some(p)
-    };
-    if plan.disjuncts.is_empty() {
-        return Ok(prefix.unwrap_or_else(|| (0..rows as u32).collect()));
-    }
-    let mut acc = PosList::new();
-    for d in &plan.disjuncts {
-        if acc.len() == rows {
-            break; // union saturated — every row already matches
-        }
-        acc = acc.union(&scan_conjunct(imp, d, rows)?);
-    }
-    Ok(match prefix {
-        Some(p) => p.intersect(&acc),
-        None => acc,
-    })
-}
-
-/// Run a boolean predicate tree with the chosen implementation.
-///
-/// The tree is normalized (NNF via operator negation, DNF, common-prefix
-/// factoring) and executed as mask combination of fused sub-chains; if
-/// DNF expansion exceeds [`MAX_DNF_DISJUNCTS`] the original tree is
-/// evaluated row-at-a-time instead (still correct, just unfused).
-///
-/// ```
-/// use fts_core::{run_scan_bool, BoolExpr, OutputMode, RegWidth, ScanImpl, TypedPred};
-///
-/// let a: Vec<u32> = (0..100).collect();
-/// let b: Vec<u32> = (0..100).map(|i| i % 10).collect();
-/// // a < 3 OR (NOT a < 97 AND b = 5)
-/// let expr = BoolExpr::or(vec![
-///     BoolExpr::pred(TypedPred::new(&a[..], fts_storage::CmpOp::Lt, 3u32)),
-///     BoolExpr::and(vec![
-///         BoolExpr::not(BoolExpr::pred(TypedPred::new(&a[..], fts_storage::CmpOp::Lt, 97u32))),
-///         BoolExpr::pred(TypedPred::new(&b[..], fts_storage::CmpOp::Eq, 5u32)),
-///     ]),
-/// ]);
-/// let out = run_scan_bool(ScanImpl::FusedScalar(RegWidth::W512), &expr, OutputMode::Count)
-///     .unwrap();
-/// assert_eq!(out.count(), 3); // rows 0,1,2 (a<3); rows 97..100 have b∈{7,8,9}
-/// ```
-pub fn run_scan_bool<T: ScanElem>(
-    imp: ScanImpl,
-    expr: &BoolExpr<TypedPred<'_, T>>,
-    mode: OutputMode,
-) -> Result<ScanOutput, EngineError> {
-    let rows = expr.leaves().first().map_or(0, |p| p.data.len());
-    let nnf = expr.clone().to_nnf(&|p: TypedPred<'_, T>| TypedPred {
-        data: p.data,
-        op: p.op.negate(),
-        needle: p.needle,
-    });
-    let positions = match nnf.to_dnf(MAX_DNF_DISJUNCTS) {
-        Ok(dnf) if !dnf.is_false() => {
-            let plan = dnf.factor(&typed_pred_key::<T>);
-            scan_factored(imp, &plan, rows)?
-        }
-        Ok(_) => PosList::new(),
-        Err(DnfError::TooManyDisjuncts) => reference_scan_bool(&nnf, rows),
-        Err(DnfError::NotInNnf) => unreachable!("to_nnf eliminates every NOT"),
-    };
-    Ok(match mode {
-        OutputMode::Count => ScanOutput::Count(positions.len() as u64),
-        OutputMode::Positions => ScanOutput::Positions(positions),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::RegWidth;
-    use fts_storage::CmpOp;
 
     fn leaf(n: u32) -> BoolExpr<u32> {
         BoolExpr::pred(n)
@@ -707,7 +553,6 @@ mod tests {
         let f = single.factor(&|&p| p);
         assert_eq!(f.prefix, vec![4, 5]);
         assert!(f.disjuncts.is_empty());
-        assert_eq!(f.sub_chains(), vec![vec![4, 5]]);
     }
 
     #[test]
@@ -763,82 +608,5 @@ mod tests {
             value_key_bits(Value::F32(1.0)),
             value_key_bits(Value::F32(-1.0))
         );
-    }
-
-    #[test]
-    fn run_scan_bool_matches_reference_all_impls() {
-        let a: Vec<u32> = (0..512).map(|i| i % 13).collect();
-        let b: Vec<u32> = (0..512).map(|i| (i * 7) % 5).collect();
-        // (a < 4 AND b = 1) OR NOT (a < 11) OR (a = 6 AND b > 2)
-        let expr = BoolExpr::or(vec![
-            BoolExpr::and(vec![
-                BoolExpr::pred(TypedPred::new(&a[..], CmpOp::Lt, 4u32)),
-                BoolExpr::pred(TypedPred::new(&b[..], CmpOp::Eq, 1u32)),
-            ]),
-            BoolExpr::not(BoolExpr::pred(TypedPred::new(&a[..], CmpOp::Lt, 11u32))),
-            BoolExpr::and(vec![
-                BoolExpr::pred(TypedPred::new(&a[..], CmpOp::Eq, 6u32)),
-                BoolExpr::pred(TypedPred::new(&b[..], CmpOp::Gt, 2u32)),
-            ]),
-        ]);
-        let expected = reference_scan_bool(&expr, a.len());
-        assert!(!expected.is_empty());
-        let mut impls = vec![
-            ScanImpl::SisdBranching,
-            ScanImpl::SisdAutoVec,
-            ScanImpl::FusedScalar(RegWidth::W128),
-            ScanImpl::FusedScalar(RegWidth::W512),
-        ];
-        impls.retain(|i| i.available());
-        if ScanImpl::FusedAvx2.available() {
-            impls.push(ScanImpl::FusedAvx2);
-        }
-        if ScanImpl::FusedAvx512(RegWidth::W512).available() {
-            impls.push(ScanImpl::FusedAvx512(RegWidth::W512));
-        }
-        for imp in impls {
-            let got = run_scan_bool(imp, &expr, OutputMode::Positions).unwrap();
-            assert_eq!(got.positions().unwrap(), &expected, "{}", imp.name());
-            let got = run_scan_bool(imp, &expr, OutputMode::Count).unwrap();
-            assert_eq!(got.count(), expected.len() as u64, "{} count", imp.name());
-        }
-    }
-
-    #[test]
-    fn run_scan_bool_dnf_blowup_falls_back() {
-        // 6 binary ORs ANDed together: 64 disjuncts > MAX_DNF_DISJUNCTS.
-        let a: Vec<u32> = (0..128).map(|i| i % 8).collect();
-        let ors: Vec<BoolExpr<TypedPred<'_, u32>>> = (0..6)
-            .map(|k| {
-                BoolExpr::or(vec![
-                    BoolExpr::pred(TypedPred::new(&a[..], CmpOp::Eq, k as u32)),
-                    BoolExpr::pred(TypedPred::new(&a[..], CmpOp::Eq, (k + 1) as u32)),
-                ])
-            })
-            .collect();
-        let expr = BoolExpr::and(ors);
-        let expected = reference_scan_bool(&expr, a.len());
-        let got = run_scan_bool(
-            ScanImpl::FusedScalar(RegWidth::W512),
-            &expr,
-            OutputMode::Positions,
-        )
-        .unwrap();
-        assert_eq!(got.positions().unwrap(), &expected);
-    }
-
-    #[test]
-    fn long_conjunct_splits_across_fused_segments() {
-        let a: Vec<u32> = (0..256).collect();
-        // MAX_PREDICATES + 3 predicates, all satisfied by rows 100..=150.
-        let mut preds = vec![
-            TypedPred::new(&a[..], CmpOp::Ge, 100u32),
-            TypedPred::new(&a[..], CmpOp::Le, 150u32),
-        ];
-        for k in 0..fused::MAX_PREDICATES + 1 {
-            preds.push(TypedPred::new(&a[..], CmpOp::Ne, k as u32));
-        }
-        let got = scan_conjunct(ScanImpl::FusedScalar(RegWidth::W512), &preds, a.len()).unwrap();
-        assert_eq!(got.as_slice(), (100u32..=150).collect::<Vec<_>>());
     }
 }

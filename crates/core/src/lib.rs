@@ -15,9 +15,15 @@
 //!   AVX-512 kernels at 128/256/512 bits ([`fused::avx512`]).
 //! * [`engine`] — runtime dispatch over ISA, element type, register width
 //!   and output mode; the API the query layer and benchmarks call.
-//! * [`bool_expr`] — boolean predicate trees (AND/OR/NOT) normalized to a
-//!   disjunction of fused sub-chains (NNF → DNF → prefix factoring) and
-//!   executed as mask union/intersection of position lists.
+//! * [`bool_expr`] — the boolean predicate tree IR (AND/OR/NOT) and its
+//!   normalization to a factored disjunction of conjunctive sub-chains
+//!   (NNF → DNF → prefix factoring); `fts-query`'s executor runs it.
+//! * [`adaptive`] — the plan-time cost model and the calibration state
+//!   machine that `fts-query`'s executor drives, one chunk per probe.
+//! * [`pred`], [`telemetry`] — predicate and output types; per-stage scan
+//!   statistics and the bandwidth-vs-compute verdict.
+//! * [`parallel`], [`sched`] — morsel-parallel scans, admission control
+//!   and the per-core scan pool.
 //! * [`stride`] — the strided-scan bandwidth microbenchmark of Fig. 2.
 
 #![warn(missing_docs)]
@@ -36,14 +42,11 @@ pub mod stride;
 pub mod telemetry;
 
 pub use adaptive::{
-    candidate_scan_impls, estimate_cost, estimate_packed_cost, rank_scan_impls, run_scan_adaptive,
-    AdaptiveConfig, AdaptiveScanReport, CalibrationConfig, CalibrationReport, Calibrator,
-    CandidateStats, ChainProfile, CostEstimate, Encoding, Phase, PredProfile, RankedKernel,
+    candidate_scan_impls, estimate_cost, estimate_packed_cost, rank_scan_impls, CalibrationConfig,
+    CalibrationReport, Calibrator, CandidateStats, ChainProfile, CostEstimate, Encoding, Phase,
+    PredProfile, RankedKernel,
 };
-pub use bool_expr::{
-    reference_scan_bool, run_scan_bool, scan_conjunct, scan_factored, value_key_bits, BoolExpr,
-    Dnf, DnfError, FactoredDnf, MAX_DNF_DISJUNCTS,
-};
+pub use bool_expr::{value_key_bits, BoolExpr, Dnf, DnfError, FactoredDnf, MAX_DNF_DISJUNCTS};
 pub use engine::{
     best_fused_impl, run_fused_auto, run_scan, run_scan_telemetered, scan_columns_auto,
     scan_columns_auto_telemetered, EngineError, RegWidth, ScanElem, ScanImpl,

@@ -6,6 +6,7 @@
 
 use fts_storage::{NativeType, PosList};
 
+use crate::bool_expr::BoolExpr;
 use crate::pred::{ColumnPred, ScanOutput, TypedPred};
 
 /// Rows (ascending) matching every predicate of a homogeneous typed chain.
@@ -56,6 +57,20 @@ pub fn scan_columns(preds: &[ColumnPred<'_>]) -> Option<ScanOutput> {
         }
     }
     Some(ScanOutput::Positions(out))
+}
+
+/// Rows (ascending) of `0..rows` where a boolean tree holds, walked row
+/// at a time with short-circuiting; `holds(leaf, row)` evaluates one leaf
+/// and `Not` is the logical complement. The oracle for every path that
+/// executes predicate trees.
+pub fn reference_scan_bool<P>(
+    expr: &BoolExpr<P>,
+    rows: usize,
+    holds: impl Fn(&P, usize) -> bool,
+) -> PosList {
+    (0..rows as u32)
+        .filter(|&row| expr.eval(&mut |p| holds(p, row as usize)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -111,6 +126,28 @@ mod tests {
             needle: Value::I32(1),
         }];
         assert!(scan_columns(&preds).is_none());
+    }
+
+    #[test]
+    fn bool_tree_walk() {
+        let a: Vec<u32> = (0..100).collect();
+        let b: Vec<u32> = (0..100).map(|i| i % 10).collect();
+        // a < 3 OR (NOT a < 97 AND b = 5): rows 0, 1, 2; rows 97..100
+        // have b ∈ {7, 8, 9}.
+        let expr = BoolExpr::or(vec![
+            BoolExpr::pred(TypedPred::new(&a[..], CmpOp::Lt, 3u32)),
+            BoolExpr::and(vec![
+                BoolExpr::not(BoolExpr::pred(TypedPred::new(&a[..], CmpOp::Lt, 97u32))),
+                BoolExpr::pred(TypedPred::new(&b[..], CmpOp::Eq, 5u32)),
+            ]),
+        ]);
+        let got = reference_scan_bool(&expr, a.len(), |p, row| p.matches(row));
+        assert_eq!(got.as_slice(), &[0, 1, 2]);
+        assert!(reference_scan_bool(&BoolExpr::Or(vec![]), 5, |p: &u32, _| *p > 0).is_empty());
+        assert_eq!(
+            reference_scan_bool(&BoolExpr::And(vec![]), 3, |_: &u32, _| false).len(),
+            3
+        );
     }
 
     #[test]

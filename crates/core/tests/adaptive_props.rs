@@ -1,14 +1,14 @@
 //! Property tests for the adaptive selector: whatever kernel the selector
 //! can choose, the answer is the same. Every candidate the cost model
-//! ranks ([`fts_core::candidate_scan_impls`]) and the full adaptive runner
-//! ([`fts_core::run_scan_adaptive`]) — whose probe/steady phases stitch
-//! morsel results back together — must produce the reference's count and
-//! exact position list on randomized chains, so calibration can never
-//! change a query's result, only its speed.
+//! ranks ([`fts_core::candidate_scan_impls`]) must produce the reference's
+//! count and exact position list on randomized chains, so calibration can
+//! never change a query's result, only its speed. (The query executor's
+//! calibration loop itself is checked end to end by
+//! `fts-query`'s `bool_tree_props`.)
 
 use fts_core::{
-    candidate_scan_impls, rank_scan_impls, reference, run_scan, run_scan_adaptive, AdaptiveConfig,
-    CalibrationConfig, ChainProfile, OutputMode, ScanElem, TelemetryLevel, TypedPred,
+    candidate_scan_impls, rank_scan_impls, reference, run_scan, ChainProfile, OutputMode, ScanElem,
+    TypedPred,
 };
 use fts_storage::{CmpOp, NativeType};
 use proptest::prelude::*;
@@ -17,20 +17,7 @@ fn op_strategy() -> impl Strategy<Value = CmpOp> {
     prop::sample::select(CmpOp::ALL.to_vec())
 }
 
-/// Small morsels + a small drift window so tiny proptest tables still
-/// exercise probe round-robin, winner pick, and steady-state windows.
-fn tiny_adaptive_cfg() -> AdaptiveConfig {
-    AdaptiveConfig {
-        calibration: CalibrationConfig {
-            recheck_rows: 128,
-            ..CalibrationConfig::default()
-        },
-        threads: 2,
-        morsel_rows: 64,
-    }
-}
-
-fn check_candidates_and_adaptive<T: ScanElem + NativeType>(
+fn check_candidates<T: ScanElem + NativeType>(
     cols: &[Vec<T>],
     ops: &[CmpOp],
     needles: &[T],
@@ -57,44 +44,11 @@ fn check_candidates_and_adaptive<T: ScanElem + NativeType>(
         prop_assert_eq!(got.count(), expected.len() as u64, "{} count", imp.name());
     }
 
-    // The adaptive runner (probe morsels + steady remainder) stitches the
-    // same result regardless of which kernels calibration happened to try.
+    // The plan-time ranking covers exactly the candidate set.
     let rows = cols.first().map_or(0, Vec::len);
     let profile = ChainProfile::uniform_u32(rows as u64, preds.len(), expected_sel);
-    let cfg = tiny_adaptive_cfg();
-    let (out, _, report) = run_scan_adaptive(
-        &preds,
-        OutputMode::Positions,
-        &profile,
-        &cfg,
-        TelemetryLevel::Off,
-    )
-    .unwrap();
-    prop_assert_eq!(out.positions().unwrap(), &expected, "adaptive positions");
-    let (out, _, _) = run_scan_adaptive(
-        &preds,
-        OutputMode::Count,
-        &profile,
-        &cfg,
-        TelemetryLevel::Off,
-    )
-    .unwrap();
-    prop_assert_eq!(out.count(), expected.len() as u64, "adaptive count");
-
-    // The plan-time ranking covers exactly the candidate set.
     let ranked = rank_scan_impls(&candidate_scan_impls::<T>(), &profile, 20.0);
     prop_assert_eq!(ranked.len(), candidate_scan_impls::<T>().len());
-    // Convergence needs one probe morsel per top-ranked candidate; shorter
-    // tables legitimately end mid-probe, and a drift re-probe near the end
-    // of the table can also leave the calibrator probing — both still with
-    // the right answer.
-    let probe_rows = cfg.morsel_rows * cfg.calibration.top_candidates;
-    if rows > probe_rows {
-        prop_assert!(
-            report.calibration.winner.is_some() || report.calibration.reprobes > 0,
-            "calibration neither converged nor re-probed"
-        );
-    }
     Ok(())
 }
 
@@ -121,7 +75,7 @@ proptest! {
         let cols: Vec<Vec<u32>> = (0..p)
             .map(|_| (0..rows).map(|_| (rng() % domain as u64) as u32).collect())
             .collect();
-        check_candidates_and_adaptive(&cols, &ops[..p], &needles[..p], sel)?;
+        check_candidates(&cols, &ops[..p], &needles[..p], sel)?;
     }
 
     #[test]
@@ -142,7 +96,7 @@ proptest! {
         let cols: Vec<Vec<i32>> = (0..p)
             .map(|_| (0..rows).map(|_| (rng() % 41) as i32 - 20).collect())
             .collect();
-        check_candidates_and_adaptive(&cols, &ops[..p], &needles[..p], 0.1)?;
+        check_candidates(&cols, &ops[..p], &needles[..p], 0.1)?;
     }
 
     #[test]
@@ -163,32 +117,6 @@ proptest! {
         let cols: Vec<Vec<u64>> = (0..2)
             .map(|_| (0..rows).map(|_| base + rng() % 11).collect())
             .collect();
-        check_candidates_and_adaptive(&cols, &ops[..2], &[base + 5, base + 3], 0.3)?;
+        check_candidates(&cols, &ops[..2], &[base + 5, base + 3], 0.3)?;
     }
-}
-
-/// A misleading plan-time selectivity estimate may trigger drift re-probes
-/// but must never change the result.
-#[test]
-fn wrong_estimate_only_costs_time() {
-    let rows = 20_000u32;
-    let a: Vec<u32> = (0..rows).map(|i| i % 2).collect();
-    let preds = [TypedPred::eq(&a[..], 1u32)];
-    let expected = reference::scan_positions(&preds);
-    // Claimed 0.1 % selective, actually 50 %.
-    let profile = ChainProfile::uniform_u32(rows as u64, 1, 0.001);
-    let (out, _, report) = run_scan_adaptive(
-        &preds,
-        OutputMode::Positions,
-        &profile,
-        &tiny_adaptive_cfg(),
-        TelemetryLevel::Full,
-    )
-    .unwrap();
-    assert_eq!(out.positions().unwrap(), &expected);
-    assert!(
-        (report.calibration.observed_selectivity - 0.5).abs() < 0.01,
-        "observed {}",
-        report.calibration.observed_selectivity
-    );
 }

@@ -32,7 +32,7 @@ use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
 use crate::compile_packed::{CompiledPackedKernel, PackedScanSig};
-use crate::ir::{JitError, KernelVariant, ScanSig};
+use crate::ir::{JitError, ScanSig};
 use crate::kernel::{CompiledKernel, JitBackend};
 
 /// A kernel signature the cache can key on and compile.
@@ -40,8 +40,7 @@ pub trait CacheSig: Clone + Eq + Hash {
     /// The compiled kernel this signature produces.
     type Kernel;
 
-    /// Compile the signature. `backend` is the cache's configured
-    /// default; a signature may pin its own.
+    /// Compile the signature with the cache's configured `backend`.
     fn compile(&self, backend: JitBackend) -> Result<Self::Kernel, JitError>;
 
     /// Code-generation + mapping time of a compiled kernel.
@@ -52,14 +51,6 @@ impl CacheSig for ScanSig {
     type Kernel = CompiledKernel;
 
     fn compile(&self, backend: JitBackend) -> Result<CompiledKernel, JitError> {
-        // The signature's variant picks the code generator; `Auto` means
-        // the cache's configured default, so one cache can hold several
-        // variants of the same chain under distinct keys.
-        let backend = match self.variant {
-            KernelVariant::Auto => backend,
-            KernelVariant::Avx512 => JitBackend::Avx512,
-            KernelVariant::Scalar => JitBackend::Scalar,
-        };
         CompiledKernel::compile(self.clone(), backend)
     }
 
@@ -393,43 +384,6 @@ mod tests {
         // k1's Arc keeps its code pages mapped after eviction.
         let a = [1u32, 2, 1];
         assert_eq!(k1.run(&[&a[..]]).unwrap().count(), 2);
-    }
-
-    #[test]
-    fn variants_key_distinct_entries_without_thrash() {
-        // An adaptive selector probing several variants of the same chain
-        // must not thrash compilation: each (chain, variant) compiles at
-        // most once, and alternating between variants only produces hits.
-        let cache = KernelCache::new(JitBackend::Scalar);
-        let base = ScanSig::u32_chain(&[(CmpOp::Eq, 5), (CmpOp::Lt, 9)], false);
-        let scalar = base.clone().with_variant(KernelVariant::Scalar);
-        let auto = base.clone();
-
-        let k_auto = cache.get_or_compile(&auto).unwrap();
-        let k_scalar = cache.get_or_compile(&scalar).unwrap();
-        assert!(!Arc::ptr_eq(&k_auto, &k_scalar), "distinct cache entries");
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().misses, 2);
-
-        // Calibration-style alternation: steady-state hit rate unaffected.
-        for _ in 0..10 {
-            cache.get_or_compile(&auto).unwrap();
-            cache.get_or_compile(&scalar).unwrap();
-        }
-        let s = cache.stats();
-        assert_eq!(s.misses, 2, "no recompilation across variant switches");
-        assert_eq!(s.hits, 20);
-
-        if fts_simd::has_avx512() {
-            let avx = base.clone().with_variant(KernelVariant::Avx512);
-            cache.get_or_compile(&avx).unwrap();
-            cache.get_or_compile(&avx).unwrap();
-            let s = cache.stats();
-            assert_eq!(s.misses, 3);
-            let a = [5u32, 6, 5, 9];
-            let got = cache.get_or_compile(&avx).unwrap();
-            assert_eq!(got.run(&[&a[..], &a[..]]).unwrap().count(), 2);
-        }
     }
 
     #[test]

@@ -67,49 +67,6 @@ pub struct JitPred {
     pub needle_bits: u64,
 }
 
-/// Which code-generation backend a [`ScanSig`] asks for.
-///
-/// Part of the signature — and therefore of the kernel-cache key — so an
-/// adaptive selector probing several kernel variants of the same chain
-/// maps each variant to a distinct cache entry: calibration never
-/// invalidates or recompiles another variant's kernel, and each
-/// `(chain, variant)` pair compiles at most once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum KernelVariant {
-    /// Use the cache's configured default backend.
-    #[default]
-    Auto,
-    /// The AVX-512 EVEX code generator (512-bit registers).
-    Avx512,
-    /// The portable scalar code generator.
-    Scalar,
-}
-
-/// On-chunk layout the kernel's column pointers decode — part of the
-/// cache key.
-///
-/// The JIT compiles needles into immediates, and a compressed-domain
-/// rewrite changes those immediates *and* the load sequence: a chain over
-/// `Plain` data and the "same" chain whose literals were rewritten into
-/// FoR-delta or byte-plane space are different programs. Tagging the
-/// signature keeps the kernel cache from ever serving a plain-layout
-/// kernel to a decode-fused call site (or vice versa), the same way
-/// [`KernelVariant`] separates backends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum KernelLayout {
-    /// Uncompressed native values (the default load sequence).
-    #[default]
-    Plain,
-    /// Horizontally bit-packed values (`fts_storage::PackedColumn`).
-    Packed,
-    /// Frame-of-reference blocks (`fts_storage::ForColumn`): literals
-    /// rewritten per block into delta space.
-    For,
-    /// Byte-sliced planes (`fts_storage::ByteSlicedColumn`): literals
-    /// split into per-plane bytes.
-    ByteSliced,
-}
-
 /// A full scan-chain signature — also the kernel-cache key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ScanSig {
@@ -119,10 +76,6 @@ pub struct ScanSig {
     pub preds: Vec<JitPred>,
     /// Whether the kernel writes matching positions (true) or only counts.
     pub emit_positions: bool,
-    /// Requested code-generation backend (part of the cache key).
-    pub variant: KernelVariant,
-    /// On-chunk layout the column pointers decode (part of the cache key).
-    pub layout: KernelLayout,
 }
 
 impl ScanSig {
@@ -138,8 +91,6 @@ impl ScanSig {
                 })
                 .collect(),
             emit_positions,
-            variant: KernelVariant::Auto,
-            layout: KernelLayout::Plain,
         }
     }
 
@@ -155,8 +106,6 @@ impl ScanSig {
                 })
                 .collect(),
             emit_positions,
-            variant: KernelVariant::Auto,
-            layout: KernelLayout::Plain,
         }
     }
 
@@ -172,8 +121,6 @@ impl ScanSig {
                 })
                 .collect(),
             emit_positions,
-            variant: KernelVariant::Auto,
-            layout: KernelLayout::Plain,
         }
     }
 
@@ -186,8 +133,6 @@ impl ScanSig {
                 .map(|&(op, n)| JitPred { op, needle_bits: n })
                 .collect(),
             emit_positions,
-            variant: KernelVariant::Auto,
-            layout: KernelLayout::Plain,
         }
     }
 
@@ -203,8 +148,6 @@ impl ScanSig {
                 })
                 .collect(),
             emit_positions,
-            variant: KernelVariant::Auto,
-            layout: KernelLayout::Plain,
         }
     }
 
@@ -220,23 +163,7 @@ impl ScanSig {
                 })
                 .collect(),
             emit_positions,
-            variant: KernelVariant::Auto,
-            layout: KernelLayout::Plain,
         }
-    }
-
-    /// The same signature pinned to a specific backend variant (a
-    /// distinct cache key — see [`KernelVariant`]).
-    pub fn with_variant(mut self, variant: KernelVariant) -> ScanSig {
-        self.variant = variant;
-        self
-    }
-
-    /// The same signature tagged with an on-chunk layout (a distinct
-    /// cache key — see [`KernelLayout`]).
-    pub fn with_layout(mut self, layout: KernelLayout) -> ScanSig {
-        self.layout = layout;
-        self
     }
 
     /// Number of predicates.
@@ -247,127 +174,6 @@ impl ScanSig {
     /// Whether the chain is empty.
     pub fn is_empty(&self) -> bool {
         self.preds.is_empty()
-    }
-}
-
-/// Tree-shaped signature of a *disjunctive* scan: a factored common
-/// prefix plus one conjunctive sub-chain per disjunct
-/// (`prefix ∧ (d₁ ∨ d₂ ∨ …)`, see `fts_core::bool_expr`).
-///
-/// # The IR contract for boolean trees
-///
-/// Compiled kernels are **linear conjunctions** — that is the whole IR the
-/// backends know ([`ScanSig`]), and it stays that way: a driver predicate
-/// streaming all rows plus gather/compress follow-up stages has no join
-/// point where a mask-union could live without spilling intermediates.
-/// A boolean tree therefore executes as *mask combination of sub-chain
-/// kernels*: each sub-chain (the prefix, then each disjunct) runs its own
-/// compiled kernel in position-list mode, the per-disjunct lists merge
-/// with a sorted union, and the prefix's list is intersected back in.
-///
-/// The cache consequences, which this type encodes:
-///
-/// * **Identity.** `BoolSig` is `Eq + Hash` over the full tree shape —
-///   element kind, the exact predicate lists of the prefix and of every
-///   disjunct in order, output mode and backend variant. Two queries with
-///   the same tree have the same `BoolSig`; any structural difference
-///   (swapped disjuncts, a literal changed, a predicate moved between
-///   prefix and disjunct) yields a different one.
-/// * **Content-addressing.** The kernel cache is keyed by [`ScanSig`],
-///   and [`BoolSig::sub_sigs`] is the tree's cache footprint: one
-///   `ScanSig` per sub-chain. A repeated disjunctive query maps to the
-///   same sub-signatures and hits the cache on every sub-chain
-///   (steady-state hit rate 100%); two *different* trees sharing a
-///   sub-chain (e.g. the same factored prefix) share that kernel instead
-///   of compiling a duplicate. Tree shape can never thrash the cache,
-///   because the tree itself is not a cache key — only its conjunctive
-///   sub-chains are, and those are exactly what the backends compile.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct BoolSig {
-    /// Element kind shared by all columns of the tree.
-    pub elem: JitElem,
-    /// The factored common-prefix chain (possibly empty).
-    pub prefix: Vec<JitPred>,
-    /// One conjunctive sub-chain per disjunct, in execution order. An
-    /// empty list means the prefix alone decides (`p ∨ (p ∧ q) = p`).
-    pub disjuncts: Vec<Vec<JitPred>>,
-    /// Whether the combined scan must produce positions (the sub-chains
-    /// always run in position mode internally — the union needs lists).
-    pub emit_positions: bool,
-    /// Requested code-generation backend for every sub-chain.
-    pub variant: KernelVariant,
-}
-
-impl BoolSig {
-    /// Signature of a factored `u32` tree (the shape the query layer's
-    /// dictionary/value-id rewrite produces for every column type).
-    pub fn u32_tree(
-        prefix: &[(CmpOp, u32)],
-        disjuncts: &[Vec<(CmpOp, u32)>],
-        emit_positions: bool,
-    ) -> BoolSig {
-        let lift = |preds: &[(CmpOp, u32)]| {
-            preds
-                .iter()
-                .map(|&(op, n)| JitPred {
-                    op,
-                    needle_bits: n as u64,
-                })
-                .collect::<Vec<_>>()
-        };
-        BoolSig {
-            elem: JitElem::U32,
-            prefix: lift(prefix),
-            disjuncts: disjuncts.iter().map(|d| lift(d)).collect(),
-            emit_positions,
-            variant: KernelVariant::Auto,
-        }
-    }
-
-    /// The same tree pinned to a specific backend variant (pins every
-    /// sub-chain's cache key — see [`ScanSig::with_variant`]).
-    pub fn with_variant(mut self, variant: KernelVariant) -> BoolSig {
-        self.variant = variant;
-        self
-    }
-
-    /// The conjunctive sub-chain signatures this tree compiles to, prefix
-    /// first — its kernel-cache footprint. Sub-chains always emit
-    /// positions (the mask union consumes lists); sub-chains longer than
-    /// [`MAX_JIT_PREDICATES`] are split into compilable segments the
-    /// caller re-intersects, mirroring the executor's conjunction path.
-    pub fn sub_sigs(&self) -> Vec<ScanSig> {
-        let mut out = Vec::new();
-        let mut push_chain = |preds: &[JitPred]| {
-            for part in preds.chunks(MAX_JIT_PREDICATES) {
-                out.push(ScanSig {
-                    elem: self.elem,
-                    preds: part.to_vec(),
-                    emit_positions: true,
-                    variant: self.variant,
-                    layout: KernelLayout::Plain,
-                });
-            }
-        };
-        if !self.prefix.is_empty() {
-            push_chain(&self.prefix);
-        }
-        for d in &self.disjuncts {
-            if !d.is_empty() {
-                push_chain(d);
-            }
-        }
-        out
-    }
-
-    /// Total number of leaf predicates across prefix and disjuncts.
-    pub fn len(&self) -> usize {
-        self.prefix.len() + self.disjuncts.iter().map(Vec::len).sum::<usize>()
-    }
-
-    /// Whether the tree holds no predicates at all.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -459,106 +265,6 @@ mod tests {
         set.insert(ScanSig::u32_chain(&[(CmpOp::Eq, 6)], false));
         set.insert(ScanSig::u32_chain(&[(CmpOp::Eq, 5)], true));
         assert_eq!(set.len(), 3);
-        // The kernel variant is part of the key: the same chain under a
-        // pinned backend is a distinct entry.
-        set.insert(
-            ScanSig::u32_chain(&[(CmpOp::Eq, 5)], false).with_variant(KernelVariant::Scalar),
-        );
-        set.insert(
-            ScanSig::u32_chain(&[(CmpOp::Eq, 5)], false).with_variant(KernelVariant::Avx512),
-        );
-        assert_eq!(set.len(), 5);
-        // The on-chunk layout is part of the key too: the same chain with
-        // literals rewritten into FoR-delta or byte-plane space must never
-        // hit the plain-layout kernel.
-        set.insert(ScanSig::u32_chain(&[(CmpOp::Eq, 5)], false).with_layout(KernelLayout::For));
-        set.insert(
-            ScanSig::u32_chain(&[(CmpOp::Eq, 5)], false).with_layout(KernelLayout::ByteSliced),
-        );
-        set.insert(ScanSig::u32_chain(&[(CmpOp::Eq, 5)], false).with_layout(KernelLayout::Packed));
-        assert_eq!(set.len(), 8);
-        assert_eq!(
-            ScanSig::u32_chain(&[(CmpOp::Eq, 5)], false).layout,
-            KernelLayout::Plain
-        );
-    }
-
-    #[test]
-    fn bool_sig_encodes_tree_shape() {
-        use std::collections::HashSet;
-        let t1 = BoolSig::u32_tree(
-            &[(CmpOp::Eq, 1)],
-            &[vec![(CmpOp::Lt, 5)], vec![(CmpOp::Gt, 9)]],
-            true,
-        );
-        // Same tree → same identity.
-        let t2 = BoolSig::u32_tree(
-            &[(CmpOp::Eq, 1)],
-            &[vec![(CmpOp::Lt, 5)], vec![(CmpOp::Gt, 9)]],
-            true,
-        );
-        assert_eq!(t1, t2);
-        // Swapped disjuncts, moved prefix, changed literal: all distinct.
-        let mut set = HashSet::new();
-        set.insert(t1.clone());
-        set.insert(BoolSig::u32_tree(
-            &[(CmpOp::Eq, 1)],
-            &[vec![(CmpOp::Gt, 9)], vec![(CmpOp::Lt, 5)]],
-            true,
-        ));
-        set.insert(BoolSig::u32_tree(
-            &[],
-            &[
-                vec![(CmpOp::Eq, 1), (CmpOp::Lt, 5)],
-                vec![(CmpOp::Eq, 1), (CmpOp::Gt, 9)],
-            ],
-            true,
-        ));
-        set.insert(BoolSig::u32_tree(
-            &[(CmpOp::Eq, 2)],
-            &[vec![(CmpOp::Lt, 5)], vec![(CmpOp::Gt, 9)]],
-            true,
-        ));
-        assert_eq!(set.len(), 4);
-        assert_eq!(t1.len(), 3);
-        assert!(!t1.is_empty());
-    }
-
-    #[test]
-    fn bool_sig_sub_sigs_are_content_addressed() {
-        use std::collections::HashSet;
-        // Two different trees sharing the prefix sub-chain must map it to
-        // the same ScanSig — the kernel compiles once.
-        let t1 = BoolSig::u32_tree(&[(CmpOp::Eq, 1)], &[vec![(CmpOp::Lt, 5)]], true);
-        let t2 = BoolSig::u32_tree(&[(CmpOp::Eq, 1)], &[vec![(CmpOp::Gt, 9)]], false);
-        assert_ne!(t1, t2);
-        let s1 = t1.sub_sigs();
-        let s2 = t2.sub_sigs();
-        assert_eq!(s1.len(), 2);
-        assert_eq!(s1[0], s2[0], "shared prefix is one cache entry");
-        // Sub-chains always emit positions regardless of the tree's mode.
-        assert!(s1.iter().chain(s2.iter()).all(|s| s.emit_positions));
-        // Repeating a query adds no new cache keys.
-        let mut cache: HashSet<ScanSig> = HashSet::new();
-        cache.extend(t1.sub_sigs());
-        let before = cache.len();
-        cache.extend(t1.sub_sigs());
-        assert_eq!(cache.len(), before);
-        // A long sub-chain splits into compilable segments.
-        let long: Vec<(CmpOp, u32)> = (0..MAX_JIT_PREDICATES as u32 + 2)
-            .map(|i| (CmpOp::Ne, i))
-            .collect();
-        let t3 = BoolSig::u32_tree(&[], &[long], true);
-        let sigs = t3.sub_sigs();
-        assert_eq!(sigs.len(), 2);
-        assert!(sigs.iter().all(|s| s.len() <= MAX_JIT_PREDICATES));
-        // The variant pins every sub-chain's key.
-        let pinned = t1.clone().with_variant(KernelVariant::Avx512);
-        assert!(pinned
-            .sub_sigs()
-            .iter()
-            .all(|s| s.variant == KernelVariant::Avx512));
-        assert_ne!(pinned.sub_sigs()[0], t1.sub_sigs()[0]);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! * [`asm`] — a from-scratch x86-64 emitter (legacy, VEX-opmask and
 //!   EVEX/AVX-512 encodings), cross-validated against binutils;
 //! * [`mem`] — W^X executable memory via raw Linux syscalls;
-//! * [`ir`] — the chain signature ([`ScanSig`]) and kernel ABI;
+//! * [`ir`] — the chain signature ([`ScanSig`]: element kind, predicates,
+//!   output mode — nothing else, so each kernel has exactly one cache
+//!   key) and the kernel ABI;
 //! * [`compile_scalar`] — specialized tuple-at-a-time code (§II's loop);
 //! * [`compile_avx512`] — the fused scan of Fig. 3 as native EVEX code
 //!   (32- and 64-bit element chains);
@@ -38,9 +40,6 @@ pub mod source_gen;
 
 pub use cache::{CacheSig, CacheStats, KernelCache};
 pub use compile_packed::{CompiledPackedKernel, PackedColRef, PackedColSig, PackedScanSig};
-pub use ir::{
-    BoolSig, JitElem, JitError, JitPred, KernelArgs, KernelFn, KernelLayout, KernelVariant,
-    ScanSig, MAX_JIT_PREDICATES,
-};
+pub use ir::{JitElem, JitError, JitPred, KernelArgs, KernelFn, ScanSig, MAX_JIT_PREDICATES};
 pub use kernel::{CompiledKernel, JitBackend};
 pub use mem::{ExecBuf, ExecError};

@@ -1,11 +1,10 @@
-//! The shared query engine: one `Send + Sync` instance serving many
+//! The query engine, the one front door to the SQL pipeline: one
+//! `Send + Sync` instance serves a REPL, a test or a server's worth of
 //! concurrent frontends.
 //!
-//! [`Database`](crate::Database) grew up single-threaded: one owner, one
-//! statement at a time. A server needs the opposite split — *engine*
-//! state (catalog, JIT kernel caches, adaptive-calibration registry)
-//! shared by every connection, and *session* state (the current
-//! statement, its telemetry) owned per connection. [`Engine`] is that
+//! *Engine* state (catalog, JIT kernel caches, adaptive-calibration
+//! registry) is shared by every caller; *session* state (the current
+//! statement, its telemetry) stays with the caller. [`Engine`] is the
 //! shared half:
 //!
 //! * the **catalog** lives behind a copy-on-write snapshot
@@ -24,16 +23,72 @@
 
 use std::sync::{Arc, RwLock};
 
-use fts_storage::{Chunk, ColumnProfile, Table};
+use fts_storage::{Chunk, ColumnProfile, Table, TableError};
 
 use crate::catalog::Catalog;
-use crate::db::QueryError;
 use crate::executor::{
-    execute, execute_analyzed, execute_shared, AnalyzeReport, ExecContext, JitMode, QueryResult,
+    execute, execute_analyzed, execute_shared, AnalyzeReport, ExecContext, ExecError, JitMode,
+    QueryResult,
 };
-use crate::lqp::{plan, Lqp};
+use crate::lqp::{plan, Lqp, PlanError};
 use crate::optimizer::optimize;
-use crate::parser::parse;
+use crate::parser::{parse, ParseError};
+
+/// Any error a query can produce.
+#[derive(Debug, Clone, PartialEq)]
+pub enum QueryError {
+    /// SQL parsing failed.
+    Parse(ParseError),
+    /// Binding/planning failed.
+    Plan(PlanError),
+    /// Execution failed.
+    Exec(ExecError),
+    /// Table construction failed.
+    Table(TableError),
+    /// The engine refused or failed the work below the query layer —
+    /// notably admission control's `Overloaded` rejection.
+    Engine(fts_core::EngineError),
+}
+
+impl std::fmt::Display for QueryError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            QueryError::Parse(e) => write!(f, "parse error: {e}"),
+            QueryError::Plan(e) => write!(f, "plan error: {e}"),
+            QueryError::Exec(e) => write!(f, "execution error: {e}"),
+            QueryError::Table(e) => write!(f, "table error: {e}"),
+            QueryError::Engine(e) => write!(f, "engine error: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for QueryError {}
+
+impl From<ParseError> for QueryError {
+    fn from(e: ParseError) -> Self {
+        QueryError::Parse(e)
+    }
+}
+impl From<PlanError> for QueryError {
+    fn from(e: PlanError) -> Self {
+        QueryError::Plan(e)
+    }
+}
+impl From<ExecError> for QueryError {
+    fn from(e: ExecError) -> Self {
+        QueryError::Exec(e)
+    }
+}
+impl From<TableError> for QueryError {
+    fn from(e: TableError) -> Self {
+        QueryError::Table(e)
+    }
+}
+impl From<fts_core::EngineError> for QueryError {
+    fn from(e: fts_core::EngineError) -> Self {
+        QueryError::Engine(e)
+    }
+}
 
 /// A thread-safe query engine: catalog + execution context, shared by
 /// every connection of a server (or by one REPL).
@@ -332,7 +387,7 @@ fn count_preds(plan: &Lqp) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fts_storage::{Column, ColumnDef, DataType};
+    use fts_storage::{Column, ColumnDef, DataType, Value};
 
     fn engine() -> Engine {
         let engine = Engine::new();
@@ -356,6 +411,89 @@ mod tests {
 
     fn expected_count(f: impl Fn(usize) -> bool) -> u64 {
         (0..1000).filter(|&i| f(i)).count() as u64
+    }
+
+    /// 400 rows in one chunk: `a = i % 10`, `b = i % 4`.
+    fn db() -> Engine {
+        let db = Engine::new();
+        db.register(
+            "tbl",
+            Table::from_columns(
+                vec![
+                    ColumnDef::new("a", DataType::U32),
+                    ColumnDef::new("b", DataType::U32),
+                ],
+                vec![
+                    Column::from_fn(400, |i| (i % 10) as u32),
+                    Column::from_fn(400, |i| (i % 4) as u32),
+                ],
+            )
+            .unwrap(),
+        );
+        db
+    }
+
+    #[test]
+    fn end_to_end_rows() {
+        let db = db();
+        let r = db.query("SELECT b FROM tbl WHERE a = 3 LIMIT 2").unwrap();
+        let crate::executor::QueryResult::Rows { columns, rows } = r else {
+            panic!()
+        };
+        assert_eq!(columns, vec!["b"]);
+        assert_eq!(rows, vec![vec![Value::U32(3)], vec![Value::U32(1)]]);
+    }
+
+    #[test]
+    fn explain_pipeline() {
+        let db = db();
+        let text = db
+            .explain("SELECT COUNT(*) FROM tbl WHERE a = 5 AND b = 2")
+            .unwrap();
+        assert!(text.contains("FusedTableScan"), "{text}");
+        assert!(text.contains("StoredTable tbl"));
+    }
+
+    #[test]
+    fn explain_analyze_renders_telemetry() {
+        let db = db();
+        let r = db
+            .query("EXPLAIN ANALYZE SELECT COUNT(*) FROM tbl WHERE a = 5 AND b = 2")
+            .unwrap();
+        let QueryResult::Explain(text) = r else {
+            panic!("{r:?}")
+        };
+        assert!(text.contains("FusedTableScan"), "{text}");
+        assert!(text.contains("Scan ["), "{text}");
+        assert!(text.contains("values/µs"), "{text}");
+        assert!(text.contains("-bound"), "{text}");
+    }
+
+    #[test]
+    fn query_analyzed_returns_result_and_report() {
+        let db = db();
+        let (result, report) = db
+            .query_analyzed("SELECT COUNT(*) FROM tbl WHERE a = 5 AND b = 2")
+            .unwrap();
+        let expected = (0..400).filter(|i| i % 10 == 5 && i % 4 == 2).count() as u64;
+        assert_eq!(result, QueryResult::Count(expected));
+        assert!(report.scan.enabled);
+        assert_eq!(report.scan.rows, 400);
+        assert_eq!(*report.scan.pred_survivors.last().unwrap(), expected);
+    }
+
+    #[test]
+    fn errors_propagate() {
+        let db = db();
+        assert!(matches!(db.query("SELEC"), Err(QueryError::Parse(_))));
+        assert!(matches!(
+            db.query("SELECT COUNT(*) FROM missing"),
+            Err(QueryError::Plan(_))
+        ));
+        assert!(matches!(
+            db.query("SELECT COUNT(*) FROM tbl WHERE a = -5"),
+            Err(QueryError::Plan(_))
+        ));
     }
 
     #[test]

@@ -39,8 +39,7 @@ use fts_core::{
 };
 use fts_core::{fused_scan_for, scan_bytesliced, ByteSlicedPred, ForPred};
 use fts_jit::{
-    CacheStats, JitBackend, KernelCache, KernelVariant, PackedColRef, PackedColSig, PackedScanSig,
-    ScanSig,
+    CacheStats, JitBackend, KernelCache, PackedColRef, PackedColSig, PackedScanSig, ScanSig,
 };
 use fts_simd::SimdLevel;
 use fts_storage::{
@@ -1235,18 +1234,12 @@ fn run_u32_chain(
         }
     };
     if use_jit {
+        // One cache key per kernel: a calibrated chain and the same chain
+        // driving a longer one share the compiled code.
         let sig = ScanSig::u32_chain(
             &preds.iter().map(|&(_, op, n)| (op, n)).collect::<Vec<_>>(),
             mode == OutputMode::Positions,
         );
-        // The adaptive path pins the backend variant in the cache key:
-        // probing a chain under several kernels must map each variant to
-        // its own entry, never invalidating or recompiling another's.
-        let sig = if picked.is_some() {
-            sig.with_variant(KernelVariant::Avx512)
-        } else {
-            sig
-        };
         if let Ok(kernel) = ctx.kernels.get_or_compile(&sig) {
             let cols: Vec<&[u32]> = preds.iter().map(|&(d, _, _)| d).collect();
             let started = Instant::now();
@@ -2776,6 +2769,28 @@ mod tests {
         let (_, second) = execute_analyzed(&p, &ctx).unwrap();
         assert_eq!(second.jit_misses, 0, "steady state recompiled: {second:?}");
         assert_eq!(second.jit_evictions, 0);
+    }
+
+    #[test]
+    fn calibrated_chain_and_partial_driver_share_one_jit_kernel() {
+        if !avx512_enabled() {
+            eprintln!("skipping: no AVX-512");
+            return;
+        }
+        // The first statement calibrates `a = 1 AND b = 1` (the JIT kernel
+        // ranks first, so chunk 0 compiles it); the second runs the same
+        // u32 group as the partial driver of a longer chain. Both need the
+        // identical kernel, so it compiles once.
+        let cat = catalog();
+        let ctx = make_ctx(JitMode::On);
+        let run = |sql: &str| {
+            let p = optimize(plan(&parse(sql).unwrap(), &cat).unwrap());
+            execute(&p, &ctx).unwrap()
+        };
+        let whole = run("SELECT SUM(big) FROM t WHERE a = 1 AND b = 1");
+        let partial = run("SELECT SUM(big) FROM t WHERE a = 1 AND b = 1 AND big >= -500");
+        assert_eq!(whole, partial);
+        assert_eq!(ctx.kernels.stats().misses, 1, "{:?}", ctx.kernels.stats());
     }
 
     fn bound(column: usize, op: CmpOp, value: Value, selectivity: f64) -> BoundPred {

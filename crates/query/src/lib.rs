@@ -7,16 +7,17 @@
 //! (per-chunk effective-predicate translation, dictionary value-id
 //! rewriting, fused/JIT kernel dispatch, dynamic fallback).
 //!
-//! Entry points: [`Database`] for one owner, [`Engine`] for many
-//! concurrent frontends (the `fts-server` path — a `Send + Sync` core
-//! with a copy-on-write catalog, shared kernel caches and a shared
-//! calibration registry).
+//! Entry point: [`Engine`], for one caller or many concurrent frontends
+//! alike (`fts-sql`, `fts-server`, the tests and benches) — a
+//! `Send + Sync` core with a copy-on-write catalog, shared kernel caches
+//! and the one calibration loop, [`executor`]'s per-chunk kernel
+//! selection. [`executor`] is also the only place boolean predicate
+//! trees execute.
 
 #![warn(missing_docs)]
 
 pub mod ast;
 pub mod catalog;
-pub mod db;
 pub mod engine;
 pub mod executor;
 pub mod lexer;
@@ -26,8 +27,7 @@ pub mod parser;
 pub mod stats;
 
 pub use catalog::Catalog;
-pub use db::{Database, QueryError};
-pub use engine::{Engine, Prepared};
+pub use engine::{Engine, Prepared, QueryError};
 pub use executor::{AnalyzeReport, CalibrationRegistry, ExecContext, JitMode, QueryResult};
 pub use lqp::{BoundPred, Lqp};
 pub use stats::ColumnStats;

@@ -13,7 +13,7 @@ use fts_storage::Layout;
 
 use crate::advisor::{run_advisor_once, spawn_advisor, AdvisorConfig, AdvisorHandle, PassReport};
 use crate::batch::Batcher;
-use crate::protocol::{Request, Response};
+use crate::protocol::{Request, Response, MAX_FRAME_BYTES};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -205,12 +205,24 @@ impl QueryServer {
 
         match result {
             Ok(r) => {
-                self.counters.record_finished(true);
                 let mut text = render_result(&r);
                 if analyze {
                     // EXPLAIN ANALYZE through the server also reports the
                     // scheduler's view of the world.
                     text.push_str(&self.analyze_lines());
+                }
+                // A body that cannot fit one frame (after the status byte)
+                // is answered with an error the client can act on, instead
+                // of a failed write that drops the connection.
+                let fits = text.len() < MAX_FRAME_BYTES;
+                self.counters.record_finished(fits);
+                if !fits {
+                    return Response::Err(format!(
+                        "result too large: {} B rendered exceeds the {} MiB frame limit; \
+                         add a LIMIT or project fewer columns",
+                        text.len(),
+                        MAX_FRAME_BYTES >> 20
+                    ));
                 }
                 Response::Ok(text)
             }

@@ -39,6 +39,10 @@ fn test_table() -> Table {
 fn start_server(config: ServerConfig) -> (Arc<QueryServer>, std::net::SocketAddr) {
     let engine = Engine::new();
     engine.register("orders", test_table());
+    serve(engine, config)
+}
+
+fn serve(engine: Engine, config: ServerConfig) -> (Arc<QueryServer>, std::net::SocketAddr) {
     let server = Arc::new(QueryServer::new(Arc::new(engine), config));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
@@ -389,4 +393,54 @@ fn connection_reuse_and_analyze_telemetry() {
         resp.body()
     );
     assert!(resp.body().contains("shared_passes="));
+}
+
+/// A result whose rendered text does not fit one 16 MiB frame is answered
+/// with an `E` frame that names its size and the limit, and the same
+/// connection keeps serving.
+#[test]
+fn oversized_result_gets_an_error_frame_and_the_connection_survives() {
+    // 200 K rows × 4 twenty-digit values ≈ 18 MB of rendered text.
+    let rows = 200_000;
+    let engine = Engine::new();
+    engine.register(
+        "wide",
+        Table::from_chunked_columns(
+            (0..4)
+                .map(|i| ColumnDef::new(format!("v{i}"), DataType::U64))
+                .collect(),
+            (0..4)
+                .map(|_| Column::from_fn(rows, |i| u64::MAX - i as u64))
+                .collect(),
+            64 * CHUNK,
+        )
+        .expect("wide table"),
+    );
+    let (_server, addr) = serve(engine, ServerConfig::default());
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = BufWriter::new(stream);
+    let mut ask = |statement: &str| {
+        Request {
+            statement: statement.into(),
+        }
+        .write(&mut writer)
+        .expect("write");
+        Response::read(&mut reader)
+            .expect("read")
+            .expect("response")
+    };
+
+    let resp = ask("SELECT v0, v1, v2, v3 FROM wide");
+    assert!(!resp.is_ok(), "an oversized result cannot be an O frame");
+    let body = resp.body();
+    assert!(body.contains("16 MiB"), "{body}");
+    let size: usize = body
+        .split_whitespace()
+        .find_map(|w| w.parse().ok())
+        .expect("the error names the rendered size");
+    assert!(size > fts_server::MAX_FRAME_BYTES, "{body}");
+
+    assert_eq!(ask("PING"), Response::Ok("pong".into()));
+    assert!(ask("SELECT COUNT(*) FROM wide").is_ok());
 }

@@ -5,7 +5,7 @@
 //!
 //! Usage: `cargo run --release --example disjunction [rows]`
 
-use fused_table_scan::query::{Database, QueryResult};
+use fused_table_scan::query::{Engine, QueryResult};
 use fused_table_scan::storage::{Column, ColumnDef, DataType, Table};
 
 fn build_orders(rows: usize) -> Table {
@@ -30,7 +30,7 @@ fn build_orders(rows: usize) -> Table {
     .expect("demo table")
 }
 
-fn show(db: &Database, sql: &str) {
+fn show(db: &Engine, sql: &str) {
     println!("SQL> {sql}");
     let t = std::time::Instant::now();
     match db.query(sql).expect("query") {
@@ -51,7 +51,7 @@ fn main() {
         .and_then(|s| s.replace('_', "").parse().ok())
         .unwrap_or(2_000_000);
 
-    let mut db = Database::new();
+    let db = Engine::new();
     println!("building orders table with {rows} rows…\n");
     db.register("orders", build_orders(rows));
 

@@ -8,7 +8,7 @@
 //!
 //! Usage: `cargo run --release --example sql_pipeline`
 
-use fused_table_scan::query::{Database, QueryResult};
+use fused_table_scan::query::{Engine, QueryResult};
 use fused_table_scan::storage::{Column, ColumnDef, DataType, Table};
 
 fn build_orders(rows: usize) -> Table {
@@ -39,7 +39,7 @@ fn build_orders(rows: usize) -> Table {
     .expect("dictionary encoding")
 }
 
-fn show(db: &Database, sql: &str) {
+fn show(db: &Engine, sql: &str) {
     println!("SQL> {sql}");
     println!("{}", indent(&db.explain(sql).expect("explain"), "  plan| "));
     let t = std::time::Instant::now();
@@ -70,7 +70,7 @@ fn main() {
         .and_then(|s| s.replace('_', "").parse().ok())
         .unwrap_or(4_000_000);
 
-    let mut db = Database::new();
+    let db = Engine::new();
     println!("building orders table with {rows} rows…\n");
     db.register("orders", build_orders(rows));
 

@@ -6,7 +6,7 @@
 
 use fused_table_scan::core::{reference, run_scan, OutputMode, RegWidth, ScanImpl, TypedPred};
 use fused_table_scan::jit::{CompiledKernel, JitBackend, ScanSig};
-use fused_table_scan::query::{Database, JitMode, QueryResult};
+use fused_table_scan::query::{Engine, JitMode, QueryResult};
 use fused_table_scan::simd::has_avx512;
 use fused_table_scan::storage::gen::{generate_chain, GeneratedChain, PredSpec};
 use fused_table_scan::storage::{CmpOp, Column, ColumnDef, DataType, Table};
@@ -146,7 +146,7 @@ fn sql_pipeline_matches_kernels() {
             } else {
                 table.clone()
             };
-            let mut db = Database::with_jit(jit);
+            let db = Engine::with_jit(jit);
             db.register("t", t);
             let r = db
                 .query("SELECT COUNT(*) FROM t WHERE a = 5 AND b = 2")

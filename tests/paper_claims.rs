@@ -9,7 +9,7 @@ use std::time::Instant;
 use fused_table_scan::core::{run_scan, OutputMode, RegWidth, ScanImpl, TypedPred};
 use fused_table_scan::jit::{CompiledKernel, JitBackend, ScanSig};
 use fused_table_scan::metrics::{instrument, HwModel};
-use fused_table_scan::query::Database;
+use fused_table_scan::query::Engine;
 use fused_table_scan::simd::has_avx512;
 use fused_table_scan::storage::gen::{generate_chain, PredSpec};
 use fused_table_scan::storage::{CmpOp, Column, ColumnDef, DataType, Table};
@@ -211,7 +211,7 @@ fn jit_compile_cost_is_negligible() {
 /// selective first, and tags them for the Fused Table Scan.
 #[test]
 fn optimizer_tags_and_reorders_chains() {
-    let mut db = Database::new();
+    let db = Engine::new();
     db.register(
         "t",
         Table::from_columns(

@@ -3,7 +3,7 @@
 //! bit-packed storage, with the JIT on and off, must agree with the raw
 //! row loop — including the SUM aggregation over the qualifying rows.
 
-use fused_table_scan::query::{Database, JitMode, QueryResult};
+use fused_table_scan::query::{Engine, JitMode, QueryResult};
 use fused_table_scan::storage::{Column, ColumnDef, DataType, Table, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,7 +96,7 @@ fn q6_through_every_storage_encoding() {
 
     for (name, table) in variants {
         for jit in [JitMode::Off, JitMode::On] {
-            let mut db = Database::with_jit(jit);
+            let db = Engine::with_jit(jit);
             db.register("lineitem", table.clone());
 
             let r = db.query(Q6_COUNT).unwrap();
@@ -154,7 +154,7 @@ fn q6_chunk_pruning_on_sorted_dates() {
     .unwrap();
     let expected = reference(&sorted).0;
 
-    let mut db = Database::new();
+    let db = Engine::new();
     db.register("lineitem", sorted);
     let r = db.query(Q6_COUNT).unwrap();
     assert_eq!(r, QueryResult::Count(expected));
