@@ -61,13 +61,15 @@ fn bench_table(rows: usize) -> Table {
 }
 
 /// The statement mix: compatible aggregates over one table, keyed on
-/// `c % 4` so a wave of K concurrent clients carries at most four
+/// `(c + r) % 4` so a wave of K concurrent clients carries at most four
 /// *distinct* statements however large K grows — the dashboard shape
-/// (many clients, few distinct queries) that scan sharing exists for.
-/// The round `r` varies the literals so successive waves don't replay
-/// byte-identical work. Client `c`, round `r`.
+/// (many clients, few distinct queries) that scan sharing exists for —
+/// and every client issues all four shapes over its [`ROUNDS`] rounds,
+/// so the mix is the same at every client count. The round `r` also
+/// varies the literals so successive waves don't replay byte-identical
+/// work. Client `c`, round `r`.
 fn statement(c: usize, r: usize) -> String {
-    match c % 4 {
+    match (c + r) % 4 {
         0 => format!(
             "SELECT COUNT(*) FROM orders WHERE quantity < 25 AND discount = {}",
             r % 11
@@ -271,5 +273,32 @@ pub fn acceptance(fig: &FigureResult) -> Option<(f64, u64)> {
         Some((worst_ratio, mismatches))
     } else {
         None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    #[test]
+    fn every_client_count_runs_the_same_statement_mix() {
+        // A statement's shape is its text without the literals.
+        let shape = |sql: String| sql.replace(|ch: char| ch.is_ascii_digit(), "");
+        for clients in CLIENT_COUNTS {
+            let mut mix: BTreeMap<String, usize> = BTreeMap::new();
+            for r in 0..ROUNDS {
+                let wave: BTreeSet<String> = (0..clients).map(|c| statement(c, r)).collect();
+                assert!(wave.len() <= 4, "{clients} clients, round {r}: {wave:?}");
+                for c in 0..clients {
+                    *mix.entry(shape(statement(c, r))).or_default() += 1;
+                }
+            }
+            assert_eq!(mix.len(), 4, "{clients} clients: {mix:?}");
+            assert!(
+                mix.values().all(|&n| n == clients * ROUNDS / 4),
+                "{clients} clients: {mix:?}"
+            );
+        }
     }
 }

@@ -22,6 +22,13 @@
 //! runs in the caller's mode (count or positions); otherwise it emits
 //! positions and every other predicate **filters the survivors** in chain
 //! order with one typed loop per layout, the paper's gather step.
+//!
+//! Aggregates consume a chunk's survivors **one column at a time**: per
+//! aggregate, the argument segment's layout and type are matched once and
+//! one typed loop folds its values at the survivor positions into the
+//! running state (exact `i128` integer sums, `f64` float sums in position
+//! order, MIN/MAX continuing from the running best). A lone `COUNT(*)`
+//! never leaves count mode.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -184,6 +191,11 @@ pub struct AnalyzeReport {
     pub phase2_rows_in: u64,
     /// Positions surviving phase 2.
     pub phase2_rows_out: u64,
+    /// Aggregate folds over the survivors (a lone `COUNT(*)` counts in the
+    /// scan and folds nothing).
+    pub aggregate: PostScanReport,
+    /// Projection materialization of the survivors.
+    pub materialize: PostScanReport,
     /// Frame-of-reference blocks whose payload was decoded and compared.
     pub for_blocks_scanned: u64,
     /// Frame-of-reference blocks resolved from the header alone (the
@@ -215,6 +227,26 @@ pub struct AnalyzeReport {
     pub bool_scan: Option<BoolScanReport>,
     /// End-to-end execution wall time (planning excluded).
     pub wall: Duration,
+}
+
+/// One kind of post-scan work (`EXPLAIN ANALYZE`), summed over the
+/// chunks: rows processed, expressions per row and wall time.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PostScanReport {
+    /// Rows folded or materialized.
+    pub rows: u64,
+    /// Aggregates folded, or columns materialized, per row.
+    pub exprs: usize,
+    /// Wall time.
+    pub wall: Duration,
+}
+
+impl PostScanReport {
+    fn note(&mut self, rows: usize, exprs: usize, wall: Duration) {
+        self.rows += rows as u64;
+        self.exprs = exprs;
+        self.wall += wall;
+    }
 }
 
 /// What a disjunctive scan did, per fused sub-chain (`EXPLAIN ANALYZE`).
@@ -279,6 +311,21 @@ impl AnalyzeReport {
                 out,
                 "phase 2 (survivor filter): rows_in={}  rows_out={}",
                 self.phase2_rows_in, self.phase2_rows_out
+            );
+        }
+        let (agg, mat) = (&self.aggregate, &self.materialize);
+        if agg.exprs > 0 {
+            let _ = writeln!(
+                out,
+                "aggregate: rows={}  aggregates={}  wall={:.3?}",
+                agg.rows, agg.exprs, agg.wall
+            );
+        }
+        if mat.exprs > 0 {
+            let _ = writeln!(
+                out,
+                "materialize: rows={}  columns={}  wall={:.3?}",
+                mat.rows, mat.exprs, mat.wall
             );
         }
         if self.for_blocks_scanned + self.for_blocks_pruned > 0 {
@@ -602,6 +649,13 @@ pub enum ExecError {
     /// A predicate's literal/type combination failed at runtime (internal —
     /// the binder should have rejected it).
     PredicateTypeError,
+    /// An integer `SUM`'s exact total does not fit its `i64` result.
+    SumOverflow {
+        /// The aggregate's label, e.g. `sum(big)`.
+        aggregate: String,
+        /// The exact total.
+        exact: i128,
+    },
 }
 
 impl std::fmt::Display for ExecError {
@@ -609,6 +663,9 @@ impl std::fmt::Display for ExecError {
         match self {
             ExecError::UnsupportedPlan(s) => write!(f, "unsupported plan: {s}"),
             ExecError::PredicateTypeError => write!(f, "predicate type error"),
+            ExecError::SumOverflow { aggregate, exact } => {
+                write!(f, "{aggregate} overflows i64: the exact sum is {exact}")
+            }
         }
     }
 }
@@ -1373,13 +1430,9 @@ pub fn execute_shared(
     ctx: &ExecContext,
 ) -> Option<Vec<Result<QueryResult, ExecError>>> {
     struct SharedQuery<'p> {
-        aggs: &'p [BoundAgg],
         entry: &'p CatalogEntry,
         scan: StatementScan<'p>,
-        /// Pure COUNT(*) runs in count mode end to end.
-        count_only: bool,
-        total: u64,
-        states: Vec<AggState>,
+        agg: Aggregation<'p>,
         failed: Option<ExecError>,
     }
 
@@ -1393,12 +1446,9 @@ pub fn execute_shared(
         };
         let (entry, scan) = StatementScan::build(input, ctx).ok()?;
         queries.push(SharedQuery {
-            aggs,
             entry,
             scan,
-            count_only: aggs.len() == 1 && aggs[0].func == AggFunc::Count,
-            total: 0,
-            states: aggs.iter().map(AggState::new).collect(),
+            agg: Aggregation::new(aggs).ok()?,
             failed: None,
         });
     }
@@ -1420,22 +1470,12 @@ pub fn execute_shared(
                 continue;
             }
             ctx.chunks_scanned.fetch_add(1, Ordering::Relaxed);
-            let mode = if q.count_only {
-                OutputMode::Count
-            } else {
-                OutputMode::Positions
-            };
-            match q.scan.scan(q.entry, ci, chunk, ctx, mode, None) {
-                Err(e) => q.failed = Some(e),
-                Ok(out) if q.count_only => q.total += out.count(),
-                Ok(out) => {
-                    let positions = out.positions().expect("positions requested");
-                    for pos in positions {
-                        for (state, agg) in q.states.iter_mut().zip(q.aggs) {
-                            state.accumulate(agg, chunk, pos as usize);
-                        }
-                    }
-                }
+            let folded = q
+                .scan
+                .scan(q.entry, ci, chunk, ctx, q.agg.mode(), None)
+                .and_then(|out| q.agg.fold(chunk, &out, None));
+            if let Err(e) = folded {
+                q.failed = Some(e);
             }
         }
     }
@@ -1443,22 +1483,9 @@ pub fn execute_shared(
     Some(
         queries
             .into_iter()
-            .map(|q| {
-                if let Some(e) = q.failed {
-                    return Err(e);
-                }
-                if q.count_only {
-                    return Ok(QueryResult::Count(q.total));
-                }
-                Ok(QueryResult::Rows {
-                    columns: q.aggs.iter().map(|a| a.label.clone()).collect(),
-                    rows: vec![q
-                        .states
-                        .into_iter()
-                        .zip(q.aggs)
-                        .map(|(st, agg)| st.finish(agg))
-                        .collect()],
-                })
+            .map(|q| match q.failed {
+                Some(e) => Err(e),
+                None => q.agg.finish(),
             })
             .collect(),
     )
@@ -1472,60 +1499,18 @@ fn execute_with(
     match plan {
         Lqp::Aggregate { input, aggs } => {
             let (entry, mut scan) = StatementScan::build(input, ctx)?;
-            // Pure COUNT(*) needs no gathered values — count mode end to end.
-            if aggs.len() == 1 && aggs[0].func == AggFunc::Count {
-                let mut total = 0u64;
-                for (ci, chunk) in entry.table.chunks().iter().enumerate() {
-                    if scan.prune(entry, ci) {
-                        ctx.chunks_pruned.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    ctx.chunks_scanned.fetch_add(1, Ordering::Relaxed);
-                    total += scan
-                        .scan(
-                            entry,
-                            ci,
-                            chunk,
-                            ctx,
-                            OutputMode::Count,
-                            analyze.as_deref_mut(),
-                        )?
-                        .count();
-                }
-                scan.finish(analyze);
-                return Ok(QueryResult::Count(total));
-            }
-            let mut states: Vec<AggState> = aggs.iter().map(AggState::new).collect();
+            let mut agg = Aggregation::new(aggs)?;
             for (ci, chunk) in entry.table.chunks().iter().enumerate() {
                 if scan.prune(entry, ci) {
                     ctx.chunks_pruned.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
                 ctx.chunks_scanned.fetch_add(1, Ordering::Relaxed);
-                let out = scan.scan(
-                    entry,
-                    ci,
-                    chunk,
-                    ctx,
-                    OutputMode::Positions,
-                    analyze.as_deref_mut(),
-                )?;
-                let positions = out.positions().expect("positions requested");
-                for pos in positions {
-                    for (state, agg) in states.iter_mut().zip(aggs) {
-                        state.accumulate(agg, chunk, pos as usize);
-                    }
-                }
+                let out = scan.scan(entry, ci, chunk, ctx, agg.mode(), analyze.as_deref_mut())?;
+                agg.fold(chunk, &out, analyze.as_deref_mut())?;
             }
             scan.finish(analyze);
-            Ok(QueryResult::Rows {
-                columns: aggs.iter().map(|a| a.label.clone()).collect(),
-                rows: vec![states
-                    .into_iter()
-                    .zip(aggs)
-                    .map(|(st, agg)| st.finish(agg))
-                    .collect()],
-            })
+            agg.finish()
         }
         Lqp::Limit { input, n } => {
             // A projection stops once `n` rows are materialized; anything
@@ -1589,6 +1574,7 @@ fn project(
         )?;
         let positions = out.positions().expect("positions requested");
         let take = positions.len().min(limit - rows.len());
+        let started = analyze.is_some().then(Instant::now);
         for &pos in &positions.as_slice()[..take] {
             rows.push(
                 columns
@@ -1596,6 +1582,9 @@ fn project(
                     .map(|&c| chunk.segment(c).value_at(pos as usize))
                     .collect(),
             );
+        }
+        if let (Some(r), Some(started)) = (analyze.as_deref_mut(), started) {
+            r.materialize.note(take, columns.len(), started.elapsed());
         }
     }
     scan.finish(analyze);
@@ -1605,110 +1594,296 @@ fn project(
     })
 }
 
+/// Run `$body` with `$get: impl Fn(usize) -> T` reading one row of the
+/// segment, monomorphized per layout and native type: `data[p]` for plain
+/// columns, `dict[ids[p]]` for dictionary columns, `col.get(p)` for
+/// packed, FoR and byte-sliced ones.
+macro_rules! with_values {
+    ($seg:expr, $get:ident => $body:expr) => {
+        match $seg {
+            Segment::Plain(col) => with_native!(col, data => {
+                let $get = |p: usize| data[p];
+                $body
+            }),
+            Segment::Dict(d) => {
+                let ids = d.value_ids();
+                with_native!(d.dictionary(), dict => {
+                    let $get = |p: usize| dict[ids[p] as usize];
+                    $body
+                })
+            }
+            Segment::Packed(col) => {
+                let $get = |p: usize| col.get(p);
+                $body
+            }
+            Segment::For(col) => {
+                let $get = |p: usize| col.get(p);
+                $body
+            }
+            Segment::ByteSliced(col) => {
+                let $get = |p: usize| col.get(p);
+                $body
+            }
+        }
+    };
+}
+
+/// The aggregates of one statement and their running states, fed one
+/// chunk at a time by both [`execute_with`] and [`execute_shared`].
+struct Aggregation<'p> {
+    aggs: &'p [BoundAgg],
+    states: Vec<AggState>,
+}
+
+impl<'p> Aggregation<'p> {
+    fn new(aggs: &'p [BoundAgg]) -> Result<Aggregation<'p>, ExecError> {
+        Ok(Aggregation {
+            aggs,
+            states: aggs.iter().map(AggState::new).collect::<Result<_, _>>()?,
+        })
+    }
+
+    /// The scan mode the statement needs: a lone `COUNT(*)` gathers no
+    /// values, so it counts end to end (popcount paths included).
+    fn mode(&self) -> OutputMode {
+        match self.states[..] {
+            [AggState::Count(_)] => OutputMode::Count,
+            _ => OutputMode::Positions,
+        }
+    }
+
+    /// Fold one chunk's scan output into every aggregate: per aggregate,
+    /// one typed loop over the chunk's survivors. `analyze` gets the rows
+    /// folded and the wall time (two clock reads per chunk).
+    fn fold(
+        &mut self,
+        chunk: &Chunk,
+        out: &ScanOutput,
+        analyze: Option<&mut AnalyzeReport>,
+    ) -> Result<(), ExecError> {
+        let positions = match out {
+            ScanOutput::Positions(pl) => pl.as_slice(),
+            // Count mode: the statement is a lone COUNT(*).
+            ScanOutput::Count(n) => {
+                if let [AggState::Count(total)] = &mut self.states[..] {
+                    *total += n;
+                }
+                return Ok(());
+            }
+        };
+        let started = analyze.is_some().then(Instant::now);
+        for state in &mut self.states {
+            state.fold(chunk, positions)?;
+        }
+        if let (Some(r), Some(started)) = (analyze, started) {
+            r.aggregate
+                .note(positions.len(), self.aggs.len(), started.elapsed());
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> Result<QueryResult, ExecError> {
+        if let [AggState::Count(n)] = self.states[..] {
+            return Ok(QueryResult::Count(n));
+        }
+        Ok(QueryResult::Rows {
+            columns: self.aggs.iter().map(|a| a.label.clone()).collect(),
+            rows: vec![self
+                .states
+                .into_iter()
+                .zip(self.aggs)
+                .map(|(st, agg)| st.finish(agg))
+                .collect::<Result<_, _>>()?],
+        })
+    }
+}
+
 /// Running state of one aggregate expression.
 enum AggState {
     Count(u64),
-    /// Integer SUM/AVG accumulate exactly in i128; floats in f64.
+    /// SUM/AVG of `column`: integers exactly in `i128`, floats in `f64`
+    /// added in ascending position order.
     Sum {
+        column: usize,
         ints: i128,
         floats: f64,
         n: u64,
         is_float: bool,
     },
+    /// MIN/MAX of `column`: the running best, from which each chunk's
+    /// fold starts.
     MinMax {
+        column: usize,
         best: Option<Value>,
         want_max: bool,
     },
 }
 
 impl AggState {
-    fn new(agg: &BoundAgg) -> AggState {
-        match agg.func {
+    fn new(agg: &BoundAgg) -> Result<AggState, ExecError> {
+        let column = || {
+            agg.column
+                .ok_or_else(|| ExecError::UnsupportedPlan(format!("{} binds no column", agg.label)))
+        };
+        Ok(match agg.func {
             AggFunc::Count => AggState::Count(0),
             AggFunc::Sum | AggFunc::Avg => AggState::Sum {
+                column: column()?,
                 ints: 0,
                 floats: 0.0,
                 n: 0,
                 is_float: false,
             },
-            AggFunc::Min => AggState::MinMax {
+            AggFunc::Min | AggFunc::Max => AggState::MinMax {
+                column: column()?,
                 best: None,
-                want_max: false,
+                want_max: agg.func == AggFunc::Max,
             },
-            AggFunc::Max => AggState::MinMax {
-                best: None,
-                want_max: true,
-            },
-        }
+        })
     }
 
-    fn accumulate(&mut self, agg: &BoundAgg, chunk: &Chunk, row: usize) {
+    /// Fold one chunk's survivors: match the argument segment's layout
+    /// and type once, then run one monomorphic loop over `positions`.
+    fn fold(&mut self, chunk: &Chunk, positions: &[u32]) -> Result<(), ExecError> {
         match self {
-            AggState::Count(n) => *n += 1,
+            AggState::Count(n) => *n += positions.len() as u64,
             AggState::Sum {
+                column,
                 ints,
                 floats,
                 n,
                 is_float,
             } => {
-                let v = chunk
-                    .segment(agg.column.expect("SUM/AVG bind a column"))
-                    .value_at(row);
-                match value_num(v) {
-                    Num::Int(i) => *ints += i,
-                    Num::Float(f) => {
-                        *floats += f;
-                        *is_float = true;
-                    }
-                }
-                *n += 1;
+                with_values!(chunk.segment(*column), get => {
+                    sum_values(positions, get, ints, floats, is_float)
+                });
+                *n += positions.len() as u64;
             }
-            AggState::MinMax { best, want_max } => {
-                let v = chunk
-                    .segment(agg.column.expect("MIN/MAX bind a column"))
-                    .value_at(row);
-                let better = match best {
-                    None => true,
-                    Some(b) => {
-                        let ord = num_cmp(value_num(v), value_num(*b));
-                        if *want_max {
-                            ord == std::cmp::Ordering::Greater
-                        } else {
-                            ord == std::cmp::Ordering::Less
-                        }
-                    }
-                };
-                if better {
-                    *best = Some(v);
-                }
+            AggState::MinMax {
+                column,
+                best,
+                want_max,
+            } => {
+                *best = with_values!(chunk.segment(*column), get => {
+                    best_value(positions, get, *best, *want_max)
+                })?;
             }
         }
+        Ok(())
     }
 
-    fn finish(self, agg: &BoundAgg) -> Value {
-        match self {
+    fn finish(self, agg: &BoundAgg) -> Result<Value, ExecError> {
+        Ok(match self {
             AggState::Count(n) => Value::U64(n),
             AggState::Sum {
                 ints,
                 floats,
                 n,
                 is_float,
+                ..
             } => {
                 if agg.func == AggFunc::Avg {
                     let total = floats + ints as f64;
-                    return Value::F64(if n == 0 { 0.0 } else { total / n as f64 });
+                    return Ok(Value::F64(if n == 0 { 0.0 } else { total / n as f64 }));
                 }
                 if is_float {
                     Value::F64(floats + ints as f64)
                 } else {
-                    Value::I64(ints.clamp(i64::MIN as i128, i64::MAX as i128) as i64)
+                    Value::I64(i64::try_from(ints).map_err(|_| ExecError::SumOverflow {
+                        aggregate: agg.label.clone(),
+                        exact: ints,
+                    })?)
                 }
             }
             AggState::MinMax { best, .. } => best.unwrap_or(Value::I64(0)),
-        }
+        })
     }
 }
 
+/// A native type's contribution to an exact running sum.
+trait Summable: NativeType {
+    const IS_FLOAT: bool;
+
+    /// Add the values `get` reads at `positions` into the running sums:
+    /// integers exactly into `ints`, floats into `floats` one at a time in
+    /// position order.
+    fn sum_into(positions: &[u32], get: impl Fn(usize) -> Self, ints: &mut i128, floats: &mut f64);
+}
+
+/// Integers sum exactly: types of 32 bits or fewer add up a chunk in a
+/// 64-bit accumulator first (a chunk holds at most 2³² rows, so it cannot
+/// overflow), `i64` and `u64` add up in `i128`.
+macro_rules! impl_summable_int {
+    ($acc:ty => $($t:ty),*) => {$(
+        impl Summable for $t {
+            const IS_FLOAT: bool = false;
+            #[inline]
+            fn sum_into(positions: &[u32], get: impl Fn(usize) -> Self, ints: &mut i128, _: &mut f64) {
+                let chunk: $acc = positions.iter().map(|&p| <$acc>::from(get(p as usize))).sum();
+                *ints += chunk as i128;
+            }
+        }
+    )*};
+}
+impl_summable_int!(i64 => i8, i16, i32);
+impl_summable_int!(u64 => u8, u16, u32);
+impl_summable_int!(i128 => i64, u64);
+
+macro_rules! impl_summable_float {
+    ($($t:ty),*) => {$(
+        impl Summable for $t {
+            const IS_FLOAT: bool = true;
+            #[inline]
+            fn sum_into(positions: &[u32], get: impl Fn(usize) -> Self, _: &mut i128, floats: &mut f64) {
+                *floats = positions
+                    .iter()
+                    .fold(*floats, |acc, &p| acc + f64::from(get(p as usize)));
+            }
+        }
+    )*};
+}
+impl_summable_float!(f32, f64);
+
+fn sum_values<T: Summable>(
+    positions: &[u32],
+    get: impl Fn(usize) -> T,
+    ints: &mut i128,
+    floats: &mut f64,
+    is_float: &mut bool,
+) {
+    T::sum_into(positions, get, ints, floats);
+    *is_float |= T::IS_FLOAT && !positions.is_empty();
+}
+
+/// The running best after folding the values `get` reads at `positions`
+/// into `best`. Strict comparisons keep the earliest of tied values
+/// (`-0.0` vs `0.0` included), and a NaN neither replaces a value nor,
+/// once it is the first value, is replaced.
+fn best_value<T: NativeType>(
+    positions: &[u32],
+    get: impl Fn(usize) -> T,
+    best: Option<Value>,
+    want_max: bool,
+) -> Result<Option<Value>, ExecError> {
+    let mut values = positions.iter().map(|&p| get(p as usize));
+    let start = match best {
+        Some(v) => T::from_value(v).ok_or_else(|| {
+            ExecError::UnsupportedPlan("aggregate column changes type across chunks".into())
+        })?,
+        None => match values.next() {
+            Some(v) => v,
+            None => return Ok(None),
+        },
+    };
+    let best = if want_max {
+        values.fold(start, |b, v| if v > b { v } else { b })
+    } else {
+        values.fold(start, |b, v| if v < b { v } else { b })
+    };
+    Ok(Some(best.to_value()))
+}
+
+/// A value as a number, for the `FilterTree` leaf test.
 enum Num {
     Int(i128),
     Float(f64),
@@ -3070,6 +3245,281 @@ mod tests {
         let p = optimize(plan(&parse(&format!("{full} LIMIT 0")).unwrap(), &cat).unwrap());
         assert_eq!(execute(&p, &ctx).unwrap().num_rows(), 0);
         assert_eq!(ctx.chunks_scanned.load(Ordering::Relaxed), 0);
+    }
+
+    /// Table `v`: `id` (the row number, `u32`) plus `columns`, in chunks
+    /// of `chunk_rows` rows.
+    fn chunked_catalog(columns: Vec<(&str, Column)>, chunk_rows: usize) -> Catalog {
+        let rows = columns[0].1.len();
+        let mut schema = vec![ColumnDef::new("id", DataType::U32)];
+        let mut cols = vec![Column::from_fn(rows, |i| i as u32)];
+        for (name, col) in columns {
+            schema.push(ColumnDef::new(name, col.data_type()));
+            cols.push(col);
+        }
+        let mut cat = Catalog::new();
+        cat.register(
+            "v",
+            Table::from_chunked_columns(schema, cols, chunk_rows).unwrap(),
+        );
+        cat
+    }
+
+    /// The one row of an aggregate statement; the JIT on and off must
+    /// agree bit for bit (compared through `Debug`, so NaN equals NaN and
+    /// `-0.0` differs from `0.0`).
+    fn agg_row(cat: &Catalog, sql: &str) -> Vec<Value> {
+        let p = optimize(plan(&parse(sql).unwrap(), cat).unwrap());
+        let rows = [JitMode::Off, JitMode::On].map(|jit| {
+            let QueryResult::Rows { mut rows, .. } = execute(&p, &make_ctx(jit)).unwrap() else {
+                panic!("{sql}: rows expected")
+            };
+            assert_eq!(rows.len(), 1, "{sql}");
+            rows.remove(0)
+        });
+        assert_eq!(format!("{:?}", rows[0]), format!("{:?}", rows[1]), "{sql}");
+        rows[0].clone()
+    }
+
+    #[test]
+    fn float_min_max_start_each_chunk_from_the_running_best() {
+        // Chunks [1.0, 2.0] [NaN, 0.5]: a fold restarting from each
+        // chunk's first row would keep the NaN and lose the 0.5.
+        let cat = chunked_catalog(
+            vec![("x", Column::from_vec(vec![1.0f64, 2.0, f64::NAN, 0.5]))],
+            2,
+        );
+        for sql in [
+            "SELECT MIN(x), MAX(x) FROM v",
+            "SELECT MIN(x), MAX(x) FROM v WHERE id < 4",
+        ] {
+            assert_eq!(agg_row(&cat, sql), vec![Value::F64(0.5), Value::F64(2.0)]);
+        }
+        // A NaN as the very first value wins and is never replaced.
+        let cat = chunked_catalog(
+            vec![("x", Column::from_vec(vec![f64::NAN, 1.0, 0.5, 2.0]))],
+            2,
+        );
+        let row = agg_row(&cat, "SELECT MIN(x), MAX(x) FROM v");
+        assert!(
+            row.iter().all(|v| matches!(v, Value::F64(f) if f.is_nan())),
+            "{row:?}"
+        );
+    }
+
+    #[test]
+    fn signed_zero_ties_keep_the_first_value() {
+        for chunk_rows in [1, 2] {
+            for (values, first_negative) in [([-0.0f64, 0.0], true), ([0.0, -0.0], false)] {
+                let cat =
+                    chunked_catalog(vec![("x", Column::from_vec(values.to_vec()))], chunk_rows);
+                for v in agg_row(&cat, "SELECT MIN(x), MAX(x) FROM v") {
+                    let Value::F64(f) = v else { panic!("{v:?}") };
+                    assert_eq!(f, 0.0);
+                    assert_eq!(
+                        f.is_sign_negative(),
+                        first_negative,
+                        "{values:?} in chunks of {chunk_rows}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn float_sums_add_in_position_order() {
+        // 1e16 + 1.0 rounds back to 1e16 (the ulp is 2), so the
+        // position-order sum differs from a sum of per-chunk partials.
+        let xs = vec![1e16f64, 1.0, 1.0, 1.0, 0.25, -3.0];
+        let ys = vec![1e9f32, 1.0e-3, 7.5, 1.0e-3, 16.0, 0.1];
+        let seq_x = xs.iter().fold(0.0f64, |a, &v| a + v);
+        let seq_y = ys.iter().fold(0.0f64, |a, &v| a + f64::from(v));
+        let by_chunk: f64 = xs
+            .chunks(2)
+            .map(|c| c.iter().fold(0.0f64, |a, &v| a + v))
+            .fold(0.0, |a, v| a + v);
+        assert_ne!(seq_x, by_chunk, "the data must tell the two orders apart");
+        let cat = chunked_catalog(
+            vec![("x", Column::from_vec(xs)), ("y", Column::from_vec(ys))],
+            2,
+        );
+        assert_eq!(
+            agg_row(&cat, "SELECT SUM(x), SUM(y), AVG(x) FROM v"),
+            vec![
+                Value::F64(seq_x),
+                Value::F64(seq_y),
+                Value::F64(seq_x / 6.0)
+            ]
+        );
+    }
+
+    #[test]
+    fn dictionary_encoded_float_aggregates_match_plain() {
+        let xs: Vec<f64> = (0..1000)
+            .map(|i| ((i * 37) % 101) as f64 * 0.5 - 20.0)
+            .collect();
+        let mut cat = chunked_catalog(vec![("x", Column::from_vec(xs.clone()))], 256);
+        let dict = cat
+            .get("v")
+            .unwrap()
+            .table
+            .with_dictionary_encoding(&[1])
+            .unwrap();
+        cat.register("v_dict", dict);
+        let kept = &xs[100..900];
+        let sum = kept.iter().fold(0.0f64, |a, &v| a + v);
+        let expected = vec![
+            Value::F64(sum),
+            Value::F64(kept.iter().copied().fold(f64::INFINITY, f64::min)),
+            Value::F64(kept.iter().copied().fold(f64::NEG_INFINITY, f64::max)),
+            Value::F64(sum / 800.0),
+            Value::U64(800),
+        ];
+        for table in ["v", "v_dict"] {
+            let sql = format!(
+                "SELECT SUM(x), MIN(x), MAX(x), AVG(x), COUNT(*) FROM {table} \
+                 WHERE id >= 100 AND id < 900"
+            );
+            assert_eq!(agg_row(&cat, &sql), expected, "{table}");
+        }
+    }
+
+    #[test]
+    fn aggregates_over_pruned_chunks_return_the_empty_values() {
+        let cat = catalog();
+        let where_ = "FROM t WHERE big > 100000";
+        let ctx = make_ctx(JitMode::Off);
+        let sql = format!("SELECT COUNT(*), SUM(big), SUM(f), AVG(big), MIN(big), MAX(f) {where_}");
+        let p = optimize(plan(&parse(&sql).unwrap(), &cat).unwrap());
+        let QueryResult::Rows { rows, .. } = execute(&p, &ctx).unwrap() else {
+            panic!("rows expected")
+        };
+        assert_eq!(
+            rows,
+            vec![vec![
+                Value::U64(0),
+                Value::I64(0),
+                Value::I64(0),
+                Value::F64(0.0),
+                Value::I64(0),
+                Value::I64(0),
+            ]]
+        );
+        assert_eq!(ctx.chunks_scanned.load(Ordering::Relaxed), 0);
+        assert_eq!(ctx.chunks_pruned.load(Ordering::Relaxed), 4);
+        assert_eq!(
+            run(&format!("SELECT COUNT(*) {where_}"), JitMode::Off),
+            QueryResult::Count(0)
+        );
+    }
+
+    #[test]
+    fn count_star_next_to_other_aggregates_counts_the_survivors() {
+        let keep = |i: usize| i % 4 == 1 && (i as i64 - 500) < 200;
+        let sum: i64 = (0..1000)
+            .filter(|&i| keep(i))
+            .map(|i| (i % 10) as i64)
+            .sum();
+        assert_eq!(
+            agg_row(
+                &catalog(),
+                "SELECT SUM(a), COUNT(*), MAX(b) FROM t WHERE b = 1 AND big < 200"
+            ),
+            vec![
+                Value::I64(sum),
+                Value::U64(expected_count(keep)),
+                Value::U32(1)
+            ]
+        );
+    }
+
+    #[test]
+    fn integer_sum_overflow_is_an_error_naming_the_aggregate() {
+        let cat = chunked_catalog(
+            vec![
+                ("big", Column::from_vec(vec![i64::MAX, i64::MAX, -3])),
+                ("wide", Column::from_vec(vec![u64::MAX, 1u64 << 63, 8])),
+            ],
+            2,
+        );
+        let prepare = |sql: &str| optimize(plan(&parse(sql).unwrap(), &cat).unwrap());
+        let overflows = [
+            (
+                "SELECT SUM(big) FROM v",
+                "sum(big)",
+                2 * i64::MAX as i128 - 3,
+            ),
+            (
+                "SELECT SUM(wide) FROM v",
+                "sum(wide)",
+                u64::MAX as i128 + (1i128 << 63) + 8,
+            ),
+        ];
+        for (sql, aggregate, exact) in overflows {
+            for jit in [JitMode::Off, JitMode::On] {
+                let err = execute(&prepare(sql), &make_ctx(jit)).unwrap_err();
+                assert_eq!(
+                    err,
+                    ExecError::SumOverflow {
+                        aggregate: aggregate.into(),
+                        exact
+                    }
+                );
+                assert!(err.to_string().contains(aggregate), "{err}");
+            }
+        }
+        // Sums in range, and AVG over the same values, still answer.
+        assert_eq!(
+            agg_row(
+                &cat,
+                "SELECT SUM(big), AVG(big), SUM(wide) FROM v WHERE id = 2"
+            ),
+            vec![Value::I64(-3), Value::F64(-3.0), Value::I64(8)]
+        );
+        // A shared pass fails only the overflowing statement.
+        let (bad, good) = (prepare(overflows[0].0), prepare("SELECT MAX(wide) FROM v"));
+        let results = execute_shared(&[&bad, &good], &make_ctx(JitMode::Off)).unwrap();
+        assert!(
+            matches!(results[0], Err(ExecError::SumOverflow { .. })),
+            "{results:?}"
+        );
+        assert_eq!(
+            results[1],
+            Ok(QueryResult::Rows {
+                columns: vec!["max(wide)".into()],
+                rows: vec![vec![Value::U64(u64::MAX)]],
+            })
+        );
+    }
+
+    #[test]
+    fn explain_analyze_reports_post_scan_work() {
+        let cat = catalog();
+        let ctx = make_ctx(JitMode::Off);
+        let analyze = |sql: &str| {
+            let p = optimize(plan(&parse(sql).unwrap(), &cat).unwrap());
+            execute_analyzed(&p, &ctx).unwrap().1
+        };
+        let expected = expected_count(|i| i % 10 == 5 && i % 4 == 1);
+        let report = analyze("SELECT SUM(big), MAX(f) FROM t WHERE a = 5 AND b = 1");
+        assert_eq!(report.aggregate.rows, expected);
+        let text = report.render(10.0);
+        assert!(
+            text.contains(&format!("aggregate: rows={expected}  aggregates=2  wall=")),
+            "{text}"
+        );
+        assert!(!text.contains("materialize:"), "{text}");
+        // A lone COUNT(*) counts in the scan and folds nothing.
+        let report = analyze("SELECT COUNT(*) FROM t WHERE a = 5 AND b = 1");
+        assert!(!report.render(10.0).contains("aggregate:"));
+        let report = analyze("SELECT a, big FROM t WHERE a = 5 AND b = 1 LIMIT 7");
+        assert_eq!(report.materialize.rows, 7);
+        let text = report.render(10.0);
+        assert!(
+            text.contains("materialize: rows=7  columns=2  wall="),
+            "{text}"
+        );
+        assert!(!text.contains("aggregate:"), "{text}");
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //! depth) returns through SQL exactly the rows that a row-at-a-time walk
 //! of the same tree over the plain column vectors returns
 //! ([`reference_scan_bool`]) — whatever layout each `u32` column is
-//! stored in, with the JIT on or off, for `COUNT(*)` and for a
-//! projection's rows in order. The trees reach every way the executor runs
+//! stored in, with the JIT on or off, for `COUNT(*)`, for a projection's
+//! rows in order, and for `COUNT(*), SUM, MIN, MAX, AVG` of a random
+//! column, which must equal a fold over the plain vectors of those rows,
+//! alone and inside one shared batch pass. The trees reach every way the executor runs
 //! a `WHERE` clause: a conjunctive chain, a factored mask-union of fused
 //! sub-chains, and the row-wise `FilterTree` past `MAX_DNF_DISJUNCTS`
 //! disjuncts. Tables span several small chunks, so calibration probes a
@@ -73,6 +75,45 @@ impl Data {
             c if c < U32_COLUMNS => self.u32s[c][row] as i128,
             4 => self.big[row] as i128,
             _ => self.wide[row] as i128,
+        }
+    }
+
+    /// A value of column `col` as the engine types it.
+    fn typed(col: usize, v: i128) -> Value {
+        match col {
+            c if c < U32_COLUMNS => Value::U32(v as u32),
+            4 => Value::I64(v as i64),
+            _ => Value::U64(v as u64),
+        }
+    }
+
+    /// `COUNT(*), SUM(x), MIN(x), MAX(x), AVG(x)` over `rows`, folded over
+    /// the plain vectors. An empty input gives SUM 0, AVG 0.0, MIN/MAX 0.
+    fn aggregates(&self, x: usize, rows: &[u32]) -> QueryResult {
+        let values: Vec<i128> = rows.iter().map(|&r| self.value(x, r as usize)).collect();
+        let sum: i128 = values.iter().sum();
+        let extreme = |v: Option<&i128>| v.map_or(Value::I64(0), |&v| Data::typed(x, v));
+        let avg = if values.is_empty() {
+            0.0
+        } else {
+            sum as f64 / values.len() as f64
+        };
+        let name = NAMES[x];
+        QueryResult::Rows {
+            columns: vec![
+                "count(*)".to_string(),
+                format!("sum({name})"),
+                format!("min({name})"),
+                format!("max({name})"),
+                format!("avg({name})"),
+            ],
+            rows: vec![vec![
+                Value::U64(values.len() as u64),
+                Value::I64(i64::try_from(sum).expect("test sums fit i64")),
+                extreme(values.iter().min()),
+                extreme(values.iter().max()),
+                Value::F64(avg),
+            ]],
         }
     }
 
@@ -192,16 +233,35 @@ fn where_sql(e: &BoolExpr<Leaf>) -> String {
     }
 }
 
-/// Run `COUNT(*)` and `SELECT id` for the tree on both JIT modes and check
-/// them against the oracle.
+/// The aggregate statement the oracle's [`Data::aggregates`] answers.
+fn aggregates_sql(x: usize, clause: &str) -> String {
+    let name = NAMES[x];
+    format!(
+        "SELECT COUNT(*), SUM({name}), MIN({name}), MAX({name}), AVG({name}) FROM t WHERE {clause}"
+    )
+}
+
+/// Run `COUNT(*)`, `SELECT id` and the aggregates of columns `xs` for the
+/// tree on both JIT modes, one statement at a time and then all together
+/// as one shared batch pass, and check them against the oracle.
 fn check(
     data: &Data,
     table: &Table,
     layouts: &str,
     expr: &BoolExpr<Leaf>,
+    xs: [usize; 2],
 ) -> Result<(), TestCaseError> {
     let expected = reference_scan_bool(expr, data.rows(), |l, row| l.holds(data, row));
     let clause = where_sql(expr);
+    let aggregates: Vec<(String, QueryResult)> = xs
+        .iter()
+        .map(|&x| {
+            (
+                aggregates_sql(x, &clause),
+                data.aggregates(x, expected.as_slice()),
+            )
+        })
+        .collect();
     for jit in [JitMode::Off, JitMode::On] {
         let engine = Engine::with_jit(jit);
         engine.register("t", table.clone());
@@ -226,8 +286,42 @@ fn check(
                 .collect(),
         };
         prop_assert_eq!(got, want, "layouts [{}] {:?}: {}", layouts, jit, sql);
+        for (sql, want) in &aggregates {
+            let got = engine.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            prop_assert_eq!(&got, want, "layouts [{}] {:?}: {}", layouts, jit, sql);
+        }
+
+        // The same statements as one shared pass.
+        let count = (
+            format!("SELECT COUNT(*) FROM t WHERE {clause}"),
+            QueryResult::Count(expected.len() as u64),
+        );
+        let batch: Vec<&(String, QueryResult)> =
+            std::iter::once(&count).chain(&aggregates).collect();
+        let prepared: Vec<_> = batch
+            .iter()
+            .map(|(sql, _)| engine.prepare(sql).unwrap())
+            .collect();
+        let (results, shared) = engine.execute_batch(&prepared.iter().collect::<Vec<_>>());
+        prop_assert!(shared, "layouts [{}] {:?}: no shared pass", layouts, jit);
+        for ((sql, want), got) in batch.into_iter().zip(results) {
+            let got = got.unwrap_or_else(|e| panic!("shared {sql}: {e}"));
+            prop_assert_eq!(
+                &got,
+                want,
+                "shared, layouts [{}] {:?}: {}",
+                layouts,
+                jit,
+                sql
+            );
+        }
     }
     Ok(())
+}
+
+/// Two aggregate argument columns, each drawn from every column.
+fn random_xs(g: &mut Gen) -> [usize; 2] {
+    [0, 1].map(|_| g.below(NAMES.len() as u64) as usize)
 }
 
 proptest! {
@@ -243,7 +337,8 @@ proptest! {
         let data = Data::random(&mut g, rows);
         let (table, layouts) = data.table(&mut g);
         let expr = random_tree(&mut g, depth, rows);
-        check(&data, &table, &layouts, &expr)?;
+        let xs = random_xs(&mut g);
+        check(&data, &table, &layouts, &expr, xs)?;
     }
 
     /// An AND of six two-leaf ORs has 2^6 disjuncts, past the DNF cap:
@@ -270,7 +365,8 @@ proptest! {
             .explain(&format!("SELECT COUNT(*) FROM t WHERE {}", where_sql(&expr)))
             .unwrap();
         prop_assert!(plan.contains("FilterTree"), "{}", plan);
-        check(&data, &table, &layouts, &expr)?;
+        let xs = random_xs(&mut g);
+        check(&data, &table, &layouts, &expr, xs)?;
     }
 }
 

@@ -444,3 +444,38 @@ fn oversized_result_gets_an_error_frame_and_the_connection_survives() {
     assert_eq!(ask("PING"), Response::Ok("pong".into()));
     assert!(ask("SELECT COUNT(*) FROM wide").is_ok());
 }
+
+/// An integer SUM whose exact total leaves the `i64` range is answered
+/// with an `E` frame naming the aggregate, not a clamped number, and the
+/// server keeps serving.
+#[test]
+fn sum_overflow_gets_an_error_frame() {
+    let engine = Engine::new();
+    engine.register(
+        "huge",
+        Table::from_chunked_columns(
+            vec![
+                ColumnDef::new("big", DataType::I64),
+                ColumnDef::new("wide", DataType::U64),
+            ],
+            vec![
+                Column::from_vec(vec![i64::MAX, i64::MAX, -3]),
+                Column::from_vec(vec![u64::MAX, 1 << 63, 8]),
+            ],
+            2,
+        )
+        .expect("huge table"),
+    );
+    let (_server, addr) = serve(engine, ServerConfig::default());
+    for aggregate in ["sum(big)", "sum(wide)"] {
+        let resp = roundtrip(addr, &format!("SELECT {aggregate} FROM huge"));
+        assert!(!resp.is_ok(), "{aggregate}: {}", resp.body());
+        assert!(
+            resp.body().contains(aggregate) && resp.body().contains("overflows i64"),
+            "{}",
+            resp.body()
+        );
+    }
+    assert!(roundtrip(addr, "SELECT AVG(big), MAX(wide) FROM huge").is_ok());
+    assert_eq!(roundtrip(addr, "PING"), Response::Ok("pong".into()));
+}
