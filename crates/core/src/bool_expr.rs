@@ -1,53 +1,26 @@
 //! Boolean predicate trees over scan predicates — AND/OR/NOT — and their
-//! normalization into the disjunction-of-fused-chains form the engine
-//! executes.
+//! negation normal form.
 //!
 //! The paper's fused kernels evaluate *conjunctive* chains: one driver
 //! predicate streaming all rows and follow-up stages gathering survivors.
 //! This module generalizes the IR to arbitrary boolean trees without
-//! touching the kernels, following the recipe of Kim, Ileri and Madden
-//! (*Optimizing Query Predicates with Disjunctions for Column-Oriented
-//! Engines*, see PAPERS.md):
+//! touching the kernels. The binder normalizes every WHERE clause to
+//! **NNF** ([`BoolExpr::to_nnf`]): De Morgan's laws push each `NOT` down to
+//! a leaf, where it disappears into the complemented comparison operator
+//! ([`fts_storage::CmpOp::negate`]). That is exact on totally ordered
+//! domains; on float columns a NaN row fails both `p` and `¬p`, so the SQL
+//! layer documents `NOT` over floats as using operator negation (NaN rows
+//! never match either side).
 //!
-//! 1. **NNF** — push `NOT` down to the leaves with De Morgan's laws and
-//!    eliminate it there by negating the comparison operator
-//!    ([`fts_storage::CmpOp::negate`]). Exact on totally ordered domains;
-//!    on float columns a NaN row fails both `p` and `¬p`, so the SQL layer
-//!    documents `NOT` over floats as using operator negation (NaN rows
-//!    never match either side).
-//! 2. **DNF** — distribute AND over OR into a disjunction of conjunctive
-//!    chains, each of which the existing fused kernels (and the JIT) can
-//!    run unchanged. Expansion is capped ([`MAX_DNF_DISJUNCTS`]) because
-//!    DNF can be exponential; past the cap the caller evaluates the tree
-//!    row at a time instead.
-//! 3. **Common-prefix factoring** — predicates present in *every* disjunct
-//!    are hoisted into a shared prefix chain that runs once:
-//!    `(p ∧ A) ∨ (p ∧ B) = p ∧ (A ∨ B)`. The factored prefix both saves
-//!    work and gives every disjunct the same (smaller) candidate set.
-//! 4. **Selectivity-driven ordering** — within a conjunct, most-selective
-//!    predicate first (the usual chain rule); across disjuncts,
-//!    *least*-selective first so the running union saturates early and the
-//!    remaining disjuncts can be skipped once every row is covered.
-//!
-//! The query executor runs the factored form as mask combination over
-//! position lists: each conjunct is a fused sub-chain producing a
-//! [`PosList`], the disjunct lists are merged with [`PosList::union`], and
-//! a factored prefix is re-applied with [`PosList::intersect`]. DESIGN.md
-//! §6 documents the IR grammar and these semantics.
-//!
-//! [`PosList`]: fts_storage::PosList
-//! [`PosList::union`]: fts_storage::PosList::union
-//! [`PosList::intersect`]: fts_storage::PosList::intersect
-
-use std::collections::HashSet;
-use std::hash::Hash;
+//! The query executor runs the NNF tree as **one driver plus a filter
+//! tree**, following Kim, Ileri and Madden (*Optimizing Query Predicates
+//! with Disjunctions for Column-Oriented Engines*, see PAPERS.md): the
+//! root's leaf conjuncts drive one fused kernel scan per chunk, and every
+//! other node filters that driver's survivors, each OR child seeing only
+//! the positions no earlier child accepted. DESIGN.md §6 documents the IR
+//! grammar and these semantics.
 
 use fts_storage::Value;
-
-/// Cap on the number of disjuncts produced by [`BoolExpr::to_dnf`]. DNF
-/// expansion of `(a1 ∨ b1) ∧ … ∧ (an ∨ bn)` is `2^n`; past this bound the
-/// planner keeps the tree form and evaluates it row-at-a-time instead.
-pub const MAX_DNF_DISJUNCTS: usize = 32;
 
 /// A boolean expression tree over leaf predicates of type `P`.
 ///
@@ -66,28 +39,6 @@ pub enum BoolExpr<P> {
     /// Logical negation.
     Not(Box<BoolExpr<P>>),
 }
-
-/// Why a tree could not be normalized to DNF.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DnfError {
-    /// Expansion would exceed the disjunct cap passed to
-    /// [`BoolExpr::to_dnf`].
-    TooManyDisjuncts,
-    /// A `Not` node survived to DNF conversion — call
-    /// [`BoolExpr::to_nnf`] first.
-    NotInNnf,
-}
-
-impl std::fmt::Display for DnfError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DnfError::TooManyDisjuncts => write!(f, "DNF expansion exceeds the disjunct cap"),
-            DnfError::NotInNnf => write!(f, "tree contains NOT; normalize to NNF first"),
-        }
-    }
-}
-
-impl std::error::Error for DnfError {}
 
 impl<P> BoolExpr<P> {
     /// A leaf.
@@ -220,60 +171,6 @@ impl<P> BoolExpr<P> {
             }
         }
     }
-
-    /// Distribute the (NNF) tree into disjunctive normal form: a list of
-    /// conjunctive chains whose union is the tree's match set. Fails with
-    /// [`DnfError::TooManyDisjuncts`] once more than `max_disjuncts`
-    /// chains would be produced, and with [`DnfError::NotInNnf`] if a
-    /// `Not` node is encountered.
-    pub fn to_dnf(&self, max_disjuncts: usize) -> Result<Dnf<P>, DnfError>
-    where
-        P: Clone,
-    {
-        Ok(Dnf {
-            disjuncts: self.dnf_inner(max_disjuncts)?,
-        })
-    }
-
-    fn dnf_inner(&self, cap: usize) -> Result<Vec<Vec<P>>, DnfError>
-    where
-        P: Clone,
-    {
-        match self {
-            BoolExpr::Pred(p) => Ok(vec![vec![p.clone()]]),
-            BoolExpr::Not(_) => Err(DnfError::NotInNnf),
-            BoolExpr::Or(cs) => {
-                let mut out = Vec::new();
-                for c in cs {
-                    out.extend(c.dnf_inner(cap)?);
-                    if out.len() > cap {
-                        return Err(DnfError::TooManyDisjuncts);
-                    }
-                }
-                Ok(out)
-            }
-            BoolExpr::And(cs) => {
-                // Cross product of the children's disjunct lists.
-                let mut acc: Vec<Vec<P>> = vec![vec![]];
-                for c in cs {
-                    let child = c.dnf_inner(cap)?;
-                    if acc.len().saturating_mul(child.len()) > cap {
-                        return Err(DnfError::TooManyDisjuncts);
-                    }
-                    let mut next = Vec::with_capacity(acc.len() * child.len());
-                    for a in &acc {
-                        for d in &child {
-                            let mut merged = a.clone();
-                            merged.extend(d.iter().cloned());
-                            next.push(merged);
-                        }
-                    }
-                    acc = next;
-                }
-                Ok(acc)
-            }
-        }
-    }
 }
 
 fn flatten_and<P>(kids: impl Iterator<Item = BoolExpr<P>>) -> Vec<BoolExpr<P>> {
@@ -298,152 +195,9 @@ fn flatten_or<P>(kids: impl Iterator<Item = BoolExpr<P>>) -> Vec<BoolExpr<P>> {
     out
 }
 
-/// A tree in disjunctive normal form: the union of conjunctive chains.
-/// An empty conjunct is `true`; an empty disjunct list is `false`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Dnf<P> {
-    /// The conjunctive chains whose union is the match set.
-    pub disjuncts: Vec<Vec<P>>,
-}
-
-impl<P> Dnf<P> {
-    /// Whether the disjunction is the constant `false` (no disjuncts).
-    pub fn is_false(&self) -> bool {
-        self.disjuncts.is_empty()
-    }
-
-    /// Estimated selectivity of the whole disjunction under the
-    /// independence assumption: `1 - Π(1 - sel(conjunct))`, where each
-    /// conjunct's selectivity is the product of its predicates'. Clamped
-    /// to `[0, 1]`; overlapping disjuncts make this an upper bound.
-    pub fn selectivity(&self, sel: &impl Fn(&P) -> f64) -> f64 {
-        let mut none_match = 1.0f64;
-        for d in &self.disjuncts {
-            none_match *= 1.0 - conjunct_selectivity(d, sel);
-        }
-        (1.0 - none_match).clamp(0.0, 1.0)
-    }
-
-    /// Selectivity-driven ordering (the Kim et al. cost model with
-    /// selectivity as the per-chain cost proxy): within each conjunct the
-    /// most selective predicate runs first (it becomes the fused chain's
-    /// driver and shrinks every later gather stage); across disjuncts the
-    /// *least* selective chain runs first so the running
-    /// [`fts_storage::PosList::union`] saturates as early as possible and
-    /// remaining disjuncts can be skipped once every candidate row is
-    /// covered.
-    /// Sorting is stable, so equal-selectivity entries keep plan order.
-    pub fn order_by_selectivity(&mut self, sel: &impl Fn(&P) -> f64) {
-        for d in &mut self.disjuncts {
-            d.sort_by(|a, b| sel(a).total_cmp(&sel(b)));
-        }
-        self.disjuncts
-            .sort_by(|a, b| conjunct_selectivity(b, sel).total_cmp(&conjunct_selectivity(a, sel)));
-    }
-
-    /// Hoist predicates present in **every** disjunct into a shared prefix
-    /// chain: `(p ∧ A) ∨ (p ∧ B) = p ∧ (A ∨ B)`. Predicates are matched
-    /// by `key` (e.g. `(column, op, literal)` — the same identity a JIT
-    /// sub-chain signature uses), and one occurrence is removed from each
-    /// disjunct. If factoring empties a disjunct the residual disjunction
-    /// is a tautology, so the result carries no disjuncts at all
-    /// (`p ∨ (p ∧ B) = p`). A single-conjunct DNF becomes pure prefix.
-    ///
-    /// # Panics
-    /// On a constant-`false` DNF (no disjuncts): the planner never builds
-    /// one — every WHERE tree has at least one leaf.
-    pub fn factor<K: Eq + Hash>(self, key: &impl Fn(&P) -> K) -> FactoredDnf<P> {
-        assert!(!self.is_false(), "cannot factor a constant-false DNF");
-        if self.disjuncts.len() == 1 {
-            return FactoredDnf {
-                prefix: self.disjuncts.into_iter().next().unwrap(),
-                disjuncts: Vec::new(),
-            };
-        }
-        let mut shared: HashSet<K> = self.disjuncts[0].iter().map(key).collect();
-        for d in &self.disjuncts[1..] {
-            let here: HashSet<K> = d.iter().map(key).collect();
-            shared.retain(|k| here.contains(k));
-        }
-        if shared.is_empty() {
-            return FactoredDnf {
-                prefix: Vec::new(),
-                disjuncts: self.disjuncts,
-            };
-        }
-        let mut prefix = Vec::new();
-        let mut rest = Vec::with_capacity(self.disjuncts.len());
-        let mut tautology = false;
-        for (i, d) in self.disjuncts.into_iter().enumerate() {
-            let mut remaining = Vec::with_capacity(d.len());
-            let mut taken: HashSet<K> = HashSet::new();
-            for p in d {
-                let k = key(&p);
-                if shared.contains(&k) && !taken.contains(&k) {
-                    // First disjunct donates the hoisted instances.
-                    taken.insert(k);
-                    if i == 0 {
-                        prefix.push(p);
-                    }
-                } else {
-                    remaining.push(p);
-                }
-            }
-            tautology |= remaining.is_empty();
-            rest.push(remaining);
-        }
-        FactoredDnf {
-            prefix,
-            disjuncts: if tautology { Vec::new() } else { rest },
-        }
-    }
-}
-
-fn conjunct_selectivity<P>(conjunct: &[P], sel: &impl Fn(&P) -> f64) -> f64 {
-    conjunct.iter().map(sel).product::<f64>().clamp(0.0, 1.0)
-}
-
-/// A factored DNF: `prefix ∧ (d₁ ∨ d₂ ∨ …)`, where an empty disjunct list
-/// means `true` (the prefix alone decides). This is the execution plan of
-/// a boolean scan: the prefix chain runs once, each disjunct chain runs
-/// against the full chunk, and the results combine as
-/// `prefix ∩ (d₁ ∪ d₂ ∪ …)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FactoredDnf<P> {
-    /// Predicates common to every disjunct, hoisted to run once.
-    pub prefix: Vec<P>,
-    /// The per-disjunct residual chains (empty ⇒ `true`).
-    pub disjuncts: Vec<Vec<P>>,
-}
-
-impl<P> FactoredDnf<P> {
-    /// Row-at-a-time evaluation of the factored form (for differential
-    /// tests against the original tree).
-    pub fn matches(&self, leaf: &mut impl FnMut(&P) -> bool) -> bool {
-        self.prefix.iter().all(&mut *leaf)
-            && (self.disjuncts.is_empty()
-                || self.disjuncts.iter().any(|d| d.iter().all(&mut *leaf)))
-    }
-
-    /// Estimated selectivity: prefix product × disjunction union estimate.
-    pub fn selectivity(&self, sel: &impl Fn(&P) -> f64) -> f64 {
-        let disj = if self.disjuncts.is_empty() {
-            1.0
-        } else {
-            let mut none_match = 1.0f64;
-            for d in &self.disjuncts {
-                none_match *= 1.0 - conjunct_selectivity(d, sel);
-            }
-            (1.0 - none_match).clamp(0.0, 1.0)
-        };
-        (conjunct_selectivity(&self.prefix, sel) * disj).clamp(0.0, 1.0)
-    }
-}
-
 /// Stable 64-bit key bits for a literal [`Value`] — float literals key by
 /// IEEE bit pattern, integers by their zero/sign-extended bits. Used to
-/// build hashable sub-chain identities (factoring keys, calibrator keys)
-/// from predicates whose literal type is not itself `Hash`.
+/// build hashable chain identities (calibrator keys) from predicates whose literal type is not itself `Hash`.
 pub fn value_key_bits(v: Value) -> u64 {
     match v {
         Value::I8(x) => x as u8 as u64,
@@ -503,100 +257,6 @@ mod tests {
             e.to_nnf(&|p| p),
             BoolExpr::And(vec![leaf(1), leaf(2), leaf(3)])
         );
-    }
-
-    #[test]
-    fn dnf_distributes_and_over_or() {
-        // (1 ∨ 2) ∧ 3 = (1 ∧ 3) ∨ (2 ∧ 3).
-        let e = BoolExpr::and(vec![BoolExpr::or(vec![leaf(1), leaf(2)]), leaf(3)]);
-        let dnf = e.to_dnf(16).unwrap();
-        assert_eq!(dnf.disjuncts, vec![vec![1, 3], vec![2, 3]]);
-    }
-
-    #[test]
-    fn dnf_cap_and_nnf_requirement() {
-        // (1∨2) ∧ (3∨4) ∧ (5∨6) has 8 disjuncts — a cap of 4 rejects it.
-        let e = BoolExpr::and(vec![
-            BoolExpr::or(vec![leaf(1), leaf(2)]),
-            BoolExpr::or(vec![leaf(3), leaf(4)]),
-            BoolExpr::or(vec![leaf(5), leaf(6)]),
-        ]);
-        assert_eq!(e.to_dnf(4), Err(DnfError::TooManyDisjuncts));
-        assert_eq!(e.to_dnf(8).unwrap().disjuncts.len(), 8);
-        assert_eq!(BoolExpr::not(leaf(1)).to_dnf(4), Err(DnfError::NotInNnf));
-    }
-
-    #[test]
-    fn factor_hoists_common_prefix() {
-        // (1∧2) ∨ (1∧3): 1 is shared.
-        let dnf = Dnf {
-            disjuncts: vec![vec![1, 2], vec![1, 3]],
-        };
-        let f = dnf.factor(&|&p| p);
-        assert_eq!(f.prefix, vec![1]);
-        assert_eq!(f.disjuncts, vec![vec![2], vec![3]]);
-    }
-
-    #[test]
-    fn factor_detects_tautology_and_single_conjunct() {
-        // 1 ∨ (1∧2) = 1.
-        let dnf = Dnf {
-            disjuncts: vec![vec![1], vec![1, 2]],
-        };
-        let f = dnf.factor(&|&p| p);
-        assert_eq!(f.prefix, vec![1]);
-        assert!(f.disjuncts.is_empty());
-
-        let single = Dnf {
-            disjuncts: vec![vec![4, 5]],
-        };
-        let f = single.factor(&|&p| p);
-        assert_eq!(f.prefix, vec![4, 5]);
-        assert!(f.disjuncts.is_empty());
-    }
-
-    #[test]
-    fn factored_matches_agrees_with_tree() {
-        let e = BoolExpr::or(vec![
-            BoolExpr::and(vec![leaf(1), leaf(2)]),
-            BoolExpr::and(vec![leaf(1), leaf(3)]),
-        ]);
-        let f = e.to_dnf(16).unwrap().factor(&|&p| p);
-        for bits in 0u32..16 {
-            let mut truth = |p: &u32| bits & (1 << (p - 1)) != 0;
-            assert_eq!(e.eval(&mut truth), f.matches(&mut truth), "bits={bits:04b}");
-        }
-    }
-
-    #[test]
-    fn ordering_sorts_disjuncts_and_conjuncts() {
-        let mut dnf = Dnf {
-            disjuncts: vec![vec![1, 2], vec![3]],
-        };
-        // sel: 1→0.9, 2→0.1, 3→0.5; conjunct sels: 0.09 and 0.5.
-        let sel = |p: &u32| match p {
-            1 => 0.9,
-            2 => 0.1,
-            _ => 0.5,
-        };
-        dnf.order_by_selectivity(&sel);
-        // Least selective disjunct first; most selective pred first inside.
-        assert_eq!(dnf.disjuncts, vec![vec![3], vec![2, 1]]);
-        assert!((dnf.selectivity(&sel) - (1.0 - 0.5 * 0.91)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn selectivity_estimates_clamp() {
-        let dnf = Dnf {
-            disjuncts: vec![vec![1], vec![2], vec![3]],
-        };
-        assert!((dnf.selectivity(&|_| 1.0) - 1.0).abs() < f64::EPSILON);
-        assert!((dnf.selectivity(&|_| 0.0)).abs() < f64::EPSILON);
-        let f = FactoredDnf {
-            prefix: vec![1],
-            disjuncts: vec![],
-        };
-        assert!((f.selectivity(&|_| 0.25) - 0.25).abs() < f64::EPSILON);
     }
 
     #[test]

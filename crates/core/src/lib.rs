@@ -16,8 +16,8 @@
 //! * [`engine`] — runtime dispatch over ISA, element type, register width
 //!   and output mode; the API the query layer and benchmarks call.
 //! * [`bool_expr`] — the boolean predicate tree IR (AND/OR/NOT) and its
-//!   normalization to a factored disjunction of conjunctive sub-chains
-//!   (NNF → DNF → prefix factoring); `fts-query`'s executor runs it.
+//!   negation normal form; `fts-query`'s executor runs it as one driver
+//!   plus a filter tree.
 //! * [`adaptive`] — the plan-time cost model and the calibration state
 //!   machine that `fts-query`'s executor drives, one chunk per probe.
 //! * [`pred`], [`telemetry`] — predicate and output types; per-stage scan
@@ -46,7 +46,7 @@ pub use adaptive::{
     CalibrationReport, Calibrator, CandidateStats, ChainProfile, CostEstimate, Encoding, Phase,
     PredProfile, RankedKernel,
 };
-pub use bool_expr::{value_key_bits, BoolExpr, Dnf, DnfError, FactoredDnf, MAX_DNF_DISJUNCTS};
+pub use bool_expr::{value_key_bits, BoolExpr};
 pub use engine::{
     best_fused_impl, run_fused_auto, run_scan, run_scan_telemetered, scan_columns_auto,
     scan_columns_auto_telemetered, EngineError, RegWidth, ScanElem, ScanImpl,

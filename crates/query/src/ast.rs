@@ -10,7 +10,7 @@
 //! where `expr` is a boolean tree over `col OP literal` /
 //! `col BETWEEN lo AND hi` atoms combined with `AND`, `OR`, `NOT` and
 //! parentheses (precedence `NOT` > `AND` > `OR`). This is the shape of the
-//! paper's motivating query (§II) generalized to the disjunctive chains of
+//! paper's motivating query (§II) generalized to the boolean trees of
 //! DESIGN.md §6, plus enough projection support for the examples.
 
 use fts_core::BoolExpr;

@@ -375,10 +375,7 @@ fn count_preds(plan: &Lqp) -> usize {
     let own = match plan {
         Lqp::Filter { .. } => 1,
         Lqp::FusedFilterChain { preds, .. } => preds.len(),
-        Lqp::FusedBoolScan {
-            prefix, disjuncts, ..
-        } => prefix.len() + disjuncts.iter().map(Vec::len).sum::<usize>(),
-        Lqp::FilterTree { .. } => 1,
+        Lqp::FilterTree { expr, .. } => expr.leaf_count(),
         _ => 0,
     };
     own + plan.input().map(count_preds).unwrap_or(0)
@@ -590,6 +587,59 @@ mod tests {
             .prepare("EXPLAIN SELECT COUNT(*) FROM t WHERE a = 5")
             .unwrap();
         assert!(explain.is_explain() && !explain.is_shareable());
+    }
+
+    #[test]
+    fn filter_tree_cost_counts_every_leaf() {
+        let engine = engine();
+        // An AND of six two-leaf ORs reads twelve predicate columns.
+        let clauses: Vec<String> = (0..6)
+            .map(|k| format!("(a = {k} OR b = {})", k % 4))
+            .collect();
+        let sql = format!("SELECT COUNT(*) FROM t WHERE {}", clauses.join(" AND "));
+        assert_eq!(engine.prepare(&sql).unwrap().cost_bytes(), 1000 * 12 * 4);
+        let chain = engine
+            .prepare("SELECT COUNT(*) FROM t WHERE a = 1 AND b = 2")
+            .unwrap();
+        assert_eq!(chain.cost_bytes(), 1000 * 2 * 4);
+    }
+
+    #[test]
+    fn calibration_registry_stays_bounded_under_fresh_literals() {
+        use crate::executor::CALIBRATION_CAPACITY;
+        let engine = Engine::with_jit(JitMode::Off);
+        // One chunk: each statement feeds its chain's calibrator one probe.
+        engine.register(
+            "one",
+            Table::from_columns(
+                vec![
+                    ColumnDef::new("a", DataType::U32),
+                    ColumnDef::new("b", DataType::U32),
+                ],
+                vec![
+                    Column::from_fn(2000, |i| (i % 1000) as u32),
+                    Column::from_fn(2000, |i| (i % 4) as u32),
+                ],
+            )
+            .unwrap(),
+        );
+        let probes = |sql: &str| -> u64 {
+            let (_, report) = engine.query_analyzed(sql).unwrap();
+            let decision = report.adaptive.expect("a u32 chain calibrates");
+            decision.probed.iter().map(|p| p.1).sum()
+        };
+        let chain = "SELECT COUNT(*) FROM one WHERE a = 1 AND b = 1";
+        let fresh = probes(chain);
+        assert!(probes(chain) > fresh, "state persists between statements");
+        for k in 0..10_000u32 {
+            let sql = format!("SELECT COUNT(*) FROM one WHERE a < {k}");
+            let want = 2 * u64::from(k.min(1000));
+            assert_eq!(engine.query(&sql).unwrap(), QueryResult::Count(want));
+            assert!(engine.context().calibration.len() <= CALIBRATION_CAPACITY);
+        }
+        assert_eq!(engine.context().calibration.len(), CALIBRATION_CAPACITY);
+        // The first chain was evicted long ago: it calibrates afresh.
+        assert_eq!(probes(chain), fresh);
     }
 
     #[test]

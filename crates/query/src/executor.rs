@@ -23,6 +23,15 @@
 //! positions and every other predicate **filters the survivors** in chain
 //! order with one typed loop per layout, the paper's gather step.
 //!
+//! A WHERE clause with an OR runs the same way, as **one driver plus a
+//! filter tree** (`TreeNode`, DESIGN.md §6.3): the root's leaf conjuncts
+//! drive, and the rest of the tree filters the driver's survivors. An OR
+//! runs each child only over the candidates no earlier child accepted,
+//! marks what they accept in a per-chunk bitmap and compacts the
+//! candidates by it, so position order holds without a merge. A root OR
+//! has no driver of its own: each child drives over the whole chunk. A
+//! conjunctive chain is the tree's simplest case, a lone driver.
+//!
 //! Aggregates consume a chunk's survivors **one column at a time**: per
 //! aggregate, the argument segment's layout and type are matched once and
 //! one typed loop folds its values at the survivor positions into the
@@ -30,6 +39,7 @@
 //! order, MIN/MAX continuing from the running best). A lone `COUNT(*)`
 //! never leaves count mode.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -38,6 +48,7 @@ use fts_core::adaptive::{
     candidate_scan_impls, estimate_cost, rank_scan_impls, CalibrationConfig, Calibrator,
     ChainProfile, CostEstimate, Encoding, Phase, PredProfile,
 };
+use fts_core::blockwise::Bitmap;
 use fts_core::fused::packed::{fused_scan_packed, packed_kernel_available, PackedPred};
 use fts_core::{
     best_fused_impl, run_fused_auto, run_scan, run_scan_telemetered, scan_columns_auto_telemetered,
@@ -58,7 +69,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::ast::AggFunc;
 use crate::catalog::CatalogEntry;
-use crate::lqp::{chain_text, BoundAgg, BoundPred, Lqp};
+use crate::lqp::{
+    chain_text, conjunction_selectivity, disjunction_selectivity, leaf, pred_text, BoundAgg,
+    BoundPred, Lqp,
+};
 
 /// How scans execute their fused portion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,8 +200,8 @@ pub struct AnalyzeReport {
     /// Chunks actually scanned.
     pub chunks_scanned: u64,
     /// Positions entering phase 2: the driver's survivors that the
-    /// chain's other predicates filter (every row of the chunk when no
-    /// predicate has a kernel, or for a `FilterTree`).
+    /// chain's other predicates, or the rest of a boolean tree, filter
+    /// (every row of the chunk when no predicate has a kernel).
     pub phase2_rows_in: u64,
     /// Positions surviving phase 2.
     pub phase2_rows_out: u64,
@@ -219,11 +233,11 @@ pub struct AnalyzeReport {
     pub packed_kernels: usize,
     /// What the adaptive kernel selector decided (None when the scan ran
     /// on a chain shape the selector does not cover, or adaptivity is off).
-    /// For disjunctive scans the per-sub-chain decisions live in
+    /// For a boolean tree the per-driver decisions live in
     /// [`AnalyzeReport::bool_scan`] instead.
     pub adaptive: Option<AdaptiveDecision>,
-    /// Per-sub-chain statistics of a disjunctive (`FusedBoolScan`)
-    /// statement (None for conjunctive scans).
+    /// Rows in and out per node of a boolean tree (`FilterTree`; None for
+    /// conjunctive chains).
     pub bool_scan: Option<BoolScanReport>,
     /// End-to-end execution wall time (planning excluded).
     pub wall: Duration,
@@ -249,37 +263,40 @@ impl PostScanReport {
     }
 }
 
-/// What a disjunctive scan did, per fused sub-chain (`EXPLAIN ANALYZE`).
+/// What a boolean tree did, per node (`EXPLAIN ANALYZE`), in execution
+/// order.
 #[derive(Debug, Clone, Default)]
 pub struct BoolScanReport {
-    /// The factored common-prefix sub-chain (None when the disjuncts share
-    /// no predicate).
+    /// The root's driver: its leaf conjuncts as one fused chain (None when
+    /// the root has no leaf conjunct, e.g. a root OR).
     pub prefix: Option<SubChainReport>,
-    /// Per-disjunct sub-chain reports, in execution order (least selective
-    /// first).
+    /// Every other node below the root, depth first: the nodes that filter
+    /// the driver's survivors, and the children of a root OR, which each
+    /// drive over the whole chunk.
     pub disjuncts: Vec<SubChainReport>,
-    /// Chunks where the running union saturated (every row already
-    /// matched) and the remaining disjuncts were skipped.
-    pub saturated_chunks: u64,
 }
 
-/// One fused sub-chain of a disjunctive scan.
+/// One node of a boolean tree.
 #[derive(Debug, Clone, Default)]
 pub struct SubChainReport {
-    /// Human-readable chain, e.g. `b = 1 AND c = 2`.
+    /// The node: a chain `b = 1 AND c = 2`, a one-column OR
+    /// `a = 3 OR a = 7`, or `∧` / `∨` for an inner node.
     pub label: String,
-    /// Plan-time selectivity estimate (product over the conjuncts).
+    /// Whether the node is a driver: its chain scans the whole chunk with
+    /// a fused kernel instead of filtering candidates.
+    pub drives: bool,
+    /// Depth below the root (0 for the root's children).
+    pub depth: usize,
+    /// Plan-time selectivity estimate of the node.
     pub expected_selectivity: f64,
-    /// Rows of the chunks this sub-chain actually scanned.
-    pub rows_scanned: u64,
-    /// Positions the sub-chain produced across those chunks.
-    pub rows_matched: u64,
-    /// Chunks this sub-chain skipped (min/max pruning or union
-    /// saturation).
-    pub chunks_skipped: u64,
-    /// This sub-chain's own adaptive decision. Calibration state is keyed
-    /// per sub-chain signature, so probe statistics are never mixed across
-    /// the sub-chains of one disjunction.
+    /// Positions the node examined across the scanned chunks: every row
+    /// for a driver, the still-undecided candidates for a filter.
+    pub rows_in: u64,
+    /// Positions the node accepted.
+    pub rows_out: u64,
+    /// A driver's own adaptive decision. Calibration state is keyed per
+    /// chain signature, so probe statistics are never mixed across the
+    /// drivers of one tree.
     pub adaptive: Option<AdaptiveDecision>,
 }
 
@@ -375,34 +392,28 @@ impl AnalyzeReport {
         if let Some(b) = &self.bool_scan {
             let _ = writeln!(
                 out,
-                "bool scan: {} disjuncts  saturated_chunks={}",
-                b.disjuncts.len(),
-                b.saturated_chunks
+                "bool scan: {} nodes",
+                b.prefix.iter().count() + b.disjuncts.len()
             );
-            let render_chain = |out: &mut String, role: String, s: &SubChainReport| {
+            for s in b.prefix.iter().chain(&b.disjuncts) {
+                let pad = "  ".repeat(s.depth + 1);
+                let label = match s.drives {
+                    true => format!("ꔖ[{}]", s.label),
+                    false => s.label.clone(),
+                };
                 let _ = writeln!(
                     out,
-                    "  {role} ꔖ[{}]: sel≈{:.4}  rows {} -> {}  skipped_chunks={}",
-                    s.label,
-                    s.expected_selectivity,
-                    s.rows_scanned,
-                    s.rows_matched,
-                    s.chunks_skipped
+                    "{pad}{label}: sel≈{:.4}  rows {} -> {}",
+                    s.expected_selectivity, s.rows_in, s.rows_out
                 );
                 if let Some(a) = &s.adaptive {
                     let _ = writeln!(
                         out,
-                        "    adaptive: winner={}  observed_sel={:.4}",
+                        "{pad}  adaptive: winner={}  observed_sel={:.4}",
                         a.winner.unwrap_or("(calibrating)"),
                         a.observed_selectivity
                     );
                 }
-            };
-            if let Some(p) = &b.prefix {
-                render_chain(&mut out, "prefix".to_string(), p);
-            }
-            for (i, d) in b.disjuncts.iter().enumerate() {
-                render_chain(&mut out, format!("disjunct {}", i + 1), d);
             }
         }
         let _ = writeln!(
@@ -465,12 +476,16 @@ impl AdaptiveState {
     }
 }
 
-/// A sub-chain's calibration identity across statements: the table it
-/// scans plus its per-predicate signature.
+/// A chain's calibration identity across statements: the table it scans
+/// plus its per-predicate signature.
 type CalKey = (String, SubChainKey);
 
-/// Cross-statement calibration state, keyed by (table, sub-chain
-/// signature).
+/// Most chains [`CalibrationRegistry`] keeps state for; past it, adding a
+/// chain evicts the least recently used one.
+pub(crate) const CALIBRATION_CAPACITY: usize = 1024;
+
+/// Cross-statement calibration state, keyed by (table, chain signature)
+/// and bounded at 1,024 chains, least recently used out first.
 ///
 /// The calibrator for a chain is a little state machine (probe →
 /// winner → drift re-probe) whose transitions assume its observations
@@ -481,16 +496,26 @@ type CalKey = (String, SubChainKey);
 /// scan, so observations serialize per chain while different chains —
 /// and different tables — calibrate fully in parallel. Sharing the
 /// state is also what makes a server warm: the second connection to ask
-/// the same question starts in steady state instead of re-probing.
+/// the same question starts in steady state instead of re-probing. A
+/// statement holds its chains' states through their `Arc`s, so an
+/// eviction never pulls state from under a running scan; the chain just
+/// calibrates afresh the next time it runs.
 pub struct CalibrationRegistry {
-    states: Mutex<HashMap<CalKey, Arc<Mutex<AdaptiveState>>>>,
+    states: Mutex<Registry>,
+}
+
+/// The registry's map plus its logical LRU clock.
+#[derive(Default)]
+struct Registry {
+    chains: HashMap<CalKey, (Arc<Mutex<AdaptiveState>>, u64)>,
+    tick: u64,
 }
 
 impl CalibrationRegistry {
     /// Empty registry.
     pub fn new() -> CalibrationRegistry {
         CalibrationRegistry {
-            states: Mutex::new(HashMap::new()),
+            states: Mutex::new(Registry::default()),
         }
     }
 
@@ -503,12 +528,26 @@ impl CalibrationRegistry {
         key: &SubChainKey,
         build: impl FnOnce() -> Option<AdaptiveState>,
     ) -> Option<Arc<Mutex<AdaptiveState>>> {
-        let mut states = lock_plain(&self.states);
-        if let Some(state) = states.get(&(table.to_string(), key.clone())) {
+        let mut registry = lock_plain(&self.states);
+        registry.tick += 1;
+        let tick = registry.tick;
+        let key = (table.to_string(), key.clone());
+        if let Some((state, last_used)) = registry.chains.get_mut(&key) {
+            *last_used = tick;
             return Some(Arc::clone(state));
         }
         let state = Arc::new(Mutex::new(build()?));
-        states.insert((table.to_string(), key.clone()), Arc::clone(&state));
+        if registry.chains.len() >= CALIBRATION_CAPACITY {
+            if let Some(lru) = registry
+                .chains
+                .iter()
+                .min_by_key(|(_, (_, last_used))| *last_used)
+                .map(|(key, _)| key.clone())
+            {
+                registry.chains.remove(&lru);
+            }
+        }
+        registry.chains.insert(key, (Arc::clone(&state), tick));
         Some(state)
     }
 
@@ -516,9 +555,9 @@ impl CalibrationRegistry {
     /// mention `column` — the layout advisor's scan-behaviour signal.
     /// `None` until some chain over the column has observed rows.
     pub fn observed_selectivity(&self, table: &str, column: usize) -> Option<f64> {
-        let states = lock_plain(&self.states);
+        let registry = lock_plain(&self.states);
         let (mut acc, mut n) = (0.0f64, 0u32);
-        for ((t, key), state) in states.iter() {
+        for ((t, key), (state, _)) in registry.chains.iter() {
             if t == table && key.iter().any(|&(c, _, _)| c == column) {
                 let sel = lock_plain(state).cal.report().observed_selectivity;
                 if sel > 0.0 {
@@ -532,7 +571,7 @@ impl CalibrationRegistry {
 
     /// Number of chains with live calibration state.
     pub fn len(&self) -> usize {
-        lock_plain(&self.states).len()
+        lock_plain(&self.states).chains.len()
     }
 
     /// Whether no chain has calibration state yet.
@@ -695,6 +734,45 @@ struct ChunkPred<'c, 'p> {
     bound: &'p BoundPred,
 }
 
+/// A predicate in its per-layout form for one chunk, or the constant a
+/// dictionary rewrite proved it to be on every row of the chunk.
+enum Translated<'c> {
+    Form(LayoutPred<'c>),
+    /// `MatchAll` (true) or `MatchNone` (false).
+    Const(bool),
+}
+
+/// Translate one predicate into its per-layout form for `chunk`:
+/// dictionary predicates become value-id predicates (or a constant).
+fn translate_pred<'c>(chunk: &'c Chunk, p: &BoundPred) -> Result<Translated<'c>, ExecError> {
+    let u32_needle = || match p.value {
+        Value::U32(n) => Ok(n),
+        _ => Err(ExecError::PredicateTypeError),
+    };
+    Ok(Translated::Form(match chunk.segment(p.column) {
+        Segment::Dict(d) => match d
+            .translate(p.op, p.value)
+            .ok_or(ExecError::PredicateTypeError)?
+        {
+            IdPredicate::MatchNone => return Ok(Translated::Const(false)),
+            IdPredicate::MatchAll => return Ok(Translated::Const(true)),
+            IdPredicate::Cmp(op, id) => LayoutPred::U32(d.value_ids(), op, id),
+        },
+        Segment::Packed(col) => LayoutPred::Packed(col, p.op, u32_needle()?),
+        Segment::For(col) => LayoutPred::For(col, p.op, u32_needle()?),
+        Segment::ByteSliced(col) => LayoutPred::ByteSliced(col, p.op, u32_needle()?),
+        Segment::Plain(col) => match col.data_type() {
+            DataType::U32 => LayoutPred::U32(
+                col.as_native::<u32>()
+                    .ok_or(ExecError::PredicateTypeError)?,
+                p.op,
+                u32_needle()?,
+            ),
+            _ => LayoutPred::Typed(col, p.op, p.value),
+        },
+    }))
+}
+
 /// Translate each predicate once into its per-layout form for `chunk`,
 /// in chain order. Dictionary predicates become value-id predicates;
 /// `MatchAll` ones vanish. Returns `None` when a dictionary rewrite
@@ -705,34 +783,11 @@ fn translate_chain<'c, 'p>(
 ) -> Result<Option<Vec<ChunkPred<'c, 'p>>>, ExecError> {
     let mut out = Vec::with_capacity(preds.len());
     for p in preds {
-        let seg = chunk.segment(p.column);
-        let u32_needle = || match p.value {
-            Value::U32(n) => Ok(n),
-            _ => Err(ExecError::PredicateTypeError),
-        };
-        let form = match seg {
-            Segment::Dict(d) => match d
-                .translate(p.op, p.value)
-                .ok_or(ExecError::PredicateTypeError)?
-            {
-                IdPredicate::MatchNone => return Ok(None),
-                IdPredicate::MatchAll => continue,
-                IdPredicate::Cmp(op, id) => LayoutPred::U32(d.value_ids(), op, id),
-            },
-            Segment::Packed(col) => LayoutPred::Packed(col, p.op, u32_needle()?),
-            Segment::For(col) => LayoutPred::For(col, p.op, u32_needle()?),
-            Segment::ByteSliced(col) => LayoutPred::ByteSliced(col, p.op, u32_needle()?),
-            Segment::Plain(col) => match col.data_type() {
-                DataType::U32 => LayoutPred::U32(
-                    col.as_native::<u32>()
-                        .ok_or(ExecError::PredicateTypeError)?,
-                    p.op,
-                    u32_needle()?,
-                ),
-                _ => LayoutPred::Typed(col, p.op, p.value),
-            },
-        };
-        out.push(ChunkPred { form, bound: p });
+        match translate_pred(chunk, p)? {
+            Translated::Form(form) => out.push(ChunkPred { form, bound: p }),
+            Translated::Const(true) => {}
+            Translated::Const(false) => return Ok(None),
+        }
     }
     Ok(Some(out))
 }
@@ -785,43 +840,6 @@ impl Driver {
             other => Driver::anchored_by(other) == Some(self),
         }
     }
-}
-
-/// Estimated selectivity of a conjunction. Per column, the tightest
-/// lower bound and the tightest upper bound combine as one range
-/// (`s_lo + s_hi − 1`) instead of independent factors — the halves of a
-/// narrow `BETWEEN` are each unselective, their intersection is not.
-/// Every other predicate, and every column, multiplies.
-fn conjunction_selectivity<'p>(preds: impl Iterator<Item = &'p BoundPred>) -> f64 {
-    // Per column: (column, tightest lower bound, tightest upper bound,
-    // product of the other predicates).
-    let mut cols: Vec<(usize, Option<f64>, Option<f64>, f64)> = Vec::new();
-    for p in preds {
-        let at = match cols.iter().position(|c| c.0 == p.column) {
-            Some(at) => at,
-            None => {
-                cols.push((p.column, None, None, 1.0));
-                cols.len() - 1
-            }
-        };
-        let c = &mut cols[at];
-        let s = p.selectivity;
-        match p.op {
-            CmpOp::Gt | CmpOp::Ge => c.1 = Some(c.1.map_or(s, |lo| lo.min(s))),
-            CmpOp::Lt | CmpOp::Le => c.2 = Some(c.2.map_or(s, |hi| hi.min(s))),
-            CmpOp::Eq | CmpOp::Ne => c.3 *= s,
-        }
-    }
-    cols.iter()
-        .map(|&(_, lo, hi, other)| {
-            let range = match (lo, hi) {
-                (Some(lo), Some(hi)) => (lo + hi - 1.0).max(0.0),
-                (Some(s), None) | (None, Some(s)) => s,
-                (None, None) => 1.0,
-            };
-            range * other
-        })
-        .product()
 }
 
 /// Pick the chunk's driver: among the groups an existing kernel runs in
@@ -928,14 +946,14 @@ fn scan_chunk(
 
     // The followers, grouped by column in chain order of first
     // appearance: a column's predicates share one read of each row.
-    let mut followers: Vec<(usize, Vec<&LayoutPred<'_>>)> = Vec::new();
+    let mut followers: Vec<(usize, Vec<LayoutPred<'_>>)> = Vec::new();
     for (i, p) in chain.iter().enumerate() {
         if members.contains(&i) {
             continue;
         }
         match followers.iter_mut().find(|(c, _)| *c == p.bound.column) {
-            Some((_, group)) => group.push(&p.form),
-            None => followers.push((p.bound.column, vec![&p.form])),
+            Some((_, group)) => group.push(p.form),
+            None => followers.push((p.bound.column, vec![p.form])),
         }
     }
     let mut survivors = positions.into_vec();
@@ -944,16 +962,21 @@ fn scan_chunk(
         if survivors.is_empty() {
             break;
         }
-        filter_survivors(&mut survivors, group)?;
+        filter_survivors(&mut survivors, group, false)?;
     }
     if let Some(r) = analyze {
         r.phase2_rows_in += rows_in;
         r.phase2_rows_out += survivors.len() as u64;
     }
-    Ok(match mode {
+    Ok(survivors_output(survivors, mode))
+}
+
+/// A chunk's surviving positions in the caller's output mode.
+fn survivors_output(survivors: Vec<u32>, mode: OutputMode) -> ScanOutput {
+    match mode {
         OutputMode::Count => ScanOutput::Count(survivors.len() as u64),
         OutputMode::Positions => ScanOutput::Positions(PosList::from_vec(survivors)),
-    })
+    }
 }
 
 /// Run one driver group's kernel over a chunk of `rows` rows.
@@ -1100,16 +1123,21 @@ fn timing_record(
     }
 }
 
-/// Keep the positions whose row satisfies every predicate of `preds`,
-/// which all read one column: one typed loop per layout reads each
-/// surviving row's value once (`data[p]` for plain, dictionary-id and
-/// typed columns, `get(p)` for packed, FoR and byte-sliced ones), so a
-/// `BETWEEN` is one pass, and builds no `Value` per row.
-fn filter_survivors(positions: &mut Vec<u32>, preds: &[&LayoutPred<'_>]) -> Result<(), ExecError> {
+/// Keep the positions whose row satisfies every predicate of `preds` (or,
+/// with `any`, at least one), which all read one column: one typed loop per
+/// layout reads each surviving row's value once (`data[p]` for plain,
+/// dictionary-id and typed columns, `get(p)` for packed, FoR and
+/// byte-sliced ones), so a `BETWEEN` or a one-column OR is one pass, and
+/// builds no `Value` per row.
+fn filter_survivors(
+    positions: &mut Vec<u32>,
+    preds: &[LayoutPred<'_>],
+    any: bool,
+) -> Result<(), ExecError> {
     let u32_tests = || -> Vec<(CmpOp, u32)> {
         preds
             .iter()
-            .filter_map(|p| match **p {
+            .filter_map(|p| match *p {
                 LayoutPred::U32(_, op, n)
                 | LayoutPred::Packed(_, op, n)
                 | LayoutPred::For(_, op, n)
@@ -1118,47 +1146,61 @@ fn filter_survivors(positions: &mut Vec<u32>, preds: &[&LayoutPred<'_>]) -> Resu
             })
             .collect()
     };
-    match *preds[0] {
-        LayoutPred::U32(data, ..) => keep_matching(positions, &u32_tests(), |r| data[r]),
-        LayoutPred::Packed(col, ..) => keep_matching(positions, &u32_tests(), |r| col.get(r)),
-        LayoutPred::For(col, ..) => keep_matching(positions, &u32_tests(), |r| col.get(r)),
-        LayoutPred::ByteSliced(col, ..) => keep_matching(positions, &u32_tests(), |r| col.get(r)),
+    match preds[0] {
+        LayoutPred::U32(data, ..) => keep_matching(positions, &u32_tests(), any, |r| data[r]),
+        LayoutPred::Packed(col, ..) => keep_matching(positions, &u32_tests(), any, |r| col.get(r)),
+        LayoutPred::For(col, ..) => keep_matching(positions, &u32_tests(), any, |r| col.get(r)),
+        LayoutPred::ByteSliced(col, ..) => {
+            keep_matching(positions, &u32_tests(), any, |r| col.get(r))
+        }
         LayoutPred::Typed(col, ..) => {
             fn typed<T: NativeType>(
                 positions: &mut Vec<u32>,
                 data: &[T],
-                preds: &[&LayoutPred<'_>],
+                preds: &[LayoutPred<'_>],
+                any: bool,
             ) -> Result<(), ExecError> {
                 let tests = preds
                     .iter()
-                    .map(|p| match **p {
+                    .map(|p| match *p {
                         LayoutPred::Typed(_, op, needle) => T::from_value(needle).map(|n| (op, n)),
                         _ => None,
                     })
                     .collect::<Option<Vec<(CmpOp, T)>>>()
                     .ok_or(ExecError::PredicateTypeError)?;
-                keep_matching(positions, &tests, |r| data[r]);
+                keep_matching(positions, &tests, any, |r| data[r]);
                 Ok(())
             }
-            return with_native!(col, data => typed(positions, data, preds));
+            return with_native!(col, data => typed(positions, data, preds, any));
         }
     }
     Ok(())
 }
 
 /// Compact `positions` to the rows where `get(row) OP needle` holds for
-/// every `(OP, needle)` of `tests` ([`NativeType::cmp_op`], so float NaN
-/// semantics match the kernels).
+/// every `(OP, needle)` of `tests`, or with `any` for at least one
+/// ([`NativeType::cmp_op`], so float NaN semantics match the kernels).
+/// Both folds are branch-free.
 #[inline]
 fn keep_matching<T: NativeType>(
     positions: &mut Vec<u32>,
     tests: &[(CmpOp, T)],
+    any: bool,
     get: impl Fn(usize) -> T,
 ) {
-    compact(positions, |r| {
-        let v = get(r);
-        tests.iter().fold(true, |ok, &(op, n)| ok & v.cmp_op(op, n))
-    });
+    if any {
+        compact(positions, |r| {
+            let v = get(r);
+            tests
+                .iter()
+                .fold(false, |ok, &(op, n)| ok | v.cmp_op(op, n))
+        });
+    } else {
+        compact(positions, |r| {
+            let v = get(r);
+            tests.iter().fold(true, |ok, &(op, n)| ok & v.cmp_op(op, n))
+        });
+    }
 }
 
 /// Branch-free in-place compaction of `positions` to the rows `keep`
@@ -1883,138 +1925,35 @@ fn best_value<T: NativeType>(
     Ok(Some(best.to_value()))
 }
 
-/// A value as a number, for the `FilterTree` leaf test.
-enum Num {
-    Int(i128),
-    Float(f64),
-}
-
-fn value_num(v: Value) -> Num {
-    match v {
-        Value::I8(x) => Num::Int(x as i128),
-        Value::I16(x) => Num::Int(x as i128),
-        Value::I32(x) => Num::Int(x as i128),
-        Value::I64(x) => Num::Int(x as i128),
-        Value::U8(x) => Num::Int(x as i128),
-        Value::U16(x) => Num::Int(x as i128),
-        Value::U32(x) => Num::Int(x as i128),
-        Value::U64(x) => Num::Int(x as i128),
-        Value::F32(x) => Num::Float(x as f64),
-        Value::F64(x) => Num::Float(x),
+/// Resolve a scan subtree (fused chain | σ tree | single filter | bare
+/// table) directly over a stored table into its table and its WHERE
+/// clause: a chain's predicates, or a tree.
+fn scan_root(plan: &Lqp) -> Result<(&str, &CatalogEntry, Where<'_>), ExecError> {
+    let (input, clause) = match plan {
+        Lqp::StoredTable { name, entry, .. } => return Ok((name, entry, Where::Chain(&[]))),
+        Lqp::Filter { input, pred } => (input, Where::Chain(std::slice::from_ref(pred))),
+        Lqp::FusedFilterChain { input, preds } => (input, Where::Chain(preds)),
+        Lqp::FilterTree { input, expr } => (input, Where::Tree(expr)),
+        other => return Err(ExecError::UnsupportedPlan(format!("{other:?}"))),
+    };
+    match input.as_ref() {
+        Lqp::StoredTable { name, entry, .. } => Ok((name, entry, clause)),
+        other => Err(ExecError::UnsupportedPlan(format!("filter over {other:?}"))),
     }
 }
 
-fn num_cmp(a: Num, b: Num) -> std::cmp::Ordering {
-    match (a, b) {
-        (Num::Int(x), Num::Int(y)) => x.cmp(&y),
-        (x, y) => {
-            let fx = match x {
-                Num::Int(i) => i as f64,
-                Num::Float(f) => f,
-            };
-            let fy = match y {
-                Num::Int(i) => i as f64,
-                Num::Float(f) => f,
-            };
-            fx.partial_cmp(&fy).unwrap_or(std::cmp::Ordering::Equal)
-        }
-    }
-}
-
-/// What a statement's scan subtree computes, as the executor sees it.
-enum ScanSpec<'a> {
+/// A statement's WHERE clause as the plan holds it.
+enum Where<'a> {
     /// A conjunctive chain (possibly empty — bare table scan).
-    Conjunct(&'a [BoundPred]),
-    /// Factored disjunction: `prefix ∧ (d₁ ∨ … ∨ dₙ)` of fused sub-chains.
-    Bool {
-        /// Shared prefix conjunction (may be empty).
-        prefix: &'a [BoundPred],
-        /// The disjuncts, each a conjunctive fused sub-chain.
-        disjuncts: &'a [Vec<BoundPred>],
-    },
-    /// NNF tree whose DNF blew past the cap: row-wise evaluation.
+    Chain(&'a [BoundPred]),
+    /// An ordered NNF tree with an OR somewhere.
     Tree(&'a BoolExpr<BoundPred>),
 }
 
-/// Unwrap a scan subtree: (fused chain | bool scan | σ tree | single
-/// filter | bare table) directly over a stored table.
-fn scan_root(plan: &Lqp) -> Result<(&str, &CatalogEntry, ScanSpec<'_>), ExecError> {
-    fn table_of<'p>(input: &'p Lqp, what: &str) -> Result<(&'p str, &'p CatalogEntry), ExecError> {
-        match input {
-            Lqp::StoredTable { name, entry, .. } => Ok((name, entry)),
-            other => Err(ExecError::UnsupportedPlan(format!("{what} over {other:?}"))),
-        }
-    }
-    match plan {
-        Lqp::StoredTable { name, entry, .. } => Ok((name, entry, ScanSpec::Conjunct(&[]))),
-        Lqp::Filter { input, pred } => {
-            let (name, entry) = table_of(input, "filter")?;
-            Ok((name, entry, ScanSpec::Conjunct(std::slice::from_ref(pred))))
-        }
-        Lqp::FusedFilterChain { input, preds } => {
-            let (name, entry) = table_of(input, "chain")?;
-            Ok((name, entry, ScanSpec::Conjunct(preds)))
-        }
-        Lqp::FusedBoolScan {
-            input,
-            prefix,
-            disjuncts,
-        } => {
-            let (name, entry) = table_of(input, "bool scan")?;
-            Ok((name, entry, ScanSpec::Bool { prefix, disjuncts }))
-        }
-        Lqp::FilterTree { input, expr } => {
-            let (name, entry) = table_of(input, "tree")?;
-            Ok((name, entry, ScanSpec::Tree(expr)))
-        }
-        other => Err(ExecError::UnsupportedPlan(format!("{other:?}"))),
-    }
-}
-
-/// Whether min/max pruning proves this chunk cannot produce matches.
-fn prune_chunk(entry: &CatalogEntry, chunk_idx: usize, preds: &[BoundPred]) -> bool {
-    !preds.is_empty()
-        && preds
-            .iter()
-            .any(|p| !range_can_match(entry.chunk_ranges[chunk_idx][p.column], p.op, p.value))
-}
-
-/// Whether min/max pruning proves a *boolean tree* cannot match a chunk:
-/// a conjunction can match only if every child can, a disjunction if any
-/// child can. (`Not` never appears in NNF trees; stay conservative.)
-fn tree_can_match(entry: &CatalogEntry, chunk_idx: usize, expr: &BoolExpr<BoundPred>) -> bool {
-    match expr {
-        BoolExpr::Pred(p) => {
-            range_can_match(entry.chunk_ranges[chunk_idx][p.column], p.op, p.value)
-        }
-        BoolExpr::And(cs) => cs.iter().all(|c| tree_can_match(entry, chunk_idx, c)),
-        BoolExpr::Or(ds) => ds.iter().any(|d| tree_can_match(entry, chunk_idx, d)),
-        BoolExpr::Not(_) => true,
-    }
-}
-
-/// Row-wise evaluation of one bound leaf (the `FilterTree` fallback path —
-/// works uniformly over plain, dictionary and packed segments).
-fn leaf_matches(chunk: &Chunk, p: &BoundPred, row: usize) -> bool {
-    let ord = num_cmp(
-        value_num(chunk.segment(p.column).value_at(row)),
-        value_num(p.value),
-    );
-    use std::cmp::Ordering::*;
-    match p.op {
-        CmpOp::Eq => ord == Equal,
-        CmpOp::Ne => ord != Equal,
-        CmpOp::Lt => ord == Less,
-        CmpOp::Le => ord != Greater,
-        CmpOp::Gt => ord == Greater,
-        CmpOp::Ge => ord != Less,
-    }
-}
-
-/// A sub-chain's identity for adaptive-calibration bookkeeping: one entry
-/// per predicate — (column, operator, literal bits). Two sub-chains with
-/// the same key scan the same data with the same predicates, so they may
-/// share probe statistics; any difference means separate calibrators.
+/// A chain's identity for adaptive-calibration bookkeeping: one entry per
+/// predicate — (column, operator, literal bits). Two chains with the same
+/// key scan the same data with the same predicates, so they may share
+/// probe statistics; any difference means separate calibrators.
 type SubChainKey = Vec<(usize, u8, u64)>;
 
 fn sub_chain_key(preds: &[BoundPred]) -> SubChainKey {
@@ -2024,93 +1963,378 @@ fn sub_chain_key(preds: &[BoundPred]) -> SubChainKey {
         .collect()
 }
 
-/// Per-sub-chain execution counters for a disjunctive scan.
-#[derive(Default)]
-struct SubChainCounters {
-    rows_scanned: u64,
-    rows_matched: u64,
-    chunks_skipped: u64,
+/// Where one chunk's tree evaluation runs.
+#[derive(Clone, Copy)]
+struct At<'c> {
+    entry: &'c CatalogEntry,
+    chunk_idx: usize,
+    chunk: &'c Chunk,
+    ctx: &'c ExecContext,
 }
 
-/// Per-statement scan driver: the scan spec plus adaptive-calibration
-/// state, keyed by sub-chain signature. Keying per sub-chain is what keeps
-/// a disjunction's calibrations honest — each sub-chain has its own
-/// selectivity and cost profile, and folding probe timings from different
-/// sub-chains into one calibrator would corrupt every decision derived
-/// from it (winner choice, drift re-probes, observed selectivity).
+/// One node of a statement's WHERE clause as the executor runs it
+/// (DESIGN.md §6.3), with the rows it examined and accepted summed over the
+/// chunks.
+struct TreeNode<'a> {
+    op: TreeOp<'a>,
+    rows_in: u64,
+    rows_out: u64,
+}
+
+enum TreeOp<'a> {
+    /// Leaf conjuncts in driver position: one [`scan_chunk`] over the whole
+    /// chunk, with the calibrator a standalone chain of the same predicates
+    /// uses.
+    Drive {
+        chain: Cow<'a, [BoundPred]>,
+        adaptive: Option<Arc<Mutex<AdaptiveState>>>,
+    },
+    /// Leaves on one column, all of which (a `BETWEEN`) or any of which
+    /// (`a = 3 OR a = 7`) must hold: one typed loop over the candidates.
+    Column {
+        preds: Vec<&'a BoundPred>,
+        any: bool,
+    },
+    /// Children in sequence, each filtering what the previous one kept; in
+    /// driver position the first child drives.
+    And(Vec<TreeNode<'a>>),
+    /// Children that each see only the candidates no earlier child
+    /// accepted; in driver position each child drives.
+    Or(Vec<TreeNode<'a>>),
+}
+
+impl<'a> TreeNode<'a> {
+    fn new(op: TreeOp<'a>) -> TreeNode<'a> {
+        TreeNode {
+            op,
+            rows_in: 0,
+            rows_out: 0,
+        }
+    }
+
+    /// A driver over `chain`, holding the registry's calibrator for it.
+    fn driver(
+        table: &str,
+        entry: &CatalogEntry,
+        chain: Cow<'a, [BoundPred]>,
+        ctx: &ExecContext,
+    ) -> TreeNode<'a> {
+        let adaptive = ctx
+            .calibration
+            .get_or_build(table, &sub_chain_key(&chain), || {
+                build_adaptive(entry, &chain, ctx)
+            });
+        TreeNode::new(TreeOp::Drive { chain, adaptive })
+    }
+
+    /// Compile an ordered NNF tree. A node in driver position (`drives`:
+    /// the root, an OR's children when the OR drives, an AND's first child
+    /// when the AND has no leaf conjunct) runs its leaf conjuncts as one
+    /// driver; every other node filters, its leaves grouped by column into
+    /// one loop each.
+    fn compile(
+        expr: &'a BoolExpr<BoundPred>,
+        drives: bool,
+        table: &str,
+        entry: &CatalogEntry,
+        ctx: &ExecContext,
+    ) -> Result<TreeNode<'a>, ExecError> {
+        let (cs, is_and) = match expr {
+            BoolExpr::Pred(p) if drives => {
+                return Ok(Self::driver(table, entry, Cow::Owned(vec![p.clone()]), ctx))
+            }
+            BoolExpr::Pred(p) => {
+                return Ok(TreeNode::new(TreeOp::Column {
+                    preds: vec![p],
+                    any: false,
+                }))
+            }
+            BoolExpr::And(cs) => (cs, true),
+            BoolExpr::Or(cs) => (cs, false),
+            BoolExpr::Not(_) => {
+                return Err(ExecError::UnsupportedPlan(
+                    "NOT survived normalization".into(),
+                ))
+            }
+        };
+        let mut children = Vec::with_capacity(cs.len());
+        if drives && is_and {
+            let chain: Vec<BoundPred> = cs.iter().filter_map(leaf).cloned().collect();
+            let first_drives = chain.is_empty();
+            if !first_drives {
+                children.push(Self::driver(table, entry, Cow::Owned(chain), ctx));
+            }
+            for (i, c) in cs.iter().filter(|c| leaf(c).is_none()).enumerate() {
+                children.push(Self::compile(c, first_drives && i == 0, table, entry, ctx)?);
+            }
+        } else {
+            for c in cs {
+                match leaf(c) {
+                    Some(p) if !drives => {
+                        // Join only a group with this node's connective: a
+                        // compound child can also compile to one column loop
+                        // (a `BETWEEN` under an OR), with the other one.
+                        let same_column = children.iter_mut().find_map(|n| match &mut n.op {
+                            TreeOp::Column { preds, any }
+                                if *any != is_and && preds[0].column == p.column =>
+                            {
+                                Some(preds)
+                            }
+                            _ => None,
+                        });
+                        match same_column {
+                            Some(preds) => preds.push(p),
+                            None => children.push(TreeNode::new(TreeOp::Column {
+                                preds: vec![p],
+                                any: !is_and,
+                            })),
+                        }
+                    }
+                    _ => children.push(Self::compile(c, drives, table, entry, ctx)?),
+                }
+            }
+        }
+        Ok(match children.len() {
+            1 => children.pop().expect("one child"),
+            _ if is_and => TreeNode::new(TreeOp::And(children)),
+            _ => TreeNode::new(TreeOp::Or(children)),
+        })
+    }
+
+    /// Whether min/max pruning leaves the node any chance on the chunk: a
+    /// conjunction can match only if every part can, a disjunction if any
+    /// part can.
+    fn can_match(&self, entry: &CatalogEntry, chunk_idx: usize) -> bool {
+        let leaf =
+            |p: &BoundPred| range_can_match(entry.chunk_ranges[chunk_idx][p.column], p.op, p.value);
+        match &self.op {
+            TreeOp::Drive { chain, .. } => chain.iter().all(leaf),
+            TreeOp::Column { preds, any: false } => preds.iter().all(|p| leaf(p)),
+            TreeOp::Column { preds, any: true } => preds.iter().any(|p| leaf(p)),
+            TreeOp::And(cs) => cs.iter().all(|c| c.can_match(entry, chunk_idx)),
+            TreeOp::Or(cs) => cs.iter().any(|c| c.can_match(entry, chunk_idx)),
+        }
+    }
+
+    /// Run the node in driver position over the whole chunk. `decided`
+    /// holds the positions earlier children of a driving OR accepted: an
+    /// AND drops them from its driver's survivors before its filters run.
+    fn scan(
+        &mut self,
+        at: &At<'_>,
+        mode: OutputMode,
+        decided: Option<&Bitmap>,
+        mut analyze: Option<&mut AnalyzeReport>,
+    ) -> Result<ScanOutput, ExecError> {
+        let rows = at.chunk.rows();
+        let out = match &mut self.op {
+            TreeOp::Drive { chain, adaptive } => {
+                // Hold the chain's calibration lock for the chunk: the
+                // phase read and the observe that follows must see no
+                // interleaved writer, or probe timings would corrupt.
+                let mut guard = adaptive.as_ref().map(|s| lock_plain(s));
+                scan_chunk(at.chunk, chain, at.ctx, mode, analyze, guard.as_deref_mut())?
+            }
+            TreeOp::And(children) => {
+                let (first, rest) = children.split_first_mut().expect("an AND has children");
+                let ScanOutput::Positions(pl) =
+                    first.scan(at, OutputMode::Positions, None, analyze.as_deref_mut())?
+                else {
+                    unreachable!("positions requested")
+                };
+                let mut survivors = pl.into_vec();
+                if let Some(decided) = decided {
+                    compact(&mut survivors, |p| !decided.get(p));
+                }
+                let rows_in = survivors.len() as u64;
+                for c in rest {
+                    if survivors.is_empty() {
+                        break;
+                    }
+                    c.filter(at, &mut survivors)?;
+                }
+                if let Some(r) = analyze {
+                    r.phase2_rows_in += rows_in;
+                    r.phase2_rows_out += survivors.len() as u64;
+                }
+                survivors_output(survivors, mode)
+            }
+            TreeOp::Or(children) => {
+                let mut accepted = Bitmap::zeros(rows);
+                for c in children {
+                    if c.can_match(at.entry, at.chunk_idx) {
+                        let out = c.scan(
+                            at,
+                            OutputMode::Positions,
+                            Some(&accepted),
+                            analyze.as_deref_mut(),
+                        )?;
+                        let positions = out.positions().expect("positions requested");
+                        positions.into_iter().for_each(|p| accepted.set(p as usize));
+                    }
+                }
+                match mode {
+                    OutputMode::Count => ScanOutput::Count(accepted.count_ones()),
+                    OutputMode::Positions => ScanOutput::Positions(accepted.to_positions()),
+                }
+            }
+            TreeOp::Column { .. } => unreachable!("leaves in driver position compile to a Drive"),
+        };
+        self.rows_in += rows as u64;
+        self.rows_out += out.count();
+        Ok(out)
+    }
+
+    /// Keep the candidates (ascending positions) the node accepts.
+    fn filter(&mut self, at: &At<'_>, candidates: &mut Vec<u32>) -> Result<(), ExecError> {
+        let rows_in = candidates.len() as u64;
+        if !self.can_match(at.entry, at.chunk_idx) {
+            candidates.clear();
+        } else {
+            match &mut self.op {
+                TreeOp::Column { preds, any } => filter_column(at.chunk, preds, *any, candidates)?,
+                TreeOp::And(children) => {
+                    for c in children {
+                        if candidates.is_empty() {
+                            break;
+                        }
+                        c.filter(at, candidates)?;
+                    }
+                }
+                TreeOp::Or(children) => {
+                    // Each child sees only what no earlier child accepted;
+                    // the bitmap keeps the candidates' order.
+                    let mut accepted = Bitmap::zeros(at.chunk.rows());
+                    let mut undecided = candidates.clone();
+                    let last = children.len() - 1;
+                    for (k, c) in children.iter_mut().enumerate() {
+                        if undecided.is_empty() {
+                            break;
+                        }
+                        let mut kept = match k == last {
+                            true => std::mem::take(&mut undecided),
+                            false => undecided.clone(),
+                        };
+                        c.filter(at, &mut kept)?;
+                        kept.iter().for_each(|&p| accepted.set(p as usize));
+                        compact(&mut undecided, |p| !accepted.get(p));
+                    }
+                    compact(candidates, |p| accepted.get(p));
+                }
+                TreeOp::Drive { .. } => unreachable!("a driver never filters"),
+            }
+        }
+        self.rows_in += rows_in;
+        self.rows_out += candidates.len() as u64;
+        Ok(())
+    }
+
+    /// Plan-time selectivity estimate of the node.
+    fn estimate(&self) -> f64 {
+        match &self.op {
+            TreeOp::Drive { chain, .. } => conjunction_selectivity(chain.iter()),
+            TreeOp::Column { preds, any: false } => conjunction_selectivity(preds.iter().copied()),
+            TreeOp::Column { preds, any: true } => {
+                disjunction_selectivity(preds.iter().map(|p| p.selectivity))
+            }
+            TreeOp::And(cs) => cs.iter().map(TreeNode::estimate).product(),
+            TreeOp::Or(cs) => disjunction_selectivity(cs.iter().map(TreeNode::estimate)),
+        }
+    }
+
+    /// Append the node's and its descendants' reports, depth first.
+    fn report_into(&self, depth: usize, out: &mut Vec<SubChainReport>) {
+        let (label, adaptive) = match &self.op {
+            TreeOp::Drive { chain, adaptive } => (
+                chain_text(chain),
+                adaptive.as_ref().map(|s| lock_plain(s).decision()),
+            ),
+            TreeOp::Column { preds, any } => (
+                preds
+                    .iter()
+                    .map(|p| pred_text(p))
+                    .collect::<Vec<_>>()
+                    .join(if *any { " OR " } else { " AND " }),
+                None,
+            ),
+            TreeOp::And(_) => ("∧".to_string(), None),
+            TreeOp::Or(_) => ("∨".to_string(), None),
+        };
+        out.push(SubChainReport {
+            label,
+            drives: matches!(self.op, TreeOp::Drive { .. }),
+            depth,
+            expected_selectivity: self.estimate(),
+            rows_in: self.rows_in,
+            rows_out: self.rows_out,
+            adaptive,
+        });
+        if let TreeOp::And(cs) | TreeOp::Or(cs) = &self.op {
+            for c in cs {
+                c.report_into(depth + 1, out);
+            }
+        }
+    }
+}
+
+/// Keep the candidates that satisfy the leaves `preds` on one column (all
+/// of them, or with `any` at least one), translated for this chunk. A leaf
+/// a dictionary rewrite proves constant either decides the node (true in
+/// an OR, false in an AND) or drops out.
+fn filter_column(
+    chunk: &Chunk,
+    preds: &[&BoundPred],
+    any: bool,
+    candidates: &mut Vec<u32>,
+) -> Result<(), ExecError> {
+    let mut forms = Vec::with_capacity(preds.len());
+    for p in preds {
+        match translate_pred(chunk, p)? {
+            Translated::Form(form) => forms.push(form),
+            Translated::Const(holds) if holds == any => {
+                if !any {
+                    candidates.clear();
+                }
+                return Ok(());
+            }
+            Translated::Const(_) => {}
+        }
+    }
+    if forms.is_empty() {
+        // Every leaf dropped out: an empty OR is false, an empty AND true.
+        if any {
+            candidates.clear();
+        }
+        return Ok(());
+    }
+    filter_survivors(candidates, &forms, any)
+}
+
+/// Per-statement scan: the WHERE clause compiled into a tree whose root
+/// drives (a conjunctive chain is a lone driver), shared by every chunk
+/// the statement scans.
 struct StatementScan<'a> {
-    spec: ScanSpec<'a>,
-    /// Handles into the shared [`CalibrationRegistry`]: concurrent
-    /// statements on the same (table, sub-chain) share one calibrator.
-    adaptive: HashMap<SubChainKey, Arc<Mutex<AdaptiveState>>>,
-    /// Counters parallel to [prefix?, disjunct…] for `ScanSpec::Bool`.
-    prefix_counters: SubChainCounters,
-    disjunct_counters: Vec<SubChainCounters>,
-    saturated_chunks: u64,
+    root: TreeNode<'a>,
 }
 
 impl<'a> StatementScan<'a> {
-    /// Resolve the scan subtree and attach per-sub-chain adaptive state
-    /// from the context's shared registry.
+    /// Resolve the scan subtree and compile its WHERE clause, attaching
+    /// each driver's adaptive state from the context's shared registry.
     fn build(plan: &'a Lqp, ctx: &ExecContext) -> Result<(&'a CatalogEntry, Self), ExecError> {
-        let (table, entry, spec) = scan_root(plan)?;
-        let mut adaptive = HashMap::new();
-        let mut disjunct_counters = Vec::new();
-        match &spec {
-            ScanSpec::Conjunct(preds) => {
-                let key = sub_chain_key(preds);
-                if let Some(state) = ctx
-                    .calibration
-                    .get_or_build(table, &key, || build_adaptive(entry, preds, ctx))
-                {
-                    adaptive.insert(key, state);
-                }
-            }
-            ScanSpec::Bool { prefix, disjuncts } => {
-                for chain in std::iter::once(*prefix).chain(disjuncts.iter().map(Vec::as_slice)) {
-                    if let std::collections::hash_map::Entry::Vacant(slot) =
-                        adaptive.entry(sub_chain_key(chain))
-                    {
-                        if let Some(state) = ctx
-                            .calibration
-                            .get_or_build(table, slot.key(), || build_adaptive(entry, chain, ctx))
-                        {
-                            slot.insert(state);
-                        }
-                    }
-                }
-                disjunct_counters = disjuncts
-                    .iter()
-                    .map(|_| SubChainCounters::default())
-                    .collect();
-            }
-            ScanSpec::Tree(_) => {}
-        }
-        Ok((
-            entry,
-            StatementScan {
-                spec,
-                adaptive,
-                prefix_counters: SubChainCounters::default(),
-                disjunct_counters,
-                saturated_chunks: 0,
-            },
-        ))
+        let (table, entry, clause) = scan_root(plan)?;
+        let root = match clause {
+            Where::Chain(preds) => TreeNode::driver(table, entry, Cow::Borrowed(preds), ctx),
+            Where::Tree(expr) => TreeNode::compile(expr, true, table, entry, ctx)?,
+        };
+        Ok((entry, StatementScan { root }))
     }
 
     /// Whether min/max pruning proves this chunk cannot produce matches.
     fn prune(&self, entry: &CatalogEntry, chunk_idx: usize) -> bool {
-        match &self.spec {
-            ScanSpec::Conjunct(preds) => prune_chunk(entry, chunk_idx, preds),
-            ScanSpec::Bool { prefix, disjuncts } => {
-                prune_chunk(entry, chunk_idx, prefix)
-                    || disjuncts.iter().all(|d| prune_chunk(entry, chunk_idx, d))
-            }
-            ScanSpec::Tree(expr) => !tree_can_match(entry, chunk_idx, expr),
-        }
+        !self.root.can_match(entry, chunk_idx)
     }
 
-    /// Evaluate the spec over one chunk.
+    /// Evaluate the WHERE clause over one chunk.
     fn scan(
         &mut self,
         entry: &CatalogEntry,
@@ -2118,155 +2342,40 @@ impl<'a> StatementScan<'a> {
         chunk: &Chunk,
         ctx: &ExecContext,
         mode: OutputMode,
-        mut analyze: Option<&mut AnalyzeReport>,
+        analyze: Option<&mut AnalyzeReport>,
     ) -> Result<ScanOutput, ExecError> {
-        match &self.spec {
-            ScanSpec::Conjunct(preds) => {
-                // Hold the chain's calibration lock for the chunk: the
-                // phase read and the observe that follows must see no
-                // interleaved writer, or probe timings would corrupt.
-                let mut guard = self
-                    .adaptive
-                    .get(&sub_chain_key(preds))
-                    .map(|s| lock_plain(s));
-                scan_chunk(chunk, preds, ctx, mode, analyze, guard.as_deref_mut())
-            }
-            ScanSpec::Bool { prefix, disjuncts } => {
-                let rows = chunk.rows();
-                // Prefix sub-chain first: it gates every disjunct.
-                let prefix_pos: Option<PosList> = if prefix.is_empty() {
-                    None
-                } else {
-                    let mut guard = self
-                        .adaptive
-                        .get(&sub_chain_key(prefix))
-                        .map(|s| lock_plain(s));
-                    let out = scan_chunk(
-                        chunk,
-                        prefix,
-                        ctx,
-                        OutputMode::Positions,
-                        analyze.as_deref_mut(),
-                        guard.as_deref_mut(),
-                    )?;
-                    drop(guard);
-                    let ScanOutput::Positions(pl) = out else {
-                        unreachable!("positions requested")
-                    };
-                    self.prefix_counters.rows_scanned += rows as u64;
-                    self.prefix_counters.rows_matched += pl.len() as u64;
-                    if pl.is_empty() {
-                        for c in &mut self.disjunct_counters {
-                            c.chunks_skipped += 1;
-                        }
-                        return Ok(match mode {
-                            OutputMode::Count => ScanOutput::Count(0),
-                            OutputMode::Positions => ScanOutput::Positions(PosList::new()),
-                        });
-                    }
-                    Some(pl)
-                };
-                // Mask-union of the disjunct sub-chains, least selective
-                // first; once the running union saturates (every row of
-                // the chunk matches) the remaining disjuncts are skipped.
-                let mut acc = PosList::new();
-                let mut saturated = false;
-                for (d, counters) in disjuncts.iter().zip(&mut self.disjunct_counters) {
-                    if acc.len() == rows {
-                        saturated = true;
-                        counters.chunks_skipped += 1;
-                        continue;
-                    }
-                    if prune_chunk(entry, chunk_idx, d) {
-                        counters.chunks_skipped += 1;
-                        continue;
-                    }
-                    let mut guard = self.adaptive.get(&sub_chain_key(d)).map(|s| lock_plain(s));
-                    let out = scan_chunk(
-                        chunk,
-                        d,
-                        ctx,
-                        OutputMode::Positions,
-                        analyze.as_deref_mut(),
-                        guard.as_deref_mut(),
-                    )?;
-                    drop(guard);
-                    let ScanOutput::Positions(pl) = out else {
-                        unreachable!("positions requested")
-                    };
-                    counters.rows_scanned += rows as u64;
-                    counters.rows_matched += pl.len() as u64;
-                    acc = acc.union(&pl);
-                }
-                if saturated {
-                    self.saturated_chunks += 1;
-                }
-                let result = match prefix_pos {
-                    Some(p) => p.intersect(&acc),
-                    None => acc,
-                };
-                Ok(match mode {
-                    OutputMode::Count => ScanOutput::Count(result.len() as u64),
-                    OutputMode::Positions => ScanOutput::Positions(result),
-                })
-            }
-            ScanSpec::Tree(expr) => {
-                // Row-wise fallback (DNF blowup): evaluate the tree with
-                // short-circuiting per row.
-                let rows = chunk.rows();
-                let mut out = PosList::new();
-                for row in 0..rows {
-                    if expr.eval(&mut |p| leaf_matches(chunk, p, row)) {
-                        out.push(row as u32);
-                    }
-                }
-                if let Some(r) = analyze {
-                    r.phase2_rows_in += rows as u64;
-                    r.phase2_rows_out += out.len() as u64;
-                }
-                Ok(match mode {
-                    OutputMode::Count => ScanOutput::Count(out.len() as u64),
-                    OutputMode::Positions => ScanOutput::Positions(out),
-                })
-            }
-        }
+        let at = At {
+            entry,
+            chunk_idx,
+            chunk,
+            ctx,
+        };
+        self.root.scan(&at, mode, None, analyze)
     }
 
-    /// Record the statement's adaptive decisions and per-sub-chain
-    /// statistics into an `EXPLAIN ANALYZE` report.
+    /// Record the statement's adaptive decisions and per-node statistics
+    /// into an `EXPLAIN ANALYZE` report.
     fn finish(&self, analyze: Option<&mut AnalyzeReport>) {
         let Some(report) = analyze else { return };
-        match &self.spec {
-            ScanSpec::Conjunct(preds) => {
-                if let Some(state) = self.adaptive.get(&sub_chain_key(preds)) {
-                    report.adaptive = Some(lock_plain(state).decision());
-                }
+        let mut nodes = Vec::new();
+        match &self.root.op {
+            TreeOp::Drive { adaptive, .. } => {
+                report.adaptive = adaptive.as_ref().map(|s| lock_plain(s).decision());
+                return;
             }
-            ScanSpec::Bool { prefix, disjuncts } => {
-                let sub_report =
-                    |preds: &[BoundPred], counters: &SubChainCounters| SubChainReport {
-                        label: chain_text(preds),
-                        expected_selectivity: preds.iter().map(|p| p.selectivity).product(),
-                        rows_scanned: counters.rows_scanned,
-                        rows_matched: counters.rows_matched,
-                        chunks_skipped: counters.chunks_skipped,
-                        adaptive: self
-                            .adaptive
-                            .get(&sub_chain_key(preds))
-                            .map(|s| lock_plain(s).decision()),
-                    };
-                report.bool_scan = Some(BoolScanReport {
-                    prefix: (!prefix.is_empty()).then(|| sub_report(prefix, &self.prefix_counters)),
-                    disjuncts: disjuncts
-                        .iter()
-                        .zip(&self.disjunct_counters)
-                        .map(|(d, c)| sub_report(d, c))
-                        .collect(),
-                    saturated_chunks: self.saturated_chunks,
-                });
+            TreeOp::And(cs) | TreeOp::Or(cs) => {
+                cs.iter().for_each(|c| c.report_into(0, &mut nodes))
             }
-            ScanSpec::Tree(_) => {}
+            TreeOp::Column { .. } => {}
         }
+        let prefix = match (&self.root.op, nodes.first()) {
+            (TreeOp::And(_), Some(first)) if first.drives => Some(nodes.remove(0)),
+            _ => None,
+        };
+        report.bool_scan = Some(BoolScanReport {
+            prefix,
+            disjuncts: nodes,
+        });
     }
 }
 

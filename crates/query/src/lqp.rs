@@ -67,29 +67,16 @@ pub enum Lqp {
     /// A non-conjunctive WHERE clause as a bound boolean tree in negation
     /// normal form (the binder rewrites `NOT` into complemented operators
     /// via [`CmpOp::negate`], so the tree holds only AND/OR over leaves).
-    /// The optimizer lowers this into a [`Lqp::FusedBoolScan`] when the
-    /// DNF stays within [`fts_core::MAX_DNF_DISJUNCTS`]; otherwise it
-    /// survives to the executor, which evaluates it row-wise.
+    /// The optimizer orders every node's children by estimate; the
+    /// executor runs the root's leaf conjuncts as one fused driver scan per
+    /// chunk, and the rest of the tree filters the driver's survivors
+    /// (DESIGN.md §6). A conjunctive chain is the tree's simplest case and
+    /// keeps its σ nodes.
     FilterTree {
         /// Input plan.
         input: Box<Lqp>,
         /// The predicate tree (NNF).
         expr: BoolExpr<BoundPred>,
-    },
-    /// The normalized disjunctive scan (DESIGN.md §6): a factored common
-    /// prefix conjunction ANDed with a disjunction of fused sub-chains,
-    /// executed as mask-union of per-disjunct position lists intersected
-    /// with the prefix. Produced by the optimizer only.
-    FusedBoolScan {
-        /// Input plan.
-        input: Box<Lqp>,
-        /// Predicates every disjunct shares (factored out; scanned once).
-        /// May be empty when the disjuncts have no common predicate.
-        prefix: Vec<BoundPred>,
-        /// The disjuncts (each a conjunctive fused sub-chain), ordered
-        /// least-selective first so the running union saturates early.
-        /// Always ≥ 2 — smaller shapes lower to plain σ chains.
-        disjuncts: Vec<Vec<BoundPred>>,
     },
     /// Whole-table aggregation (COUNT/SUM/MIN/MAX/AVG, no GROUP BY).
     Aggregate {
@@ -124,7 +111,6 @@ impl Lqp {
             Lqp::Filter { input, .. }
             | Lqp::FusedFilterChain { input, .. }
             | Lqp::FilterTree { input, .. }
-            | Lqp::FusedBoolScan { input, .. }
             | Lqp::Aggregate { input, .. }
             | Lqp::Project { input, .. }
             | Lqp::Limit { input, .. } => Some(input),
@@ -184,27 +170,7 @@ impl Lqp {
             }
             Lqp::FilterTree { input, expr } => {
                 let _ = writeln!(out, "{pad}FilterTree σ({})", bool_text(expr));
-                input.explain_into(out, depth + 1);
-            }
-            Lqp::FusedBoolScan {
-                input,
-                prefix,
-                disjuncts,
-            } => {
-                if prefix.is_empty() {
-                    let _ = writeln!(out, "{pad}FusedBoolScan ∨[{} disjuncts]", disjuncts.len());
-                } else {
-                    let _ = writeln!(
-                        out,
-                        "{pad}FusedBoolScan ꔖ[{}] ∧ ∨[{} disjuncts]",
-                        chain_text(prefix),
-                        disjuncts.len()
-                    );
-                }
-                for d in disjuncts {
-                    let sel = d.iter().map(|p| p.selectivity).product::<f64>();
-                    let _ = writeln!(out, "{pad}  ∨ ꔖ[{}] [sel≈{sel:.4}]", chain_text(d));
-                }
+                explain_tree(out, expr, depth + 1);
                 input.explain_into(out, depth + 1);
             }
             Lqp::Aggregate { input, aggs } => {
@@ -225,7 +191,7 @@ impl Lqp {
 }
 
 /// Render one bound predicate as `name OP value`.
-fn pred_text(p: &BoundPred) -> String {
+pub(crate) fn pred_text(p: &BoundPred) -> String {
     format!("{} {} {}", p.column_name, p.op, p.value)
 }
 
@@ -236,6 +202,102 @@ pub(crate) fn chain_text(preds: &[BoundPred]) -> String {
         .map(pred_text)
         .collect::<Vec<_>>()
         .join(" AND ")
+}
+
+/// Estimated selectivity of a conjunction. Per column, the tightest
+/// lower bound and the tightest upper bound combine as one range
+/// (`s_lo + s_hi − 1`) instead of independent factors — the halves of a
+/// narrow `BETWEEN` are each unselective, their intersection is not.
+/// Every other predicate, and every column, multiplies.
+pub(crate) fn conjunction_selectivity<'p>(preds: impl Iterator<Item = &'p BoundPred>) -> f64 {
+    // Per column: (column, tightest lower bound, tightest upper bound,
+    // product of the other predicates).
+    let mut cols: Vec<(usize, Option<f64>, Option<f64>, f64)> = Vec::new();
+    for p in preds {
+        let at = match cols.iter().position(|c| c.0 == p.column) {
+            Some(at) => at,
+            None => {
+                cols.push((p.column, None, None, 1.0));
+                cols.len() - 1
+            }
+        };
+        let c = &mut cols[at];
+        let s = p.selectivity;
+        match p.op {
+            CmpOp::Gt | CmpOp::Ge => c.1 = Some(c.1.map_or(s, |lo| lo.min(s))),
+            CmpOp::Lt | CmpOp::Le => c.2 = Some(c.2.map_or(s, |hi| hi.min(s))),
+            CmpOp::Eq | CmpOp::Ne => c.3 *= s,
+        }
+    }
+    cols.iter()
+        .map(|&(_, lo, hi, other)| {
+            let range = match (lo, hi) {
+                (Some(lo), Some(hi)) => (lo + hi - 1.0).max(0.0),
+                (Some(s), None) | (None, Some(s)) => s,
+                (None, None) => 1.0,
+            };
+            range * other
+        })
+        .product()
+}
+
+/// Estimated selectivity of a disjunction of independent children,
+/// `1 − Π(1 − sᵢ)`.
+pub(crate) fn disjunction_selectivity(children: impl IntoIterator<Item = f64>) -> f64 {
+    1.0 - children.into_iter().map(|s| 1.0 - s).product::<f64>()
+}
+
+/// The leaf of a tree node, if it is one.
+pub(crate) fn leaf(expr: &BoolExpr<BoundPred>) -> Option<&BoundPred> {
+    match expr {
+        BoolExpr::Pred(p) => Some(p),
+        _ => None,
+    }
+}
+
+/// Estimated selectivity of an NNF tree node: an AND's leaf conjuncts
+/// combine by [`conjunction_selectivity`] and multiply with its other
+/// children's estimates; an OR's children combine by
+/// [`disjunction_selectivity`].
+pub(crate) fn tree_selectivity(expr: &BoolExpr<BoundPred>) -> f64 {
+    match expr {
+        BoolExpr::Pred(p) => p.selectivity,
+        BoolExpr::And(cs) => {
+            let others: f64 = cs
+                .iter()
+                .filter(|c| leaf(c).is_none())
+                .map(tree_selectivity)
+                .product();
+            conjunction_selectivity(cs.iter().filter_map(leaf)) * others
+        }
+        BoolExpr::Or(cs) => disjunction_selectivity(cs.iter().map(tree_selectivity)),
+        BoolExpr::Not(c) => 1.0 - tree_selectivity(c),
+    }
+}
+
+/// Append a tree one node per line, children indented below their parent
+/// in execution order, each with its estimate.
+fn explain_tree(out: &mut String, expr: &BoolExpr<BoundPred>, depth: usize) {
+    use std::fmt::Write;
+    let node = match expr {
+        BoolExpr::Pred(p) => pred_text(p),
+        BoolExpr::And(_) => "∧".to_string(),
+        BoolExpr::Or(_) => "∨".to_string(),
+        BoolExpr::Not(_) => "NOT".to_string(),
+    };
+    let _ = writeln!(
+        out,
+        "{}{node} [sel≈{:.4}]",
+        "  ".repeat(depth),
+        tree_selectivity(expr)
+    );
+    match expr {
+        BoolExpr::Pred(_) => {}
+        BoolExpr::And(cs) | BoolExpr::Or(cs) => {
+            cs.iter().for_each(|c| explain_tree(out, c, depth + 1));
+        }
+        BoolExpr::Not(c) => explain_tree(out, c, depth + 1),
+    }
 }
 
 /// Render a bound boolean tree with explicit grouping parentheses.

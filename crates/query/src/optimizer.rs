@@ -1,36 +1,32 @@
 //! The rule-based optimizer (paper §V, Figs. 8–9).
 //!
-//! Four rules, applied in order:
+//! Three rules, applied in order:
 //!
 //! 1. **Predicate pushdown** — σ nodes (plain and boolean-tree) sink below
 //!    projections so scans see them ("make sure that predicates are
 //!    evaluated as early as possible").
-//! 2. **Boolean-tree lowering** — a [`Lqp::FilterTree`] (NNF tree with ORs)
-//!    normalizes to DNF (capped at [`fts_core::MAX_DNF_DISJUNCTS`]),
-//!    orders conjuncts/disjuncts by estimated selectivity, factors the
-//!    common prefix out of the disjuncts and becomes one
-//!    [`Lqp::FusedBoolScan`] — DESIGN.md §6. Trees whose DNF blows up keep
-//!    their `FilterTree` node and run row-wise.
-//! 3. **Predicate reordering** — consecutive σ chains are sorted by
+//! 2. **Predicate reordering** — consecutive σ chains are sorted by
 //!    estimated selectivity, most selective first ("… and in the most
 //!    efficient order"). The driver predicate of the fused scan then
-//!    filters the most rows, minimizing gather traffic.
-//! 4. **Fused-chain tagging** — a maximal chain of ≥ 2 consecutive σ nodes
+//!    filters the most rows, minimizing gather traffic. A boolean tree
+//!    ([`Lqp::FilterTree`]) is ordered the same way at every node: an AND's
+//!    children ascending by estimate, an OR's children descending, so the
+//!    set of rows its later children still have to decide shrinks fastest
+//!    (DESIGN.md §6.2).
+//! 3. **Fused-chain tagging** — a maximal chain of ≥ 2 consecutive σ nodes
 //!    is collapsed into one [`Lqp::FusedFilterChain`], which the translator
 //!    turns into a Fused Table Scan operator (Fig. 8's right-hand plan).
 
-use fts_core::value_key_bits;
+use fts_core::BoolExpr;
 
-use crate::lqp::{BoundPred, Lqp};
+use crate::lqp::{tree_selectivity, BoundPred, Lqp};
 
 /// Apply all rules and return the optimized plan.
 pub fn optimize(plan: Lqp) -> Lqp {
     let plan = pushdown(plan);
-    let plan = lower_bool_trees(plan);
     let plan = reorder_predicates(plan);
     fuse_chains(plan)
 }
-
 /// Rule 1: sink σ below Project (column sets are index-based and unchanged
 /// by projection, so the move is always valid for our plan shapes).
 pub fn pushdown(plan: Lqp) -> Lqp {
@@ -81,56 +77,14 @@ pub fn pushdown(plan: Lqp) -> Lqp {
     }
 }
 
-/// The identity of one bound predicate for prefix factoring: two leaves
-/// with the same column, operator and literal bits are the same predicate.
-/// (`Value` is not `Hash`, so floats key by their IEEE bits.)
-fn pred_key(p: &BoundPred) -> (usize, u8, u64) {
-    (p.column, p.op as u8, value_key_bits(p.value))
-}
-
-/// Rule 2: lower boolean predicate trees into the normalized disjunctive
-/// scan (NNF → DNF → selectivity ordering → common-prefix factoring).
-///
-/// Degenerate outcomes fall back to the conjunctive machinery: a DNF with
-/// a single disjunct, or one whose factored disjunct list collapses via the
-/// absorption law `p ∨ (p ∧ B) = p`, is a plain conjunction and is rebuilt
-/// as a σ chain so rules 3–4 apply to it. A DNF that would exceed
-/// [`fts_core::MAX_DNF_DISJUNCTS`] keeps its `FilterTree` (row-wise
-/// execution beats scanning dozens of sub-chains).
-pub fn lower_bool_trees(plan: Lqp) -> Lqp {
-    match plan {
-        Lqp::FilterTree { input, expr } => {
-            let input = Box::new(lower_bool_trees(*input));
-            match expr.to_dnf(fts_core::MAX_DNF_DISJUNCTS) {
-                Ok(mut dnf) if !dnf.is_false() => {
-                    dnf.order_by_selectivity(&|p: &BoundPred| p.selectivity);
-                    let factored = dnf.factor(&pred_key);
-                    if factored.disjuncts.len() <= 1 {
-                        let mut preds = factored.prefix;
-                        if let Some(d) = factored.disjuncts.into_iter().next() {
-                            preds.extend(d);
-                        }
-                        rebuild_chain(preds, *input)
-                    } else {
-                        Lqp::FusedBoolScan {
-                            input,
-                            prefix: factored.prefix,
-                            disjuncts: factored.disjuncts,
-                        }
-                    }
-                }
-                // DNF blowup (or an unexpectedly constant-false tree —
-                // the binder never builds one): keep the tree node.
-                _ => Lqp::FilterTree { input, expr },
-            }
-        }
-        other => map_input(other, lower_bool_trees),
-    }
-}
-
-/// Rule 2: sort maximal σ chains by estimated selectivity (ascending).
+/// Rule 2: sort maximal σ chains by estimated selectivity (ascending),
+/// and order every boolean tree's nodes by estimate.
 pub fn reorder_predicates(plan: Lqp) -> Lqp {
     match plan {
+        Lqp::FilterTree { input, expr } => Lqp::FilterTree {
+            input: Box::new(reorder_predicates(*input)),
+            expr: order_tree(expr),
+        },
         Lqp::Filter { .. } => {
             let (mut preds, below) = collect_chain(plan);
             // Stable sort keeps the written order for equal estimates.
@@ -142,6 +96,33 @@ pub fn reorder_predicates(plan: Lqp) -> Lqp {
             rebuild_chain(preds, reorder_predicates(below))
         }
         other => map_input(other, reorder_predicates),
+    }
+}
+
+/// Order a tree's children at every node: an AND's ascending by estimate
+/// (its leaf conjuncts become the driver chain, most selective first), an
+/// OR's descending (the child that accepts the most runs first, so later
+/// children see the fewest undecided rows). Sorting is stable, so equal
+/// estimates keep the written order.
+fn order_tree(expr: BoolExpr<BoundPred>) -> BoolExpr<BoundPred> {
+    let ordered = |children: Vec<BoolExpr<BoundPred>>, descending: bool| {
+        let mut keyed: Vec<(f64, BoolExpr<BoundPred>)> = children
+            .into_iter()
+            .map(|c| {
+                let c = order_tree(c);
+                (tree_selectivity(&c), c)
+            })
+            .collect();
+        keyed.sort_by(|a, b| match descending {
+            true => b.0.total_cmp(&a.0),
+            false => a.0.total_cmp(&b.0),
+        });
+        keyed.into_iter().map(|(_, c)| c).collect()
+    };
+    match expr {
+        BoolExpr::And(cs) => BoolExpr::And(ordered(cs, false)),
+        BoolExpr::Or(cs) => BoolExpr::Or(ordered(cs, true)),
+        other => other,
     }
 }
 
@@ -207,15 +188,6 @@ fn map_input(plan: Lqp, f: impl Fn(Lqp) -> Lqp) -> Lqp {
         Lqp::FilterTree { input, expr } => Lqp::FilterTree {
             input: Box::new(f(*input)),
             expr,
-        },
-        Lqp::FusedBoolScan {
-            input,
-            prefix,
-            disjuncts,
-        } => Lqp::FusedBoolScan {
-            input: Box::new(f(*input)),
-            prefix,
-            disjuncts,
         },
         Lqp::Aggregate { input, aggs } => Lqp::Aggregate {
             input: Box::new(f(*input)),
@@ -326,77 +298,72 @@ mod tests {
     }
 
     #[test]
-    fn disjunctions_lower_to_fused_bool_scans() {
-        let p = optimized("SELECT COUNT(*) FROM t WHERE narrow = 7 OR mid = 3 AND wide = 1");
-        let Lqp::Aggregate { input, .. } = &p else {
-            panic!("{p:?}")
-        };
-        let Lqp::FusedBoolScan {
-            prefix, disjuncts, ..
-        } = input.as_ref()
-        else {
-            panic!("{p:?}")
-        };
-        assert!(prefix.is_empty(), "no shared predicate to factor");
-        assert_eq!(disjuncts.len(), 2);
-        // Disjuncts are ordered least-selective first so the running union
-        // saturates early: (mid AND wide) has sel 0.05, narrow 0.01.
-        assert_eq!(disjuncts[0].len(), 2);
-        assert_eq!(disjuncts[1][0].column_name, "narrow");
-        // Within a disjunct the driver is the most selective predicate.
-        assert_eq!(disjuncts[0][0].column_name, "mid");
-    }
-
-    #[test]
-    fn common_prefix_is_factored_out_of_disjuncts() {
+    fn trees_order_and_children_ascending_and_or_children_descending() {
+        // wide = 0.5, narrow = 0.01, mid = 0.1.
         let p = optimized(
-            "SELECT COUNT(*) FROM t WHERE narrow = 7 AND mid = 1 OR narrow = 7 AND wide = 0",
+            "SELECT COUNT(*) FROM t WHERE wide = 1 AND (narrow = 7 OR mid = 3 AND wide = 1) \
+             AND mid = 2",
         );
         let Lqp::Aggregate { input, .. } = &p else {
             panic!("{p:?}")
         };
-        let Lqp::FusedBoolScan {
-            prefix, disjuncts, ..
-        } = input.as_ref()
-        else {
+        let Lqp::FilterTree { expr, .. } = input.as_ref() else {
             panic!("{p:?}")
         };
-        assert_eq!(prefix.len(), 1, "{p:?}");
-        assert_eq!(prefix[0].column_name, "narrow");
-        assert_eq!(disjuncts.len(), 2);
-        assert!(disjuncts.iter().all(|d| d.len() == 1));
-        let text = p.explain();
+        let BoolExpr::And(cs) = expr else {
+            panic!("{expr:?}")
+        };
+        let text = |e: &BoolExpr<BoundPred>| match e {
+            BoolExpr::Pred(p) => p.column_name.clone(),
+            BoolExpr::And(_) => "and".into(),
+            BoolExpr::Or(_) => "or".into(),
+            BoolExpr::Not(_) => "not".into(),
+        };
+        // The OR estimates 1 − 0.99 × 0.95 ≈ 0.06, below mid's 0.1 and
+        // wide's 0.5, so it comes first.
+        let names: Vec<String> = cs.iter().map(text).collect();
+        assert_eq!(names, vec!["or", "mid", "wide"]);
+        let BoolExpr::Or(ds) = &cs[0] else {
+            panic!("{expr:?}")
+        };
+        // The OR's children run most accepting first: (mid AND wide)
+        // estimates 0.05, narrow 0.01.
+        let names: Vec<String> = ds.iter().map(text).collect();
+        assert_eq!(names, vec!["and", "narrow"]);
+        let BoolExpr::And(inner) = &ds[0] else {
+            panic!("{expr:?}")
+        };
+        let names: Vec<String> = inner.iter().map(text).collect();
+        assert_eq!(names, vec!["mid", "wide"]);
+        // A NOT over an OR is a conjunction: it stays a fused chain.
+        let p = optimized("SELECT COUNT(*) FROM t WHERE NOT (mid = 3 OR wide = 1)");
+        let Lqp::Aggregate { input, .. } = &p else {
+            panic!("{p:?}")
+        };
         assert!(
-            text.contains("FusedBoolScan ꔖ[narrow = 7] ∧ ∨[2 disjuncts]"),
-            "{text}"
+            matches!(input.as_ref(), Lqp::FusedFilterChain { .. }),
+            "{p:?}"
         );
-        assert!(text.contains("∨ ꔖ["), "{text}");
-        assert!(text.contains("[sel≈"), "{text}");
     }
 
     #[test]
-    fn absorbed_disjunctions_collapse_to_conjunctive_chains() {
-        // mid = 3 OR (mid = 3 AND wide = 1) absorbs to mid = 3.
-        let p = optimized("SELECT COUNT(*) FROM t WHERE mid = 3 OR mid = 3 AND wide = 1");
-        let Lqp::Aggregate { input, .. } = &p else {
-            panic!("{p:?}")
-        };
-        let Lqp::Filter { pred, .. } = input.as_ref() else {
-            panic!("{p:?}")
-        };
-        assert_eq!(pred.column_name, "mid");
-
-        // NOT over a conjunction lowers back to a fused conjunctive chain
-        // when De Morgan yields a single disjunct … it cannot, so check the
-        // single-disjunct path with a redundant OR of identical terms.
-        let p = optimized("SELECT COUNT(*) FROM t WHERE mid = 3 OR mid = 3");
-        let Lqp::Aggregate { input, .. } = &p else {
-            panic!("{p:?}")
-        };
-        assert!(
-            matches!(input.as_ref(), Lqp::Filter { .. }),
-            "identical disjuncts absorb: {p:?}"
-        );
+    fn explain_prints_the_ordered_tree_with_estimates() {
+        let text = optimized(
+            "SELECT COUNT(*) FROM t WHERE mid = 3 AND wide = 1 AND (narrow = 7 OR narrow = 9)",
+        )
+        .explain();
+        // One line per node in execution order, each with its estimate:
+        // the AND's 0.05 × 0.0199, the OR's 1 − 0.99².
+        let tree = [
+            "    ∧ [sel≈0.0010]",
+            "      ∨ [sel≈0.0199]",
+            "        narrow = 7 [sel≈0.0100]",
+            "        narrow = 9 [sel≈0.0100]",
+            "      mid = 3 [sel≈0.1000]",
+            "      wide = 1 [sel≈0.5000]",
+        ]
+        .join("\n");
+        assert!(text.contains(&tree), "{text}");
     }
 
     #[test]

@@ -1,23 +1,23 @@
 //! Property: a random boolean predicate tree (AND/OR/NOT of bounded
 //! depth) returns through SQL exactly the rows that a row-at-a-time walk
 //! of the same tree over the plain column vectors returns
-//! ([`reference_scan_bool`]) — whatever layout each `u32` column is
-//! stored in, with the JIT on or off, for `COUNT(*)`, for a projection's
-//! rows in order, and for `COUNT(*), SUM, MIN, MAX, AVG` of a random
-//! column, which must equal a fold over the plain vectors of those rows,
-//! alone and inside one shared batch pass. The trees reach every way the executor runs
-//! a `WHERE` clause: a conjunctive chain, a factored mask-union of fused
-//! sub-chains, and the row-wise `FilterTree` past `MAX_DNF_DISJUNCTS`
-//! disjuncts. Tables span several small chunks, so calibration probes a
-//! different kernel on each of the first chunks and then switches to its
-//! winner within one statement; that must never change a result.
-
-use std::cmp::Ordering;
+//! ([`reference_scan_bool`], each leaf tested with `NativeType::cmp_op`,
+//! so a NaN row fails every comparison) — whatever layout each `u32`
+//! column is stored in, with the JIT on or off, for `COUNT(*)`, for a
+//! projection's rows in order, and for `COUNT(*), SUM, MIN, MAX, AVG` of a
+//! random column, which must equal a fold over the plain vectors of those
+//! rows, alone and inside one shared batch pass. The trees reach every way
+//! the executor runs a `WHERE` clause: a conjunctive chain, a root AND
+//! whose leaf conjuncts drive while its ORs filter the survivors, an AND
+//! of ORs whose first OR drives, and a root OR whose children each drive.
+//! Tables span several small chunks, so calibration probes a different
+//! kernel on each of the first chunks and then switches to its winner
+//! within one statement; that must never change a result.
 
 use fts_core::reference::reference_scan_bool;
 use fts_core::BoolExpr;
 use fts_query::{Engine, JitMode, QueryResult};
-use fts_storage::{CmpOp, Column, ColumnDef, DataType, Table, Value};
+use fts_storage::{CmpOp, Column, ColumnDef, DataType, NativeType, Table, Value};
 use proptest::prelude::*;
 
 /// Rows per chunk: small, so a table of a few thousand rows has enough
@@ -25,9 +25,16 @@ use proptest::prelude::*;
 const CHUNK: usize = 256;
 
 /// Column names: `id` (the row number), three small-domain `u32` columns,
-/// an `i64` column around zero and a `u64` column straddling 2^32.
-const NAMES: [&str; 6] = ["id", "a", "b", "c", "big", "wide"];
+/// an `i64` column around zero, a `u64` column straddling 2^32 and an
+/// `f64` column of small whole numbers, a fifth of them NaN when the
+/// column is plain (a dictionary cannot hold NaN, so the
+/// dictionary-encoded column draws none).
+const NAMES: [&str; 7] = ["id", "a", "b", "c", "big", "wide", "f"];
 const U32_COLUMNS: usize = 4;
+/// Columns the aggregates read: all but `f` (float folds over NaN have
+/// their own tests).
+const AGG_COLUMNS: usize = 6;
+const F: usize = 6;
 const WIDE_BASE: u64 = u32::MAX as u64 - 8;
 
 /// Deterministic per-case generator (xorshift).
@@ -51,6 +58,8 @@ struct Data {
     u32s: Vec<Vec<u32>>,
     big: Vec<i64>,
     wide: Vec<u64>,
+    f: Vec<f64>,
+    f_dict: bool,
 }
 
 impl Data {
@@ -59,10 +68,18 @@ impl Data {
         for _ in 1..U32_COLUMNS {
             u32s.push((0..rows).map(|_| g.below(16) as u32).collect());
         }
+        let f_dict = g.below(2) == 1;
         Data {
             u32s,
             big: (0..rows).map(|_| g.below(17) as i64 - 8).collect(),
             wide: (0..rows).map(|_| WIDE_BASE + g.below(16)).collect(),
+            f: (0..rows)
+                .map(|_| match g.below(5) {
+                    0 if !f_dict => f64::NAN,
+                    _ => g.below(8) as f64,
+                })
+                .collect(),
+            f_dict,
         }
     }
 
@@ -117,13 +134,15 @@ impl Data {
         }
     }
 
-    /// The table with each `u32` column in a layout drawn from `g` and the
-    /// 8-byte columns plain or dictionary-encoded; returns it with the
-    /// layout names for failure messages.
-    fn table(&self, g: &mut Gen) -> (Table, String) {
+    /// The table with each `u32` column in a layout drawn from `g` (or
+    /// column `x` in layout `layout`, for `Some((x, layout))`), the 8-byte
+    /// columns plain or dictionary-encoded at random and `f` as drawn;
+    /// returns it with the layout names for failure messages.
+    fn table(&self, g: &mut Gen, force: Option<(usize, u64)>) -> (Table, String) {
         let mut columns: Vec<Column> = self.u32s.iter().cloned().map(Column::from_vec).collect();
         columns.push(Column::from_vec(self.big.clone()));
         columns.push(Column::from_vec(self.wide.clone()));
+        columns.push(Column::from_vec(self.f.clone()));
         let defs = NAMES
             .iter()
             .enumerate()
@@ -131,7 +150,8 @@ impl Data {
                 let ty = match i {
                     c if c < U32_COLUMNS => DataType::U32,
                     4 => DataType::I64,
-                    _ => DataType::U64,
+                    5 => DataType::U64,
+                    _ => DataType::F64,
                 };
                 ColumnDef::new(*name, ty)
             })
@@ -139,7 +159,11 @@ impl Data {
         let mut t = Table::from_chunked_columns(defs, columns, CHUNK).expect("table");
         let mut names = Vec::new();
         for c in 0..U32_COLUMNS {
-            let (name, next) = match g.below(5) {
+            let layout = match force {
+                Some((x, layout)) if x == c => layout,
+                _ => g.below(5),
+            };
+            let (name, next) = match layout {
                 0 => ("plain", t),
                 1 => ("dict", t.with_dictionary_encoding(&[c]).unwrap()),
                 2 => ("packed", t.with_bitpacking(&[c]).unwrap()),
@@ -150,7 +174,11 @@ impl Data {
             names.push(name);
         }
         for c in U32_COLUMNS..NAMES.len() {
-            if g.below(2) == 1 {
+            let dict = match c {
+                F => self.f_dict,
+                _ => g.below(2) == 1,
+            };
+            if dict {
                 t = t.with_dictionary_encoding(&[c]).unwrap();
                 names.push("dict");
             } else {
@@ -178,7 +206,8 @@ impl Leaf {
             0 => g.below(rows as u64 + 2) as i128,
             c if c < U32_COLUMNS => g.below(18) as i128,
             4 => g.below(21) as i128 - 10,
-            _ => (WIDE_BASE - 2 + g.below(20)) as i128,
+            5 => (WIDE_BASE - 2 + g.below(20)) as i128,
+            _ => g.below(10) as i128 - 1,
         };
         Leaf {
             col,
@@ -187,15 +216,14 @@ impl Leaf {
         }
     }
 
+    /// The leaf on one row, compared in the column's own type.
     fn holds(&self, data: &Data, row: usize) -> bool {
-        let ord = data.value(self.col, row).cmp(&self.lit);
-        match self.op {
-            CmpOp::Eq => ord == Ordering::Equal,
-            CmpOp::Ne => ord != Ordering::Equal,
-            CmpOp::Lt => ord == Ordering::Less,
-            CmpOp::Le => ord != Ordering::Greater,
-            CmpOp::Gt => ord == Ordering::Greater,
-            CmpOp::Ge => ord != Ordering::Less,
+        let (op, lit) = (self.op, self.lit);
+        match self.col {
+            c if c < U32_COLUMNS => data.u32s[c][row].cmp_op(op, lit as u32),
+            4 => data.big[row].cmp_op(op, lit as i64),
+            5 => data.wide[row].cmp_op(op, lit as u64),
+            _ => data.f[row].cmp_op(op, lit as f64),
         }
     }
 }
@@ -251,7 +279,13 @@ fn check(
     expr: &BoolExpr<Leaf>,
     xs: [usize; 2],
 ) -> Result<(), TestCaseError> {
-    let expected = reference_scan_bool(expr, data.rows(), |l, row| l.holds(data, row));
+    // `NOT` over a float comparison negates its operator (DESIGN.md §6.2),
+    // so a NaN row fails both `f < 4` and `NOT f < 4`: walk the NNF.
+    let nnf = expr.clone().to_nnf(&|l: Leaf| Leaf {
+        op: l.op.negate(),
+        ..l
+    });
+    let expected = reference_scan_bool(&nnf, data.rows(), |l, row| l.holds(data, row));
     let clause = where_sql(expr);
     let aggregates: Vec<(String, QueryResult)> = xs
         .iter()
@@ -319,9 +353,72 @@ fn check(
     Ok(())
 }
 
-/// Two aggregate argument columns, each drawn from every column.
+/// Two aggregate argument columns, each drawn from every integer column.
 fn random_xs(g: &mut Gen) -> [usize; 2] {
-    [0, 1].map(|_| g.below(NAMES.len() as u64) as usize)
+    [0, 1].map(|_| g.below(AGG_COLUMNS as u64) as usize)
+}
+
+/// `(x = v₁ OR x = v₂ OR x < v₃) AND <leaf> …` over a small-domain `u32`
+/// column `x`: the leaves drive and the OR filters their survivors in one
+/// loop. Some literals lie past the column's values 0..15, so a
+/// dictionary rewrites them to a constant: `x = 17` to `MatchNone` and
+/// `x < 100` to `MatchAll`.
+fn one_column_or(g: &mut Gen, rows: usize, x: usize) -> BoolExpr<Leaf> {
+    let mut leaf = |op, choices: [i128; 2]| {
+        let lit = match g.below(3) {
+            0 => choices[0],
+            1 => choices[1],
+            _ => g.below(16) as i128,
+        };
+        BoolExpr::pred(Leaf { col: x, op, lit })
+    };
+    let or = BoolExpr::or(vec![
+        leaf(CmpOp::Eq, [16, 17]),
+        leaf(CmpOp::Eq, [3, 19]),
+        leaf(CmpOp::Lt, [0, 100]),
+    ]);
+    let mut conjuncts = vec![or];
+    for _ in 0..1 + g.below(2) {
+        conjuncts.push(BoolExpr::pred(Leaf::random(g, rows)));
+    }
+    BoolExpr::and(conjuncts)
+}
+
+/// `<leaf> AND ((x >= lo AND x <= hi) OR x = v) AND (y = k OR ((x = v₁ OR
+/// x = v₂) AND x < v₃))` over small-domain `u32` columns `x` and `y`: in
+/// each filtering node a compound child that runs as one loop on `x`, with
+/// the other connective, is ordered before a leaf on `x` — the range
+/// estimates above the equality under the OR, the one-column OR below the
+/// range under the AND. Literals past 0..15 make dictionary leaves
+/// constant.
+fn compound_before_leaf(g: &mut Gen, rows: usize, x: usize) -> BoolExpr<Leaf> {
+    let leaf = |col, op, lit| BoolExpr::pred(Leaf { col, op, lit });
+    let lo = g.below(8) as i128;
+    let hi = lo + 2 + g.below(6) as i128;
+    let range_or_eq = BoolExpr::or(vec![
+        BoolExpr::and(vec![leaf(x, CmpOp::Ge, lo), leaf(x, CmpOp::Le, hi)]),
+        leaf(x, CmpOp::Eq, g.below(18) as i128),
+    ]);
+    let y = 1 + (x + g.below(2) as usize) % (U32_COLUMNS - 1);
+    let below = match g.below(4) {
+        0 => 100,
+        _ => 4 + g.below(12) as i128,
+    };
+    let eq_or_range = BoolExpr::or(vec![
+        leaf(y, CmpOp::Eq, g.below(16) as i128),
+        BoolExpr::and(vec![
+            BoolExpr::or(vec![
+                leaf(x, CmpOp::Eq, g.below(18) as i128),
+                leaf(x, CmpOp::Eq, g.below(16) as i128),
+            ]),
+            leaf(x, CmpOp::Lt, below),
+        ]),
+    ]);
+    BoolExpr::and(vec![
+        BoolExpr::pred(Leaf::random(g, rows)),
+        range_or_eq,
+        eq_or_range,
+    ])
 }
 
 proptest! {
@@ -335,14 +432,14 @@ proptest! {
     ) {
         let mut g = Gen(seed | 1);
         let data = Data::random(&mut g, rows);
-        let (table, layouts) = data.table(&mut g);
+        let (table, layouts) = data.table(&mut g, None);
         let expr = random_tree(&mut g, depth, rows);
         let xs = random_xs(&mut g);
         check(&data, &table, &layouts, &expr, xs)?;
     }
 
-    /// An AND of six two-leaf ORs has 2^6 disjuncts, past the DNF cap:
-    /// the plan keeps the tree and evaluates it row by row.
+    /// An AND of six two-leaf ORs (2^6 disjuncts in DNF) has no leaf
+    /// conjunct: its first OR drives and the other five filter.
     #[test]
     fn trees_past_the_dnf_cap_agree_with_the_row_walk(
         seed in any::<u64>(),
@@ -350,7 +447,7 @@ proptest! {
     ) {
         let mut g = Gen(seed | 1);
         let data = Data::random(&mut g, rows);
-        let (table, layouts) = data.table(&mut g);
+        let (table, layouts) = data.table(&mut g, None);
         let expr = BoolExpr::and(
             (0..6)
                 .map(|_| BoolExpr::or(vec![
@@ -367,6 +464,48 @@ proptest! {
         prop_assert!(plan.contains("FilterTree"), "{}", plan);
         let xs = random_xs(&mut g);
         check(&data, &table, &layouts, &expr, xs)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A one-column OR under a driver, with its column in each of the five
+    /// layouts in turn.
+    #[test]
+    fn one_column_ors_agree_with_the_row_walk(
+        seed in any::<u64>(),
+        rows in 1usize..1500,
+    ) {
+        let mut g = Gen(seed | 1);
+        let data = Data::random(&mut g, rows);
+        let x = 1 + g.below(U32_COLUMNS as u64 - 1) as usize;
+        let expr = one_column_or(&mut g, rows, x);
+        let xs = random_xs(&mut g);
+        for layout in 0..5 {
+            let (table, layouts) = data.table(&mut g, Some((x, layout)));
+            check(&data, &table, &layouts, &expr, xs)?;
+        }
+    }
+
+    /// Compound children before same-column leaves, in OR and in AND
+    /// filter position, with `x` in each of the five layouts in turn. Tables
+    /// of 200 rows or more hold every value 0..15 (all but surely), so the
+    /// estimates order the children as written.
+    #[test]
+    fn compound_children_before_same_column_leaves_agree_with_the_row_walk(
+        seed in any::<u64>(),
+        rows in 200usize..1500,
+    ) {
+        let mut g = Gen(seed | 1);
+        let data = Data::random(&mut g, rows);
+        let x = 1 + g.below(U32_COLUMNS as u64 - 1) as usize;
+        let expr = compound_before_leaf(&mut g, rows, x);
+        let xs = random_xs(&mut g);
+        for layout in 0..5 {
+            let (table, layouts) = data.table(&mut g, Some((x, layout)));
+            check(&data, &table, &layouts, &expr, xs)?;
+        }
     }
 }
 

@@ -72,73 +72,6 @@ impl PosList {
     pub fn is_valid(&self) -> bool {
         self.0.windows(2).all(|w| w[0] < w[1])
     }
-
-    /// Sorted-merge union with another list (both ascending, result
-    /// ascending and duplicate-free). This is the mask-union a disjunction
-    /// of fused sub-chains combines its per-disjunct results with
-    /// (DESIGN.md §6).
-    pub fn union(&self, other: &PosList) -> PosList {
-        let (a, b) = (self.as_slice(), other.as_slice());
-        let mut out = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(a[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(b[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(&a[i..]);
-        out.extend_from_slice(&b[j..]);
-        PosList(out)
-    }
-
-    /// Sorted-merge difference `self \ other` (both ascending). The
-    /// mask-difference used when a negated sub-chain is subtracted from a
-    /// candidate set.
-    pub fn difference(&self, other: &PosList) -> PosList {
-        let (a, b) = (self.as_slice(), other.as_slice());
-        let mut out = Vec::with_capacity(a.len());
-        let mut j = 0usize;
-        for &x in a {
-            while j < b.len() && b[j] < x {
-                j += 1;
-            }
-            if j >= b.len() || b[j] != x {
-                out.push(x);
-            }
-        }
-        PosList(out)
-    }
-
-    /// Sorted-merge intersection with another list (both ascending).
-    pub fn intersect(&self, other: &PosList) -> PosList {
-        let (a, b) = (self.as_slice(), other.as_slice());
-        let mut out = Vec::with_capacity(a.len().min(b.len()));
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        PosList(out)
-    }
 }
 
 impl FromIterator<u32> for PosList {
@@ -183,41 +116,6 @@ mod tests {
     fn from_iterator() {
         let pl: PosList = [2u32, 4, 8].into_iter().collect();
         assert_eq!(pl.into_vec(), vec![2, 4, 8]);
-    }
-
-    #[test]
-    fn intersection() {
-        let a: PosList = [1u32, 3, 5, 7, 9].into_iter().collect();
-        let b: PosList = [2u32, 3, 4, 7, 10].into_iter().collect();
-        assert_eq!(a.intersect(&b).as_slice(), &[3, 7]);
-        assert_eq!(b.intersect(&a).as_slice(), &[3, 7]);
-        assert!(a.intersect(&PosList::new()).is_empty());
-        assert_eq!(a.intersect(&a), a);
-    }
-
-    #[test]
-    fn union_merges_and_dedups() {
-        let a: PosList = [1u32, 3, 5, 7, 9].into_iter().collect();
-        let b: PosList = [2u32, 3, 4, 7, 10].into_iter().collect();
-        assert_eq!(a.union(&b).as_slice(), &[1, 2, 3, 4, 5, 7, 9, 10]);
-        assert_eq!(b.union(&a), a.union(&b));
-        assert!(a.union(&b).is_valid());
-        assert_eq!(a.union(&PosList::new()), a);
-        assert_eq!(PosList::new().union(&a), a);
-        assert_eq!(a.union(&a), a);
-    }
-
-    #[test]
-    fn difference_removes_matches() {
-        let a: PosList = [1u32, 3, 5, 7, 9].into_iter().collect();
-        let b: PosList = [2u32, 3, 4, 7, 10].into_iter().collect();
-        assert_eq!(a.difference(&b).as_slice(), &[1, 5, 9]);
-        assert_eq!(b.difference(&a).as_slice(), &[2, 4, 10]);
-        assert!(a.difference(&b).is_valid());
-        assert_eq!(a.difference(&PosList::new()), a);
-        assert!(a.difference(&a).is_empty());
-        // De Morgan on position sets: a \ (a \ b) == a ∩ b.
-        assert_eq!(a.difference(&a.difference(&b)), a.intersect(&b));
     }
 
     #[test]

@@ -109,8 +109,8 @@ fn main() {
                      [WHERE pred] [LIMIT n]\n  EXPLAIN [ANALYZE] SELECT …\nWHERE grammar \
                      (NOT > AND > OR, parentheses group):\n  pred := c OP lit | lit OP c | \
                      c BETWEEN lo AND hi | (pred) | NOT pred\n          | pred AND pred | \
-                     pred OR pred      OP ∈ {{= <> < <= > >=}}\n  ORs execute as a mask union \
-                     of fused sub-chains (EXPLAIN shows the tree)\ncommands:\n  \
+                     pred OR pred      OP ∈ {{= <> < <= > >=}}\n  the root's leaf conjuncts \
+                     drive one fused scan, the rest filters (EXPLAIN shows the tree)\ncommands:\n  \
                      \\tables   list tables\n  \\jit      kernel-cache statistics\n  \\stats    chunk-pruning counters\n  \\q        quit"
                 );
             }
