@@ -43,7 +43,8 @@ fn main() {
     println!("{}", fig.table("total_ms"));
     println!("{}", fig.table("p99_ms"));
     println!("{}", fig.table("shared_hit_rate"));
-    if let Some((worst_ratio, mismatches)) = concurrent_bench::acceptance(&fig) {
+    let accepted = concurrent_bench::acceptance(&fig);
+    if let Some((worst_ratio, mismatches)) = accepted {
         println!(
             "acceptance: worst batched/naive total-time ratio at >= {} clients = {worst_ratio:.3} \
              (bar: < 1.0), differential mismatches = {mismatches} (bar: 0)",
@@ -59,6 +60,11 @@ fn main() {
         t.elapsed().as_secs_f64(),
         out_dir.display()
     );
+    // A wrong answer fails the run; the timing ratio is only reported.
+    if !matches!(accepted, Some((_, 0))) {
+        eprintln!("FAIL: differential mismatches, or no acceptance numbers");
+        std::process::exit(1);
+    }
 }
 
 fn usage() -> ! {

@@ -371,6 +371,23 @@ impl AdmissionController {
             && state.running_bytes.saturating_add(bytes) <= self.cfg.max_bytes
     }
 
+    fn grant(&self, state: &mut AdmState, bytes: u64) -> Permit<'_> {
+        state.running += 1;
+        state.running_bytes += bytes;
+        Permit { ctrl: self, bytes }
+    }
+
+    /// The fast path: a permit only if nobody is in line and it fits now.
+    fn grant_now(&self, state: &mut AdmState, bytes: u64) -> Option<Permit<'_>> {
+        (state.waiting.is_empty() && self.fits(state, bytes)).then(|| self.grant(state, bytes))
+    }
+
+    /// Admit `bytes` only if it can run now, without waiting: nobody is in
+    /// line (so FIFO order holds) and the budget fits. `None` otherwise.
+    pub fn try_admit(&self, bytes: u64) -> Option<Permit<'_>> {
+        self.grant_now(&mut self.lock(), bytes)
+    }
+
     /// Admit work that will touch `bytes` bytes, waiting in FIFO order
     /// for budget if necessary. Returns the permit, or
     /// [`EngineError::Overloaded`] when the wait queue is full or the
@@ -391,11 +408,8 @@ impl AdmissionController {
                 oversized: Some((bytes, self.cfg.max_bytes)),
             });
         }
-        // Fast path: nobody in line and the budget fits right now.
-        if guard.waiting.is_empty() && self.fits(&guard, bytes) {
-            guard.running += 1;
-            guard.running_bytes += bytes;
-            return Ok((Permit { ctrl: self, bytes }, false));
+        if let Some(permit) = self.grant_now(&mut guard, bytes) {
+            return Ok((permit, false));
         }
         if guard.waiting.len() >= self.cfg.max_queued {
             return Err(EngineError::Overloaded {
@@ -410,12 +424,11 @@ impl AdmissionController {
         loop {
             if guard.waiting.front() == Some(&ticket) && self.fits(&guard, bytes) {
                 guard.waiting.pop_front();
-                guard.running += 1;
-                guard.running_bytes += bytes;
+                let permit = self.grant(&mut guard, bytes);
                 // The next waiter may also fit (e.g. byte budget with
                 // room for two) — pass the wakeup along.
                 self.freed.notify_all();
-                return Ok((Permit { ctrl: self, bytes }, true));
+                return Ok((permit, true));
             }
             guard = self
                 .freed
@@ -626,5 +639,60 @@ mod tests {
             waiter.join().unwrap();
         });
         assert_eq!(ctrl.load(), (0, 0));
+    }
+
+    #[test]
+    fn try_admit_refuses_when_the_budget_is_full() {
+        let ctrl = AdmissionController::new(AdmissionConfig {
+            max_concurrent: 1,
+            max_queued: 4,
+            max_bytes: 10,
+        });
+        let only = ctrl.try_admit(4).expect("an idle controller admits");
+        assert_eq!(only.bytes(), 4);
+        assert!(ctrl.try_admit(0).is_none(), "concurrency budget is full");
+        drop(only);
+
+        let bytes = AdmissionController::new(AdmissionConfig {
+            max_concurrent: 8,
+            ..ctrl.config()
+        });
+        let _held = bytes.try_admit(7).unwrap();
+        assert!(bytes.try_admit(4).is_none(), "7 + 4 > 10 bytes");
+        assert!(bytes.try_admit(3).is_some(), "7 + 3 fits");
+        assert_eq!(bytes.load(), (1, 0), "a refused try_admit never queues");
+    }
+
+    #[test]
+    fn try_admit_never_jumps_the_line() {
+        let ctrl = AdmissionController::new(AdmissionConfig {
+            max_concurrent: 10,
+            max_queued: 10,
+            max_bytes: 10,
+        });
+        let p1 = ctrl.admit(6).unwrap();
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| ctrl.admit(6).map(|p| p.bytes()));
+            while ctrl.load().1 == 0 {
+                std::thread::yield_now();
+            }
+            // 6 + 1 fits the budget, but a 6-byte request is first in line.
+            assert!(ctrl.try_admit(1).is_none());
+            drop(p1);
+            assert_eq!(waiter.join().unwrap().unwrap(), 6);
+        });
+        assert!(ctrl.try_admit(1).is_some(), "the line is empty again");
+    }
+
+    #[test]
+    fn try_admit_refuses_oversized_requests() {
+        let ctrl = AdmissionController::new(AdmissionConfig {
+            max_concurrent: 8,
+            max_queued: 8,
+            max_bytes: 100,
+        });
+        assert!(ctrl.try_admit(101).is_none());
+        assert_eq!(ctrl.load(), (0, 0));
+        assert!(ctrl.try_admit(100).is_some());
     }
 }

@@ -126,6 +126,20 @@ impl Default for ExecContext {
     }
 }
 
+impl ExecContext {
+    /// The plain and packed kernel caches' activity, summed: one cache
+    /// implementation, reported as one.
+    pub fn jit_stats(&self) -> CacheStats {
+        let (plain, packed) = (self.kernels.stats(), self.packed_kernels.stats());
+        CacheStats {
+            hits: plain.hits + packed.hits,
+            misses: plain.misses + packed.misses,
+            evictions: plain.evictions + packed.evictions,
+            compile_time: plain.compile_time + packed.compile_time,
+        }
+    }
+}
+
 /// Whether the AVX-512 execution paths (JIT included) may run: the host
 /// must have the ISA *and* `FTS_FORCE_SIMD` must not cap the level below
 /// it — so forcing `scalar`/`avx2` disables machine-code kernels too.
@@ -1421,24 +1435,13 @@ pub fn execute_analyzed(
     ctx: &ExecContext,
 ) -> Result<(QueryResult, AnalyzeReport), ExecError> {
     let mut report = AnalyzeReport::default();
-    // Plain and packed kernels share one cache implementation; the
-    // report sums their activity.
-    let jit_stats = || {
-        let (plain, packed) = (ctx.kernels.stats(), ctx.packed_kernels.stats());
-        CacheStats {
-            hits: plain.hits + packed.hits,
-            misses: plain.misses + packed.misses,
-            evictions: plain.evictions + packed.evictions,
-            compile_time: plain.compile_time + packed.compile_time,
-        }
-    };
-    let jit0 = jit_stats();
+    let jit0 = ctx.jit_stats();
     let pruned0 = ctx.chunks_pruned.load(Ordering::Relaxed);
     let scanned0 = ctx.chunks_scanned.load(Ordering::Relaxed);
     let started = Instant::now();
     let result = execute_with(plan, ctx, Some(&mut report))?;
     report.wall = started.elapsed();
-    let jit1 = jit_stats();
+    let jit1 = ctx.jit_stats();
     report.jit_hits = jit1.hits.saturating_sub(jit0.hits);
     report.jit_misses = jit1.misses.saturating_sub(jit0.misses);
     report.jit_evictions = jit1.evictions.saturating_sub(jit0.evictions);

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! cargo run --release --bin fts-server -- [--addr HOST:PORT] [--rows N]
-//!     [--no-batch] [--window-ms MS] [--max-concurrent N] [--max-queued N]
-//!     [--max-bytes B] [--advisor] [--advisor-interval-ms MS]
+//!     [--no-batch] [--max-concurrent N] [--max-queued N] [--max-bytes B]
+//!     [--advisor] [--advisor-interval-ms MS]
 //! ```
 //!
 //! Serves the same demo `orders` tables as `fts-sql` (plain, dictionary
@@ -47,7 +47,7 @@ fn build_demo(rows: usize) -> Table {
 fn usage() -> ! {
     eprintln!(
         "usage: fts-server [--addr HOST:PORT] [--rows N] [--no-batch] \
-         [--window-ms MS] [--max-concurrent N] [--max-queued N] [--max-bytes B] \
+         [--max-concurrent N] [--max-queued N] [--max-bytes B] \
          [--advisor] [--advisor-interval-ms MS]"
     );
     std::process::exit(2);
@@ -75,10 +75,6 @@ fn main() {
                     .unwrap_or_else(|_| usage())
             }
             "--no-batch" => config.batching = false,
-            "--window-ms" => {
-                config.batch_window =
-                    Duration::from_millis(value("--window-ms").parse().unwrap_or_else(|_| usage()))
-            }
             "--max-concurrent" => {
                 config.admission.max_concurrent = value("--max-concurrent")
                     .parse()

@@ -9,12 +9,13 @@
 //!   declares an approximate scan cost in bytes; the server admits it,
 //!   queues it (bounded FIFO), or sheds it with an explicit
 //!   `Overloaded` error the client can retry on;
-//! * **batching** ([`batch`]) — admitted statements that are compatible
-//!   (aggregates over the same table) rendezvous for a short window and
-//!   execute as *one* shared chunk-major table pass, with identical
-//!   statements deduplicated outright — the concurrent analogue of the
-//!   paper's "the scan is bandwidth-bound, so don't read the data
-//!   twice";
+//! * **batching** ([`batch`]) — a statement admission can run now runs
+//!   at once and alone; compatible statements (aggregates over the same
+//!   table) that must wait for admission execute as *one* shared
+//!   chunk-major table pass once their leader is admitted, with
+//!   identical statements deduplicated outright. The fused scan is
+//!   compute-bound on one core, so sharing pays only for work that
+//!   would queue anyway, and no statement waits for company;
 //! * **observability** ([`fts_metrics::SchedCounters`]) — the `STATS`
 //!   command and the server lines appended to `EXPLAIN ANALYZE` report
 //!   admitted/queued/rejected counts and the shared-pass hit rate;

@@ -51,8 +51,13 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("peer announced a {len} B frame"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    // Grow the buffer as bytes arrive: a peer that announces a large
+    // frame and then idles pins only what it actually sent.
+    let mut payload = Vec::new();
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
     Ok(Some(payload))
 }
 
@@ -182,6 +187,40 @@ mod tests {
         buf.truncate(buf.len() - 2);
         let mut r = &buf[..];
         assert!(read_frame(&mut r).is_err());
+    }
+
+    /// Announces a full-size frame, delivers 10 bytes, then EOF; records
+    /// the largest buffer it is asked to fill.
+    struct Stingy {
+        sent: Vec<u8>,
+        largest_read: usize,
+    }
+
+    impl Read for Stingy {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest_read = self.largest_read.max(buf.len());
+            let n = buf.len().min(self.sent.len());
+            buf[..n].copy_from_slice(&self.sent[..n]);
+            self.sent.drain(..n);
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn announced_length_is_not_allocated_before_the_payload_arrives() {
+        let mut sent = (MAX_FRAME_BYTES as u32).to_be_bytes().to_vec();
+        sent.extend_from_slice(b"ten bytes!");
+        let mut peer = Stingy {
+            sent,
+            largest_read: 0,
+        };
+        let err = read_frame(&mut peer).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            peer.largest_read <= 64 * 1024,
+            "asked the peer to fill {} B",
+            peer.largest_read
+        );
     }
 
     #[test]

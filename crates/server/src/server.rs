@@ -1,10 +1,10 @@
-//! The server proper: admission → batching → execution → telemetry.
+//! The server proper: plan → admission and scan sharing ([`Batcher`]) →
+//! render → telemetry.
 
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use fts_core::{AdmissionConfig, AdmissionController, EngineError};
 use fts_metrics::{AdvisorCounters, SchedCounters, SchedSnapshot};
@@ -20,12 +20,9 @@ use crate::protocol::{Request, Response, MAX_FRAME_BYTES};
 pub struct ServerConfig {
     /// Admission budget (concurrency, queue depth, byte budget).
     pub admission: AdmissionConfig,
-    /// How long a batch leader waits for compatible statements to join
-    /// its shared pass. Zero still batches statements that are already
-    /// waiting, but in practice disables coalescing.
-    pub batch_window: Duration,
-    /// Whether scan-sharing is enabled at all (`false` executes every
-    /// statement solo — the bench's baseline mode).
+    /// Whether statements waiting for admission share table passes
+    /// (`false` executes every statement solo — the bench's baseline
+    /// mode).
     pub batching: bool,
     /// Background layout-advisor knobs (off by default).
     pub advisor: AdvisorConfig,
@@ -35,7 +32,6 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             admission: AdmissionConfig::default(),
-            batch_window: Duration::from_millis(2),
             batching: true,
             advisor: AdvisorConfig::default(),
         }
@@ -82,7 +78,7 @@ impl QueryServer {
             counters: SchedCounters::new(),
             advisor_counters,
             advisor: Mutex::new(advisor),
-            batcher: Batcher::new(config.batch_window),
+            batcher: Batcher::new(config.batching),
             config,
         }
     }
@@ -132,7 +128,8 @@ impl QueryServer {
     }
 
     /// Handle one statement end to end: server commands short-circuit,
-    /// SQL goes through plan → admit → (batch|solo) execute → render.
+    /// SQL goes through plan → admit and execute, alone or in a shared
+    /// pass → render.
     pub fn handle(&self, statement: &str) -> Response {
         let stmt = statement.trim();
         match stmt.to_ascii_uppercase().as_str() {
@@ -153,55 +150,15 @@ impl QueryServer {
         };
         let analyze = prepared.is_analyze();
 
-        // A statement whose cost alone exceeds the byte budget can never
-        // be admitted — reject it before it joins a batch, where its cost
-        // would poison the whole pass (pass cost is the max of its
-        // statements).
-        let budget = self.admission.config().max_bytes;
-        if prepared.cost_bytes() > budget {
-            self.counters.record_rejected();
-            return Response::Err(
-                EngineError::Overloaded {
-                    running: self.admission.load().0,
-                    queued: self.admission.load().1,
-                    oversized: Some((prepared.cost_bytes(), budget)),
-                }
-                .to_string(),
-            );
-        }
-
-        // Shareable statements are admitted by their batch *leader* (one
-        // permit per shared pass — see `batch`); everything else admits
-        // itself here.
-        let result = if self.config.batching && prepared.is_shareable() {
-            let table = prepared
-                .scan_table()
-                .expect("shareable statements scan a stored table")
-                .to_string();
-            self.batcher.submit(
-                &self.engine,
-                &self.admission,
-                &self.counters,
-                table,
-                stmt.to_string(),
-                Arc::new(prepared),
-            )
-        } else {
-            match self.admission.admit_tracked(prepared.cost_bytes()) {
-                Ok((permit, waited)) => {
-                    self.counters.record_admitted(waited);
-                    let (running, _) = self.admission.load();
-                    self.counters.observe_running(running as u64);
-                    let result = self.engine.execute(&prepared);
-                    drop(permit);
-                    result
-                }
-                Err(e) => {
-                    self.counters.record_rejected();
-                    Err(QueryError::Engine(e))
-                }
-            }
-        };
+        // Every SQL statement takes one path: the batcher admits it and
+        // runs it alone, or shares a pass if it has to wait (see `batch`).
+        let result = self.batcher.submit(
+            &self.engine,
+            &self.admission,
+            &self.counters,
+            stmt,
+            prepared,
+        );
 
         match result {
             Ok(r) => {
@@ -228,8 +185,8 @@ impl QueryServer {
             }
             Err(e) => {
                 // Overloaded rejections were already counted where they
-                // happened (solo path above, batch leader for shared
-                // passes); everything else is a finished-with-error.
+                // happened (the solo routine, or the batch leader for a
+                // shared pass); everything else is a finished-with-error.
                 if !matches!(e, QueryError::Engine(EngineError::Overloaded { .. })) {
                     self.counters.record_finished(false);
                 }
@@ -266,8 +223,8 @@ impl QueryServer {
         let a = self.advisor_counters.snapshot();
         let (running, queued) = self.admission.load();
         let cfg = self.admission.config();
-        let jit = self.engine.context().kernels.stats();
         let ctx = self.engine.context();
+        let jit = ctx.jit_stats();
         // Per-layout decode throughput, only for layouts actually timed.
         let decode: Vec<String> = Layout::ALL
             .iter()
@@ -299,7 +256,7 @@ impl QueryServer {
             s.shared_batches,
             s.shared_queries,
             s.shared_hit_rate() * 100.0,
-            ctx.kernels.len(),
+            ctx.kernels.len() + ctx.packed_kernels.len(),
             jit.hits,
             jit.misses,
             jit.evictions,

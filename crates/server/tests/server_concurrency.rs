@@ -2,71 +2,20 @@
 //! TCP: the differential guarantee (concurrent == sequential), load
 //! shedding with explicit `Overloaded` errors, byte-budget rejection of
 //! oversized statements, and absence of deadlock under sustained
-//! over-subscription.
+//! over-subscription. Scan sharing over the wire is tested in
+//! `shared_pass.rs`.
 
 use std::io::{BufReader, BufWriter};
-use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::net::TcpStream;
 use std::time::Duration;
 
 use fts_core::AdmissionConfig;
 use fts_query::Engine;
-use fts_server::{AdvisorConfig, QueryServer, Request, Response, ServerConfig};
+use fts_server::{AdvisorConfig, Request, Response, ServerConfig};
 use fts_storage::{Column, ColumnDef, DataType, Layout, Table};
 
-const ROWS: usize = 40_960;
-const CHUNK: usize = 1024;
-
-/// Deterministic table: quantity cycles 0..50, discount cycles 0..11,
-/// price is a linear ramp — every predicate's true count is computable.
-fn test_table() -> Table {
-    Table::from_chunked_columns(
-        vec![
-            ColumnDef::new("quantity", DataType::U32),
-            ColumnDef::new("discount", DataType::U32),
-            ColumnDef::new("price", DataType::I64),
-        ],
-        vec![
-            Column::from_fn(ROWS, |i| (i % 50) as u32),
-            Column::from_fn(ROWS, |i| (i % 11) as u32),
-            Column::from_fn(ROWS, |i| i as i64),
-        ],
-        CHUNK,
-    )
-    .expect("test table")
-}
-
-fn start_server(config: ServerConfig) -> (Arc<QueryServer>, std::net::SocketAddr) {
-    let engine = Engine::new();
-    engine.register("orders", test_table());
-    serve(engine, config)
-}
-
-fn serve(engine: Engine, config: ServerConfig) -> (Arc<QueryServer>, std::net::SocketAddr) {
-    let server = Arc::new(QueryServer::new(Arc::new(engine), config));
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let accept = Arc::clone(&server);
-    std::thread::spawn(move || {
-        let _ = accept.serve(listener);
-    });
-    (server, addr)
-}
-
-/// One statement over a fresh connection.
-fn roundtrip(addr: std::net::SocketAddr, statement: &str) -> Response {
-    let stream = TcpStream::connect(addr).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut writer = BufWriter::new(stream);
-    Request {
-        statement: statement.to_string(),
-    }
-    .write(&mut writer)
-    .expect("write");
-    Response::read(&mut reader)
-        .expect("read")
-        .expect("response")
-}
+mod common;
+use common::{roundtrip, serve, start_server, test_table, CHUNK, ROWS};
 
 #[test]
 fn ping_and_stats_respond() {
@@ -116,9 +65,13 @@ fn sixteen_concurrent_clients_match_sequential() {
         })
         .collect();
 
-    // Generous window so statements actually coalesce.
+    // One statement runs at a time, so statements that overlap wait for
+    // admission and coalesce.
     let (server, addr) = start_server(ServerConfig {
-        batch_window: Duration::from_millis(20),
+        admission: AdmissionConfig {
+            max_concurrent: 1,
+            ..AdmissionConfig::default()
+        },
         ..ServerConfig::default()
     });
 
@@ -326,38 +279,42 @@ fn oversized_statement_rejected_by_byte_budget() {
     assert_eq!(roundtrip(addr, "PING"), Response::Ok("pong".into()));
 }
 
-/// Identical concurrent statements coalesce into shared passes and the
-/// hit rate shows up in STATS.
+/// `STATS` reports plain and packed kernels as one cache: its `jit:` line
+/// sums both caches' stats and lengths.
 #[test]
-fn identical_statements_share_a_pass() {
-    let (server, addr) = start_server(ServerConfig {
-        batch_window: Duration::from_millis(30),
-        ..ServerConfig::default()
-    });
-
-    const CLIENTS: usize = 8;
-    let sql = "SELECT COUNT(*) FROM orders WHERE quantity < 25 AND discount = 3";
-    let handles: Vec<_> = (0..CLIENTS)
-        .map(|_| std::thread::spawn(move || roundtrip(addr, sql)))
-        .collect();
-    let expect = format!(
-        "COUNT(*) = {}",
-        (0..ROWS).filter(|i| i % 50 < 25 && i % 11 == 3).count()
+fn stats_jit_line_counts_packed_kernels() {
+    let engine = Engine::new();
+    engine.register(
+        "packed",
+        test_table().with_bitpacking(&[0, 1]).expect("bit-packing"),
     );
-    for h in handles {
-        let resp = h.join().expect("join");
-        assert!(resp.is_ok(), "{}", resp.body());
-        assert_eq!(resp.body(), expect);
-    }
-
-    let snap = server.counters().snapshot();
-    assert!(
-        snap.shared_batches >= 1,
-        "no shared pass despite {CLIENTS} identical concurrent statements"
+    let (server, addr) = serve(engine, ServerConfig::default());
+    let resp = roundtrip(
+        addr,
+        "SELECT COUNT(*) FROM packed WHERE quantity < 25 AND discount = 3",
     );
-    assert!(snap.shared_queries >= 2);
+    assert_eq!(
+        resp.body(),
+        format!(
+            "COUNT(*) = {}",
+            (0..ROWS).filter(|i| i % 50 < 25 && i % 11 == 3).count()
+        )
+    );
     let stats = roundtrip(addr, "STATS");
-    assert!(stats.body().contains("shared_passes="), "{}", stats.body());
+    let ctx = server.engine().context();
+    let jit = ctx.jit_stats();
+    let line = format!(
+        "jit: kernels={} hits={} misses={} evictions={}",
+        ctx.kernels.len() + ctx.packed_kernels.len(),
+        jit.hits,
+        jit.misses,
+        jit.evictions
+    );
+    assert!(
+        stats.body().lines().any(|l| l == line),
+        "want `{line}` in:\n{}",
+        stats.body()
+    );
 }
 
 /// One connection can issue many statements back to back (pipelining one
