@@ -545,29 +545,22 @@ pub fn ablation_packed(scale: &Scale) -> FigureResult {
 
         // The packed JIT backend (§V meets §VII): same scan, emitted code.
         if std::arch::is_x86_feature_detected!("avx512vbmi2") {
-            use fts_jit::{CompiledPackedKernel, PackedColRef, PackedColSig, PackedScanSig};
-            let sig = PackedScanSig {
+            use fts_jit::{JitCol, JitElem, JitPred};
+            let sig = ScanSig {
+                elem: JitElem::U32,
                 preds: vec![
-                    PackedColSig::Packed {
-                        bits,
-                        op: fts_storage::CmpOp::Eq,
-                        needle: needle0,
-                    },
-                    PackedColSig::Packed {
-                        bits,
-                        op: fts_storage::CmpOp::Eq,
-                        needle: needle1,
-                    },
+                    JitPred::packed(bits, fts_storage::CmpOp::Eq, needle0),
+                    JitPred::packed(bits, fts_storage::CmpOp::Eq, needle1),
                 ],
                 emit_positions: false,
             };
-            let kernel = CompiledPackedKernel::compile(sig).expect("packed jit");
+            let kernel = CompiledKernel::compile(sig, JitBackend::Avx512).expect("packed jit");
             let refs = [
-                PackedColRef::Packed(&packed[0]),
-                PackedColRef::Packed(&packed[1]),
+                JitCol::<u32>::Packed(&packed[0]),
+                JitCol::Packed(&packed[1]),
             ];
             let ms = median_ms(scale.reps, || {
-                assert_eq!(kernel.run(&refs).expect("run").count(), expected);
+                assert_eq!(kernel.run_cols(&refs).expect("run").count(), expected);
             });
             fig.push(
                 "bit-packed fused (JIT)",

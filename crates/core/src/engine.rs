@@ -547,7 +547,7 @@ mod tests {
         let imp = best_fused_impl::<u32>();
         assert!(imp.available());
         let imp64 = best_fused_impl::<u64>();
-        if fts_simd::has_avx512() {
+        if fts_simd::detect() >= fts_simd::SimdLevel::Avx512 {
             assert_eq!(imp64, ScanImpl::FusedAvx512(RegWidth::W512));
         } else {
             assert!(matches!(imp64, ScanImpl::FusedScalar(_)));

@@ -375,9 +375,12 @@ impl std::fmt::Display for PackedScanError {
 
 impl std::error::Error for PackedScanError {}
 
-/// Whether the packed kernel can run on this host.
+/// Whether the packed kernel may be chosen: AVX-512 within the
+/// `FTS_FORCE_SIMD` cap ([`fts_simd::detect()`], like every other kernel's
+/// gate) plus VBMI2 on this host.
 pub fn packed_kernel_available() -> bool {
-    fts_simd::has_avx512() && std::arch::is_x86_feature_detected!("avx512vbmi2")
+    fts_simd::detect() >= fts_simd::SimdLevel::Avx512
+        && std::arch::is_x86_feature_detected!("avx512vbmi2")
 }
 
 /// Run a fused scan over a chain that may mix plain and bit-packed `u32`
@@ -389,7 +392,7 @@ pub fn fused_scan_packed(
     if preds.len() > MAX_PREDICATES {
         return Err(PackedScanError::BadChain(preds.len()));
     }
-    if !packed_kernel_available() {
+    if !fts_simd::has_avx512() || !std::arch::is_x86_feature_detected!("avx512vbmi2") {
         return Err(PackedScanError::IsaUnavailable);
     }
     let empty = match mode {

@@ -45,6 +45,27 @@ pub enum Map {
     M0F3A = 3,
 }
 
+/// EVEX vector length of an instruction that comes in more than one width
+/// (the `L'L` field). The scan compilers keep position lists one 32-bit
+/// lane per row: zmm for 16-row blocks, ymm for 8-row blocks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Vl {
+    /// 256-bit ymm operands.
+    Y256,
+    /// 512-bit zmm operands.
+    Z512,
+}
+
+impl Vl {
+    /// The `L'L` encoding.
+    fn ll(self) -> u8 {
+        match self {
+            Vl::Y256 => 0b01,
+            Vl::Z512 => 0b10,
+        }
+    }
+}
+
 /// Mandatory-prefix field (`pp`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pp {
@@ -491,10 +512,11 @@ impl Asm {
         self.evex(0b10, r, x, b, rp, map, w, vvvv, vp, pp, aaa, z);
     }
 
-    /// `vmovdqu32 zmm, [mem]`, optionally `{k}{z}`-masked.
-    pub fn vmovdqu32_load(&mut self, dst: Zmm, mem: Mem, mask: Option<KReg>, zero: bool) {
+    /// `vmovdqu32 zmm|ymm, [mem]`, optionally `{k}{z}`-masked.
+    pub fn vmovdqu32_load(&mut self, vl: Vl, dst: Zmm, mem: Mem, mask: Option<KReg>, zero: bool) {
         let x = mem.index.map_or(0, |(i, _)| i.ext());
-        self.evex512(
+        self.evex(
+            vl.ll(),
             dst.ext3(),
             x,
             mem.base.ext(),
@@ -511,10 +533,11 @@ impl Asm {
         self.modrm_mem_evex(dst.low3(), mem);
     }
 
-    /// `vmovdqu32 [mem], zmm` (optionally `{k}` write-masked).
-    pub fn vmovdqu32_store(&mut self, mem: Mem, src: Zmm, mask: Option<KReg>) {
+    /// `vmovdqu32 [mem], zmm|ymm` (optionally `{k}` write-masked).
+    pub fn vmovdqu32_store(&mut self, vl: Vl, mem: Mem, src: Zmm, mask: Option<KReg>) {
         let x = mem.index.map_or(0, |(i, _)| i.ext());
-        self.evex512(
+        self.evex(
+            vl.ll(),
             src.ext3(),
             x,
             mem.base.ext(),
@@ -531,9 +554,11 @@ impl Asm {
         self.modrm_mem_evex(src.low3(), mem);
     }
 
-    /// `vmovdqa32 zmm, zmm` (register-to-register vector move).
-    pub fn vmovdqa32_rr(&mut self, dst: Zmm, src: Zmm) {
-        self.evex512(
+    /// `vmovdqa32 zmm, zmm` (register-to-register vector move; ymm at
+    /// [`Vl::Y256`]).
+    pub fn vmovdqa32_rr(&mut self, vl: Vl, dst: Zmm, src: Zmm) {
+        self.evex(
+            vl.ll(),
             dst.ext3(),
             src.ext4(),
             src.ext3(),
@@ -550,9 +575,10 @@ impl Asm {
         self.modrm_reg(dst.low3(), src.low3());
     }
 
-    /// `vpbroadcastd zmm, r32`.
-    pub fn vpbroadcastd_r32(&mut self, dst: Zmm, src: Gpr) {
-        self.evex512(
+    /// `vpbroadcastd zmm|ymm, r32`.
+    pub fn vpbroadcastd_r32(&mut self, vl: Vl, dst: Zmm, src: Gpr) {
+        self.evex(
+            vl.ll(),
             dst.ext3(),
             0,
             src.ext(),
@@ -569,9 +595,11 @@ impl Asm {
         self.modrm_reg(dst.low3(), src.low3());
     }
 
-    /// `vpxord zmm, zmm, zmm` (zeroing idiom when all three are equal).
-    pub fn vpxord(&mut self, dst: Zmm, a: Zmm, b: Zmm) {
-        self.evex512(
+    /// `vpxord zmm, zmm, zmm` (zeroing idiom when all three are equal;
+    /// ymm at [`Vl::Y256`]).
+    pub fn vpxord(&mut self, vl: Vl, dst: Zmm, a: Zmm, b: Zmm) {
+        self.evex(
+            vl.ll(),
             dst.ext3(),
             b.ext4(),
             b.ext3(),
@@ -588,9 +616,10 @@ impl Asm {
         self.modrm_reg(dst.low3(), b.low3());
     }
 
-    /// `vpaddd zmm, zmm, zmm`.
-    pub fn vpaddd(&mut self, dst: Zmm, a: Zmm, b: Zmm) {
-        self.evex512(
+    /// `vpaddd zmm, zmm, zmm` (ymm at [`Vl::Y256`]).
+    pub fn vpaddd(&mut self, vl: Vl, dst: Zmm, a: Zmm, b: Zmm) {
+        self.evex(
+            vl.ll(),
             dst.ext3(),
             b.ext4(),
             b.ext3(),
@@ -669,10 +698,11 @@ impl Asm {
         self.u8(pred);
     }
 
-    /// `vpcompressd zmm {k}{z}, zmm` — note the SDM operand order: the
-    /// destination is ModRM.rm, the source is ModRM.reg.
-    pub fn vpcompressd(&mut self, dst: Zmm, src: Zmm, mask: KReg, zero: bool) {
-        self.evex512(
+    /// `vpcompressd zmm {k}{z}, zmm` (ymm at [`Vl::Y256`]) — note the SDM
+    /// operand order: the destination is ModRM.rm, the source is ModRM.reg.
+    pub fn vpcompressd(&mut self, vl: Vl, dst: Zmm, src: Zmm, mask: KReg, zero: bool) {
+        self.evex(
+            vl.ll(),
             src.ext3(),
             dst.ext4(),
             dst.ext3(),
@@ -689,10 +719,11 @@ impl Asm {
         self.modrm_reg(src.low3(), dst.low3());
     }
 
-    /// `vpermt2d dst, idx, table2`: dst (first table, overwritten) is
-    /// ModRM.reg, `idx` is vvvv, `table2` is ModRM.rm.
-    pub fn vpermt2d(&mut self, dst: Zmm, idx: Zmm, table2: Zmm) {
-        self.evex512(
+    /// `vpermt2d dst, idx, table2` at `vl`: dst (first table, overwritten)
+    /// is ModRM.reg, `idx` is vvvv, `table2` is ModRM.rm.
+    pub fn vpermt2d(&mut self, vl: Vl, dst: Zmm, idx: Zmm, table2: Zmm) {
+        self.evex(
+            vl.ll(),
             dst.ext3(),
             table2.ext4(),
             table2.ext3(),
@@ -867,9 +898,9 @@ impl Asm {
         self.modrm_reg(dst.low3(), b.low3());
     }
 
-    // --- 64-bit-element (W1) and 256-bit (ymm) EVEX instructions ---------
-    // Used by the 8-byte-element JIT backend: values in zmm (8 × 64-bit
-    // lanes), position lists in ymm (8 × 32-bit lanes).
+    // --- 64-bit-element (W1) EVEX instructions --------------------------
+    // Used by the 8-lane geometry: values in zmm (8 × 64-bit lanes),
+    // position lists in ymm (the `Vl::Y256` forms above).
 
     /// `vmovdqu64 zmm, [mem]`, optionally `{k}{z}`-masked.
     pub fn vmovdqu64_load(&mut self, dst: Zmm, mem: Mem, mask: Option<KReg>, zero: bool) {
@@ -968,168 +999,6 @@ impl Asm {
         self.u8(0xC2);
         self.modrm_reg(dst.num(), b.low3());
         self.u8(pred);
-    }
-
-    /// `vmovdqu32 ymm, [mem]`, optionally masked.
-    pub fn vmovdqu32_load_y(&mut self, dst: Zmm, mem: Mem, mask: Option<KReg>, zero: bool) {
-        let x = mem.index.map_or(0, |(i, _)| i.ext());
-        self.evex(
-            0b01,
-            dst.ext3(),
-            x,
-            mem.base.ext(),
-            dst.ext4(),
-            Map::M0F,
-            false,
-            0,
-            0,
-            Pp::PF3,
-            mask.map_or(0, KReg::num),
-            zero,
-        );
-        self.u8(0x6F);
-        self.modrm_mem_evex(dst.low3(), mem);
-    }
-
-    /// `vmovdqu32 [mem], ymm`.
-    pub fn vmovdqu32_store_y(&mut self, mem: Mem, src: Zmm, mask: Option<KReg>) {
-        let x = mem.index.map_or(0, |(i, _)| i.ext());
-        self.evex(
-            0b01,
-            src.ext3(),
-            x,
-            mem.base.ext(),
-            src.ext4(),
-            Map::M0F,
-            false,
-            0,
-            0,
-            Pp::PF3,
-            mask.map_or(0, KReg::num),
-            false,
-        );
-        self.u8(0x7F);
-        self.modrm_mem_evex(src.low3(), mem);
-    }
-
-    /// `vmovdqa32 ymm, ymm`.
-    pub fn vmovdqa32_rr_y(&mut self, dst: Zmm, src: Zmm) {
-        self.evex(
-            0b01,
-            dst.ext3(),
-            src.ext4(),
-            src.ext3(),
-            dst.ext4(),
-            Map::M0F,
-            false,
-            0,
-            0,
-            Pp::P66,
-            0,
-            false,
-        );
-        self.u8(0x6F);
-        self.modrm_reg(dst.low3(), src.low3());
-    }
-
-    /// `vpxord ymm, ymm, ymm`.
-    pub fn vpxord_y(&mut self, dst: Zmm, a: Zmm, b: Zmm) {
-        self.evex(
-            0b01,
-            dst.ext3(),
-            b.ext4(),
-            b.ext3(),
-            dst.ext4(),
-            Map::M0F,
-            false,
-            a.0 & 0xF,
-            a.ext4(),
-            Pp::P66,
-            0,
-            false,
-        );
-        self.u8(0xEF);
-        self.modrm_reg(dst.low3(), b.low3());
-    }
-
-    /// `vpaddd ymm, ymm, ymm`.
-    pub fn vpaddd_y(&mut self, dst: Zmm, a: Zmm, b: Zmm) {
-        self.evex(
-            0b01,
-            dst.ext3(),
-            b.ext4(),
-            b.ext3(),
-            dst.ext4(),
-            Map::M0F,
-            false,
-            a.0 & 0xF,
-            a.ext4(),
-            Pp::P66,
-            0,
-            false,
-        );
-        self.u8(0xFE);
-        self.modrm_reg(dst.low3(), b.low3());
-    }
-
-    /// `vpbroadcastd ymm, r32`.
-    pub fn vpbroadcastd_r32_y(&mut self, dst: Zmm, src: Gpr) {
-        self.evex(
-            0b01,
-            dst.ext3(),
-            0,
-            src.ext(),
-            dst.ext4(),
-            Map::M0F38,
-            false,
-            0,
-            0,
-            Pp::P66,
-            0,
-            false,
-        );
-        self.u8(0x7C);
-        self.modrm_reg(dst.low3(), src.low3());
-    }
-
-    /// `vpcompressd ymm {k}{z}, ymm` (destination in ModRM.rm).
-    pub fn vpcompressd_y(&mut self, dst: Zmm, src: Zmm, mask: KReg, zero: bool) {
-        self.evex(
-            0b01,
-            src.ext3(),
-            dst.ext4(),
-            dst.ext3(),
-            src.ext4(),
-            Map::M0F38,
-            false,
-            0,
-            0,
-            Pp::P66,
-            mask.num(),
-            zero,
-        );
-        self.u8(0x8B);
-        self.modrm_reg(src.low3(), dst.low3());
-    }
-
-    /// `vpermt2d ymm, ymm, ymm`.
-    pub fn vpermt2d_y(&mut self, dst: Zmm, idx: Zmm, table2: Zmm) {
-        self.evex(
-            0b01,
-            dst.ext3(),
-            table2.ext4(),
-            table2.ext3(),
-            dst.ext4(),
-            Map::M0F38,
-            false,
-            idx.0 & 0xF,
-            idx.ext4(),
-            Pp::P66,
-            0,
-            false,
-        );
-        self.u8(0x7E);
-        self.modrm_reg(dst.low3(), table2.low3());
     }
 
     /// `vpgatherdq zmm {k}, [base + ymm_index*scale]` — dword indexes
@@ -1261,7 +1130,7 @@ mod tests {
     fn evex_load_encoding() {
         // vmovdqu32 zmm0, [rdi] → 62 F1 7E 48 6F 07
         let mut a = Asm::new();
-        a.vmovdqu32_load(Zmm(0), Mem::base(Gpr::Rdi), None, false);
+        a.vmovdqu32_load(Vl::Z512, Zmm(0), Mem::base(Gpr::Rdi), None, false);
         assert_eq!(a.finish(), vec![0x62, 0xF1, 0x7E, 0x48, 0x6F, 0x07]);
     }
 
@@ -1269,7 +1138,7 @@ mod tests {
     fn evex_compress_encoding() {
         // vpcompressd zmm1{k1}{z}, zmm2 → 62 F2 7D C9 8B D1
         let mut a = Asm::new();
-        a.vpcompressd(Zmm(1), Zmm(2), KReg(1), true);
+        a.vpcompressd(Vl::Z512, Zmm(1), Zmm(2), KReg(1), true);
         assert_eq!(a.finish(), vec![0x62, 0xF2, 0x7D, 0xC9, 0x8B, 0xD1]);
     }
 

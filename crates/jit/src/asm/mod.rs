@@ -4,5 +4,5 @@
 pub mod encoder;
 pub mod reg;
 
-pub use encoder::{Asm, Label, Map, Pp};
+pub use encoder::{Asm, Label, Map, Pp, Vl};
 pub use reg::{Cond, Gpr, KReg, Mem, Zmm};

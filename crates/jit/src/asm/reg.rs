@@ -42,7 +42,7 @@ impl Gpr {
     }
 }
 
-/// A ZMM vector register (0–31; this emitter uses 0–15).
+/// A ZMM vector register (0–31; this emitter uses 0–17).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Zmm(pub u8);
 

@@ -5,10 +5,8 @@
 //! bottleneck."* The cache maps a signature to its compiled kernel and
 //! tracks hit/miss statistics plus the total time spent compiling, so
 //! the `ablation_jit` benchmark can report exactly that amortization.
-//! It is generic over the signature ([`CacheSig`]): plain chains
-//! ([`ScanSig`] → [`CompiledKernel`]) and bit-packed chains
-//! ([`PackedScanSig`] → [`CompiledPackedKernel`]) share one
-//! implementation, one LRU bound and one set of statistics.
+//! One signature type keys every kernel: a [`ScanSig`] whose predicates
+//! read plain or bit-packed columns compiles to one [`CompiledKernel`].
 //!
 //! Concurrency: the hot path (a hit) takes only a *read* lock plus a few
 //! relaxed atomic bumps, so a server's worth of concurrent scans can look
@@ -26,51 +24,12 @@
 //! keep working).
 
 use std::collections::HashMap;
-use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
-use crate::compile_packed::{CompiledPackedKernel, PackedScanSig};
 use crate::ir::{JitError, ScanSig};
 use crate::kernel::{CompiledKernel, JitBackend};
-
-/// A kernel signature the cache can key on and compile.
-pub trait CacheSig: Clone + Eq + Hash {
-    /// The compiled kernel this signature produces.
-    type Kernel;
-
-    /// Compile the signature with the cache's configured `backend`.
-    fn compile(&self, backend: JitBackend) -> Result<Self::Kernel, JitError>;
-
-    /// Code-generation + mapping time of a compiled kernel.
-    fn compile_time(kernel: &Self::Kernel) -> Duration;
-}
-
-impl CacheSig for ScanSig {
-    type Kernel = CompiledKernel;
-
-    fn compile(&self, backend: JitBackend) -> Result<CompiledKernel, JitError> {
-        CompiledKernel::compile(self.clone(), backend)
-    }
-
-    fn compile_time(kernel: &CompiledKernel) -> Duration {
-        kernel.compile_time()
-    }
-}
-
-impl CacheSig for PackedScanSig {
-    type Kernel = CompiledPackedKernel;
-
-    /// Packed kernels have a single (AVX-512 VBMI2) code generator.
-    fn compile(&self, _backend: JitBackend) -> Result<CompiledPackedKernel, JitError> {
-        CompiledPackedKernel::compile(self.clone())
-    }
-
-    fn compile_time(kernel: &CompiledPackedKernel) -> Duration {
-        kernel.compile_time()
-    }
-}
 
 /// Default capacity: generous for any realistic query mix, small enough
 /// to bound executable memory.
@@ -91,8 +50,8 @@ pub struct CacheStats {
     pub compile_time: Duration,
 }
 
-struct Entry<K> {
-    kernel: Arc<K>,
+struct Entry {
+    kernel: Arc<CompiledKernel>,
     /// Logical timestamp of the last lookup, for LRU eviction. Atomic so
     /// hits can refresh it under the *read* lock.
     last_used: AtomicU64,
@@ -104,10 +63,10 @@ struct Entry<K> {
 /// of cached kernels never serialize; misses re-check under the write
 /// lock so each signature is charged exactly one miss no matter how many
 /// threads race to compile it.
-pub struct KernelCache<S: CacheSig = ScanSig> {
+pub struct KernelCache {
     backend: JitBackend,
     capacity: usize,
-    map: RwLock<HashMap<S, Entry<S::Kernel>>>,
+    map: RwLock<HashMap<ScanSig, Entry>>,
     /// Logical LRU clock.
     tick: AtomicU64,
     hits: AtomicU64,
@@ -117,14 +76,14 @@ pub struct KernelCache<S: CacheSig = ScanSig> {
     compile_ns: AtomicU64,
 }
 
-impl<S: CacheSig> KernelCache<S> {
+impl KernelCache {
     /// Empty cache for the given backend with [`DEFAULT_CACHE_CAPACITY`].
-    pub fn new(backend: JitBackend) -> KernelCache<S> {
+    pub fn new(backend: JitBackend) -> KernelCache {
         KernelCache::with_capacity(backend, DEFAULT_CACHE_CAPACITY)
     }
 
     /// Empty cache holding at most `capacity` kernels (min 1).
-    pub fn with_capacity(backend: JitBackend, capacity: usize) -> KernelCache<S> {
+    pub fn with_capacity(backend: JitBackend, capacity: usize) -> KernelCache {
         KernelCache {
             backend,
             capacity: capacity.max(1),
@@ -139,20 +98,20 @@ impl<S: CacheSig> KernelCache<S> {
 
     // A panic while holding either lock leaves plain counters/maps, not
     // an invariant violation — keep serving.
-    fn read(&self) -> RwLockReadGuard<'_, HashMap<S, Entry<S::Kernel>>> {
+    fn read(&self) -> RwLockReadGuard<'_, HashMap<ScanSig, Entry>> {
         self.map
             .read()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    fn write(&self) -> RwLockWriteGuard<'_, HashMap<S, Entry<S::Kernel>>> {
+    fn write(&self) -> RwLockWriteGuard<'_, HashMap<ScanSig, Entry>> {
         self.map
             .write()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Fetch the kernel for `sig`, compiling it on first use.
-    pub fn get_or_compile(&self, sig: &S) -> Result<Arc<S::Kernel>, JitError> {
+    pub fn get_or_compile(&self, sig: &ScanSig) -> Result<Arc<CompiledKernel>, JitError> {
         {
             let map = self.read();
             if let Some(entry) = map.get(sig) {
@@ -166,7 +125,7 @@ impl<S: CacheSig> KernelCache<S> {
         }
         // Compile outside any lock; a racing thread may compile the same
         // signature — the first insert wins, both results are valid.
-        let kernel = Arc::new(sig.compile(self.backend)?);
+        let kernel = Arc::new(CompiledKernel::compile(sig.clone(), self.backend)?);
         let mut map = self.write();
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(entry) = map.get(sig) {
@@ -177,10 +136,8 @@ impl<S: CacheSig> KernelCache<S> {
             return Ok(Arc::clone(&entry.kernel));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.compile_ns.fetch_add(
-            S::compile_time(&kernel).as_nanos() as u64,
-            Ordering::Relaxed,
-        );
+        self.compile_ns
+            .fetch_add(kernel.compile_time().as_nanos() as u64, Ordering::Relaxed);
         if map.len() >= self.capacity {
             if let Some(lru) = map
                 .iter()
@@ -232,7 +189,7 @@ impl<S: CacheSig> KernelCache<S> {
     }
 }
 
-impl<S: CacheSig> std::fmt::Debug for KernelCache<S> {
+impl std::fmt::Debug for KernelCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = self.stats();
         write!(
@@ -392,14 +349,11 @@ mod tests {
             eprintln!("skipping: no AVX-512 VBMI2");
             return;
         }
-        use crate::compile_packed::PackedColSig;
-        let cache: KernelCache<PackedScanSig> = KernelCache::with_capacity(JitBackend::Avx512, 2);
-        let sig = |needle| PackedScanSig {
-            preds: vec![PackedColSig::Packed {
-                bits: 8,
-                op: CmpOp::Lt,
-                needle,
-            }],
+        use crate::ir::{JitElem, JitPred};
+        let cache = KernelCache::with_capacity(JitBackend::Avx512, 2);
+        let sig = |needle| ScanSig {
+            elem: JitElem::U32,
+            preds: vec![JitPred::packed(8, CmpOp::Lt, needle)],
             emit_positions: false,
         };
         for needle in 0..4 {
@@ -418,6 +372,28 @@ mod tests {
         let bad = ScanSig::u32_chain(&[], false);
         assert!(cache.get_or_compile(&bad).is_err());
         assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn scalar_cache_rejects_packed_signatures() {
+        // The scalar backend reads plain words; a packed column must be
+        // refused, not scanned as if each packed word were one value.
+        use crate::ir::{JitElem, JitPred};
+        let cache = KernelCache::new(JitBackend::Scalar);
+        let sig = ScanSig {
+            elem: JitElem::U32,
+            preds: vec![
+                JitPred::plain(CmpOp::Eq, 1),
+                JitPred::packed(8, CmpOp::Lt, 3),
+            ],
+            emit_positions: false,
+        };
+        assert!(matches!(
+            cache.get_or_compile(&sig),
+            Err(JitError::BadPredicate { index: 1, .. })
+        ));
+        assert!(cache.is_empty());
+        assert_eq!(cache.stats().misses, 0);
     }
 
     #[test]

@@ -5,17 +5,32 @@
 //! the per-stage dispatch `match`es of the static kernels disappear
 //! entirely. This is precisely the code §V argues must be generated at
 //! runtime: with 10 data types × 6 operators per predicate, two predicates
-//! already yield 3600 static variants.
+//! already yield 3600 static variants. A bit-packed column's width (§VII)
+//! is one more specialization parameter: its unpack controls are baked
+//! into per-kernel tables and immediates.
 //!
 //! ## Emitted code shape
 //!
-//! One driver loop over 16-value blocks (`vmovdqu32` → `vpcmp` → `kortest`
-//! skip → `vpcompressd` of block offsets), an inlined *push* sequence per
-//! stage transition, and one *flush* subroutine per follow-up predicate
-//! (`vpgatherdd` → masked `vpcmp` → `vpcompressd`), connected by near
-//! calls. The caller passes `rows` pre-truncated to a multiple of 16; the
-//! wrapper evaluates the tail rows after the kernel's drain, preserving
+//! One driver loop over blocks (fetch → `vpcmp` → `kortest` skip →
+//! `vpcompressd` of block offsets), an inlined *push* sequence per stage
+//! transition, and one *flush* subroutine per follow-up predicate
+//! (gather → masked `vpcmp` → `vpcompressd`), connected by near calls.
+//! The caller passes `rows` pre-truncated to a multiple of the block size;
+//! the wrapper evaluates the tail rows after the kernel's drain, preserving
 //! ascending position order.
+//!
+//! One skeleton serves every chain; two parameters vary:
+//!
+//! * the **lane geometry** — 16 × 32-bit values per block with zmm
+//!   position lists (`MERGE16`, `IOTA16`, `MASK_LUT`), or 8 × 64-bit
+//!   values with ymm position lists (`MERGE8` at 32-byte rows, `IOTA8`,
+//!   `MASK_LUT8`) and qword loads, broadcasts, compares and gathers;
+//! * the **per-column fetch** — a plain driver is one vector load and a
+//!   plain follower one gather; a packed driver (≤ 16 bits) is a masked
+//!   word load unpacked by `vpermd` word selectors and a `vpshrdvd`
+//!   funnel shift from its [`DriverTables`], and a packed follower
+//!   (≤ 32 bits) is two `vpgatherdd` of the neighbouring words followed
+//!   by the same funnel. Packed columns occur only in `u32` chains.
 //!
 //! ## Register plan
 //!
@@ -29,14 +44,20 @@
 //! | `r12` | merge-table base |
 //! | `zmm0` | block / gathered values · `zmm1-5` needle splats |
 //! | `zmm6` | iota · `zmm7` fresh batch · `zmm8` zero · `zmm9-12` stage position lists |
-//! | `zmm13` | merge control · `zmm14` block-offset vector |
-//! | `k1` | driver mask · `k2` flush mask |
+//! | `zmm13` | merge control · `zmm14` block-offset vector (both also unpack scratch) |
+//! | `zmm15` | splat(31) · `zmm16` splat(1) — only when a column is packed |
+//! | `zmm17` | a packed driver's value mask |
+//! | `k1` | driver mask · `k2` flush mask · `k3` packed driver word-load mask |
+//!
+//! In the 8-lane geometry the position registers (`zmm6`, `zmm7`,
+//! `zmm9-14`) are used as their ymm halves.
 
-use fts_core::fused::MERGE16;
+use fts_core::fused::{MERGE16, MERGE8};
+use fts_storage::bitpack::mask_of;
 use fts_storage::CmpOp;
 
-use crate::asm::{Asm, Cond, Gpr, KReg, Label, Mem, Zmm};
-use crate::ir::{JitElem, JitError, ScanSig, MAX_JIT_PREDICATES};
+use crate::asm::{Asm, Cond, Gpr, KReg, Label, Mem, Vl, Zmm};
+use crate::ir::{JitElem, JitError, ScanSig, Storage, MAX_JIT_PREDICATES};
 
 /// Lane masks `(1 << c) - 1` for flush masks, indexed by list length.
 static MASK_LUT: [u16; 17] = {
@@ -49,10 +70,14 @@ static MASK_LUT: [u16; 17] = {
     t
 };
 
+/// Lane masks for 8-lane blocks.
+static MASK_LUT8: [u16; 9] = [0, 1, 3, 7, 15, 31, 63, 127, 255];
+
 /// Block-offset base vector (0..16).
 static IOTA16: [u32; 16] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15];
 
-const LANES: i8 = 16;
+/// Block-offset base vector for 8-lane blocks.
+static IOTA8: [u32; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
 
 // Frame layout (rbp-relative). rbp-8/-16 hold saved rbx/r12.
 fn count_off(s: usize) -> i32 {
@@ -71,6 +96,88 @@ fn needle_reg(pred: usize) -> Zmm {
 }
 fn plist_reg(stage: usize) -> Zmm {
     Zmm(8 + stage as u8)
+}
+
+/// A kernel's lane geometry: rows per block (= position-list capacity),
+/// the vector length of its position lists, and the tables addressed at
+/// that width.
+struct Geometry {
+    lanes: i8,
+    vl: Vl,
+    /// `MERGE16`/`MERGE8` base and log2 of its row size in bytes.
+    merge: u64,
+    merge_shift: u8,
+    iota: u64,
+    mask_lut: u64,
+}
+
+impl Geometry {
+    fn of(elem: JitElem) -> Geometry {
+        if elem.is_wide() {
+            Geometry {
+                lanes: 8,
+                vl: Vl::Y256,
+                merge: MERGE8.as_ptr() as u64,
+                merge_shift: 5,
+                iota: IOTA8.as_ptr() as u64,
+                mask_lut: MASK_LUT8.as_ptr() as u64,
+            }
+        } else {
+            Geometry {
+                lanes: 16,
+                vl: Vl::Z512,
+                merge: MERGE16.as_ptr() as u64,
+                merge_shift: 6,
+                iota: IOTA16.as_ptr() as u64,
+                mask_lut: MASK_LUT.as_ptr() as u64,
+            }
+        }
+    }
+}
+
+/// Driver unpack controls for one alignment variant (0 or 16 bits into the
+/// first word). Byte offsets inside the struct are part of the emitted
+/// code's ABI.
+#[repr(C, align(64))]
+struct AlignCtl {
+    idx_lo: [u32; 16], // +0
+    idx_hi: [u32; 16], // +64
+    offs: [u32; 16],   // +128
+    wmask: u32,        // +192
+    _pad: [u32; 15],
+}
+
+/// A packed driver's unpack tables: both alignment variants, 256 bytes
+/// apart. The emitted code references them by absolute address, so they
+/// must live as long as the code.
+#[repr(C, align(64))]
+pub struct DriverTables {
+    variants: [AlignCtl; 2],
+}
+
+fn driver_tables(bits: u32) -> Box<DriverTables> {
+    let make = |align: u32| {
+        let mut idx_lo = [0u32; 16];
+        let mut idx_hi = [0u32; 16];
+        let mut offs = [0u32; 16];
+        for i in 0..16u32 {
+            let bit = align + i * bits;
+            idx_lo[i as usize] = bit / 32;
+            idx_hi[i as usize] = bit / 32 + 1;
+            offs[i as usize] = bit % 32;
+        }
+        let wcnt = ((align + 16 * bits).div_ceil(32) + 1).min(16);
+        AlignCtl {
+            idx_lo,
+            idx_hi,
+            offs,
+            wmask: (1u32 << wcnt) - 1,
+            _pad: [0; 15],
+        }
+    };
+    Box::new(DriverTables {
+        variants: [make(0), make(16)],
+    })
 }
 
 /// `vpcmp*` predicate immediate for an operator.
@@ -110,15 +217,22 @@ fn emit_cmp(
         JitElem::U32 => a.vpcmpud(dst, vals, needle, imm, mask),
         JitElem::I32 => a.vpcmpd(dst, vals, needle, imm, mask),
         JitElem::F32 => a.vcmpps(dst, vals, needle, imm, mask),
-        _ => unreachable!("32-bit backend"),
+        JitElem::U64 => a.vpcmpuq(dst, vals, needle, imm, mask),
+        JitElem::I64 => a.vpcmpq(dst, vals, needle, imm, mask),
+        JitElem::F64 => a.vcmppd(dst, vals, needle, imm, mask),
     }
 }
 
 /// Emit the match output: store the compressed batch (positions mode) and
 /// bump the total. Expects fresh positions in `zmm7`, batch size in `rax`.
-fn emit_output(a: &mut Asm, sig: &ScanSig) {
+fn emit_output(a: &mut Asm, g: &Geometry, sig: &ScanSig) {
     if sig.emit_positions {
-        a.vmovdqu32_store(Mem::base_index_scale(Gpr::Rbx, Gpr::R11, 4), Zmm(7), None);
+        a.vmovdqu32_store(
+            g.vl,
+            Mem::base_index_scale(Gpr::Rbx, Gpr::R11, 4),
+            Zmm(7),
+            None,
+        );
     }
     a.add_r64_r64(Gpr::R11, Gpr::Rax);
 }
@@ -126,7 +240,7 @@ fn emit_output(a: &mut Asm, sig: &ScanSig) {
 /// Emit the push of the fresh batch (`zmm7`, size `rax`) into stage `s`
 /// (paper §III's append discipline: flush the incomplete list first when
 /// the batch does not fit, flush again when the list becomes full).
-fn emit_push(a: &mut Asm, s: usize, flush: &[Label]) {
+fn emit_push(a: &mut Asm, g: &Geometry, s: usize, flush: &[Label]) {
     let fits = a.new_label();
     let after = a.new_label();
     let skip_full = a.new_label();
@@ -134,62 +248,158 @@ fn emit_push(a: &mut Asm, s: usize, flush: &[Label]) {
     a.mov_r64_mem(Gpr::Rsi, Mem::base_disp(Gpr::Rbp, count_off(s)));
     a.mov_r64_r64(Gpr::R9, Gpr::Rsi);
     a.add_r64_r64(Gpr::R9, Gpr::Rax);
-    a.cmp_r64_imm8(Gpr::R9, LANES);
+    a.cmp_r64_imm8(Gpr::R9, g.lanes);
     a.jcc(Cond::Be, fits);
     // Overflow: spill the batch, flush the old list, start a new one.
     a.mov_mem_r64(Mem::base_disp(Gpr::Rbp, rax_off(s)), Gpr::Rax);
-    a.vmovdqu32_store(Mem::base_disp(Gpr::Rbp, zmm_off(s)), Zmm(7), None);
+    a.vmovdqu32_store(g.vl, Mem::base_disp(Gpr::Rbp, zmm_off(s)), Zmm(7), None);
     a.call(flush[s]);
-    a.vmovdqu32_load(Zmm(7), Mem::base_disp(Gpr::Rbp, zmm_off(s)), None, false);
+    a.vmovdqu32_load(
+        g.vl,
+        Zmm(7),
+        Mem::base_disp(Gpr::Rbp, zmm_off(s)),
+        None,
+        false,
+    );
     a.mov_r64_mem(Gpr::Rax, Mem::base_disp(Gpr::Rbp, rax_off(s)));
-    a.vmovdqa32_rr(plist_reg(s), Zmm(7));
+    a.vmovdqa32_rr(g.vl, plist_reg(s), Zmm(7));
     a.mov_mem_r64(Mem::base_disp(Gpr::Rbp, count_off(s)), Gpr::Rax);
     a.jmp(after);
 
     a.bind(fits);
-    // Append: ctl = MERGE16[count]; plist = vpermt2d(plist, ctl, fresh).
+    // Append: ctl = MERGE[count]; plist = vpermt2d(plist, ctl, fresh).
     a.mov_r64_r64(Gpr::R9, Gpr::Rsi);
-    a.shl_r64_imm8(Gpr::R9, 6);
+    a.shl_r64_imm8(Gpr::R9, g.merge_shift);
     a.vmovdqu32_load(
+        g.vl,
         Zmm(13),
         Mem::base_index_scale(Gpr::R12, Gpr::R9, 1),
         None,
         false,
     );
-    a.vpermt2d(plist_reg(s), Zmm(13), Zmm(7));
+    a.vpermt2d(g.vl, plist_reg(s), Zmm(13), Zmm(7));
     a.add_r64_r64(Gpr::Rsi, Gpr::Rax);
     a.mov_mem_r64(Mem::base_disp(Gpr::Rbp, count_off(s)), Gpr::Rsi);
 
     a.bind(after);
     a.mov_r64_mem(Gpr::Rsi, Mem::base_disp(Gpr::Rbp, count_off(s)));
-    a.cmp_r64_imm8(Gpr::Rsi, LANES);
+    a.cmp_r64_imm8(Gpr::Rsi, g.lanes);
     a.jcc(Cond::Ne, skip_full);
     a.call(flush[s]);
     a.bind(skip_full);
 }
 
+/// Load the driver block at row `rdx` into `zmm0`: one vector load of a
+/// plain column, or a packed column's masked word load unpacked through
+/// its [`DriverTables`] (`vpermd` selects each value's low and high word,
+/// `vpshrdvd` funnels it down, `zmm17` masks it to the width).
+fn emit_driver_fetch(a: &mut Asm, sig: &ScanSig, tables: Option<&DriverTables>) {
+    match sig.preds[0].storage {
+        Storage::Plain if sig.elem.is_wide() => a.vmovdqu64_load(
+            Zmm(0),
+            Mem::base_index_scale(Gpr::R8, Gpr::Rdx, 8),
+            None,
+            false,
+        ),
+        Storage::Plain => a.vmovdqu32_load(
+            Vl::Z512,
+            Zmm(0),
+            Mem::base_index_scale(Gpr::R8, Gpr::Rdx, 4),
+            None,
+            false,
+        ),
+        Storage::Packed { bits } => {
+            let t = tables.expect("driver tables prepared");
+            // base_bit = rdx * bits; r9 = word index; rax = variant offset.
+            a.imul_r64_r64_imm8(Gpr::Rax, Gpr::Rdx, bits as i8);
+            a.mov_r64_r64(Gpr::R9, Gpr::Rax);
+            a.shr_r64_imm8(Gpr::R9, 5);
+            a.and_r64_imm8(Gpr::Rax, 31);
+            a.shr_r64_imm8(Gpr::Rax, 4);
+            a.shl_r64_imm8(Gpr::Rax, 8); // × 256 = sizeof(AlignCtl)
+            a.mov_r64_imm64(Gpr::R10, t as *const DriverTables as u64);
+            a.add_r64_r64(Gpr::R10, Gpr::Rax);
+            // Masked word load, then permute/funnel unpack.
+            a.movzx_r32_m16(Gpr::Rax, Mem::base_disp(Gpr::R10, 192));
+            a.kmovw_k_r32(KReg(3), Gpr::Rax);
+            a.vmovdqu32_load(
+                Vl::Z512,
+                Zmm(0),
+                Mem::base_index_scale(Gpr::R8, Gpr::R9, 4),
+                Some(KReg(3)),
+                true,
+            );
+            a.vmovdqu32_load(Vl::Z512, Zmm(13), Mem::base(Gpr::R10), None, false);
+            a.vpermd(Zmm(14), Zmm(13), Zmm(0)); // lo words
+            a.vmovdqu32_load(Vl::Z512, Zmm(13), Mem::base_disp(Gpr::R10, 64), None, false);
+            a.vpermd(Zmm(13), Zmm(13), Zmm(0)); // hi words
+            a.vmovdqu32_load(Vl::Z512, Zmm(0), Mem::base_disp(Gpr::R10, 128), None, false); // offs
+            a.vpshrdvd(Zmm(14), Zmm(13), Zmm(0));
+            a.vpandd(Zmm(14), Zmm(14), Zmm(17));
+            a.vmovdqa32_rr(Vl::Z512, Zmm(0), Zmm(14)); // values where the cmp expects them
+        }
+    }
+}
+
+/// Gather column `s` (base in `r10`) at the pending positions into `zmm0`
+/// under the flush mask `k2` (raw mask in `eax`; each gather consumes
+/// `k2`, so it is rebuilt afterwards): one dword or qword gather of a
+/// plain column, or a packed column's two-gather funnel extraction.
+fn emit_follower_fetch(a: &mut Asm, sig: &ScanSig, s: usize) {
+    match sig.preds[s].storage {
+        Storage::Plain => {
+            a.vpxord(Vl::Z512, Zmm(0), Zmm(0), Zmm(0));
+            if sig.elem.is_wide() {
+                // vpgatherdq: dword positions fetch qword values (scale 8).
+                a.vpgatherdq(Zmm(0), Gpr::R10, plist_reg(s), 8, KReg(2));
+            } else {
+                a.vpgatherdd(Zmm(0), Gpr::R10, plist_reg(s), 4, KReg(2));
+            }
+            a.kmovw_k_r32(KReg(2), Gpr::Rax);
+        }
+        Storage::Packed { bits } => {
+            // bit = pos * bits; widx = bit >> 5; off = bit & 31 (zmm15).
+            a.mov_r32_imm32(Gpr::Rsi, bits as u32);
+            a.vpbroadcastd_r32(Vl::Z512, Zmm(13), Gpr::Rsi);
+            a.vpmulld(Zmm(14), plist_reg(s), Zmm(13));
+            a.vpsrld_imm(Zmm(13), Zmm(14), 5);
+            a.vpandd(Zmm(14), Zmm(14), Zmm(15));
+            // lo = words[widx] (masked gather consumes k2 → rebuild).
+            a.vpxord(Vl::Z512, Zmm(0), Zmm(0), Zmm(0));
+            a.vpgatherdd(Zmm(0), Gpr::R10, Zmm(13), 4, KReg(2));
+            a.kmovw_k_r32(KReg(2), Gpr::Rax);
+            // hi = words[widx + 1] — the guard word keeps this in bounds.
+            a.vpaddd(Vl::Z512, Zmm(13), Zmm(13), Zmm(16));
+            a.vpxord(Vl::Z512, Zmm(7), Zmm(7), Zmm(7));
+            a.vpgatherdd(Zmm(7), Gpr::R10, Zmm(13), 4, KReg(2));
+            a.kmovw_k_r32(KReg(2), Gpr::Rax);
+            // val = ((hi:lo) >> off) & mask(bits).
+            a.vpshrdvd(Zmm(0), Zmm(7), Zmm(14));
+            a.mov_r32_imm32(Gpr::Rsi, mask_of(bits));
+            a.vpbroadcastd_r32(Vl::Z512, Zmm(13), Gpr::Rsi);
+            a.vpandd(Zmm(0), Zmm(0), Zmm(13));
+        }
+    }
+}
+
 /// Emit the flush subroutine body for stage `s` (predicate `s`): gather the
 /// pending positions from column `s`, compare under mask, compress the
 /// survivors and forward them. Ends with `ret`.
-fn emit_flush_body(a: &mut Asm, s: usize, sig: &ScanSig, flush: &[Label]) {
+fn emit_flush_body(a: &mut Asm, g: &Geometry, s: usize, sig: &ScanSig, flush: &[Label]) {
     let done = a.new_label();
     a.mov_r64_mem(Gpr::Rsi, Mem::base_disp(Gpr::Rbp, count_off(s)));
     a.test_r64_r64(Gpr::Rsi, Gpr::Rsi);
     a.jcc(Cond::E, done);
 
     // k2 = lane_mask(count) via LUT; keep the raw mask in eax.
-    a.mov_r64_imm64(Gpr::R9, MASK_LUT.as_ptr() as u64);
+    a.mov_r64_imm64(Gpr::R9, g.mask_lut);
     a.movzx_r32_m16(Gpr::Rax, Mem::base_index_scale(Gpr::R9, Gpr::Rsi, 2));
     a.kmovw_k_r32(KReg(2), Gpr::Rax);
     // count = 0
     a.xor_r32_r32(Gpr::R10, Gpr::R10);
     a.mov_mem_r64(Mem::base_disp(Gpr::Rbp, count_off(s)), Gpr::R10);
-    // Gather column `s` at the pending positions (masked lanes only; the
-    // gather consumes k2, so it is rebuilt from eax afterwards).
     a.mov_r64_mem(Gpr::R10, Mem::base_disp(Gpr::Rdi, 8 * s as i32));
-    a.vpxord(Zmm(0), Zmm(0), Zmm(0));
-    a.vpgatherdd(Zmm(0), Gpr::R10, plist_reg(s), 4, KReg(2));
-    a.kmovw_k_r32(KReg(2), Gpr::Rax);
+    emit_follower_fetch(a, sig, s);
     // Masked compare against the embedded needle.
     emit_cmp(
         a,
@@ -204,27 +414,64 @@ fn emit_flush_body(a: &mut Asm, s: usize, sig: &ScanSig, flush: &[Label]) {
     a.jcc(Cond::E, done);
     a.kmovw_r32_k(Gpr::Rax, KReg(2));
     a.popcnt_r32_r32(Gpr::Rax, Gpr::Rax);
-    a.vpcompressd(Zmm(7), plist_reg(s), KReg(2), true);
+    a.vpcompressd(g.vl, Zmm(7), plist_reg(s), KReg(2), true);
     if s == sig.len() - 1 {
-        emit_output(a, sig);
+        emit_output(a, g, sig);
     } else {
-        emit_push(a, s + 1, flush);
+        emit_push(a, g, s + 1, flush);
     }
     a.bind(done);
     a.ret();
 }
 
+/// Reject packed columns the emitter cannot scan: outside a `u32` chain,
+/// outside 1–32 bits, a driver over 16 bits, or a needle above the width's
+/// mask.
+fn check_packed(sig: &ScanSig) -> Result<(), JitError> {
+    for (index, pred) in sig.preds.iter().enumerate() {
+        let Storage::Packed { bits } = pred.storage else {
+            continue;
+        };
+        let reason = if sig.elem != JitElem::U32 {
+            "packed columns occur only in u32 chains"
+        } else if bits == 0 || bits > 32 {
+            "packed width outside 1-32 bits"
+        } else if index == 0 && bits > 16 {
+            "packed driver wider than 16 bits"
+        } else if pred.needle_bits > mask_of(bits) as u64 {
+            "needle above the packed width's mask"
+        } else {
+            continue;
+        };
+        return Err(JitError::BadPredicate { index, reason });
+    }
+    Ok(())
+}
+
+/// Machine code for one signature, plus the data it addresses.
+pub struct Emitted {
+    /// The kernel's instructions.
+    pub code: Vec<u8>,
+    /// A packed driver's unpack tables, referenced by absolute address:
+    /// keep them alive as long as the code.
+    pub tables: Option<Box<DriverTables>>,
+}
+
 /// Compile the fused AVX-512 kernel for `sig`. The code is position
 /// independent except for embedded absolute addresses of process statics
-/// (merge/iota/mask tables), so a kernel is valid for the lifetime of the
-/// process, which is exactly the kernel cache's lifetime.
-pub fn compile_avx512(sig: &ScanSig) -> Result<Vec<u8>, JitError> {
+/// (merge/iota/mask tables) and of the returned [`Emitted::tables`], so a
+/// kernel is valid for as long as its tables, which is exactly the kernel
+/// cache's lifetime. Chains with packed columns need AVX-512 VBMI2.
+pub fn compile_avx512(sig: &ScanSig) -> Result<Emitted, JitError> {
     if sig.is_empty() || sig.len() > MAX_JIT_PREDICATES {
         return Err(JitError::BadChainLength(sig.len()));
     }
-    if sig.elem.is_wide() {
-        return compile_avx512_w64(sig);
-    }
+    check_packed(sig)?;
+    let tables = match sig.preds[0].storage {
+        Storage::Packed { bits } => Some(driver_tables(bits as u32)),
+        Storage::Plain => None,
+    };
+    let g = Geometry::of(sig.elem);
     let p = sig.len();
     let mut a = Asm::new();
     let flush: Vec<Label> = (0..p).map(|_| a.new_label()).collect();
@@ -246,17 +493,33 @@ pub fn compile_avx512(sig: &ScanSig) -> Result<Vec<u8>, JitError> {
         a.mov_r64_mem(Gpr::Rbx, Mem::base_disp(Gpr::Rdi, 72));
     }
     a.xor_r32_r32(Gpr::R11, Gpr::R11);
-    a.mov_r64_imm64(Gpr::R12, MERGE16.as_ptr() as u64);
+    a.mov_r64_imm64(Gpr::R12, g.merge);
     for (i, pred) in sig.preds.iter().enumerate() {
-        a.mov_r32_imm32(Gpr::Rax, pred.needle_bits as u32);
-        a.vpbroadcastd_r32(needle_reg(i), Gpr::Rax);
+        if sig.elem.is_wide() {
+            a.mov_r64_imm64(Gpr::Rax, pred.needle_bits);
+            a.vpbroadcastq_r64(needle_reg(i), Gpr::Rax);
+        } else {
+            a.mov_r32_imm32(Gpr::Rax, pred.needle_bits as u32);
+            a.vpbroadcastd_r32(Vl::Z512, needle_reg(i), Gpr::Rax);
+        }
     }
-    a.mov_r64_imm64(Gpr::Rax, IOTA16.as_ptr() as u64);
-    a.vmovdqu32_load(Zmm(6), Mem::base(Gpr::Rax), None, false);
-    a.vpxord(Zmm(8), Zmm(8), Zmm(8));
+    a.mov_r64_imm64(Gpr::Rax, g.iota);
+    a.vmovdqu32_load(g.vl, Zmm(6), Mem::base(Gpr::Rax), None, false);
+    a.vpxord(Vl::Z512, Zmm(8), Zmm(8), Zmm(8));
     for s in 1..p {
         let r = plist_reg(s);
-        a.vpxord(r, r, r);
+        a.vpxord(g.vl, r, r, r);
+    }
+    if sig.has_packed() {
+        // Packed-scan constants in the EVEX-only high registers.
+        a.mov_r32_imm32(Gpr::Rax, 31);
+        a.vpbroadcastd_r32(Vl::Z512, Zmm(15), Gpr::Rax);
+        a.mov_r32_imm32(Gpr::Rax, 1);
+        a.vpbroadcastd_r32(Vl::Z512, Zmm(16), Gpr::Rax);
+    }
+    if let Storage::Packed { bits } = sig.preds[0].storage {
+        a.mov_r32_imm32(Gpr::Rax, mask_of(bits));
+        a.vpbroadcastd_r32(Vl::Z512, Zmm(17), Gpr::Rax);
     }
     a.xor_r32_r32(Gpr::Rdx, Gpr::Rdx);
 
@@ -267,12 +530,7 @@ pub fn compile_avx512(sig: &ScanSig) -> Result<Vec<u8>, JitError> {
     a.bind(top);
     a.cmp_r64_r64(Gpr::Rdx, Gpr::Rcx);
     a.jcc(Cond::Ae, loop_end);
-    a.vmovdqu32_load(
-        Zmm(0),
-        Mem::base_index_scale(Gpr::R8, Gpr::Rdx, 4),
-        None,
-        false,
-    );
+    emit_driver_fetch(&mut a, sig, tables.as_deref());
     emit_cmp(
         &mut a,
         sig.elem,
@@ -287,16 +545,16 @@ pub fn compile_avx512(sig: &ScanSig) -> Result<Vec<u8>, JitError> {
     a.kmovw_r32_k(Gpr::Rax, KReg(1));
     a.popcnt_r32_r32(Gpr::Rax, Gpr::Rax);
     // Block offsets = iota + broadcast(base row), compressed by the mask.
-    a.vpbroadcastd_r32(Zmm(14), Gpr::Rdx);
-    a.vpaddd(Zmm(14), Zmm(14), Zmm(6));
-    a.vpcompressd(Zmm(7), Zmm(14), KReg(1), true);
+    a.vpbroadcastd_r32(g.vl, Zmm(14), Gpr::Rdx);
+    a.vpaddd(g.vl, Zmm(14), Zmm(14), Zmm(6));
+    a.vpcompressd(g.vl, Zmm(7), Zmm(14), KReg(1), true);
     if p == 1 {
-        emit_output(&mut a, sig);
+        emit_output(&mut a, &g, sig);
     } else {
-        emit_push(&mut a, 1, &flush);
+        emit_push(&mut a, &g, 1, &flush);
     }
     a.bind(next_block);
-    a.add_r64_imm8(Gpr::Rdx, LANES);
+    a.add_r64_imm8(Gpr::Rdx, g.lanes);
     a.jmp(top);
 
     // Drain stages ascending, return the total.
@@ -314,217 +572,12 @@ pub fn compile_avx512(sig: &ScanSig) -> Result<Vec<u8>, JitError> {
     // Flush subroutines.
     for s in 1..p {
         a.bind(flush[s]);
-        emit_flush_body(&mut a, s, sig, &flush);
+        emit_flush_body(&mut a, &g, s, sig, &flush);
     }
-    Ok(a.finish())
-}
-
-/// 8-byte lane masks for the 64-bit backend's flush path.
-static MASK_LUT8: [u16; 9] = [0, 1, 3, 7, 15, 31, 63, 127, 255];
-
-/// Block-offset base vector for 8-lane blocks.
-static IOTA8: [u32; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
-
-fn emit_cmp64(
-    a: &mut Asm,
-    elem: JitElem,
-    dst: KReg,
-    vals: Zmm,
-    needle: Zmm,
-    op: CmpOp,
-    mask: Option<KReg>,
-) {
-    let imm = cmp_imm(elem, op);
-    match elem {
-        JitElem::U64 => a.vpcmpuq(dst, vals, needle, imm, mask),
-        JitElem::I64 => a.vpcmpq(dst, vals, needle, imm, mask),
-        JitElem::F64 => a.vcmppd(dst, vals, needle, imm, mask),
-        _ => unreachable!("64-bit backend"),
-    }
-}
-
-/// Emit the match output for the 64-bit backend (ymm position batch in
-/// `zmm7`'s low half, size in `rax`).
-fn emit_output64(a: &mut Asm, sig: &ScanSig) {
-    if sig.emit_positions {
-        a.vmovdqu32_store_y(Mem::base_index_scale(Gpr::Rbx, Gpr::R11, 4), Zmm(7), None);
-    }
-    a.add_r64_r64(Gpr::R11, Gpr::Rax);
-}
-
-fn emit_push64(a: &mut Asm, s: usize, flush: &[Label]) {
-    const LANES64: i8 = 8;
-    let fits = a.new_label();
-    let after = a.new_label();
-    let skip_full = a.new_label();
-
-    a.mov_r64_mem(Gpr::Rsi, Mem::base_disp(Gpr::Rbp, count_off(s)));
-    a.mov_r64_r64(Gpr::R9, Gpr::Rsi);
-    a.add_r64_r64(Gpr::R9, Gpr::Rax);
-    a.cmp_r64_imm8(Gpr::R9, LANES64);
-    a.jcc(Cond::Be, fits);
-    a.mov_mem_r64(Mem::base_disp(Gpr::Rbp, rax_off(s)), Gpr::Rax);
-    a.vmovdqu32_store_y(Mem::base_disp(Gpr::Rbp, zmm_off(s)), Zmm(7), None);
-    a.call(flush[s]);
-    a.vmovdqu32_load_y(Zmm(7), Mem::base_disp(Gpr::Rbp, zmm_off(s)), None, false);
-    a.mov_r64_mem(Gpr::Rax, Mem::base_disp(Gpr::Rbp, rax_off(s)));
-    a.vmovdqa32_rr_y(plist_reg(s), Zmm(7));
-    a.mov_mem_r64(Mem::base_disp(Gpr::Rbp, count_off(s)), Gpr::Rax);
-    a.jmp(after);
-
-    a.bind(fits);
-    // ctl = MERGE8[count] (32 bytes per entry); merge behind the list.
-    a.mov_r64_r64(Gpr::R9, Gpr::Rsi);
-    a.shl_r64_imm8(Gpr::R9, 5);
-    a.vmovdqu32_load_y(
-        Zmm(13),
-        Mem::base_index_scale(Gpr::R12, Gpr::R9, 1),
-        None,
-        false,
-    );
-    a.vpermt2d_y(plist_reg(s), Zmm(13), Zmm(7));
-    a.add_r64_r64(Gpr::Rsi, Gpr::Rax);
-    a.mov_mem_r64(Mem::base_disp(Gpr::Rbp, count_off(s)), Gpr::Rsi);
-
-    a.bind(after);
-    a.mov_r64_mem(Gpr::Rsi, Mem::base_disp(Gpr::Rbp, count_off(s)));
-    a.cmp_r64_imm8(Gpr::Rsi, LANES64);
-    a.jcc(Cond::Ne, skip_full);
-    a.call(flush[s]);
-    a.bind(skip_full);
-}
-
-fn emit_flush_body64(a: &mut Asm, s: usize, sig: &ScanSig, flush: &[Label]) {
-    let done = a.new_label();
-    a.mov_r64_mem(Gpr::Rsi, Mem::base_disp(Gpr::Rbp, count_off(s)));
-    a.test_r64_r64(Gpr::Rsi, Gpr::Rsi);
-    a.jcc(Cond::E, done);
-
-    a.mov_r64_imm64(Gpr::R9, MASK_LUT8.as_ptr() as u64);
-    a.movzx_r32_m16(Gpr::Rax, Mem::base_index_scale(Gpr::R9, Gpr::Rsi, 2));
-    a.kmovw_k_r32(KReg(2), Gpr::Rax);
-    a.xor_r32_r32(Gpr::R10, Gpr::R10);
-    a.mov_mem_r64(Mem::base_disp(Gpr::Rbp, count_off(s)), Gpr::R10);
-    // vpgatherdq: dword positions fetch qword values (scale 8).
-    a.mov_r64_mem(Gpr::R10, Mem::base_disp(Gpr::Rdi, 8 * s as i32));
-    a.vpxord(Zmm(0), Zmm(0), Zmm(0));
-    a.vpgatherdq(Zmm(0), Gpr::R10, plist_reg(s), 8, KReg(2));
-    a.kmovw_k_r32(KReg(2), Gpr::Rax);
-    emit_cmp64(
-        a,
-        sig.elem,
-        KReg(2),
-        Zmm(0),
-        needle_reg(s),
-        sig.preds[s].op,
-        Some(KReg(2)),
-    );
-    a.kortestw(KReg(2), KReg(2));
-    a.jcc(Cond::E, done);
-    a.kmovw_r32_k(Gpr::Rax, KReg(2));
-    a.popcnt_r32_r32(Gpr::Rax, Gpr::Rax);
-    a.vpcompressd_y(Zmm(7), plist_reg(s), KReg(2), true);
-    if s == sig.len() - 1 {
-        emit_output64(a, sig);
-    } else {
-        emit_push64(a, s + 1, flush);
-    }
-    a.bind(done);
-    a.ret();
-}
-
-/// The 8-byte-element backend: values in zmm (8 lanes), position lists in
-/// ymm, `vpgatherdq` for the follow-up fetch. Identical structure to the
-/// 32-bit backend otherwise.
-fn compile_avx512_w64(sig: &ScanSig) -> Result<Vec<u8>, JitError> {
-    const LANES64: i8 = 8;
-    let p = sig.len();
-    let mut a = Asm::new();
-    let flush: Vec<Label> = (0..p).map(|_| a.new_label()).collect();
-
-    a.push_r64(Gpr::Rbp);
-    a.mov_r64_r64(Gpr::Rbp, Gpr::Rsp);
-    a.push_r64(Gpr::Rbx);
-    a.push_r64(Gpr::R12);
-    a.sub_r64_imm32(Gpr::Rsp, FRAME);
-
-    a.xor_r32_r32(Gpr::Rax, Gpr::Rax);
-    for s in 1..p {
-        a.mov_mem_r64(Mem::base_disp(Gpr::Rbp, count_off(s)), Gpr::Rax);
-    }
-    a.mov_r64_mem(Gpr::R8, Mem::base(Gpr::Rdi));
-    a.mov_r64_mem(Gpr::Rcx, Mem::base_disp(Gpr::Rdi, 64));
-    if sig.emit_positions {
-        a.mov_r64_mem(Gpr::Rbx, Mem::base_disp(Gpr::Rdi, 72));
-    }
-    a.xor_r32_r32(Gpr::R11, Gpr::R11);
-    a.mov_r64_imm64(Gpr::R12, fts_core::fused::MERGE8.as_ptr() as u64);
-    for (i, pred) in sig.preds.iter().enumerate() {
-        a.mov_r64_imm64(Gpr::Rax, pred.needle_bits);
-        a.vpbroadcastq_r64(needle_reg(i), Gpr::Rax);
-    }
-    a.mov_r64_imm64(Gpr::Rax, IOTA8.as_ptr() as u64);
-    a.vmovdqu32_load_y(Zmm(6), Mem::base(Gpr::Rax), None, false);
-    a.vpxord(Zmm(8), Zmm(8), Zmm(8));
-    for s in 1..p {
-        let r = plist_reg(s);
-        a.vpxord_y(r, r, r);
-    }
-    a.xor_r32_r32(Gpr::Rdx, Gpr::Rdx);
-
-    let top = a.new_label();
-    let next_block = a.new_label();
-    let loop_end = a.new_label();
-    a.bind(top);
-    a.cmp_r64_r64(Gpr::Rdx, Gpr::Rcx);
-    a.jcc(Cond::Ae, loop_end);
-    a.vmovdqu64_load(
-        Zmm(0),
-        Mem::base_index_scale(Gpr::R8, Gpr::Rdx, 8),
-        None,
-        false,
-    );
-    emit_cmp64(
-        &mut a,
-        sig.elem,
-        KReg(1),
-        Zmm(0),
-        needle_reg(0),
-        sig.preds[0].op,
-        None,
-    );
-    a.kortestw(KReg(1), KReg(1));
-    a.jcc(Cond::E, next_block);
-    a.kmovw_r32_k(Gpr::Rax, KReg(1));
-    a.popcnt_r32_r32(Gpr::Rax, Gpr::Rax);
-    a.vpbroadcastd_r32_y(Zmm(14), Gpr::Rdx);
-    a.vpaddd_y(Zmm(14), Zmm(14), Zmm(6));
-    a.vpcompressd_y(Zmm(7), Zmm(14), KReg(1), true);
-    if p == 1 {
-        emit_output64(&mut a, sig);
-    } else {
-        emit_push64(&mut a, 1, &flush);
-    }
-    a.bind(next_block);
-    a.add_r64_imm8(Gpr::Rdx, LANES64);
-    a.jmp(top);
-
-    a.bind(loop_end);
-    for &stage in &flush[1..p] {
-        a.call(stage);
-    }
-    a.mov_r64_r64(Gpr::Rax, Gpr::R11);
-    a.add_r64_imm32(Gpr::Rsp, FRAME);
-    a.pop_r64(Gpr::R12);
-    a.pop_r64(Gpr::Rbx);
-    a.pop_r64(Gpr::Rbp);
-    a.ret();
-
-    for s in 1..p {
-        a.bind(flush[s]);
-        emit_flush_body64(&mut a, s, sig, &flush);
-    }
-    Ok(a.finish())
+    Ok(Emitted {
+        code: a.finish(),
+        tables,
+    })
 }
 
 #[cfg(test)]
@@ -545,7 +598,7 @@ mod tests {
     /// Run the JIT kernel on full blocks only (rows truncated), like the
     /// wrapper does.
     fn run<T: Copy>(sig: &ScanSig, cols: &[&[T]]) -> (u64, Vec<u32>) {
-        let code = compile_avx512(sig).unwrap();
+        let code = compile_avx512(sig).unwrap().code;
         let buf = ExecBuf::new(&code).unwrap();
         let lanes = sig.elem.lanes();
         let rows_full = cols[0].len() / lanes * lanes;
@@ -814,13 +867,282 @@ mod tests {
     }
 
     #[test]
+    fn packed_rejections_name_the_predicate() {
+        use crate::ir::JitPred;
+        let reject = |elem: JitElem, preds: Vec<JitPred>| match compile_avx512(&ScanSig {
+            elem,
+            preds,
+            emit_positions: false,
+        }) {
+            Err(JitError::BadPredicate { index, .. }) => index,
+            Err(e) => panic!("expected BadPredicate, got {e}"),
+            Ok(_) => panic!("expected BadPredicate, got a kernel"),
+        };
+        let plain = JitPred::plain(CmpOp::Eq, 1);
+        // A driver wider than 16 bits.
+        assert_eq!(
+            reject(JitElem::U32, vec![JitPred::packed(20, CmpOp::Eq, 1)]),
+            0
+        );
+        // Widths outside 1–32 bits, as driver and as follower.
+        assert_eq!(
+            reject(JitElem::U32, vec![JitPred::packed(0, CmpOp::Eq, 0)]),
+            0
+        );
+        assert_eq!(
+            reject(JitElem::U32, vec![plain, JitPred::packed(33, CmpOp::Eq, 1)]),
+            1
+        );
+        // A needle above the width's mask.
+        assert_eq!(
+            reject(
+                JitElem::U32,
+                vec![plain, plain, JitPred::packed(4, CmpOp::Lt, 16)]
+            ),
+            2
+        );
+        // Packed columns occur only in u32 chains.
+        assert_eq!(
+            reject(JitElem::I32, vec![plain, JitPred::packed(8, CmpOp::Eq, 1)]),
+            1
+        );
+        // The message names the predicate and the reason.
+        let err = compile_avx512(&ScanSig {
+            elem: JitElem::U32,
+            preds: vec![JitPred::packed(20, CmpOp::Eq, 1)],
+            emit_positions: false,
+        });
+        let text = err.err().expect("rejected").to_string();
+        assert!(
+            text.contains("predicate 0") && text.contains("16 bits"),
+            "{text}"
+        );
+    }
+
+    #[test]
     fn emitted_code_is_reasonably_sized() {
         let sig = ScanSig::u32_chain(&[(CmpOp::Eq, 5), (CmpOp::Eq, 2)], true);
-        let code = compile_avx512(&sig).unwrap();
+        let code = compile_avx512(&sig).unwrap().code;
         assert!(
             code.len() > 100 && code.len() < 4096,
             "{} bytes",
             code.len()
         );
+    }
+
+    // --- bit-packed columns ---------------------------------------------
+
+    mod packed {
+        use super::super::*;
+        use crate::ir::JitPred;
+        use crate::kernel::{CompiledKernel, JitBackend, JitCol, RunError};
+        use fts_core::fused::packed::{scan_packed_reference, PackedPred};
+        use fts_core::TypedPred;
+        use fts_storage::bitpack::PackedColumn;
+
+        fn skip() -> bool {
+            if !fts_simd::has_avx512() || !std::arch::is_x86_feature_detected!("avx512vbmi2") {
+                eprintln!("skipping: no AVX-512 VBMI2");
+                return true;
+            }
+            false
+        }
+
+        fn u32_sig(preds: Vec<JitPred>, emit_positions: bool) -> ScanSig {
+            ScanSig {
+                elem: JitElem::U32,
+                preds,
+                emit_positions,
+            }
+        }
+
+        fn compile(sig: ScanSig) -> Result<CompiledKernel, JitError> {
+            CompiledKernel::compile(sig, JitBackend::Avx512)
+        }
+
+        fn check(sig: ScanSig, cols: &[JitCol<'_, u32>], reference: &[PackedPred<'_>]) {
+            let expected = scan_packed_reference(reference);
+            let k = compile(sig).unwrap();
+            let out = k.run_cols(cols).unwrap();
+            assert_eq!(out.positions().unwrap(), &expected);
+        }
+
+        #[test]
+        fn packed_driver_all_narrow_widths() {
+            if skip() {
+                return;
+            }
+            for bits in 1..=16u8 {
+                let mask = mask_of(bits);
+                let values: Vec<u32> = (0..1003u32)
+                    .map(|i| i.wrapping_mul(2654435761) & mask)
+                    .collect();
+                let col = PackedColumn::pack(&values, bits).unwrap();
+                let plain: Vec<u32> = (0..1003).map(|i| i % 3).collect();
+                for op in CmpOp::ALL {
+                    let sig = u32_sig(
+                        vec![
+                            JitPred::packed(bits, op, mask / 2),
+                            JitPred::plain(CmpOp::Eq, 1),
+                        ],
+                        true,
+                    );
+                    check(
+                        sig,
+                        &[JitCol::Packed(&col), JitCol::Plain(&plain)],
+                        &[
+                            PackedPred::Packed {
+                                col: &col,
+                                op,
+                                needle: mask / 2,
+                            },
+                            PackedPred::Plain(TypedPred::eq(&plain[..], 1)),
+                        ],
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn packed_follow_up_any_width() {
+            if skip() {
+                return;
+            }
+            for bits in [3u8, 7, 11, 16, 21, 29, 32] {
+                let mask = mask_of(bits);
+                let a: Vec<u32> = (0..900).map(|i| i % 5).collect();
+                let values: Vec<u32> = (0..900u32)
+                    .map(|i| i.wrapping_mul(2246822519) & mask)
+                    .collect();
+                let col = PackedColumn::pack(&values, bits).unwrap();
+                for op in CmpOp::ALL {
+                    let sig = u32_sig(
+                        vec![
+                            JitPred::plain(CmpOp::Eq, 2),
+                            JitPred::packed(bits, op, mask / 2),
+                        ],
+                        true,
+                    );
+                    check(
+                        sig,
+                        &[JitCol::Plain(&a), JitCol::Packed(&col)],
+                        &[
+                            PackedPred::Plain(TypedPred::eq(&a[..], 2)),
+                            PackedPred::Packed {
+                                col: &col,
+                                op,
+                                needle: mask / 2,
+                            },
+                        ],
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn fully_packed_three_predicate_chain_and_count_mode() {
+            if skip() {
+                return;
+            }
+            let cols: Vec<PackedColumn> = [4u8, 9, 13]
+                .iter()
+                .map(|&bits| {
+                    let mask = mask_of(bits);
+                    let values: Vec<u32> = (0..1600u32)
+                        .map(|i| i.wrapping_mul(9973 + bits as u32) & mask)
+                        .collect();
+                    PackedColumn::pack(&values, bits).unwrap()
+                })
+                .collect();
+            let preds: Vec<JitPred> = cols
+                .iter()
+                .map(|c| JitPred::packed(c.bits(), CmpOp::Le, mask_of(c.bits()) / 2))
+                .collect();
+            let refs: Vec<JitCol<'_, u32>> = cols.iter().map(JitCol::Packed).collect();
+            let reference: Vec<PackedPred<'_>> = cols
+                .iter()
+                .map(|c| PackedPred::Packed {
+                    col: c,
+                    op: CmpOp::Le,
+                    needle: mask_of(c.bits()) / 2,
+                })
+                .collect();
+            let expected = scan_packed_reference(&reference);
+
+            let k = compile(u32_sig(preds.clone(), true)).unwrap();
+            assert_eq!(k.run_cols(&refs).unwrap().positions().unwrap(), &expected);
+
+            let k = compile(u32_sig(preds, false)).unwrap();
+            assert_eq!(k.run_cols(&refs).unwrap().count(), expected.len() as u64);
+            assert!(k.compile_time().as_millis() < 100);
+        }
+
+        #[test]
+        fn validation() {
+            if skip() {
+                return;
+            }
+            // Wide driver rejected at compile time.
+            let err = compile(u32_sig(vec![JitPred::packed(20, CmpOp::Eq, 1)], false));
+            assert!(matches!(err, Err(JitError::BadPredicate { index: 0, .. })));
+            // Width mismatch rejected at run time.
+            let sig = u32_sig(vec![JitPred::packed(4, CmpOp::Eq, 1)], false);
+            let k = compile(sig).unwrap();
+            let col = PackedColumn::pack(&[1u32, 2, 3], 5).unwrap();
+            assert_eq!(
+                k.run_cols(&[JitCol::<u32>::Packed(&col)]).unwrap_err(),
+                RunError::StorageMismatch
+            );
+        }
+
+        #[test]
+        fn high_registers_only_for_packed_chains() {
+            if skip() {
+                return;
+            }
+            // zmm15/zmm16 hold the funnel constants once any column is
+            // packed; zmm17 holds a packed driver's value mask. A plain
+            // chain's code never touches them.
+            let disasm = |preds: Vec<JitPred>| compile(u32_sig(preds, true)).unwrap().disassemble();
+            let plain = JitPred::plain(CmpOp::Eq, 5);
+            let packed = JitPred::packed(7, CmpOp::Eq, 5);
+            let Some(all_plain) = disasm(vec![plain, plain]) else {
+                eprintln!("objdump unavailable — skipping");
+                return;
+            };
+            let follower = disasm(vec![plain, packed]).unwrap();
+            let driver = disasm(vec![packed, plain]).unwrap();
+            for reg in ["zmm15", "zmm16", "zmm17"] {
+                assert!(!all_plain.contains(reg), "{reg} in a plain chain");
+                assert!(driver.contains(reg), "{reg} missing for a packed driver");
+            }
+            assert!(follower.contains("zmm15") && follower.contains("zmm16"));
+            assert!(
+                !follower.contains("zmm17"),
+                "no driver mask for a plain driver"
+            );
+        }
+
+        #[test]
+        fn tails_and_empty() {
+            if skip() {
+                return;
+            }
+            for rows in [0usize, 1, 15, 16, 17, 100] {
+                let values: Vec<u32> = (0..rows as u32).map(|i| i % 4).collect();
+                let col = PackedColumn::pack(&values, 2).unwrap();
+                let sig = u32_sig(vec![JitPred::packed(2, CmpOp::Eq, 1)], true);
+                let k = compile(sig).unwrap();
+                let out = k.run_cols(&[JitCol::<u32>::Packed(&col)]).unwrap();
+                let expected: Vec<u32> = (0..rows as u32)
+                    .filter(|&i| values[i as usize] == 1)
+                    .collect();
+                assert_eq!(
+                    out.positions().unwrap().as_slice(),
+                    &expected[..],
+                    "rows={rows}"
+                );
+            }
+        }
     }
 }

@@ -5,11 +5,12 @@
 //! `ablation_jit` benchmark: how much of the fused scan's win comes from
 //! specialization alone, and how much from AVX-512.
 //!
-//! Supports `u32` and `i32` chains (float compares need SSE `ucomiss`
-//! plumbing that the AVX-512 backend covers anyway).
+//! Supports `u32` and `i32` chains over plain columns (float compares need
+//! SSE `ucomiss` plumbing, and packed columns an unpack, that the AVX-512
+//! backend covers anyway).
 
 use crate::asm::{Asm, Cond, Gpr, Mem};
-use crate::ir::{JitElem, JitError, ScanSig};
+use crate::ir::{JitElem, JitError, ScanSig, Storage};
 
 /// Condition that means "the predicate HOLDS" after `cmp value, needle`.
 fn holds_cond(elem: JitElem, op: fts_storage::CmpOp) -> Cond {
@@ -40,6 +41,12 @@ pub fn compile_scalar(sig: &ScanSig) -> Result<Vec<u8>, JitError> {
     }
     if !matches!(sig.elem, JitElem::U32 | JitElem::I32) {
         return Err(JitError::ElemUnsupported(sig.elem));
+    }
+    if let Some(index) = sig.preds.iter().position(|p| p.storage != Storage::Plain) {
+        return Err(JitError::BadPredicate {
+            index,
+            reason: "the scalar backend reads plain columns only",
+        });
     }
 
     let mut a = Asm::new();

@@ -1,9 +1,11 @@
 //! The scan-chain IR handed to the compilers — the "runtime parameters"
-//! of paper §V: element type, comparison operator and literal per
-//! predicate, and whether the operator must emit a position list or only a
-//! count. The JIT specializes all of them into the emitted code (needles
-//! become immediates, operators become instruction immediates), which is
-//! why the number of static instantiations would otherwise explode.
+//! of paper §V: element type, comparison operator, literal and column
+//! storage (plain, or bit-packed at some width, §VII) per predicate, and
+//! whether the operator must emit a position list or only a count. The JIT
+//! specializes all of them into the emitted code (needles become
+//! immediates, operators become instruction immediates, a packed width
+//! becomes its unpack sequence), which is why the number of static
+//! instantiations would otherwise explode.
 
 use fts_storage::{CmpOp, DataType};
 
@@ -57,7 +59,21 @@ impl JitElem {
     }
 }
 
-/// One predicate: operator plus the literal's raw lane bits.
+/// How a predicate's column stores its values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Storage {
+    /// One element of the chain's kind per row.
+    Plain,
+    /// Bit-packed unsigned values, `bits` per row (legal only in a `u32`
+    /// chain; a driver packs at most 16 bits, a follower at most 32).
+    Packed {
+        /// Bits per value.
+        bits: u8,
+    },
+}
+
+/// One predicate: operator, the literal's raw lane bits and the column's
+/// storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct JitPred {
     /// Comparison operator.
@@ -65,6 +81,30 @@ pub struct JitPred {
     /// Literal bits (32-bit kinds use the low half; `f64::to_bits` etc.
     /// for the 8-byte kinds).
     pub needle_bits: u64,
+    /// The column's storage.
+    pub storage: Storage,
+}
+
+impl JitPred {
+    /// A predicate over a plain column.
+    pub fn plain(op: CmpOp, needle_bits: u64) -> JitPred {
+        JitPred {
+            op,
+            needle_bits,
+            storage: Storage::Plain,
+        }
+    }
+
+    /// A predicate over a `bits`-wide packed `u32` column. The needle must
+    /// fit the width: resolve out-of-domain literals before building the
+    /// signature, as `fts_core::fused::packed` does.
+    pub fn packed(bits: u8, op: CmpOp, needle: u32) -> JitPred {
+        JitPred {
+            op,
+            needle_bits: needle as u64,
+            storage: Storage::Packed { bits },
+        }
+    }
 }
 
 /// A full scan-chain signature — also the kernel-cache key.
@@ -85,10 +125,7 @@ impl ScanSig {
             elem: JitElem::U32,
             preds: preds
                 .iter()
-                .map(|&(op, n)| JitPred {
-                    op,
-                    needle_bits: n as u64,
-                })
+                .map(|&(op, n)| JitPred::plain(op, n as u64))
                 .collect(),
             emit_positions,
         }
@@ -100,10 +137,7 @@ impl ScanSig {
             elem: JitElem::I32,
             preds: preds
                 .iter()
-                .map(|&(op, n)| JitPred {
-                    op,
-                    needle_bits: n as u32 as u64,
-                })
+                .map(|&(op, n)| JitPred::plain(op, n as u32 as u64))
                 .collect(),
             emit_positions,
         }
@@ -115,10 +149,7 @@ impl ScanSig {
             elem: JitElem::F32,
             preds: preds
                 .iter()
-                .map(|&(op, n)| JitPred {
-                    op,
-                    needle_bits: n.to_bits() as u64,
-                })
+                .map(|&(op, n)| JitPred::plain(op, n.to_bits() as u64))
                 .collect(),
             emit_positions,
         }
@@ -128,10 +159,7 @@ impl ScanSig {
     pub fn u64_chain(preds: &[(CmpOp, u64)], emit_positions: bool) -> ScanSig {
         ScanSig {
             elem: JitElem::U64,
-            preds: preds
-                .iter()
-                .map(|&(op, n)| JitPred { op, needle_bits: n })
-                .collect(),
+            preds: preds.iter().map(|&(op, n)| JitPred::plain(op, n)).collect(),
             emit_positions,
         }
     }
@@ -142,10 +170,7 @@ impl ScanSig {
             elem: JitElem::I64,
             preds: preds
                 .iter()
-                .map(|&(op, n)| JitPred {
-                    op,
-                    needle_bits: n as u64,
-                })
+                .map(|&(op, n)| JitPred::plain(op, n as u64))
                 .collect(),
             emit_positions,
         }
@@ -157,10 +182,7 @@ impl ScanSig {
             elem: JitElem::F64,
             preds: preds
                 .iter()
-                .map(|&(op, n)| JitPred {
-                    op,
-                    needle_bits: n.to_bits(),
-                })
+                .map(|&(op, n)| JitPred::plain(op, n.to_bits()))
                 .collect(),
             emit_positions,
         }
@@ -174,6 +196,11 @@ impl ScanSig {
     /// Whether the chain is empty.
     pub fn is_empty(&self) -> bool {
         self.preds.is_empty()
+    }
+
+    /// Whether some predicate reads a bit-packed column.
+    pub fn has_packed(&self) -> bool {
+        self.preds.iter().any(|p| p.storage != Storage::Plain)
     }
 }
 
@@ -205,7 +232,16 @@ pub enum JitError {
     /// This backend does not support the element kind (e.g. `f32` in the
     /// scalar backend).
     ElemUnsupported(JitElem),
-    /// The host lacks AVX-512.
+    /// One predicate's column cannot be compiled as specified (a packed
+    /// width or needle the emitter cannot handle, or a packed column given
+    /// to a backend or element kind that reads plain columns only).
+    BadPredicate {
+        /// The predicate's position in the chain.
+        index: usize,
+        /// Why it was rejected.
+        reason: &'static str,
+    },
+    /// The host lacks AVX-512 (or VBMI2, for chains with packed columns).
     IsaUnavailable,
     /// Mapping the code failed.
     Exec(crate::mem::ExecError),
@@ -216,7 +252,8 @@ impl std::fmt::Display for JitError {
         match self {
             JitError::BadChainLength(n) => write!(f, "chain length {n} unsupported"),
             JitError::ElemUnsupported(e) => write!(f, "element kind {e:?} unsupported"),
-            JitError::IsaUnavailable => write!(f, "AVX-512 unavailable on this host"),
+            JitError::BadPredicate { index, reason } => write!(f, "predicate {index}: {reason}"),
+            JitError::IsaUnavailable => write!(f, "AVX-512 (or VBMI2) unavailable on this host"),
             JitError::Exec(e) => write!(f, "exec memory: {e}"),
         }
     }

@@ -1,21 +1,24 @@
 //! Safe wrappers around compiled kernels.
 //!
-//! A [`CompiledKernel`] owns the executable code for one [`ScanSig`] and
-//! exposes a validated, safe `run` API: it checks the column count, types
-//! and lengths against the signature, allocates the position buffer with
-//! the slack the vector stores need, and (for the AVX-512 backend)
-//! evaluates the non-multiple-of-16 tail rows after the kernel's drain so
-//! emitted positions stay ascending.
+//! A [`CompiledKernel`] owns the executable code for one [`ScanSig`] (and
+//! a packed driver's unpack tables) and exposes one validated, safe run
+//! routine, [`CompiledKernel::run_cols`], for plain and bit-packed columns
+//! alike: it checks the column count, element type, storage and lengths
+//! against the signature, allocates the position buffer with the slack the
+//! vector stores need, and (for the AVX-512 backend) evaluates the
+//! non-multiple-of-block tail rows after the kernel's drain so emitted
+//! positions stay ascending. [`CompiledKernel::run`] is its plain-slice
+//! shorthand.
 
 use std::time::{Duration, Instant};
 
 use fts_core::{OutputMode, ScanOutput};
 use fts_simd::has_avx512;
-use fts_storage::{NativeType, PosList};
+use fts_storage::{NativeType, PackedColumn, PosList};
 
-use crate::compile_avx512::compile_avx512;
+use crate::compile_avx512::{compile_avx512, DriverTables, Emitted};
 use crate::compile_scalar::compile_scalar;
-use crate::ir::{JitElem, JitError, KernelArgs, KernelFn, ScanSig};
+use crate::ir::{JitElem, JitError, KernelArgs, KernelFn, ScanSig, Storage};
 use crate::mem::ExecBuf;
 
 /// Which code generator produced a kernel.
@@ -78,6 +81,15 @@ impl JitRunElem for f64 {
     }
 }
 
+/// One column handed to [`CompiledKernel::run_cols`].
+#[derive(Debug, Clone, Copy)]
+pub enum JitCol<'a, T> {
+    /// Plain values, one element per row.
+    Plain(&'a [T]),
+    /// A bit-packed `u32` column; its width must match the signature's.
+    Packed(&'a PackedColumn),
+}
+
 /// Errors when running a compiled kernel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
@@ -90,9 +102,13 @@ pub enum RunError {
     },
     /// The element type differs from the signature's.
     ElemMismatch,
+    /// A column's storage (plain or packed, and a packed column's width)
+    /// differs from its predicate's.
+    StorageMismatch,
     /// Columns have different lengths.
     LengthMismatch,
-    /// More rows than a 32-bit gather index can address.
+    /// More rows than a 32-bit gather index (or, for a packed column,
+    /// a 32-bit bit address) can reach.
     TooManyRows(usize),
     /// The kernel was compiled in count mode but positions were requested
     /// (or vice versa — the signature fixes the output mode).
@@ -106,6 +122,7 @@ impl std::fmt::Display for RunError {
                 write!(f, "signature has {expected} predicates, got {got} columns")
             }
             RunError::ElemMismatch => write!(f, "element type mismatch"),
+            RunError::StorageMismatch => write!(f, "column storage differs from the signature"),
             RunError::LengthMismatch => write!(f, "columns have different lengths"),
             RunError::TooManyRows(n) => write!(f, "{n} rows exceed 32-bit index range"),
             RunError::ModeMismatch => write!(f, "kernel compiled for the other output mode"),
@@ -133,20 +150,28 @@ pub struct CompiledKernel {
     sig: ScanSig,
     backend: JitBackend,
     buf: ExecBuf,
+    /// A packed driver's unpack tables, which the code addresses directly.
+    _tables: Option<Box<DriverTables>>,
     compile_time: Duration,
 }
 
 impl CompiledKernel {
     /// Generate and map the code for `sig` with the chosen backend.
     ///
-    /// The AVX-512 backend refuses to compile on hosts without AVX-512, so
-    /// a successfully compiled kernel is always runnable.
+    /// The AVX-512 backend refuses to compile on hosts without AVX-512
+    /// (and, for chains with packed columns, VBMI2), so a successfully
+    /// compiled kernel is always runnable. Only the AVX-512 backend reads
+    /// packed columns.
     pub fn compile(sig: ScanSig, backend: JitBackend) -> Result<CompiledKernel, JitError> {
         let start = Instant::now();
-        let code = match backend {
-            JitBackend::Scalar => compile_scalar(&sig)?,
+        let Emitted { code, tables } = match backend {
+            JitBackend::Scalar => Emitted {
+                code: compile_scalar(&sig)?,
+                tables: None,
+            },
             JitBackend::Avx512 => {
-                if !has_avx512() {
+                let vbmi2 = || std::arch::is_x86_feature_detected!("avx512vbmi2");
+                if !has_avx512() || (sig.has_packed() && !vbmi2()) {
                     return Err(JitError::IsaUnavailable);
                 }
                 compile_avx512(&sig)?
@@ -157,6 +182,7 @@ impl CompiledKernel {
             sig,
             backend,
             buf,
+            _tables: tables,
             compile_time: start.elapsed(),
         })
     }
@@ -211,9 +237,17 @@ impl CompiledKernel {
         Some(body.join("\n"))
     }
 
-    /// Execute the kernel over `cols`. The output mode is fixed by the
-    /// signature (`emit_positions`).
+    /// Execute the kernel over plain columns (shorthand for
+    /// [`CompiledKernel::run_cols`] with every column
+    /// [`JitCol::Plain`]).
     pub fn run<T: JitRunElem>(&self, cols: &[&[T]]) -> Result<ScanOutput, RunError> {
+        let cols: Vec<JitCol<'_, T>> = cols.iter().map(|&c| JitCol::Plain(c)).collect();
+        self.run_cols(&cols)
+    }
+
+    /// Execute the kernel over `cols`, one per predicate. The output mode
+    /// is fixed by the signature (`emit_positions`).
+    pub fn run_cols<T: JitRunElem>(&self, cols: &[JitCol<'_, T>]) -> Result<ScanOutput, RunError> {
         if T::ELEM != self.sig.elem {
             return Err(RunError::ElemMismatch);
         }
@@ -223,8 +257,22 @@ impl CompiledKernel {
                 got: cols.len(),
             });
         }
-        let rows = cols[0].len();
-        if cols.iter().any(|c| c.len() != rows) {
+        let mut lens = Vec::with_capacity(cols.len());
+        for (col, pred) in cols.iter().zip(&self.sig.preds) {
+            lens.push(match (col, pred.storage) {
+                (JitCol::Plain(d), Storage::Plain) => d.len(),
+                (JitCol::Packed(p), Storage::Packed { bits }) if p.bits() == bits => {
+                    // The gather-side extraction addresses bits in 32 bits.
+                    if p.len() as u64 * bits as u64 >= 1 << 31 {
+                        return Err(RunError::TooManyRows(p.len()));
+                    }
+                    p.len()
+                }
+                _ => return Err(RunError::StorageMismatch),
+            });
+        }
+        let rows = lens[0];
+        if lens.iter().any(|&len| len != rows) {
             return Err(RunError::LengthMismatch);
         }
         if rows > i32::MAX as usize {
@@ -256,26 +304,30 @@ impl CompiledKernel {
                 std::ptr::null_mut()
             },
         };
-        for (i, c) in cols.iter().enumerate() {
-            args.cols[i] = c.as_ptr() as *const u8;
+        for (i, col) in cols.iter().enumerate() {
+            args.cols[i] = match col {
+                JitCol::Plain(d) => d.as_ptr() as *const u8,
+                JitCol::Packed(p) => p.words().as_ptr() as *const u8,
+            };
         }
         // SAFETY: the code was generated for exactly this signature; the
-        // columns were validated above; `out` has the required slack; the
-        // AVX-512 backend verified ISA support at compile time.
+        // columns were validated above (kinds, widths, lengths; packed
+        // columns carry the guard word the funnel's second gather reads);
+        // `out` has the required slack; the AVX-512 backend verified ISA
+        // support at compile time.
         let f: KernelFn = unsafe { std::mem::transmute(self.buf.entry()) };
         // SAFETY: see above.
         let mut count = unsafe { f(&args) };
         out.truncate(count as usize);
 
         // Tail rows (AVX-512 backend only): evaluated after the kernel's
-        // drain, so appended positions remain ascending.
+        // drain, so appended positions remain ascending. Packed columns
+        // hold `u32` values (they occur only in `u32` chains).
         for row in rows_kernel..rows {
-            let hit = self
-                .sig
-                .preds
-                .iter()
-                .zip(cols)
-                .all(|(p, c)| c[row].cmp_op(p.op, T::from_bits(p.needle_bits)));
+            let hit = self.sig.preds.iter().zip(cols).all(|(p, col)| match col {
+                JitCol::Plain(d) => d[row].cmp_op(p.op, T::from_bits(p.needle_bits)),
+                JitCol::Packed(c) => c.get(row).cmp_op(p.op, p.needle_bits as u32),
+            });
             if hit {
                 count += 1;
                 if self.sig.emit_positions {

@@ -8,21 +8,22 @@
 //! * [`asm`] — a from-scratch x86-64 emitter (legacy, VEX-opmask and
 //!   EVEX/AVX-512 encodings), cross-validated against binutils;
 //! * [`mem`] — W^X executable memory via raw Linux syscalls;
-//! * [`ir`] — the chain signature ([`ScanSig`]: element kind, predicates,
-//!   output mode — nothing else, so each kernel has exactly one cache
+//! * [`ir`] — the chain signature ([`ScanSig`]: element kind, predicates
+//!   with each column's storage — plain, or bit-packed at some width —
+//!   and output mode; nothing else, so each kernel has exactly one cache
 //!   key) and the kernel ABI;
 //! * [`compile_scalar`] — specialized tuple-at-a-time code (§II's loop);
-//! * [`compile_avx512`] — the fused scan of Fig. 3 as native EVEX code
-//!   (32- and 64-bit element chains);
-//! * [`compile_packed`] — the fused scan over bit-packed columns (§VII):
-//!   per-width unpack controls and gather-side funnel extraction baked
-//!   into the emitted code;
-//! * [`kernel`] — safe wrappers that validate inputs, run the code, and
-//!   handle the non-multiple-of-16 tail;
-//! * [`cache`] — the compiled-kernel cache, one LRU-bounded
-//!   implementation for plain and packed signatures ("especially when
-//!   compiled operators are cached for future use, we do not see the
-//!   additional compile time as a deciding bottleneck", §V);
+//! * [`compile_avx512`] — the fused scan of Fig. 3 as native EVEX code:
+//!   one loop skeleton at a 16 × 32-bit or 8 × 64-bit lane geometry, with
+//!   a per-column fetch that loads or gathers plain columns and unpacks
+//!   or funnels bit-packed ones (§VII);
+//! * [`kernel`] — the one kernel type: validates plain and packed
+//!   columns, runs the code, and handles the tail rows after the last
+//!   full block;
+//! * [`cache`] — the compiled-kernel cache, LRU-bounded and keyed by
+//!   [`ScanSig`] ("especially when compiled operators are cached for
+//!   future use, we do not see the additional compile time as a deciding
+//!   bottleneck", §V);
 //! * [`source_gen`] — the C++ code-template generator the paper's Hyrise
 //!   prototype uses, reproduced as a text artifact.
 
@@ -31,15 +32,15 @@
 pub mod asm;
 pub mod cache;
 pub mod compile_avx512;
-pub mod compile_packed;
 pub mod compile_scalar;
 pub mod ir;
 pub mod kernel;
 pub mod mem;
 pub mod source_gen;
 
-pub use cache::{CacheSig, CacheStats, KernelCache};
-pub use compile_packed::{CompiledPackedKernel, PackedColRef, PackedColSig, PackedScanSig};
-pub use ir::{JitElem, JitError, JitPred, KernelArgs, KernelFn, ScanSig, MAX_JIT_PREDICATES};
-pub use kernel::{CompiledKernel, JitBackend};
+pub use cache::{CacheStats, KernelCache};
+pub use ir::{
+    JitElem, JitError, JitPred, KernelArgs, KernelFn, ScanSig, Storage, MAX_JIT_PREDICATES,
+};
+pub use kernel::{CompiledKernel, JitBackend, JitCol};
 pub use mem::{ExecBuf, ExecError};

@@ -7,7 +7,7 @@ use std::io::Write;
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use fts_jit::asm::{Asm, Cond, Gpr, KReg, Mem, Zmm};
+use fts_jit::asm::{Asm, Cond, Gpr, KReg, Mem, Vl, Zmm};
 
 fn disassemble(code: &[u8]) -> Option<Vec<String>> {
     // One file per call: the test harness runs tests on parallel threads
@@ -155,6 +155,7 @@ fn evex_instructions() {
     check(
         |a| {
             a.vmovdqu32_load(
+                Vl::Z512,
                 Zmm(0),
                 Mem::base_index_scale(Gpr::R8, Gpr::Rdx, 4),
                 None,
@@ -164,21 +165,32 @@ fn evex_instructions() {
         "vmovdqu32 zmm0,ZMMWORD PTR [r8+rdx*4]",
     );
     check(
-        |a| a.vmovdqu32_load(Zmm(3), Mem::base(Gpr::Rdi), Some(KReg(1)), true),
+        |a| a.vmovdqu32_load(Vl::Z512, Zmm(3), Mem::base(Gpr::Rdi), Some(KReg(1)), true),
         "vmovdqu32 zmm3{k1}{z},ZMMWORD PTR [rdi]",
     );
     check(
-        |a| a.vmovdqu32_store(Mem::base_index_scale(Gpr::Rbx, Gpr::Rax, 4), Zmm(7), None),
+        |a| {
+            a.vmovdqu32_store(
+                Vl::Z512,
+                Mem::base_index_scale(Gpr::Rbx, Gpr::Rax, 4),
+                Zmm(7),
+                None,
+            )
+        },
         "vmovdqu32 ZMMWORD PTR [rbx+rax*4],zmm7",
     );
     check(
-        |a| a.vpbroadcastd_r32(Zmm(1), Gpr::Rax),
+        |a| a.vpbroadcastd_r32(Vl::Z512, Zmm(1), Gpr::Rax),
         "vpbroadcastd zmm1,eax",
     );
-    check(|a| a.vmovdqa32_rr(Zmm(9), Zmm(7)), "vmovdqa32 zmm9,zmm7");
+    check(
+        |a| a.vmovdqa32_rr(Vl::Z512, Zmm(9), Zmm(7)),
+        "vmovdqa32 zmm9,zmm7",
+    );
     check(
         |a| {
             a.vmovdqu32_load(
+                Vl::Z512,
                 Zmm(13),
                 Mem::base_index_scale(Gpr::R12, Gpr::R9, 1),
                 None,
@@ -188,23 +200,31 @@ fn evex_instructions() {
         "vmovdqu32 zmm13,ZMMWORD PTR [r12+r9*1]",
     );
     check(
-        |a| a.vmovdqu32_store(Mem::base_disp(Gpr::Rbp, -128), Zmm(7), None),
+        |a| a.vmovdqu32_store(Vl::Z512, Mem::base_disp(Gpr::Rbp, -128), Zmm(7), None),
         "vmovdqu32 ZMMWORD PTR [rbp-0x80],zmm7",
     );
     check(
-        |a| a.vmovdqu32_load(Zmm(7), Mem::base_disp(Gpr::Rbp, -192), None, false),
+        |a| {
+            a.vmovdqu32_load(
+                Vl::Z512,
+                Zmm(7),
+                Mem::base_disp(Gpr::Rbp, -192),
+                None,
+                false,
+            )
+        },
         "vmovdqu32 zmm7,ZMMWORD PTR [rbp-0xc0]",
     );
     check(
-        |a| a.vpbroadcastd_r32(Zmm(14), Gpr::R9),
+        |a| a.vpbroadcastd_r32(Vl::Z512, Zmm(14), Gpr::R9),
         "vpbroadcastd zmm14,r9d",
     );
     check(
-        |a| a.vpxord(Zmm(11), Zmm(11), Zmm(11)),
+        |a| a.vpxord(Vl::Z512, Zmm(11), Zmm(11), Zmm(11)),
         "vpxord zmm11,zmm11,zmm11",
     );
     check(
-        |a| a.vpaddd(Zmm(6), Zmm(5), Zmm(14)),
+        |a| a.vpaddd(Vl::Z512, Zmm(6), Zmm(5), Zmm(14)),
         "vpaddd zmm6,zmm5,zmm14",
     );
     check(
@@ -228,11 +248,11 @@ fn evex_instructions() {
         "vcmpeqps k1,zmm0,zmm1",
     );
     check(
-        |a| a.vpcompressd(Zmm(7), Zmm(6), KReg(1), true),
+        |a| a.vpcompressd(Vl::Z512, Zmm(7), Zmm(6), KReg(1), true),
         "vpcompressd zmm7{k1}{z},zmm6",
     );
     check(
-        |a| a.vpermt2d(Zmm(8), Zmm(13), Zmm(7)),
+        |a| a.vpermt2d(Vl::Z512, Zmm(8), Zmm(13), Zmm(7)),
         "vpermt2d zmm8,zmm13,zmm7",
     );
     check(
@@ -275,7 +295,7 @@ fn packed_scan_instructions() {
     );
     // High registers (zmm16+) exercise the EVEX R'/V' extension bits.
     check(
-        |a| a.vpbroadcastd_r32(Zmm(17), Gpr::Rax),
+        |a| a.vpbroadcastd_r32(Vl::Z512, Zmm(17), Gpr::Rax),
         "vpbroadcastd zmm17,eax",
     );
     check(
@@ -283,7 +303,7 @@ fn packed_scan_instructions() {
         "vpandd zmm0,zmm0,zmm16",
     );
     check(
-        |a| a.vpaddd(Zmm(13), Zmm(13), Zmm(17)),
+        |a| a.vpaddd(Vl::Z512, Zmm(13), Zmm(13), Zmm(17)),
         "vpaddd zmm13,zmm13,zmm17",
     );
     check(
@@ -331,7 +351,8 @@ fn evex_64bit_and_ymm_instructions() {
     );
     check(
         |a| {
-            a.vmovdqu32_load_y(
+            a.vmovdqu32_load(
+                Vl::Y256,
                 Zmm(13),
                 Mem::base_index_scale(Gpr::R12, Gpr::R9, 1),
                 None,
@@ -341,28 +362,38 @@ fn evex_64bit_and_ymm_instructions() {
         "vmovdqu32 ymm13,YMMWORD PTR [r12+r9*1]",
     );
     check(
-        |a| a.vmovdqu32_store_y(Mem::base_index_scale(Gpr::Rbx, Gpr::R11, 4), Zmm(7), None),
+        |a| {
+            a.vmovdqu32_store(
+                Vl::Y256,
+                Mem::base_index_scale(Gpr::Rbx, Gpr::R11, 4),
+                Zmm(7),
+                None,
+            )
+        },
         "vmovdqu32 YMMWORD PTR [rbx+r11*4],ymm7",
     );
-    check(|a| a.vmovdqa32_rr_y(Zmm(9), Zmm(7)), "vmovdqa32 ymm9,ymm7");
     check(
-        |a| a.vpxord_y(Zmm(8), Zmm(8), Zmm(8)),
+        |a| a.vmovdqa32_rr(Vl::Y256, Zmm(9), Zmm(7)),
+        "vmovdqa32 ymm9,ymm7",
+    );
+    check(
+        |a| a.vpxord(Vl::Y256, Zmm(8), Zmm(8), Zmm(8)),
         "vpxord ymm8,ymm8,ymm8",
     );
     check(
-        |a| a.vpaddd_y(Zmm(6), Zmm(5), Zmm(14)),
+        |a| a.vpaddd(Vl::Y256, Zmm(6), Zmm(5), Zmm(14)),
         "vpaddd ymm6,ymm5,ymm14",
     );
     check(
-        |a| a.vpbroadcastd_r32_y(Zmm(14), Gpr::Rdx),
+        |a| a.vpbroadcastd_r32(Vl::Y256, Zmm(14), Gpr::Rdx),
         "vpbroadcastd ymm14,edx",
     );
     check(
-        |a| a.vpcompressd_y(Zmm(7), Zmm(14), KReg(1), true),
+        |a| a.vpcompressd(Vl::Y256, Zmm(7), Zmm(14), KReg(1), true),
         "vpcompressd ymm7{k1}{z},ymm14",
     );
     check(
-        |a| a.vpermt2d_y(Zmm(9), Zmm(13), Zmm(7)),
+        |a| a.vpermt2d(Vl::Y256, Zmm(9), Zmm(13), Zmm(7)),
         "vpermt2d ymm9,ymm13,ymm7",
     );
     check(

@@ -1,10 +1,11 @@
-//! Property tests for the packed JIT backend: for random widths, operators
-//! and mixed plain/packed chains, the emitted machine code agrees with the
-//! interpreted reference.
+//! Property tests for the fused-scan emitter over bit-packed columns: for
+//! random chain shapes — 1–5 columns, each plain or packed at a random
+//! width, any operator, either output mode, a random row count — the
+//! kernel compiled through the cache agrees with the interpreted reference.
 
 use fts_core::fused::packed::{scan_packed_reference, PackedPred};
 use fts_core::TypedPred;
-use fts_jit::{CompiledPackedKernel, PackedColRef, PackedColSig, PackedScanSig};
+use fts_jit::{JitBackend, JitCol, JitElem, JitPred, KernelCache, ScanSig};
 use fts_storage::bitpack::{mask_of, PackedColumn};
 use fts_storage::CmpOp;
 use proptest::prelude::*;
@@ -13,22 +14,39 @@ fn available() -> bool {
     fts_simd::has_avx512() && std::arch::is_x86_feature_detected!("avx512vbmi2")
 }
 
+/// One drawn column: `Some(bits)` for a packed column, the operator, and
+/// the needle as a fraction of the column's value range, in 1/8ths.
+type ColShape = (Option<u8>, CmpOp, u32);
+
+fn col_shape(max_bits: u8) -> impl Strategy<Value = ColShape> {
+    (
+        prop::option::of(1u8..=max_bits),
+        prop::sample::select(CmpOp::ALL.to_vec()),
+        0u32..=8,
+    )
+}
+
+/// Plain columns draw values below this bound, so every operator sees
+/// both outcomes.
+const PLAIN_RANGE: u32 = 7;
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn jit_packed_matches_reference(
         rows in 0usize..700,
-        driver_bits in 1u8..=16,
-        follow_bits in 1u8..=32,
-        op0 in prop::sample::select(CmpOp::ALL.to_vec()),
-        op1 in prop::sample::select(CmpOp::ALL.to_vec()),
-        op2 in prop::sample::select(CmpOp::ALL.to_vec()),
+        // A packed driver unpacks at most 16 bits; a follower funnels up
+        // to 32.
+        driver in col_shape(16),
+        followers in prop::collection::vec(col_shape(32), 0..=4),
+        emit_positions in any::<bool>(),
         seed in any::<u64>(),
     ) {
         if !available() {
             return Ok(());
         }
+        let chain: Vec<ColShape> = std::iter::once(driver).chain(followers).collect();
         let mut state = seed | 1;
         let mut rng = move || {
             state ^= state << 13;
@@ -36,36 +54,66 @@ proptest! {
             state ^= state << 17;
             state as u32
         };
-        let v0: Vec<u32> = (0..rows).map(|_| rng() & mask_of(driver_bits)).collect();
-        let plain: Vec<u32> = (0..rows).map(|_| rng() % 7).collect();
-        let v2: Vec<u32> = (0..rows).map(|_| rng() & mask_of(follow_bits)).collect();
-        let c0 = PackedColumn::pack(&v0, driver_bits).unwrap();
-        let c2 = PackedColumn::pack(&v2, follow_bits).unwrap();
-        let n0 = mask_of(driver_bits) / 2;
-        let n2 = mask_of(follow_bits) / 3;
+        // Values and an in-domain needle per column.
+        let drawn: Vec<(Vec<u32>, u32)> = chain
+            .iter()
+            .map(|&(packed, _, eighths)| {
+                let domain = packed.map_or(PLAIN_RANGE - 1, mask_of);
+                let values = (0..rows)
+                    .map(|_| match packed {
+                        Some(bits) => rng() & mask_of(bits),
+                        None => rng() % PLAIN_RANGE,
+                    })
+                    .collect();
+                let needle = (domain as u64 * eighths as u64 / 8) as u32;
+                (values, needle)
+            })
+            .collect();
+        let packed: Vec<Option<PackedColumn>> = chain
+            .iter()
+            .zip(&drawn)
+            .map(|(&(packed, _, _), (values, _))| {
+                packed.map(|bits| PackedColumn::pack(values, bits).unwrap())
+            })
+            .collect();
 
-        let sig = PackedScanSig {
-            preds: vec![
-                PackedColSig::Packed { bits: driver_bits, op: op0, needle: n0 },
-                PackedColSig::Plain { op: op1, needle: 3 },
-                PackedColSig::Packed { bits: follow_bits, op: op2, needle: n2 },
-            ],
-            emit_positions: true,
+        let sig = ScanSig {
+            elem: JitElem::U32,
+            preds: chain
+                .iter()
+                .zip(&drawn)
+                .map(|(&(packed, op, _), &(_, needle))| match packed {
+                    Some(bits) => JitPred::packed(bits, op, needle),
+                    None => JitPred::plain(op, needle as u64),
+                })
+                .collect(),
+            emit_positions,
         };
-        let kernel = CompiledPackedKernel::compile(sig).unwrap();
-        let got = kernel
-            .run(&[
-                PackedColRef::Packed(&c0),
-                PackedColRef::Plain(&plain),
-                PackedColRef::Packed(&c2),
-            ])
-            .unwrap();
+        let cols: Vec<JitCol<'_, u32>> = drawn
+            .iter()
+            .zip(&packed)
+            .map(|((values, _), p)| match p {
+                Some(p) => JitCol::Packed(p),
+                None => JitCol::Plain(&values[..]),
+            })
+            .collect();
+        let reference: Vec<PackedPred<'_>> = chain
+            .iter()
+            .zip(&drawn)
+            .zip(&packed)
+            .map(|((&(_, op, _), (values, needle)), p)| match p {
+                Some(col) => PackedPred::Packed { col, op, needle: *needle },
+                None => PackedPred::Plain(TypedPred::new(&values[..], op, *needle)),
+            })
+            .collect();
+        let expected = scan_packed_reference(&reference);
 
-        let reference = scan_packed_reference(&[
-            PackedPred::Packed { col: &c0, op: op0, needle: n0 },
-            PackedPred::Plain(TypedPred::new(&plain[..], op1, 3)),
-            PackedPred::Packed { col: &c2, op: op2, needle: n2 },
-        ]);
-        prop_assert_eq!(got.positions().unwrap(), &reference);
+        let cache = KernelCache::new(JitBackend::Avx512);
+        let got = cache.get_or_compile(&sig).unwrap().run_cols(&cols).unwrap();
+        if emit_positions {
+            prop_assert_eq!(got.positions().unwrap(), &expected);
+        } else {
+            prop_assert_eq!(got.count(), expected.len() as u64);
+        }
     }
 }

@@ -56,9 +56,7 @@ use fts_core::{
     ScanTelemetry, TelemetryLevel, TypedPred,
 };
 use fts_core::{fused_scan_for, scan_bytesliced, ByteSlicedPred, ForPred};
-use fts_jit::{
-    CacheStats, JitBackend, KernelCache, PackedColRef, PackedColSig, PackedScanSig, ScanSig,
-};
+use fts_jit::{CacheStats, JitBackend, JitCol, JitElem, JitPred, KernelCache, ScanSig};
 use fts_simd::SimdLevel;
 use fts_storage::{
     with_native, ByteSlicedColumn, Chunk, CmpOp, Column, DataType, ForColumn, IdPredicate,
@@ -95,9 +93,10 @@ pub struct ExecContext {
     pub adaptive: bool,
     /// Compiled-kernel cache (used when `jit == On`).
     pub kernels: Arc<KernelCache>,
-    /// Compiled packed-kernel cache (bit-packed chains, `jit == On`),
-    /// bounded and counted like `kernels`.
-    pub packed_kernels: Arc<KernelCache<PackedScanSig>>,
+    /// Compiled-kernel cache for chains that read a bit-packed column
+    /// (`jit == On`): the same cache type as `kernels`, kept apart so the
+    /// packed kernels can be counted on their own.
+    pub packed_kernels: Arc<KernelCache>,
     /// Shared adaptive-calibration state, keyed by (table, sub-chain
     /// signature) — concurrent statements on the same chain feed one
     /// calibrator instead of each re-probing from scratch.
@@ -1251,35 +1250,9 @@ fn run_packed_chain(
                 .iter()
                 .all(|&(pc, _, n)| n <= fts_storage::mask_of(pc.bits()));
             if driver_ok && in_domain {
-                let sig = PackedScanSig {
-                    preds: u32_preds
-                        .iter()
-                        .map(|&(_, op, n)| PackedColSig::Plain { op, needle: n })
-                        .chain(
-                            packed_preds
-                                .iter()
-                                .map(|&(pc, op, n)| PackedColSig::Packed {
-                                    bits: pc.bits(),
-                                    op,
-                                    needle: n,
-                                }),
-                        )
-                        .collect(),
-                    emit_positions: mode == OutputMode::Positions,
-                };
-                if let Ok(kernel) = ctx.packed_kernels.get_or_compile(&sig) {
-                    let cols: Vec<PackedColRef<'_>> = u32_preds
-                        .iter()
-                        .map(|&(d, _, _)| PackedColRef::Plain(d))
-                        .chain(
-                            packed_preds
-                                .iter()
-                                .map(|&(pc, _, _)| PackedColRef::Packed(pc)),
-                        )
-                        .collect();
-                    if let Ok(out) = kernel.run(&cols) {
-                        break 'run (out, "jit-packed");
-                    }
+                if let Some((out, _)) = run_jit(&ctx.packed_kernels, u32_preds, packed_preds, mode)
+                {
+                    break 'run (out, "jit-packed");
                 }
             }
         }
@@ -1321,6 +1294,42 @@ fn run_packed_chain(
     Ok(out)
 }
 
+/// The JIT half of a `u32` chain scan: fetch (or compile) from `cache` the
+/// kernel for the plain predicates followed by the packed ones, and run it
+/// over their columns. Returns the output and the kernel's own run time
+/// (compilation excluded, so calibration compares kernels, not compiles);
+/// `None` when the kernel cannot compile or run here, and the caller falls
+/// back to a static kernel.
+fn run_jit(
+    cache: &KernelCache,
+    plain: &[(&[u32], CmpOp, u32)],
+    packed: &[(&PackedColumn, CmpOp, u32)],
+    mode: OutputMode,
+) -> Option<(ScanOutput, Duration)> {
+    let sig = ScanSig {
+        elem: JitElem::U32,
+        preds: plain
+            .iter()
+            .map(|&(_, op, n)| JitPred::plain(op, n as u64))
+            .chain(
+                packed
+                    .iter()
+                    .map(|&(pc, op, n)| JitPred::packed(pc.bits(), op, n)),
+            )
+            .collect(),
+        emit_positions: mode == OutputMode::Positions,
+    };
+    let kernel = cache.get_or_compile(&sig).ok()?;
+    let cols: Vec<JitCol<'_, u32>> = plain
+        .iter()
+        .map(|&(d, _, _)| JitCol::Plain(d))
+        .chain(packed.iter().map(|&(pc, _, _)| JitCol::Packed(pc)))
+        .collect();
+    let started = Instant::now();
+    let out = kernel.run_cols(&cols).ok()?;
+    Some((out, started.elapsed()))
+}
+
 /// Run a homogeneous `u32` chain (at most
 /// [`fts_core::fused::MAX_PREDICATES`] predicates) through the best
 /// available engine.
@@ -1349,39 +1358,30 @@ fn run_u32_chain(
     if use_jit {
         // One cache key per kernel: a calibrated chain and the same chain
         // driving a longer one share the compiled code.
-        let sig = ScanSig::u32_chain(
-            &preds.iter().map(|&(_, op, n)| (op, n)).collect::<Vec<_>>(),
-            mode == OutputMode::Positions,
-        );
-        if let Ok(kernel) = ctx.kernels.get_or_compile(&sig) {
-            let cols: Vec<&[u32]> = preds.iter().map(|&(d, _, _)| d).collect();
-            let started = Instant::now();
-            if let Ok(out) = kernel.run(&cols) {
-                let wall = started.elapsed();
-                if let Some(s) = adaptive {
-                    s.cal
-                        .observe(QueryKernel::Jit, rows, wall.as_nanos() as u64, out.count());
-                }
-                if let Some(r) = analyze {
-                    // The JIT kernel implements the same per-block fused
-                    // algorithm as the 512-bit AVX-512 engine, so the
-                    // scalar-model replay yields its exact stage counters;
-                    // only the wall time comes from the machine-code run.
-                    let typed: Vec<TypedPred<'_, u32>> = preds
-                        .iter()
-                        .map(|&(d, op, n)| TypedPred::new(d, op, n))
-                        .collect();
-                    let mut t = fts_core::telemetry::collect(
-                        ScanImpl::FusedAvx512(RegWidth::W512),
-                        &typed,
-                        TelemetryLevel::Full,
-                    );
-                    t.impl_name = "jit-avx512(w512)";
-                    t.wall = wall;
-                    r.note_scan(&t);
-                }
-                return out;
+        if let Some((out, wall)) = run_jit(&ctx.kernels, preds, &[], mode) {
+            if let Some(s) = adaptive {
+                s.cal
+                    .observe(QueryKernel::Jit, rows, wall.as_nanos() as u64, out.count());
             }
+            if let Some(r) = analyze {
+                // The JIT kernel implements the same per-block fused
+                // algorithm as the 512-bit AVX-512 engine, so the
+                // scalar-model replay yields its exact stage counters;
+                // only the wall time comes from the machine-code run.
+                let typed: Vec<TypedPred<'_, u32>> = preds
+                    .iter()
+                    .map(|&(d, op, n)| TypedPred::new(d, op, n))
+                    .collect();
+                let mut t = fts_core::telemetry::collect(
+                    ScanImpl::FusedAvx512(RegWidth::W512),
+                    &typed,
+                    TelemetryLevel::Full,
+                );
+                t.impl_name = "jit-avx512(w512)";
+                t.wall = wall;
+                r.note_scan(&t);
+            }
+            return out;
         }
     }
     let typed: Vec<TypedPred<'_, u32>> = preds
@@ -2505,7 +2505,7 @@ mod tests {
 
     #[test]
     fn packed_chains_use_the_packed_jit_cache() {
-        if !fts_simd::has_avx512() || !std::arch::is_x86_feature_detected!("avx512vbmi2") {
+        if !packed_kernel_available() {
             eprintln!("skipping: no AVX-512 VBMI2");
             return;
         }
@@ -2535,7 +2535,7 @@ mod tests {
 
     #[test]
     fn packed_kernel_cache_activity_reaches_explain_analyze() {
-        if !fts_simd::has_avx512() || !std::arch::is_x86_feature_detected!("avx512vbmi2") {
+        if !packed_kernel_available() {
             eprintln!("skipping: no AVX-512 VBMI2");
             return;
         }
