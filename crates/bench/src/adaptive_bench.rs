@@ -1,20 +1,16 @@
 //! The adaptive-selector benchmark (`BENCH_adaptive.json`): the SQL
-//! executor's cost model + calibration loop — the path every statement
-//! takes — against every kernel it can choose from, swept across
-//! selectivity × chain length × encoding. The acceptance bar for the
-//! selector is that its end-to-end time (calibration probes and JIT
-//! compilation included) stays within a few percent of the best kernel at
-//! every point while never degrading to the worst one — i.e. it buys
-//! Fig. 5's per-configuration winner without knowing the configuration up
-//! front.
+//! executor's calibration loop — the path every statement takes — against
+//! every kernel it can choose from, swept across selectivity × chain
+//! length × encoding. The acceptance bar for the selector is that its
+//! end-to-end time (calibration probes and JIT compilation included) stays
+//! within a few percent of the best kernel at every point while never
+//! degrading to the worst one — i.e. it buys Fig. 5's per-configuration
+//! winner without knowing the configuration up front.
 
 use std::time::Instant;
 
 use fts_core::fused::packed::{fused_scan_packed, packed_kernel_available, PackedPred};
-use fts_core::{
-    candidate_scan_impls, estimate_cost, estimate_packed_cost, run_scan, ChainProfile, Encoding,
-    OutputMode, PredProfile, RegWidth, ScanImpl, TypedPred,
-};
+use fts_core::{candidate_scan_impls, run_scan, OutputMode, TypedPred};
 use fts_jit::{CompiledKernel, JitBackend, ScanSig};
 use fts_metrics::timing;
 use fts_query::executor::{execute, execute_analyzed};
@@ -36,6 +32,14 @@ pub const CHAIN_LENGTHS: [usize; 3] = [1, 2, 4];
 /// Label of the compiled JIT kernel's series.
 const JIT_LABEL: &str = "jit-avx512(w512)";
 
+/// The winner recorded for a point whose scan ended before calibration
+/// picked one.
+const CALIBRATING: &str = "(calibrating)";
+
+/// The winner recorded for a point whose every chunk min/max pruning
+/// skipped (no row matches, so no kernel ran).
+const PRUNED: &str = "(pruned)";
+
 fn median_ms(reps: usize, f: impl FnMut()) -> f64 {
     timing::measure(reps, f).median_ms()
 }
@@ -50,16 +54,32 @@ fn median(samples: &mut [f64]) -> f64 {
     }
 }
 
+/// Chunks of a bench table that would fit in one [`DEFAULT_CHUNK_ROWS`]
+/// chunk (quick scale): enough for calibration's three probes and a
+/// steady-state winner.
+const SMALL_TABLE_CHUNKS: usize = 16;
+
+/// Rows per chunk of a `rows`-row bench table: [`DEFAULT_CHUNK_ROWS`], the
+/// layout SQL users get, unless the table fits in one such chunk; then
+/// [`SMALL_TABLE_CHUNKS`] chunks.
+fn chunk_rows(rows: usize) -> usize {
+    if rows <= DEFAULT_CHUNK_ROWS {
+        rows.div_ceil(SMALL_TABLE_CHUNKS).max(1)
+    } else {
+        DEFAULT_CHUNK_ROWS
+    }
+}
+
 /// The chain's columns as table `t` (`c0`, `c1`, …) chunked at
-/// [`DEFAULT_CHUNK_ROWS`] — the layout SQL users get — and the planned
+/// [`chunk_rows`] and the planned
 /// `SELECT COUNT(*) FROM t WHERE c0 = n0 AND c1 = n1 …` over it.
 fn count_statement(columns: Vec<Vec<u32>>, needles: &[u32]) -> (Table, Prepared) {
+    let rows = columns.first().map_or(0, Vec::len);
     let defs = (0..columns.len())
         .map(|i| ColumnDef::new(format!("c{i}"), DataType::U32))
         .collect();
     let columns = columns.into_iter().map(Column::from_vec).collect();
-    let table =
-        Table::from_chunked_columns(defs, columns, DEFAULT_CHUNK_ROWS).expect("bench table");
+    let table = Table::from_chunked_columns(defs, columns, chunk_rows(rows)).expect("bench table");
     let engine = Engine::new();
     engine.register("t", table.clone());
     let chain: Vec<String> = needles
@@ -73,8 +93,8 @@ fn count_statement(columns: Vec<Vec<u32>>, needles: &[u32]) -> (Table, Prepared)
 }
 
 /// One `COUNT(*)` through the executor on a fresh context, so the run
-/// pays what a first statement pays: plan-time ranking, calibration
-/// probes and JIT compilation.
+/// pays what a first statement pays: calibration probes and JIT
+/// compilation.
 fn run_adaptive(prepared: &Prepared) -> u64 {
     let ctx = ExecContext::default();
     execute(prepared.plan(), &ctx)
@@ -87,10 +107,13 @@ fn run_adaptive(prepared: &Prepared) -> u64 {
 fn adaptive_winner(prepared: &Prepared) -> &'static str {
     let (_, report) =
         execute_analyzed(prepared.plan(), &ExecContext::default()).expect("adaptive scan");
+    if report.chunks_scanned == 0 {
+        return PRUNED;
+    }
     report
         .adaptive
         .and_then(|a| a.winner)
-        .unwrap_or("(calibrating)")
+        .unwrap_or(CALIBRATING)
 }
 
 /// The adaptive sweep: for every chain length × selectivity, the median
@@ -101,8 +124,7 @@ fn adaptive_winner(prepared: &Prepared) -> &'static str {
 /// the same table the executor scans. Adaptive points carry
 /// `ratio_vs_best` / `ratio_vs_worst` against that field. A second section
 /// sweeps the encoding axis: plain 32-bit values versus the bit-packed
-/// compressed-domain kernel, with the cost model's estimates alongside the
-/// measurements.
+/// compressed-domain kernel.
 pub fn bench_adaptive(scale: &Scale) -> FigureResult {
     let mut fig = FigureResult::new(
         "BENCH_adaptive",
@@ -111,7 +133,7 @@ pub fn bench_adaptive(scale: &Scale) -> FigureResult {
     );
     fig.config("rows", scale.rows);
     fig.config("reps", scale.reps);
-    fig.config("chunk_rows", DEFAULT_CHUNK_ROWS);
+    fig.config("chunk_rows", chunk_rows(scale.rows));
     fig.config("isa", fts_simd::detect());
 
     let statics = candidate_scan_impls::<u32>();
@@ -246,18 +268,15 @@ pub fn bench_adaptive(scale: &Scale) -> FigureResult {
 }
 
 /// The encoding axis: the same logical two-predicate chain over plain
-/// 32-bit values and over bit-packed value ids at 4/8/16 bits, measured
-/// (adaptive plain through the executor, compressed-domain kernel) and
-/// modeled (`estimate_cost` vs `estimate_packed_cost`). The model's
-/// bandwidth term is what makes the packed kernel win at narrow widths,
-/// which is exactly what the measurements should confirm on a
-/// bandwidth-bound host.
+/// 32-bit values (adaptive, through the executor) and over bit-packed
+/// value ids at 4/8/16 bits (the compressed-domain kernel). At narrow
+/// widths the packed kernel streams a fraction of the plain bytes, which
+/// is where it should win on a bandwidth-bound host.
 fn encoding_sweep(scale: &Scale, fig: &mut FigureResult) {
     if !packed_kernel_available() {
         return;
     }
     let rows = scale.rows;
-    let peak = fts_core::stride::peak_bandwidth_gbps();
     for bits in [4u8, 8, 16] {
         // ~10 % of rows match the first needle, ~50 % the second, entirely
         // inside the packed domain (values fit in `bits`).
@@ -295,34 +314,11 @@ fn encoding_sweep(scale: &Scale, fig: &mut FigureResult) {
         ];
         let expected = fts_core::reference::scan_count(&preds);
 
-        let plain_profile = ChainProfile {
-            rows: rows as u64,
-            preds: vec![PredProfile::plain_u32(0.1), PredProfile::plain_u32(0.5)],
-        };
-        let packed_profile = ChainProfile {
-            rows: rows as u64,
-            preds: plain_profile
-                .preds
-                .iter()
-                .map(|p| PredProfile {
-                    encoding: Encoding::Packed { bits },
-                    ..*p
-                })
-                .collect(),
-        };
-        let model_plain =
-            estimate_cost(ScanImpl::FusedAvx512(RegWidth::W512), &plain_profile, peak);
-        let model_packed = estimate_packed_cost(&packed_profile, peak);
-
         let (_, prepared) = count_statement(vec![col0.clone(), col1.clone()], &[needle0, needle1]);
         let ms = median_ms(scale.reps, || {
             assert_eq!(run_adaptive(&prepared), expected);
         });
-        fig.push(
-            "adaptive (plain 32-bit)",
-            bits as f64,
-            &[("median_ms", ms), ("model_est_ns", model_plain.est_ns)],
-        );
+        fig.push("adaptive (plain 32-bit)", bits as f64, &[("median_ms", ms)]);
 
         let packed: Vec<PackedColumn> = [&col0, &col1]
             .iter()
@@ -349,12 +345,21 @@ fn encoding_sweep(scale: &Scale, fig: &mut FigureResult) {
             bits as f64,
             &[
                 ("median_ms", ms),
-                ("model_est_ns", model_packed.est_ns),
                 ("compression", packed[0].compression_ratio()),
             ],
         );
         eprintln!("  [encoding bits={bits}] packed {ms:.2}ms");
     }
+}
+
+/// The points of a finished sweep whose calibration never picked a winner
+/// (their `winner_p…` config entry reads "(calibrating)").
+pub fn unconverged(fig: &FigureResult) -> Vec<&str> {
+    fig.config
+        .iter()
+        .filter(|(k, v)| k.starts_with("winner_") && *v == CALIBRATING)
+        .map(|(k, _)| k.as_str())
+        .collect()
 }
 
 /// The acceptance numbers over a finished sweep: the worst
@@ -425,6 +430,11 @@ mod tests {
             .filter(|s| s.label.ends_with("P2") && !s.label.starts_with("adaptive"))
             .count();
         assert_eq!(static_series, statics);
+        // Small tables are cut into 16 chunks, so every point that scans
+        // converges (at 40 K rows no row matches at 1e-5: all pruned).
+        assert_eq!(unconverged(&fig), Vec::<&str>::new());
+        assert_eq!(chunk_rows(1_000_000), 62_500);
+        assert_eq!(chunk_rows(16_000_000), DEFAULT_CHUNK_ROWS);
         let (vs_best, vs_worst) = acceptance(&fig).expect("adaptive points present");
         assert!(vs_best.is_finite());
         assert!(vs_worst.is_finite());

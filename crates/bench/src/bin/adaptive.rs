@@ -1,5 +1,6 @@
 //! Run the adaptive-selector sweep — the SQL executor's calibration loop
 //! against every kernel it can pick — and persist `BENCH_adaptive.json`.
+//! Exits 1 when a point's scan ended before calibration picked a winner.
 //!
 //! ```text
 //! adaptive [--scale quick|default|paper] [--out DIR]
@@ -57,6 +58,11 @@ fn main() {
         t.elapsed().as_secs_f64(),
         out_dir.display()
     );
+    let unconverged = adaptive_bench::unconverged(&fig);
+    if !unconverged.is_empty() {
+        eprintln!("error: calibration never converged at {unconverged:?}");
+        std::process::exit(1);
+    }
 }
 
 fn usage() -> ! {

@@ -18,8 +18,9 @@
 //! * [`bool_expr`] — the boolean predicate tree IR (AND/OR/NOT) and its
 //!   negation normal form; `fts-query`'s executor runs it as one driver
 //!   plus a filter tree.
-//! * [`adaptive`] — the plan-time cost model and the calibration state
-//!   machine that `fts-query`'s executor drives, one chunk per probe.
+//! * [`adaptive`] — the host's kernels in one preference order and the
+//!   calibration state machine that `fts-query`'s executor drives, one
+//!   chunk per probe.
 //! * [`pred`], [`telemetry`] — predicate and output types; per-stage scan
 //!   statistics and the bandwidth-vs-compute verdict.
 //! * [`parallel`], [`sched`] — morsel-parallel scans, admission control
@@ -42,9 +43,7 @@ pub mod stride;
 pub mod telemetry;
 
 pub use adaptive::{
-    candidate_scan_impls, estimate_cost, estimate_packed_cost, rank_scan_impls, CalibrationConfig,
-    CalibrationReport, Calibrator, CandidateStats, ChainProfile, CostEstimate, Encoding, Phase,
-    PredProfile, RankedKernel,
+    candidate_scan_impls, CalibrationConfig, CalibrationReport, Calibrator, CandidateStats, Phase,
 };
 pub use bool_expr::{value_key_bits, BoolExpr};
 pub use engine::{

@@ -485,7 +485,6 @@ fn per_sub_chain_calibration_is_not_mixed() {
         jit: JitMode::Off,
         ..Default::default()
     };
-    assert!(ctx.adaptive, "adaptive selection is on by default");
     let sql = "SELECT COUNT(*) FROM big WHERE a = 5 OR b = 1";
     let p = optimize(plan(&parse(sql).unwrap(), &cat).unwrap());
     let (result, report) = execute_analyzed(&p, &ctx).unwrap();
