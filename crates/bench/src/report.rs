@@ -80,7 +80,7 @@ impl TelemetryRecord {
     pub fn from_scan(label: &str, t: &ScanTelemetry, peak_gb_per_sec: f64) -> TelemetryRecord {
         TelemetryRecord {
             label: label.into(),
-            impl_name: t.impl_name.into(),
+            impl_name: t.impl_name().into(),
             rows: t.rows,
             predicates: t.predicates as u64,
             lanes: t.lanes as u64,

@@ -433,7 +433,7 @@ pub fn scan_columns_auto_telemetered(
             let rows = first.column.len() as u64;
             ScanTelemetry {
                 enabled: true,
-                impl_name: "reference",
+                kernels: vec![("reference", 1)],
                 rows,
                 predicates: preds.len(),
                 lanes: 1,

@@ -27,7 +27,7 @@ use std::arch::x86_64::*;
 use fts_simd::has_avx2;
 use fts_storage::{CmpOp, PosList};
 
-use crate::fused::MAX_PREDICATES;
+use crate::fused::{Stages, MAX_PREDICATES};
 use crate::pred::{OutputMode, ScanOutput, TypedPred};
 
 /// Lanes per 128-bit register of 4-byte values.
@@ -152,6 +152,7 @@ macro_rules! avx2_kernel {
 
             struct State<'a> {
                 preds: &'a [TypedPred<'a, $elem>],
+                stages: Stages,
                 nsplat: [__m128i; MAX_PREDICATES],
                 plists: [__m128i; MAX_PREDICATES],
                 counts: [usize; MAX_PREDICATES],
@@ -169,14 +170,14 @@ macro_rules! avx2_kernel {
             }
 
             #[target_feature(enable = "avx2,popcnt")]
-            unsafe fn push<const EMIT: bool>(
+            unsafe fn push<const EMIT: bool, const RUN: bool>(
                 st: &mut State<'_>,
                 s: usize,
                 fresh: __m128i,
                 m: usize,
             ) {
                 if st.counts[s] + m > LANES {
-                    flush::<EMIT>(st, s);
+                    flush::<EMIT, RUN>(st, s);
                     st.plists[s] = fresh;
                     st.counts[s] = m;
                 } else {
@@ -188,12 +189,12 @@ macro_rules! avx2_kernel {
                     st.counts[s] += m;
                 }
                 if st.counts[s] == LANES {
-                    flush::<EMIT>(st, s);
+                    flush::<EMIT, RUN>(st, s);
                 }
             }
 
             #[target_feature(enable = "avx2,popcnt")]
-            unsafe fn flush<const EMIT: bool>(st: &mut State<'_>, s: usize) {
+            unsafe fn flush<const EMIT: bool, const RUN: bool>(st: &mut State<'_>, s: usize) {
                 let c = st.counts[s];
                 if c == 0 {
                     return;
@@ -202,24 +203,29 @@ macro_rules! avx2_kernel {
                 st.plists[s] = _mm_setzero_si128();
                 st.counts[s] = 0;
 
-                let pred = &st.preds[s + 1];
+                let run = if RUN { st.stages.preds(s) } else { s..s + 1 };
                 let maskv = _mm_loadu_si128(GATHER_MASK[c].as_ptr() as *const __m128i);
                 let vals = _mm_mask_i32gather_epi32::<4>(
                     _mm_setzero_si128(),
-                    pred.data.as_ptr() as *const i32,
+                    st.preds[run.start].data.as_ptr() as *const i32,
                     plist,
                     maskv,
                 );
-                let k2 = $cmp(pred.op, vals, st.nsplat[s + 1]) & fts_simd::model::lane_mask(c);
+                let first = &st.preds[run.start];
+                let mut k2 =
+                    $cmp(first.op, vals, st.nsplat[run.start]) & fts_simd::model::lane_mask(c);
+                for p in run.start + 1..run.end {
+                    k2 &= $cmp(st.preds[p].op, vals, st.nsplat[p]);
+                }
                 let m2 = k2.count_ones() as usize;
                 if m2 == 0 {
                     return;
                 }
                 let fresh2 = compress(k2, plist);
-                if s + 2 == st.preds.len() {
+                if s + 1 == st.stages.len() {
                     emit::<EMIT>(st, fresh2, m2);
                 } else {
-                    push::<EMIT>(st, s + 1, fresh2, m2);
+                    push::<EMIT, RUN>(st, s + 1, fresh2, m2);
                 }
             }
 
@@ -234,12 +240,19 @@ macro_rules! avx2_kernel {
                 }
             }
 
+            /// The scan loop; `RUN` compiles in the further compares of
+            /// same-column runs, so a run-free chain keeps one compare per
+            /// stage.
             #[target_feature(enable = "avx2,popcnt")]
-            unsafe fn kernel<const EMIT: bool>(preds: &[TypedPred<'_, $elem>]) -> (u64, Vec<u32>) {
-                let p = preds.len();
+            unsafe fn kernel<const EMIT: bool, const RUN: bool>(
+                preds: &[TypedPred<'_, $elem>],
+                stages: Stages,
+            ) -> (u64, Vec<u32>) {
                 let rows = preds[0].data.len();
+                let driver_end = stages.preds(0).end;
                 let mut st = State {
                     preds,
+                    stages,
                     nsplat: std::array::from_fn(|i| {
                         _mm_set1_epi32(preds.get(i).map_or(0, |q| elem_bits(q.needle)))
                     }),
@@ -256,24 +269,29 @@ macro_rules! avx2_kernel {
                 let full_blocks = rows / LANES;
                 for blk in 0..full_blocks {
                     let v = _mm_loadu_si128(col0.add(blk * LANES) as *const __m128i);
-                    let k = $cmp(op0, v, needle0);
+                    let mut k = $cmp(op0, v, needle0);
+                    if RUN {
+                        for p in 1..driver_end {
+                            k &= $cmp(preds[p].op, v, st.nsplat[p]);
+                        }
+                    }
                     if k == 0 {
                         continue;
                     }
                     let m = k.count_ones() as usize;
                     let idx = _mm_add_epi32(iota, _mm_set1_epi32((blk * LANES) as i32));
                     let fresh = compress(k, idx);
-                    if p == 1 {
+                    if stages.len() == 1 {
                         emit::<EMIT>(&mut st, fresh, m);
                     } else {
-                        push::<EMIT>(&mut st, 0, fresh, m);
+                        push::<EMIT, RUN>(&mut st, 1, fresh, m);
                     }
                 }
 
                 // Drain, then evaluate the (< 4 row) tail scalar — after the
                 // drain so positions stay ascending.
-                for s in 0..p.saturating_sub(1) {
-                    flush::<EMIT>(&mut st, s);
+                for s in 1..stages.len() {
+                    flush::<EMIT, RUN>(&mut st, s);
                 }
                 for row in full_blocks * LANES..rows {
                     if preds.iter().all(|q| q.matches(row)) {
@@ -308,16 +326,19 @@ macro_rules! avx2_kernel {
                     rows <= i32::MAX as usize,
                     "chunk exceeds 32-bit gather index range"
                 );
+                let stages = Stages::of_typed(preds);
                 // SAFETY: AVX2 presence asserted; columns validated.
+                let (total, out) = unsafe {
+                    match (mode, stages.len() < preds.len()) {
+                        (OutputMode::Count, false) => kernel::<false, false>(preds, stages),
+                        (OutputMode::Count, true) => kernel::<false, true>(preds, stages),
+                        (OutputMode::Positions, false) => kernel::<true, false>(preds, stages),
+                        (OutputMode::Positions, true) => kernel::<true, true>(preds, stages),
+                    }
+                };
                 match mode {
-                    OutputMode::Count => {
-                        let (total, _) = unsafe { kernel::<false>(preds) };
-                        ScanOutput::Count(total)
-                    }
-                    OutputMode::Positions => {
-                        let (_, out) = unsafe { kernel::<true>(preds) };
-                        ScanOutput::Positions(PosList::from_vec(out))
-                    }
+                    OutputMode::Count => ScanOutput::Count(total),
+                    OutputMode::Positions => ScanOutput::Positions(PosList::from_vec(out)),
                 }
             }
         }

@@ -28,7 +28,7 @@ use std::arch::x86_64::*;
 use fts_simd::has_avx512;
 use fts_storage::{CmpOp, NativeType, PosList};
 
-use crate::fused::{MAX_PREDICATES, MERGE16, MERGE4, MERGE8};
+use crate::fused::{Stages, MAX_PREDICATES, MERGE16, MERGE4, MERGE8};
 use crate::pred::{OutputMode, ScanOutput, TypedPred};
 
 /// 32-bit element kinds the kernels support: the lane bits plus which
@@ -290,6 +290,7 @@ macro_rules! avx512_kernel {
             struct State<'a> {
                 cols: &'a [&'a [$elem]],
                 ops: &'a [CmpOp],
+                stages: Stages,
                 nsplat: [$vec; MAX_PREDICATES],
                 plists: [$vec; MAX_PREDICATES],
                 counts: [usize; MAX_PREDICATES],
@@ -297,13 +298,19 @@ macro_rules! avx512_kernel {
                 total: u64,
             }
 
-            /// Append `fresh[..m]` (left-aligned, zero-padded) to stage `s`.
+            /// Append `fresh[..m]` (left-aligned, zero-padded) to follower
+            /// stage `s` (1-based).
             #[target_feature(enable = "avx512f,avx512vl,avx512bw,avx512dq,avx2,popcnt")]
-            unsafe fn push<const EMIT: bool>(st: &mut State<'_>, s: usize, fresh: $vec, m: usize) {
+            unsafe fn push<const EMIT: bool, const RUN: bool>(
+                st: &mut State<'_>,
+                s: usize,
+                fresh: $vec,
+                m: usize,
+            ) {
                 if st.counts[s] + m > LANES {
                     // Process the incomplete list first, then start a new
                     // list with the batch (paper §III).
-                    flush::<EMIT>(st, s);
+                    flush::<EMIT, RUN>(st, s);
                     st.plists[s] = fresh;
                     st.counts[s] = m;
                 } else {
@@ -312,14 +319,15 @@ macro_rules! avx512_kernel {
                     st.counts[s] += m;
                 }
                 if st.counts[s] == LANES {
-                    flush::<EMIT>(st, s);
+                    flush::<EMIT, RUN>(st, s);
                 }
             }
 
-            /// Gather + masked compare the pending positions of stage `s`,
+            /// Gather the pending positions of stage `s` once and compare
+            /// them against each predicate of its run under mask,
             /// forwarding survivors to stage `s + 1` (or the output).
             #[target_feature(enable = "avx512f,avx512vl,avx512bw,avx512dq,avx2,popcnt")]
-            unsafe fn flush<const EMIT: bool>(st: &mut State<'_>, s: usize) {
+            unsafe fn flush<const EMIT: bool, const RUN: bool>(st: &mut State<'_>, s: usize) {
                 let c = st.counts[s];
                 if c == 0 {
                     return;
@@ -329,7 +337,8 @@ macro_rules! avx512_kernel {
                 st.counts[s] = 0;
 
                 let km = (fts_simd::model::lane_mask(c) as $mask);
-                let col = st.cols[s + 1];
+                let run = if RUN { st.stages.preds(s) } else { s..s + 1 };
+                let col = st.cols[run.start];
                 let vals = {
                     let $gsrc = $setzero();
                     let $gk = km;
@@ -337,16 +346,19 @@ macro_rules! avx512_kernel {
                     let $gbase = col.as_ptr() as *const i32;
                     $gather
                 };
-                let k2 = $mask_cmp(km, st.ops[s + 1], vals, st.nsplat[s + 1]);
+                let mut k2 = $mask_cmp(km, st.ops[run.start], vals, st.nsplat[run.start]);
+                for p in run.start + 1..run.end {
+                    k2 = $mask_cmp(k2, st.ops[p], vals, st.nsplat[p]);
+                }
                 let m2 = (k2 as u32).count_ones() as usize;
                 if m2 == 0 {
                     return;
                 }
                 let fresh2 = $maskz_compress(k2, plist);
-                if s + 2 == st.cols.len() {
+                if s + 1 == st.stages.len() {
                     emit::<EMIT>(st, fresh2, m2);
                 } else {
-                    push::<EMIT>(st, s + 1, fresh2, m2);
+                    push::<EMIT, RUN>(st, s + 1, fresh2, m2);
                 }
             }
 
@@ -361,17 +373,22 @@ macro_rules! avx512_kernel {
                 }
             }
 
+            /// The scan loop; `RUN` compiles in the further compares of
+            /// same-column runs, so a run-free chain keeps one compare per
+            /// stage.
             #[target_feature(enable = "avx512f,avx512vl,avx512bw,avx512dq,avx2,popcnt")]
-            unsafe fn kernel<const EMIT: bool>(
+            unsafe fn kernel<const EMIT: bool, const RUN: bool>(
                 cols: &[&[$elem]],
                 ops: &[CmpOp],
                 needles: &[$elem],
+                stages: Stages,
             ) -> (u64, Vec<u32>) {
-                let p = cols.len();
                 let rows = cols[0].len();
+                let driver_end = stages.preds(0).end;
                 let mut st = State {
                     cols,
                     ops,
+                    stages,
                     nsplat: std::array::from_fn(|i| {
                         $set1(needles.get(i).map_or(0, |n| Elem32::bits(*n)))
                     }),
@@ -388,17 +405,22 @@ macro_rules! avx512_kernel {
                 let full_blocks = rows / LANES;
                 for blk in 0..full_blocks {
                     let v = $loadu(col0.add(blk * LANES));
-                    let k = $cmp(op0, v, needle0);
+                    let mut k = $cmp(op0, v, needle0);
+                    if RUN {
+                        for p in 1..driver_end {
+                            k = $mask_cmp(k, ops[p], v, st.nsplat[p]);
+                        }
+                    }
                     if k == 0 {
                         continue;
                     }
                     let m = (k as u32).count_ones() as usize;
                     let idx = $add(iota, $set1((blk * LANES) as i32));
                     let fresh = $maskz_compress(k, idx);
-                    if p == 1 {
+                    if stages.len() == 1 {
                         emit::<EMIT>(&mut st, fresh, m);
                     } else {
-                        push::<EMIT>(&mut st, 0, fresh, m);
+                        push::<EMIT, RUN>(&mut st, 1, fresh, m);
                     }
                 }
 
@@ -407,22 +429,27 @@ macro_rules! avx512_kernel {
                     let base = full_blocks * LANES;
                     let kt = fts_simd::model::lane_mask(tail) as $mask;
                     let v = $maskz_loadu(kt, col0.add(base));
-                    let k = $mask_cmp(kt, op0, v, needle0);
+                    let mut k = $mask_cmp(kt, op0, v, needle0);
+                    if RUN {
+                        for p in 1..driver_end {
+                            k = $mask_cmp(k, ops[p], v, st.nsplat[p]);
+                        }
+                    }
                     if k != 0 {
                         let m = (k as u32).count_ones() as usize;
                         let idx = $add(iota, $set1(base as i32));
                         let fresh = $maskz_compress(k, idx);
-                        if p == 1 {
+                        if stages.len() == 1 {
                             emit::<EMIT>(&mut st, fresh, m);
                         } else {
-                            push::<EMIT>(&mut st, 0, fresh, m);
+                            push::<EMIT, RUN>(&mut st, 1, fresh, m);
                         }
                     }
                 }
 
                 // Drain partial lists in ascending stage order.
-                for s in 0..p.saturating_sub(1) {
-                    flush::<EMIT>(&mut st, s);
+                for s in 1..stages.len() {
+                    flush::<EMIT, RUN>(&mut st, s);
                 }
                 (st.total, st.out)
             }
@@ -454,16 +481,27 @@ macro_rules! avx512_kernel {
                 let cols: Vec<&[$elem]> = preds.iter().map(|p| p.data).collect();
                 let ops: Vec<CmpOp> = preds.iter().map(|p| p.op).collect();
                 let needles: Vec<$elem> = preds.iter().map(|p| p.needle).collect();
+                let stages = Stages::of(cols.iter().map(|c| (c.as_ptr(), c.len())));
                 // SAFETY: AVX-512 presence asserted; columns validated.
+                let (total, out) = unsafe {
+                    match (mode, stages.len() < preds.len()) {
+                        (OutputMode::Count, false) => {
+                            kernel::<false, false>(&cols, &ops, &needles, stages)
+                        }
+                        (OutputMode::Count, true) => {
+                            kernel::<false, true>(&cols, &ops, &needles, stages)
+                        }
+                        (OutputMode::Positions, false) => {
+                            kernel::<true, false>(&cols, &ops, &needles, stages)
+                        }
+                        (OutputMode::Positions, true) => {
+                            kernel::<true, true>(&cols, &ops, &needles, stages)
+                        }
+                    }
+                };
                 match mode {
-                    OutputMode::Count => {
-                        let (total, _) = unsafe { kernel::<false>(&cols, &ops, &needles) };
-                        ScanOutput::Count(total)
-                    }
-                    OutputMode::Positions => {
-                        let (_, out) = unsafe { kernel::<true>(&cols, &ops, &needles) };
-                        ScanOutput::Positions(PosList::from_vec(out))
-                    }
+                    OutputMode::Count => ScanOutput::Count(total),
+                    OutputMode::Positions => ScanOutput::Positions(PosList::from_vec(out)),
                 }
             }
         }

@@ -7,12 +7,14 @@
 //!    block's delta domain ([`ForColumn::rewrite`]). A `Never` outcome
 //!    skips the whole block without touching its payload (block pruning);
 //!    `Always` predicates drop out of the block's chain.
-//! 2. **Fused decode + compare**: surviving FoR predicates decode their
-//!    block's *deltas* (no frame add — the literal was shifted instead,
-//!    that is the compressed-domain comparison) through the vectorized
-//!    kernels of `fts-simd::decode` into a cache-resident scratch block,
-//!    and all predicates — decoded deltas and plain columns alike — are
-//!    evaluated as 128-bit match masks combined in registers.
+//! 2. **Fused decode + compare**: each FoR column with a surviving
+//!    predicate decodes its block's *deltas* once (no frame add — each
+//!    literal was shifted instead, that is the compressed-domain
+//!    comparison) through the vectorized kernels of `fts-simd::decode` into
+//!    a cache-resident scratch block, so a `BETWEEN` compares both ends
+//!    against one decode. All predicates — decoded deltas and plain
+//!    columns alike — are evaluated as 128-bit match masks combined in
+//!    registers.
 //! 3. **Output**: `Count` mode accumulates `mask_popcount` over the block
 //!    masks and **never materializes a position list** ("Faster
 //!    Positional Population Counts", PAPERS.md); `Positions` mode emits
@@ -110,6 +112,9 @@ pub struct ForScanStats {
     pub blocks_pruned: u64,
     /// Blocks whose payload was decoded and compared.
     pub blocks_scanned: u64,
+    /// Block payloads decoded: at most one per FoR column per scanned
+    /// block, however many of the column's predicates compare it.
+    pub block_decodes: u64,
 }
 
 /// A 128-row match mask (two 64-bit words).
@@ -263,7 +268,19 @@ pub fn fused_scan_for(
     let mut stats = ForScanStats::default();
     let mut total = 0u64;
     let mut out: Vec<u32> = Vec::new();
-    // One delta scratch block per chain slot (only FoR slots use theirs).
+    // One delta scratch block per FoR column, at the slot of the column's
+    // first predicate: the column's other predicates compare against it.
+    let buffer_of: Vec<usize> = preds
+        .iter()
+        .enumerate()
+        .map(|(slot, p)| match p {
+            ForPred::For { col, .. } => preds[..slot]
+                .iter()
+                .position(|q| matches!(q, ForPred::For { col: c, .. } if std::ptr::eq(*c, *col)))
+                .unwrap_or(slot),
+            ForPred::Plain(_) => slot,
+        })
+        .collect();
     let mut scratch = vec![[0u32; FOR_BLOCK_LEN]; preds.len()];
 
     let blocks = rows.div_ceil(FOR_BLOCK_LEN);
@@ -272,6 +289,8 @@ pub fn fused_scan_for(
         let rows_b = (rows - start).min(FOR_BLOCK_LEN);
         let mut mask = full_mask(rows_b);
         let mut compared = false;
+        // Bit `i`: scratch block `i` holds this block's deltas.
+        let mut decoded = 0u32;
 
         for (slot, p) in preds.iter().enumerate() {
             match p {
@@ -292,12 +311,17 @@ pub fn fused_scan_for(
                     }
                     BlockPred::Always => {}
                     BlockPred::Cmp(delta) => {
-                        let h = col.headers()[b];
-                        let words = &col.words()[h.offset as usize..];
-                        let buf = &mut scratch[slot][..rows_b];
-                        // Compressed-domain compare: decode raw deltas
-                        // (min = 0) and compare against the shifted literal.
-                        decode_for_block(words, h.bits, 0, buf);
+                        let at = buffer_of[slot];
+                        let buf = &mut scratch[at][..rows_b];
+                        if decoded & (1 << at) == 0 {
+                            // Compressed-domain compare: decode raw deltas
+                            // (min = 0) and compare against the shifted
+                            // literal.
+                            let h = col.headers()[b];
+                            decode_for_block(&col.words()[h.offset as usize..], h.bits, 0, buf);
+                            decoded |= 1 << at;
+                            stats.block_decodes += 1;
+                        }
                         and_cmp_mask(&mut mask, buf, *op, delta, rows_b);
                         compared = true;
                     }
@@ -392,6 +416,42 @@ mod tests {
             ];
             check(&preds);
         }
+    }
+
+    #[test]
+    fn a_range_decodes_each_block_once() {
+        let rows = 1000usize;
+        let values: Vec<u32> = xorshift(11).take(rows).map(|v| 70_000 + v % 900).collect();
+        let other: Vec<u32> = xorshift(12).take(rows).map(|v| v % 4096).collect();
+        let (a, b) = (ForColumn::encode(&values), ForColumn::encode(&other));
+        let range = |lo, hi| {
+            [
+                ForPred::For {
+                    col: &a,
+                    op: CmpOp::Ge,
+                    needle: lo,
+                },
+                ForPred::For {
+                    col: &b,
+                    op: CmpOp::Lt,
+                    needle: 4000,
+                },
+                ForPred::For {
+                    col: &a,
+                    op: CmpOp::Le,
+                    needle: hi,
+                },
+            ]
+        };
+        let preds = range(70_100, 70_800);
+        check(&preds);
+        let (_, stats) = fused_scan_for(&preds, OutputMode::Count).unwrap();
+        // `a`'s two ends share one decode per block; `b` adds its own.
+        assert_eq!(stats.blocks_scanned, rows.div_ceil(FOR_BLOCK_LEN) as u64);
+        assert!(stats.block_decodes <= 2 * stats.blocks_scanned, "{stats:?}");
+        // A range no block can hold resolves from the headers alone.
+        let (got, stats) = fused_scan_for(&range(80_000, 90_000), OutputMode::Count).unwrap();
+        assert_eq!((got.count(), stats.block_decodes), (0, 0));
     }
 
     #[test]

@@ -3,15 +3,21 @@
 //! A conjunctive chain of predicates is evaluated in one pass without
 //! leaving SIMD mode and without materializing intermediate bitmasks:
 //!
-//! * predicate 0 (the *driver*) compares whole blocks of its column and
+//! * the chain splits into **stages** ([`Stages`]): a maximal run of
+//!   adjacent predicates on one column is one stage, so a `BETWEEN` is one
+//!   stage and a chain over distinct columns has one stage per predicate
+//!   (paper §III's shape). A stage reads its column once and compares the
+//!   values against each needle of its run, each compare masked by the one
+//!   before;
+//! * stage 0 (the *driver*) compares whole blocks of its column and
 //!   compresses the matching block offsets into a register-resident
 //!   **position list**;
-//! * every further predicate owns a *stage*: a position-list register plus a
-//!   length. Incoming positions are appended with a compress + permutex2var
-//!   pair; when the list fills (or cannot take a whole batch) it is
-//!   **flushed**: the stage's column is gathered at the listed positions,
-//!   compared under mask, and the surviving positions are compressed and
-//!   passed to the next stage;
+//! * every further stage owns a position-list register plus a length.
+//!   Incoming positions are appended with a compress + permutex2var pair;
+//!   when the list fills (or cannot take a whole batch) it is **flushed**:
+//!   the stage's column is gathered once at the listed positions, compared
+//!   under mask, and the surviving positions are compressed and passed to
+//!   the next stage;
 //! * the final stage emits positions (or bumps the match counter).
 //!
 //! Invariants shared by every engine (scalar model, AVX2, AVX-512, JIT):
@@ -37,6 +43,8 @@ pub mod mixed;
 pub mod packed;
 pub mod scalar;
 pub mod w64;
+
+use crate::pred::TypedPred;
 
 /// Merge-index table entry: lane `i` of `MERGE[count]` selects `plist[i]`
 /// for `i < count` and `fresh[i - count]` (table index `N + i - count`)
@@ -94,9 +102,98 @@ pub static MERGE16: [[u32; 16]; 17] = {
 /// back); the paper evaluates up to 5.
 pub const MAX_PREDICATES: usize = 8;
 
+/// A chain's fused-scan stages: stage 0 drives, and each later stage is
+/// one gather. Adjacent predicates with one column identity share a stage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stages {
+    /// One past each stage's last predicate.
+    ends: [u8; MAX_PREDICATES],
+    len: u8,
+}
+
+impl Stages {
+    /// Split a chain wherever the column changes: `cols` yields one column
+    /// identity per predicate (such as its data's address and length), and
+    /// a predicate whose identity equals the previous one's joins that
+    /// predicate's stage. Panics past [`MAX_PREDICATES`] predicates.
+    pub fn of<I: PartialEq>(cols: impl IntoIterator<Item = I>) -> Stages {
+        let mut stages = Stages {
+            ends: [0; MAX_PREDICATES],
+            len: 0,
+        };
+        let mut prev = None;
+        for (i, col) in cols.into_iter().enumerate() {
+            if prev.as_ref() != Some(&col) {
+                stages.len += 1;
+            }
+            stages.ends[stages.len as usize - 1] = i as u8 + 1;
+            prev = Some(col);
+        }
+        stages
+    }
+
+    /// Stages of a typed chain: predicates over one slice (address and
+    /// length) share a stage.
+    pub fn of_typed<T>(preds: &[TypedPred<'_, T>]) -> Stages {
+        Stages::of(preds.iter().map(|p| (p.data.as_ptr(), p.data.len())))
+    }
+
+    /// Number of stages (0 for an empty chain).
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the chain is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The predicates stage `s` evaluates, in chain order.
+    pub fn preds(&self, s: usize) -> std::ops::Range<usize> {
+        let start = if s == 0 { 0 } else { self.ends[s - 1] as usize };
+        start..self.ends[s] as usize
+    }
+
+    /// The stage that evaluates predicate `p`.
+    pub fn stage_of(&self, p: usize) -> usize {
+        self.ends[..self.len()]
+            .iter()
+            .position(|&end| p < end as usize)
+            .expect("predicate within the chain")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stages_split_where_the_column_changes() {
+        let s = Stages::of(["a", "a", "b", "c", "c", "c", "a"]);
+        assert_eq!(s.len(), 4);
+        assert_eq!(s.preds(0), 0..2);
+        assert_eq!(s.preds(1), 2..3);
+        assert_eq!(s.preds(2), 3..6);
+        assert_eq!(s.preds(3), 6..7);
+        assert_eq!(s.stage_of(4), 2);
+        assert_eq!(s.stage_of(6), 3);
+        // Distinct columns: one stage per predicate, the paper's shape.
+        let s = Stages::of([1, 2, 3]);
+        assert_eq!((s.len(), s.preds(2)), (3, 2..3));
+        assert!(Stages::of(Vec::<u8>::new()).is_empty());
+        // Typed chains compare slices by address and length.
+        let a = [1u32, 2, 3, 4];
+        let b = [1u32, 2, 3, 4];
+        let chain = [
+            TypedPred::eq(&a[..], 1),
+            TypedPred::eq(&a[..], 2),
+            TypedPred::eq(&b[..], 3),
+            TypedPred::eq(&b[..3], 3),
+        ];
+        let s = Stages::of_typed(&chain);
+        assert_eq!(s.len(), 3);
+        assert_eq!(s.preds(0), 0..2);
+    }
 
     #[test]
     fn merge_index_shape() {

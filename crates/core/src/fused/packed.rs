@@ -27,7 +27,7 @@ use fts_simd::model::lane_mask;
 use fts_storage::bitpack::{mask_of, PackedColumn};
 use fts_storage::{CmpOp, PosList};
 
-use crate::fused::{MAX_PREDICATES, MERGE16};
+use crate::fused::{Stages, MAX_PREDICATES, MERGE16};
 use crate::pred::{OutputMode, ScanOutput, TypedPred};
 
 const LANES: usize = 16;
@@ -134,6 +134,17 @@ enum Source<'a> {
     },
 }
 
+impl Source<'_> {
+    /// The column's identity for [`Stages::of`]: its buffer's address and
+    /// length.
+    fn id(&self) -> (*const u32, usize) {
+        match self {
+            Source::Plain { data } => (data.as_ptr(), data.len()),
+            Source::Packed { words, .. } => (words.as_ptr(), words.len()),
+        }
+    }
+}
+
 #[derive(Clone, Copy)]
 struct UnpackCtl {
     idx_lo: [u32; 16],
@@ -161,6 +172,7 @@ fn unpack_ctl(bits: u32, align: u32) -> UnpackCtl {
 struct State<'a> {
     sources: &'a [Source<'a>],
     ops: &'a [CmpOp],
+    stages: Stages,
     nsplat: [__m512i; MAX_PREDICATES],
     masks: [__m512i; MAX_PREDICATES],
     plists: [__m512i; MAX_PREDICATES],
@@ -170,9 +182,14 @@ struct State<'a> {
 }
 
 #[target_feature(enable = "avx512f,avx512vl,avx512bw,avx512dq,avx512vbmi2,avx2,popcnt")]
-unsafe fn push<const EMIT: bool>(st: &mut State<'_>, s: usize, fresh: __m512i, m: usize) {
+unsafe fn push<const EMIT: bool, const RUN: bool>(
+    st: &mut State<'_>,
+    s: usize,
+    fresh: __m512i,
+    m: usize,
+) {
     if st.counts[s] + m > LANES {
-        flush::<EMIT>(st, s);
+        flush::<EMIT, RUN>(st, s);
         st.plists[s] = fresh;
         st.counts[s] = m;
     } else {
@@ -181,12 +198,12 @@ unsafe fn push<const EMIT: bool>(st: &mut State<'_>, s: usize, fresh: __m512i, m
         st.counts[s] += m;
     }
     if st.counts[s] == LANES {
-        flush::<EMIT>(st, s);
+        flush::<EMIT, RUN>(st, s);
     }
 }
 
 #[target_feature(enable = "avx512f,avx512vl,avx512bw,avx512dq,avx512vbmi2,avx2,popcnt")]
-unsafe fn flush<const EMIT: bool>(st: &mut State<'_>, s: usize) {
+unsafe fn flush<const EMIT: bool, const RUN: bool>(st: &mut State<'_>, s: usize) {
     let c = st.counts[s];
     if c == 0 {
         return;
@@ -196,7 +213,8 @@ unsafe fn flush<const EMIT: bool>(st: &mut State<'_>, s: usize) {
     st.counts[s] = 0;
 
     let km = lane_mask(c) as __mmask16;
-    let vals = match &st.sources[s + 1] {
+    let run = if RUN { st.stages.preds(s) } else { s..s + 1 };
+    let vals = match &st.sources[run.start] {
         Source::Plain { data } => _mm512_mask_i32gather_epi32::<4>(
             _mm512_setzero_si512(),
             km,
@@ -214,19 +232,22 @@ unsafe fn flush<const EMIT: bool>(st: &mut State<'_>, s: usize) {
             let lo = _mm512_mask_i32gather_epi32::<4>(_mm512_setzero_si512(), km, widx, base);
             let widx1 = _mm512_add_epi32(widx, _mm512_set1_epi32(1));
             let hi = _mm512_mask_i32gather_epi32::<4>(_mm512_setzero_si512(), km, widx1, base);
-            _mm512_and_si512(_mm512_shrdv_epi32(lo, hi, off), st.masks[s + 1])
+            _mm512_and_si512(_mm512_shrdv_epi32(lo, hi, off), st.masks[run.start])
         }
     };
-    let k2 = mask_cmp_u32(km, st.ops[s + 1], vals, st.nsplat[s + 1]);
+    let mut k2 = mask_cmp_u32(km, st.ops[run.start], vals, st.nsplat[run.start]);
+    for p in run.start + 1..run.end {
+        k2 = mask_cmp_u32(k2, st.ops[p], vals, st.nsplat[p]);
+    }
     let m2 = (k2 as u32).count_ones() as usize;
     if m2 == 0 {
         return;
     }
     let fresh2 = _mm512_maskz_compress_epi32(k2, plist);
-    if s + 2 == st.sources.len() {
+    if s + 1 == st.stages.len() {
         emit::<EMIT>(st, fresh2, m2);
     } else {
-        push::<EMIT>(st, s + 1, fresh2, m2);
+        push::<EMIT, RUN>(st, s + 1, fresh2, m2);
     }
 }
 
@@ -269,17 +290,21 @@ unsafe fn unpack_block(
     _mm512_and_si512(_mm512_shrdv_epi32(lo, hi, off), mask)
 }
 
+/// The scan loop; `RUN` compiles in the further compares of same-column
+/// runs, so a run-free chain keeps one compare per stage.
 #[target_feature(enable = "avx512f,avx512vl,avx512bw,avx512dq,avx512vbmi2,avx2,popcnt")]
-unsafe fn kernel<const EMIT: bool>(
+unsafe fn kernel<const EMIT: bool, const RUN: bool>(
     sources: &[Source<'_>],
     ops: &[CmpOp],
     needles: &[u32],
     rows: usize,
+    stages: Stages,
 ) -> (u64, Vec<u32>) {
-    let p = sources.len();
+    let driver_end = stages.preds(0).end;
     let mut st = State {
         sources,
         ops,
+        stages,
         nsplat: std::array::from_fn(|i| {
             _mm512_set1_epi32(needles.get(i).copied().unwrap_or(0) as i32)
         }),
@@ -325,23 +350,28 @@ unsafe fn kernel<const EMIT: bool>(
                 _mm512_loadu_epi32(scalar_buf.as_ptr() as *const i32)
             }
         };
-        let k = mask_cmp_u32(u16::MAX, op0, v, needle0);
+        let mut k = mask_cmp_u32(u16::MAX, op0, v, needle0);
+        if RUN {
+            for (&op, &needle) in ops.iter().zip(&st.nsplat).take(driver_end).skip(1) {
+                k = mask_cmp_u32(k, op, v, needle);
+            }
+        }
         if k == 0 {
             continue;
         }
         let m = (k as u32).count_ones() as usize;
         let idx = _mm512_add_epi32(iota, _mm512_set1_epi32((blk * LANES) as i32));
         let fresh = _mm512_maskz_compress_epi32(k, idx);
-        if p == 1 {
+        if stages.len() == 1 {
             emit::<EMIT>(&mut st, fresh, m);
         } else {
-            push::<EMIT>(&mut st, 0, fresh, m);
+            push::<EMIT, RUN>(&mut st, 1, fresh, m);
         }
     }
 
     // Drain stages; the caller evaluates the tail rows afterwards.
-    for s in 0..p.saturating_sub(1) {
-        flush::<EMIT>(&mut st, s);
+    for s in 1..stages.len() {
+        flush::<EMIT, RUN>(&mut st, s);
     }
     (st.total, st.out)
 }
@@ -456,9 +486,22 @@ pub fn fused_scan_packed(
 
     // SAFETY: ISA checked; columns validated; guard word present in every
     // PackedColumn buffer.
-    let (mut total, mut out) = match mode {
-        OutputMode::Count => unsafe { kernel::<false>(&sources, &ops, &needles, rows) },
-        OutputMode::Positions => unsafe { kernel::<true>(&sources, &ops, &needles, rows) },
+    let stages = Stages::of(sources.iter().map(Source::id));
+    let (mut total, mut out) = unsafe {
+        match (mode, stages.len() < sources.len()) {
+            (OutputMode::Count, false) => {
+                kernel::<false, false>(&sources, &ops, &needles, rows, stages)
+            }
+            (OutputMode::Count, true) => {
+                kernel::<false, true>(&sources, &ops, &needles, rows, stages)
+            }
+            (OutputMode::Positions, false) => {
+                kernel::<true, false>(&sources, &ops, &needles, rows, stages)
+            }
+            (OutputMode::Positions, true) => {
+                kernel::<true, true>(&sources, &ops, &needles, rows, stages)
+            }
+        }
     };
 
     // Tail rows, evaluated row-wise after the kernel's drain.

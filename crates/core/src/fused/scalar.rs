@@ -12,7 +12,7 @@
 use fts_simd::model;
 use fts_storage::{NativeType, PosList};
 
-use crate::fused::{merge_index, MAX_PREDICATES};
+use crate::fused::{merge_index, Stages, MAX_PREDICATES};
 use crate::pred::{OutputMode, ScanOutput, TypedPred};
 
 /// Observer for the engine's per-block events, used by
@@ -20,17 +20,22 @@ use crate::pred::{OutputMode, ScanOutput, TypedPred};
 /// methods are empty, so the [`NoSink`] instantiation compiles to the
 /// uninstrumented engine — telemetry is zero-cost when disabled.
 pub trait FusedSink {
-    /// The driver compared one block; `matches` lanes passed predicate 0.
+    /// The driver loaded and compared one block.
     #[inline(always)]
-    fn driver_block(&mut self, matches: usize) {
-        let _ = matches;
-    }
+    fn driver_block(&mut self) {}
 
     /// Stage `stage` (1-based) flushed: `gathered` live lanes were
-    /// gathered and compared, `survivors` of them passed.
+    /// gathered once from its column.
     #[inline(always)]
-    fn stage_flush(&mut self, stage: usize, gathered: usize, survivors: usize) {
-        let _ = (stage, gathered, survivors);
+    fn stage_flush(&mut self, stage: usize, gathered: usize) {
+        let _ = (stage, gathered);
+    }
+
+    /// `survivors` lanes of the block or flush just reported passed
+    /// predicate `pred` (and every predicate before it).
+    #[inline(always)]
+    fn survivors(&mut self, pred: usize, survivors: usize) {
+        let _ = (pred, survivors);
     }
 }
 
@@ -41,20 +46,25 @@ impl FusedSink for NoSink {}
 
 impl<S: FusedSink> FusedSink for &mut S {
     #[inline(always)]
-    fn driver_block(&mut self, matches: usize) {
-        (**self).driver_block(matches);
+    fn driver_block(&mut self) {
+        (**self).driver_block();
     }
 
     #[inline(always)]
-    fn stage_flush(&mut self, stage: usize, gathered: usize, survivors: usize) {
-        (**self).stage_flush(stage, gathered, survivors);
+    fn stage_flush(&mut self, stage: usize, gathered: usize) {
+        (**self).stage_flush(stage, gathered);
+    }
+
+    #[inline(always)]
+    fn survivors(&mut self, pred: usize, survivors: usize) {
+        (**self).survivors(pred, survivors);
     }
 }
 
-/// One follow-up predicate's state: the register-resident position list.
+/// One follower stage's state: the register-resident position list.
 #[derive(Clone, Copy)]
 struct Stage<const N: usize> {
-    /// Left-aligned, zero-padded positions awaiting this stage's predicate.
+    /// Left-aligned, zero-padded positions awaiting this stage's run.
     plist: [u32; N],
     /// Number of live entries in `plist`.
     count: usize,
@@ -69,11 +79,12 @@ impl<const N: usize> Stage<N> {
     }
 }
 
-/// Engine state for one scan: the stages for predicates `1..P` plus the
+/// Engine state for one scan: the lists of follower stages `1..` plus the
 /// output accumulator.
 struct Engine<'a, T, S, const N: usize> {
     preds: &'a [TypedPred<'a, T>],
-    stages: Vec<Stage<N>>,
+    stages: Stages,
+    lists: Vec<Stage<N>>,
     positions: PosList,
     count: u64,
     emit_positions: bool,
@@ -81,32 +92,43 @@ struct Engine<'a, T, S, const N: usize> {
 }
 
 impl<'a, T: NativeType, S: FusedSink, const N: usize> Engine<'a, T, S, N> {
-    /// Append a compressed batch (`fresh[..m]`, zero-padded) to stage `s`
-    /// (1-based predicate index). Flushes per invariant 2 of
-    /// [`crate::fused`].
+    /// Compare `vals` against each predicate of stage `s` under `mask`,
+    /// each compare masked by the one before.
+    fn compare(&mut self, s: usize, mask: u32, vals: [T; N]) -> u32 {
+        let mut k = mask;
+        for p in self.stages.preds(s) {
+            let pred = &self.preds[p];
+            k = model::mask_cmp_mask(k, pred.op, vals, model::splat(pred.needle));
+            self.sink.survivors(p, k.count_ones() as usize);
+        }
+        k
+    }
+
+    /// Append a compressed batch (`fresh[..m]`, zero-padded) to follower
+    /// stage `s` (1-based). Flushes per invariant 2 of [`crate::fused`].
     fn push(&mut self, s: usize, fresh: [u32; N], m: usize) {
         debug_assert!(m > 0 && m <= N);
-        let stage = &mut self.stages[s - 1];
+        let stage = &mut self.lists[s - 1];
         if stage.count + m > N {
             // Batch does not fit: process the incomplete list first, then
             // start a new list with the batch (paper §III).
             self.flush(s);
-            let stage = &mut self.stages[s - 1];
+            let stage = &mut self.lists[s - 1];
             stage.plist = fresh;
             stage.count = m;
         } else {
             stage.plist = model::permutex2var(stage.plist, merge_index::<N>(stage.count), fresh);
             stage.count += m;
         }
-        if self.stages[s - 1].count == N {
+        if self.lists[s - 1].count == N {
             self.flush(s);
         }
     }
 
-    /// Evaluate stage `s`'s predicate on its pending positions and forward
-    /// the survivors.
+    /// Evaluate stage `s`'s run on its pending positions and forward the
+    /// survivors.
     fn flush(&mut self, s: usize) {
-        let stage = &mut self.stages[s - 1];
+        let stage = &mut self.lists[s - 1];
         let c = stage.count;
         if c == 0 {
             return;
@@ -116,18 +138,18 @@ impl<'a, T: NativeType, S: FusedSink, const N: usize> Engine<'a, T, S, N> {
         stage.count = 0;
 
         let kmask = model::lane_mask(c);
-        let pred = &self.preds[s];
+        let col = self.preds[self.stages.preds(s).start].data;
         // Masked gather: inactive lanes are never dereferenced (their
         // indexes are zero-padding anyway).
-        let vals = model::mask_gather([T::default(); N], kmask, plist, pred.data);
-        let k2 = model::mask_cmp_mask(kmask, pred.op, vals, model::splat(pred.needle));
+        let vals = model::mask_gather([T::default(); N], kmask, plist, col);
+        self.sink.stage_flush(s, c);
+        let k2 = self.compare(s, kmask, vals);
         let m2 = k2.count_ones() as usize;
-        self.sink.stage_flush(s, c, m2);
         if m2 == 0 {
             return;
         }
         let fresh2 = model::compress([0u32; N], k2, plist);
-        if s == self.preds.len() - 1 {
+        if s == self.stages.len() - 1 {
             self.emit(fresh2, m2);
         } else {
             self.push(s + 1, fresh2, m2);
@@ -155,8 +177,9 @@ pub fn fused_scan_model<T: NativeType, const N: usize>(
     fused_scan_model_sink::<T, N, NoSink>(preds, mode, &mut NoSink)
 }
 
-/// [`fused_scan_model`] with an event sink observing every driver block
-/// and stage flush (how [`crate::telemetry`] counts exactly).
+/// [`fused_scan_model`] with an event sink observing every driver block,
+/// stage flush and predicate's survivors (how [`crate::telemetry`] counts
+/// exactly).
 pub fn fused_scan_model_sink<T: NativeType, const N: usize, S: FusedSink>(
     preds: &[TypedPred<'_, T>],
     mode: OutputMode,
@@ -183,16 +206,17 @@ pub fn fused_scan_model_sink<T: NativeType, const N: usize, S: FusedSink>(
         "chunk exceeds 32-bit gather index range"
     );
 
+    let stages = Stages::of_typed(preds);
     let mut eng: Engine<'_, T, &mut S, N> = Engine {
         preds,
-        stages: vec![Stage::empty(); preds.len().saturating_sub(1)],
+        stages,
+        lists: vec![Stage::empty(); stages.len() - 1],
         positions: PosList::new(),
         count: 0,
         emit_positions: mode == OutputMode::Positions,
         sink,
     };
 
-    let needle = model::splat::<T, N>(first.needle);
     let mut base = 0usize;
     while base < rows {
         let tail = (rows - base).min(N);
@@ -205,13 +229,13 @@ pub fn fused_scan_model_sink<T: NativeType, const N: usize, S: FusedSink>(
                 T::default()
             }
         });
-        let k = model::mask_cmp_mask(model::lane_mask(tail), first.op, block, needle);
+        eng.sink.driver_block();
+        let k = eng.compare(0, model::lane_mask(tail), block);
         let m = k.count_ones() as usize;
-        eng.sink.driver_block(m);
         if m != 0 {
             let idx: [u32; N] = std::array::from_fn(|i| (base + i) as u32);
             let fresh = model::compress([0u32; N], k, idx);
-            if preds.len() == 1 {
+            if stages.len() == 1 {
                 eng.emit(fresh, m);
             } else {
                 eng.push(1, fresh, m);
@@ -221,7 +245,7 @@ pub fn fused_scan_model_sink<T: NativeType, const N: usize, S: FusedSink>(
     }
 
     // Drain partial lists, ascending so survivors cascade forward.
-    for s in 1..preds.len() {
+    for s in 1..stages.len() {
         eng.flush(s);
     }
 

@@ -19,7 +19,7 @@ use std::arch::x86_64::*;
 use fts_simd::has_avx512;
 use fts_storage::{CmpOp, NativeType, PosList};
 
-use crate::fused::{MAX_PREDICATES, MERGE8};
+use crate::fused::{Stages, MAX_PREDICATES, MERGE8};
 use crate::pred::{OutputMode, ScanOutput, TypedPred};
 
 /// Lanes per 512-bit register of 8-byte values.
@@ -157,6 +157,7 @@ macro_rules! w64_kernel {
             struct State<'a> {
                 cols: &'a [&'a [$elem]],
                 ops: &'a [CmpOp],
+                stages: Stages,
                 nsplat: [__m512i; MAX_PREDICATES],
                 plists: [__m256i; MAX_PREDICATES],
                 counts: [usize; MAX_PREDICATES],
@@ -165,14 +166,14 @@ macro_rules! w64_kernel {
             }
 
             #[target_feature(enable = "avx512f,avx512vl,avx512bw,avx512dq,avx2,popcnt")]
-            unsafe fn push<const EMIT: bool>(
+            unsafe fn push<const EMIT: bool, const RUN: bool>(
                 st: &mut State<'_>,
                 s: usize,
                 fresh: __m256i,
                 m: usize,
             ) {
                 if st.counts[s] + m > LANES {
-                    flush::<EMIT>(st, s);
+                    flush::<EMIT, RUN>(st, s);
                     st.plists[s] = fresh;
                     st.counts[s] = m;
                 } else {
@@ -181,12 +182,12 @@ macro_rules! w64_kernel {
                     st.counts[s] += m;
                 }
                 if st.counts[s] == LANES {
-                    flush::<EMIT>(st, s);
+                    flush::<EMIT, RUN>(st, s);
                 }
             }
 
             #[target_feature(enable = "avx512f,avx512vl,avx512bw,avx512dq,avx2,popcnt")]
-            unsafe fn flush<const EMIT: bool>(st: &mut State<'_>, s: usize) {
+            unsafe fn flush<const EMIT: bool, const RUN: bool>(st: &mut State<'_>, s: usize) {
                 let c = st.counts[s];
                 if c == 0 {
                     return;
@@ -196,24 +197,28 @@ macro_rules! w64_kernel {
                 st.counts[s] = 0;
 
                 let km = fts_simd::model::lane_mask(c) as __mmask8;
-                let col = st.cols[s + 1];
-                // Dword indexes gather qword values.
+                let run = if RUN { st.stages.preds(s) } else { s..s + 1 };
+                let col = st.cols[run.start];
+                // Dword indexes gather qword values, once per stage.
                 let vals = _mm512_mask_i32gather_epi64::<8>(
                     _mm512_setzero_si512(),
                     km,
                     plist,
                     col.as_ptr() as *const i64,
                 );
-                let k2 = $mask_cmp(km, st.ops[s + 1], vals, st.nsplat[s + 1]);
+                let mut k2 = $mask_cmp(km, st.ops[run.start], vals, st.nsplat[run.start]);
+                for p in run.start + 1..run.end {
+                    k2 = $mask_cmp(k2, st.ops[p], vals, st.nsplat[p]);
+                }
                 let m2 = (k2 as u32).count_ones() as usize;
                 if m2 == 0 {
                     return;
                 }
                 let fresh2 = _mm256_maskz_compress_epi32(k2, plist);
-                if s + 2 == st.cols.len() {
+                if s + 1 == st.stages.len() {
                     emit::<EMIT>(st, fresh2, m2);
                 } else {
-                    push::<EMIT>(st, s + 1, fresh2, m2);
+                    push::<EMIT, RUN>(st, s + 1, fresh2, m2);
                 }
             }
 
@@ -228,17 +233,22 @@ macro_rules! w64_kernel {
                 }
             }
 
+            /// The scan loop; `RUN` compiles in the further compares of
+            /// same-column runs, so a run-free chain keeps one compare per
+            /// stage.
             #[target_feature(enable = "avx512f,avx512vl,avx512bw,avx512dq,avx2,popcnt")]
-            unsafe fn kernel<const EMIT: bool>(
+            unsafe fn kernel<const EMIT: bool, const RUN: bool>(
                 cols: &[&[$elem]],
                 ops: &[CmpOp],
                 needles: &[$elem],
+                stages: Stages,
             ) -> (u64, Vec<u32>) {
-                let p = cols.len();
                 let rows = cols[0].len();
+                let driver_end = stages.preds(0).end;
                 let mut st = State {
                     cols,
                     ops,
+                    stages,
                     nsplat: std::array::from_fn(|i| {
                         _mm512_set1_epi64(needles.get(i).map_or(0, |n| Elem64::bits(*n)))
                     }),
@@ -255,17 +265,22 @@ macro_rules! w64_kernel {
                 let full_blocks = rows / LANES;
                 for blk in 0..full_blocks {
                     let v = _mm512_loadu_epi64(col0.add(blk * LANES));
-                    let k = $cmp(op0, v, needle0);
+                    let mut k = $cmp(op0, v, needle0);
+                    if RUN {
+                        for p in 1..driver_end {
+                            k = $mask_cmp(k, ops[p], v, st.nsplat[p]);
+                        }
+                    }
                     if k == 0 {
                         continue;
                     }
                     let m = (k as u32).count_ones() as usize;
                     let idx = _mm256_add_epi32(iota, _mm256_set1_epi32((blk * LANES) as i32));
                     let fresh = _mm256_maskz_compress_epi32(k, idx);
-                    if p == 1 {
+                    if stages.len() == 1 {
                         emit::<EMIT>(&mut st, fresh, m);
                     } else {
-                        push::<EMIT>(&mut st, 0, fresh, m);
+                        push::<EMIT, RUN>(&mut st, 1, fresh, m);
                     }
                 }
 
@@ -274,21 +289,26 @@ macro_rules! w64_kernel {
                     let base = full_blocks * LANES;
                     let kt = fts_simd::model::lane_mask(tail) as __mmask8;
                     let v = _mm512_maskz_loadu_epi64(kt, col0.add(base));
-                    let k = $mask_cmp(kt, op0, v, needle0);
+                    let mut k = $mask_cmp(kt, op0, v, needle0);
+                    if RUN {
+                        for p in 1..driver_end {
+                            k = $mask_cmp(k, ops[p], v, st.nsplat[p]);
+                        }
+                    }
                     if k != 0 {
                         let m = (k as u32).count_ones() as usize;
                         let idx = _mm256_add_epi32(iota, _mm256_set1_epi32(base as i32));
                         let fresh = _mm256_maskz_compress_epi32(k, idx);
-                        if p == 1 {
+                        if stages.len() == 1 {
                             emit::<EMIT>(&mut st, fresh, m);
                         } else {
-                            push::<EMIT>(&mut st, 0, fresh, m);
+                            push::<EMIT, RUN>(&mut st, 1, fresh, m);
                         }
                     }
                 }
 
-                for s in 0..p.saturating_sub(1) {
-                    flush::<EMIT>(&mut st, s);
+                for s in 1..stages.len() {
+                    flush::<EMIT, RUN>(&mut st, s);
                 }
                 (st.total, st.out)
             }
@@ -320,16 +340,27 @@ macro_rules! w64_kernel {
                 let cols: Vec<&[$elem]> = preds.iter().map(|q| q.data).collect();
                 let ops: Vec<CmpOp> = preds.iter().map(|q| q.op).collect();
                 let needles: Vec<$elem> = preds.iter().map(|q| q.needle).collect();
+                let stages = Stages::of(cols.iter().map(|c| (c.as_ptr(), c.len())));
                 // SAFETY: AVX-512 presence asserted; columns validated.
+                let (total, out) = unsafe {
+                    match (mode, stages.len() < preds.len()) {
+                        (OutputMode::Count, false) => {
+                            kernel::<false, false>(&cols, &ops, &needles, stages)
+                        }
+                        (OutputMode::Count, true) => {
+                            kernel::<false, true>(&cols, &ops, &needles, stages)
+                        }
+                        (OutputMode::Positions, false) => {
+                            kernel::<true, false>(&cols, &ops, &needles, stages)
+                        }
+                        (OutputMode::Positions, true) => {
+                            kernel::<true, true>(&cols, &ops, &needles, stages)
+                        }
+                    }
+                };
                 match mode {
-                    OutputMode::Count => {
-                        let (total, _) = unsafe { kernel::<false>(&cols, &ops, &needles) };
-                        ScanOutput::Count(total)
-                    }
-                    OutputMode::Positions => {
-                        let (_, out) = unsafe { kernel::<true>(&cols, &ops, &needles) };
-                        ScanOutput::Positions(PosList::from_vec(out))
-                    }
+                    OutputMode::Count => ScanOutput::Count(total),
+                    OutputMode::Positions => ScanOutput::Positions(PosList::from_vec(out)),
                 }
             }
         }

@@ -23,6 +23,7 @@ use std::time::Duration;
 use crate::blockwise;
 use crate::engine::{RegWidth, ScanImpl};
 use crate::fused::scalar::{fused_scan_model_sink, FusedSink};
+use crate::fused::Stages;
 use crate::pred::{OutputMode, TypedPred};
 use fts_storage::NativeType;
 
@@ -42,16 +43,17 @@ pub enum TelemetryLevel {
     Full,
 }
 
-/// Counters for one follow-up stage (predicate `1..P`) of a fused scan.
+/// Counters for one follow-up stage (stage `1..`) of a fused scan: one
+/// gather of its column, compared against each predicate of its run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTelemetry {
     /// Times this stage's register-resident position list was flushed
     /// (evaluated via masked gather + compare).
     pub flushes: u64,
     /// Live lanes gathered across all flushes — equals the rows that
-    /// survived the previous predicate.
+    /// survived the previous stage.
     pub gathered: u64,
-    /// Rows that survived this stage's predicate.
+    /// Rows that survived this stage's last predicate.
     pub survivors: u64,
 }
 
@@ -60,8 +62,10 @@ pub struct StageTelemetry {
 pub struct ScanTelemetry {
     /// Whether anything was collected (`false` ⇒ all fields are zero).
     pub enabled: bool,
-    /// [`ScanImpl::name`] of the implementation that ran.
-    pub impl_name: &'static str,
+    /// The kernels that ran ([`ScanImpl::name`] or a query-layer kernel
+    /// name), each with the morsels it ran, in first-run order: one entry
+    /// unless a merged scan's morsels ran different kernels.
+    pub kernels: Vec<(&'static str, u64)>,
     /// Rows scanned (summed over morsels).
     pub rows: u64,
     /// Predicates in the chain.
@@ -74,8 +78,11 @@ pub struct ScanTelemetry {
     /// Rows surviving predicates `0..=k`, one entry per predicate
     /// (populated at [`TelemetryLevel::Full`]).
     pub pred_survivors: Vec<u64>,
-    /// Flush/gather counters per follow-up stage (fused implementations at
-    /// [`TelemetryLevel::Full`] only).
+    /// The fused stage that evaluated each predicate (0 = driver; fused
+    /// implementations at [`TelemetryLevel::Full`] only).
+    pub pred_stages: Vec<usize>,
+    /// Flush/gather counters per follow-up stage, stage 1 first (fused
+    /// implementations at [`TelemetryLevel::Full`] only).
     pub stages: Vec<StageTelemetry>,
     /// Column bytes the implementation actually touched (driver reads plus
     /// gathers/rescans; see [`collect`] for the per-implementation model).
@@ -114,8 +121,27 @@ impl ScanTelemetry {
     /// `enabled == false`.
     pub fn disabled(impl_name: &'static str) -> ScanTelemetry {
         ScanTelemetry {
-            impl_name,
+            kernels: vec![(impl_name, 1)],
             ..ScanTelemetry::default()
+        }
+    }
+
+    /// The first kernel that ran (the only one unless merged morsels ran
+    /// different kernels).
+    pub fn impl_name(&self) -> &'static str {
+        self.kernels.first().map_or("", |&(name, _)| name)
+    }
+
+    /// The kernels for the `Scan [...]` line: the name alone for one
+    /// kernel, else each with the morsels it ran.
+    fn kernels_label(&self) -> String {
+        match &self.kernels[..] {
+            [(name, _)] => name.to_string(),
+            kernels => kernels
+                .iter()
+                .map(|(name, n)| format!("{name}×{n}"))
+                .collect::<Vec<_>>()
+                .join(", "),
         }
     }
 
@@ -180,6 +206,15 @@ impl ScanTelemetry {
     /// Fold another record (e.g. one morsel's) into this one: counters
     /// add, structure fields must agree.
     pub fn merge(&mut self, other: &ScanTelemetry) {
+        for &(name, n) in &other.kernels {
+            match self.kernels.iter_mut().find(|(k, _)| *k == name) {
+                Some((_, count)) => *count += n,
+                None => self.kernels.push((name, n)),
+            }
+        }
+        if self.pred_stages.is_empty() {
+            self.pred_stages.clone_from(&other.pred_stages);
+        }
         self.enabled |= other.enabled;
         self.rows += other.rows;
         self.blocks += other.blocks;
@@ -210,14 +245,15 @@ impl ScanTelemetry {
     pub fn render(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
+        let kernels = self.kernels_label();
         if !self.enabled {
-            let _ = writeln!(out, "Scan [{}]  (telemetry off)", self.impl_name);
+            let _ = writeln!(out, "Scan [{kernels}]  (telemetry off)");
             return out;
         }
         let _ = writeln!(
             out,
-            "Scan [{}]  rows={}  preds={}  lanes={}  blocks={}",
-            self.impl_name, self.rows, self.predicates, self.lanes, self.blocks
+            "Scan [{kernels}]  rows={}  preds={}  lanes={}  blocks={}",
+            self.rows, self.predicates, self.lanes, self.blocks
         );
         let _ = writeln!(
             out,
@@ -232,17 +268,21 @@ impl ScanTelemetry {
         }
         let sels = self.selectivities();
         for (k, (&surv, sel)) in self.pred_survivors.iter().zip(&sels).enumerate() {
-            if k == 0 {
-                let _ = writeln!(out, "  pred 0 (driver): survivors={surv}  sel={sel:.4}");
-            } else if let Some(st) = self.stages.get(k - 1) {
-                let _ = writeln!(
-                    out,
-                    "  pred {k} (stage {k}): flushes={}  gathered={}  survivors={surv}  sel={sel:.4}",
-                    st.flushes, st.gathered
-                );
-            } else {
-                let _ = writeln!(out, "  pred {k}: survivors={surv}  sel={sel:.4}");
-            }
+            let stage = self.pred_stages.get(k).copied();
+            // A stage's first predicate reports the stage's gathers; the
+            // rest of its run compared the same lanes.
+            let (head, gathers) = match stage {
+                _ if k == 0 || stage == Some(0) => (format!("pred {k} (driver)"), None),
+                Some(s) if stage != self.pred_stages.get(k - 1).copied() => {
+                    (format!("pred {k} (stage {s})"), self.stages.get(s - 1))
+                }
+                Some(s) => (format!("pred {k} (stage {s})"), None),
+                None => (format!("pred {k}"), None),
+            };
+            let gathers = gathers.map_or(String::new(), |st| {
+                format!("flushes={}  gathered={}  ", st.flushes, st.gathered)
+            });
+            let _ = writeln!(out, "  {head}: {gathers}survivors={surv}  sel={sel:.4}");
         }
         out
     }
@@ -252,24 +292,31 @@ impl ScanTelemetry {
 #[derive(Default)]
 struct StatsSink {
     blocks: u64,
-    driver_matches: u64,
+    /// Survivors per predicate.
+    survivors: Vec<u64>,
+    /// Flushes and gathered lanes per follower stage (stage 1 first).
     stages: Vec<StageTelemetry>,
 }
 
 impl FusedSink for StatsSink {
-    fn driver_block(&mut self, matches: usize) {
+    fn driver_block(&mut self) {
         self.blocks += 1;
-        self.driver_matches += matches as u64;
     }
 
-    fn stage_flush(&mut self, stage: usize, gathered: usize, survivors: usize) {
+    fn stage_flush(&mut self, stage: usize, gathered: usize) {
         if self.stages.len() < stage {
             self.stages.resize(stage, StageTelemetry::default());
         }
         let st = &mut self.stages[stage - 1];
         st.flushes += 1;
         st.gathered += gathered as u64;
-        st.survivors += survivors as u64;
+    }
+
+    fn survivors(&mut self, pred: usize, survivors: usize) {
+        if self.survivors.len() <= pred {
+            self.survivors.resize(pred + 1, 0);
+        }
+        self.survivors[pred] += survivors as u64;
     }
 }
 
@@ -302,7 +349,8 @@ fn replay<T: NativeType, const N: usize>(preds: &[TypedPred<'_, T>]) -> StatsSin
 ///   (short-circuit), so `Σ survivors[k-1] · size`.
 /// * SISD auto-vec / blockwise — every predicate reads every row.
 /// * Fused — the driver streams all rows once; each follow-up stage
-///   gathers exactly the survivors of the previous predicate.
+///   gathers its column once at exactly the survivors of the previous
+///   stage (a run of predicates on one column is one stage).
 pub fn collect<T: NativeType>(
     imp: ScanImpl,
     preds: &[TypedPred<'_, T>],
@@ -313,7 +361,7 @@ pub fn collect<T: NativeType>(
     let lanes = fused_lanes::<T>(imp);
     let mut t = ScanTelemetry {
         enabled: true,
-        impl_name: imp.name(),
+        kernels: vec![(imp.name(), 1)],
         rows,
         predicates: preds.len(),
         lanes: lanes.unwrap_or(1),
@@ -344,10 +392,17 @@ pub fn collect<T: NativeType>(
                 // stage stats empty rather than guess.
                 _ => StatsSink::default(),
             };
+            let stages = Stages::of_typed(preds);
+            let mut sink = sink;
+            sink.survivors.resize(preds.len(), 0);
+            sink.stages
+                .resize(stages.len() - 1, StageTelemetry::default());
+            for (s, st) in sink.stages.iter_mut().enumerate() {
+                st.survivors = sink.survivors[stages.preds(s + 1).end - 1];
+            }
             t.blocks = sink.blocks.max(t.blocks);
-            t.pred_survivors = std::iter::once(sink.driver_matches)
-                .chain(sink.stages.iter().map(|s| s.survivors))
-                .collect();
+            t.pred_survivors = sink.survivors;
+            t.pred_stages = (0..preds.len()).map(|p| stages.stage_of(p)).collect();
             t.stages = sink.stages;
             t.bytes_touched = rows * size + t.stages.iter().map(|s| s.gathered * size).sum::<u64>();
         }
@@ -418,6 +473,60 @@ mod tests {
         assert!((sels[1] - 0.5).abs() < 1e-9);
         assert!((sels[2] - 0.5).abs() < 1e-9);
         assert!(sels.iter().all(|s| (0.0..=1.0).contains(s)));
+    }
+
+    #[test]
+    fn a_same_column_run_is_one_stage() {
+        let (a, b, _) = chain(4096);
+        // b ∈ [1, 2] drives as one stage; a = 1 is then gathered once.
+        let preds = [
+            TypedPred::new(&b[..], CmpOp::Ge, 1u32),
+            TypedPred::new(&b[..], CmpOp::Le, 2u32),
+            TypedPred::eq(&a[..], 1u32),
+        ];
+        let imp = ScanImpl::FusedScalar(RegWidth::W512);
+        let (out, t) =
+            run_scan_telemetered(imp, &preds, OutputMode::Count, TelemetryLevel::Full).unwrap();
+        // i%4 ≥ 1 → 3072; ≤ 2 → 2048; of those i odd (i%4 == 1) → 1024.
+        assert_eq!(out.count(), 1024);
+        assert_eq!(t.pred_survivors, vec![3072, 2048, 1024]);
+        assert_eq!(t.pred_stages, vec![0, 0, 1]);
+        assert_eq!(t.stages.len(), 1);
+        assert_eq!((t.stages[0].gathered, t.stages[0].survivors), (2048, 1024));
+        assert_eq!(t.bytes_touched, (4096 + 2048) * 4);
+        let text = t.render();
+        assert!(text.contains("pred 1 (driver): survivors=2048"), "{text}");
+        assert!(text.contains("pred 2 (stage 1): flushes="), "{text}");
+        // A lone BETWEEN gathers nothing and reads one column.
+        let (_, t) =
+            run_scan_telemetered(imp, &preds[..2], OutputMode::Count, TelemetryLevel::Full)
+                .unwrap();
+        assert!(t.stages.is_empty());
+        assert_eq!(t.bytes_touched, 4096 * 4);
+        assert!(!t.render().contains("gathered"), "{}", t.render());
+    }
+
+    #[test]
+    fn merge_counts_morsels_per_kernel() {
+        let morsel = |name| ScanTelemetry {
+            enabled: true,
+            kernels: vec![(name, 1)],
+            morsels: 1,
+            ..ScanTelemetry::default()
+        };
+        let mut t = morsel("x");
+        for name in ["y", "x", "z", "x"] {
+            t.merge(&morsel(name));
+        }
+        assert_eq!(t.kernels, vec![("x", 3), ("y", 1), ("z", 1)]);
+        assert_eq!(t.impl_name(), "x");
+        assert!(
+            t.render().starts_with("Scan [x×3, y×1, z×1]"),
+            "{}",
+            t.render()
+        );
+        // One kernel renders by name alone.
+        assert!(morsel("x").render().starts_with("Scan [x]"));
     }
 
     #[test]

@@ -32,6 +32,18 @@ fn impls_for_32bit() -> Vec<ScanImpl> {
     v
 }
 
+/// Every 64-bit kernel: the row, block and portable engines plus the
+/// AVX-512 zmm kernel (8-byte lanes exist at 512 bits only).
+fn impls_for_64bit() -> Vec<ScanImpl> {
+    let mut v = impls_for_32bit();
+    v.retain(|imp| match imp {
+        ScanImpl::FusedAvx2 => false,
+        ScanImpl::FusedAvx512(w) => *w == RegWidth::W512,
+        _ => true,
+    });
+    v
+}
+
 fn check_all<T: ScanElem + NativeType>(
     impls: &[ScanImpl],
     cols: &[Vec<T>],
@@ -44,27 +56,52 @@ fn check_all<T: ScanElem + NativeType>(
         .zip(needles)
         .map(|((c, &op), &n)| TypedPred::new(&c[..], op, n))
         .collect();
-    let expected = reference::scan_positions(&preds);
+    check_chain(impls, &preds)
+}
+
+/// A chain whose predicate `k` reads `cols[layout[k]]`, so adjacent
+/// predicates may share one slice (one fused stage).
+fn check_layout<T: ScanElem + NativeType>(
+    impls: &[ScanImpl],
+    cols: &[Vec<T>],
+    layout: &[usize],
+    ops: &[CmpOp],
+    needles: &[T],
+) -> Result<(), TestCaseError> {
+    let preds: Vec<TypedPred<'_, T>> = layout
+        .iter()
+        .zip(ops)
+        .zip(needles)
+        .map(|((&c, &op), &n)| TypedPred::new(&cols[c][..], op, n))
+        .collect();
+    check_chain(impls, &preds)
+}
+
+fn check_chain<T: ScanElem + NativeType>(
+    impls: &[ScanImpl],
+    preds: &[TypedPred<'_, T>],
+) -> Result<(), TestCaseError> {
+    let expected = reference::scan_positions(preds);
     prop_assert!(
         expected.is_valid(),
         "reference emits ascending unique positions"
     );
 
     for &imp in impls {
-        let got = run_scan(imp, &preds, OutputMode::Positions).unwrap();
+        let got = run_scan(imp, preds, OutputMode::Positions).unwrap();
         prop_assert_eq!(
             got.positions().unwrap(),
             &expected,
             "{} positions",
             imp.name()
         );
-        let got = run_scan(imp, &preds, OutputMode::Count).unwrap();
+        let got = run_scan(imp, preds, OutputMode::Count).unwrap();
         prop_assert_eq!(got.count(), expected.len() as u64, "{} count", imp.name());
     }
 
     // Morsel-parallel path over the best impl.
     let best = fts_core::best_fused_impl::<T>();
-    let got = run_scan_parallel(best, &preds, OutputMode::Positions, 4, 257).unwrap();
+    let got = run_scan_parallel(best, preds, OutputMode::Positions, 4, 257).unwrap();
     prop_assert_eq!(got.positions().unwrap(), &expected, "parallel positions");
     Ok(())
 }
@@ -183,6 +220,70 @@ proptest! {
             .map(|c| c.iter().map(|&v| (v - base) as f64 * 0.5).collect())
             .collect();
         check_all(&impls, &fcols, &ops[..2], &[2.5f64, 1.5])?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Adjacent predicates on one column (a `BETWEEN`, `x <> 5 AND x < 9`,
+    /// runs of three) in driver and follower position, over every element
+    /// type and every kernel that takes it.
+    #[test]
+    fn same_column_runs(
+        rows in 0usize..900,
+        runs in prop::collection::vec((0usize..3, 1usize..=3), 1..=3),
+        ops in prop::collection::vec(op_strategy(), 9),
+        needles in prop::collection::vec(0u32..24, 9),
+        nan_every in 2usize..40,
+        seed in any::<u64>(),
+    ) {
+        let mut state = seed | 1;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let layout: Vec<usize> = runs
+            .iter()
+            .flat_map(|&(col, len)| std::iter::repeat_n(col, len))
+            .take(fts_core::fused::MAX_PREDICATES)
+            .collect();
+        let p = layout.len();
+        let (ops, needles) = (&ops[..p], &needles[..p]);
+        let raw: Vec<Vec<u32>> =
+            (0..3).map(|_| (0..rows).map(|_| (rng() % 24) as u32).collect()).collect();
+        let float = |v: u32, i: usize| {
+            if i.is_multiple_of(nan_every) { f64::NAN } else { v as f64 * 0.5 - 6.0 }
+        };
+        let map = |f: &dyn Fn(u32, usize) -> f64| -> Vec<Vec<f64>> {
+            raw.iter().map(|c| c.iter().enumerate().map(|(i, &v)| f(v, i)).collect()).collect()
+        };
+        let fneedles: Vec<f64> = needles.iter().map(|&n| n as f64 * 0.5 - 6.0).collect();
+
+        check_layout(&impls_for_32bit(), &raw, &layout, ops, needles)?;
+        let i32s: Vec<Vec<i32>> =
+            raw.iter().map(|c| c.iter().map(|&v| v as i32 - 12).collect()).collect();
+        let i32n: Vec<i32> = needles.iter().map(|&n| n as i32 - 12).collect();
+        check_layout(&impls_for_32bit(), &i32s, &layout, ops, &i32n)?;
+        let f32s: Vec<Vec<f32>> =
+            map(&float).iter().map(|c| c.iter().map(|&v| v as f32).collect()).collect();
+        let f32n: Vec<f32> = fneedles.iter().map(|&n| n as f32).collect();
+        check_layout(&impls_for_32bit(), &f32s, &layout, ops, &f32n)?;
+
+        // Values straddling 2^32 and far below zero exercise the full
+        // 64-bit compares.
+        let base = u32::MAX as u64 - 5;
+        let u64s: Vec<Vec<u64>> =
+            raw.iter().map(|c| c.iter().map(|&v| base + v as u64).collect()).collect();
+        let u64n: Vec<u64> = needles.iter().map(|&n| base + n as u64).collect();
+        check_layout(&impls_for_64bit(), &u64s, &layout, ops, &u64n)?;
+        let i64s: Vec<Vec<i64>> =
+            raw.iter().map(|c| c.iter().map(|&v| (v as i64 - 12) << 40).collect()).collect();
+        let i64n: Vec<i64> = needles.iter().map(|&n| (n as i64 - 12) << 40).collect();
+        check_layout(&impls_for_64bit(), &i64s, &layout, ops, &i64n)?;
+        check_layout(&impls_for_64bit(), &map(&float), &layout, ops, &fneedles)?;
     }
 }
 

@@ -13,11 +13,15 @@
 //!
 //! One driver loop over blocks (fetch → `vpcmp` → `kortest` skip →
 //! `vpcompressd` of block offsets), an inlined *push* sequence per stage
-//! transition, and one *flush* subroutine per follow-up predicate
-//! (gather → masked `vpcmp` → `vpcompressd`), connected by near calls.
-//! The caller passes `rows` pre-truncated to a multiple of the block size;
-//! the wrapper evaluates the tail rows after the kernel's drain, preserving
-//! ascending position order.
+//! transition, and one *flush* subroutine per follow-up stage (gather →
+//! masked `vpcmp` → `vpcompressd`), connected by near calls. A stage is a
+//! maximal run of predicates on one column ([`ScanSig::stages`]): it
+//! fetches its column once and compares the values against each needle of
+//! its run, each `vpcmp` masked by the one before, so a `BETWEEN` costs one
+//! load or gather. A chain over distinct columns has one stage per
+//! predicate. The caller passes `rows` pre-truncated to a multiple of the
+//! block size; the wrapper evaluates the tail rows after the kernel's
+//! drain, preserving ascending position order.
 //!
 //! One skeleton serves every chain; two parameters vary:
 //!
@@ -47,12 +51,14 @@
 //! | `zmm13` | merge control · `zmm14` block-offset vector (both also unpack scratch) |
 //! | `zmm15` | splat(31) · `zmm16` splat(1) — only when a column is packed |
 //! | `zmm17` | a packed driver's value mask |
-//! | `k1` | driver mask · `k2` flush mask · `k3` packed driver word-load mask |
+//! | `k1` | driver mask · `k2` flush mask (a run's later compares write each mask under itself) · `k3` packed driver word-load mask |
 //!
 //! In the 8-lane geometry the position registers (`zmm6`, `zmm7`,
 //! `zmm9-14`) are used as their ymm halves.
 
-use fts_core::fused::{MERGE16, MERGE8};
+use std::ops::Range;
+
+use fts_core::fused::{Stages, MERGE16, MERGE8};
 use fts_storage::bitpack::mask_of;
 use fts_storage::CmpOp;
 
@@ -341,12 +347,13 @@ fn emit_driver_fetch(a: &mut Asm, sig: &ScanSig, tables: Option<&DriverTables>) 
     }
 }
 
-/// Gather column `s` (base in `r10`) at the pending positions into `zmm0`
-/// under the flush mask `k2` (raw mask in `eax`; each gather consumes
-/// `k2`, so it is rebuilt afterwards): one dword or qword gather of a
-/// plain column, or a packed column's two-gather funnel extraction.
-fn emit_follower_fetch(a: &mut Asm, sig: &ScanSig, s: usize) {
-    match sig.preds[s].storage {
+/// Gather predicate `pred`'s column (base in `r10`) at stage `s`'s pending
+/// positions into `zmm0` under the flush mask `k2` (raw mask in `eax`; each
+/// gather consumes `k2`, so it is rebuilt afterwards): one dword or qword
+/// gather of a plain column, or a packed column's two-gather funnel
+/// extraction.
+fn emit_follower_fetch(a: &mut Asm, sig: &ScanSig, pred: usize, s: usize) {
+    match sig.preds[pred].storage {
         Storage::Plain => {
             a.vpxord(Vl::Z512, Zmm(0), Zmm(0), Zmm(0));
             if sig.elem.is_wide() {
@@ -382,10 +389,29 @@ fn emit_follower_fetch(a: &mut Asm, sig: &ScanSig, s: usize) {
     }
 }
 
-/// Emit the flush subroutine body for stage `s` (predicate `s`): gather the
-/// pending positions from column `s`, compare under mask, compress the
-/// survivors and forward them. Ends with `ret`.
-fn emit_flush_body(a: &mut Asm, g: &Geometry, s: usize, sig: &ScanSig, flush: &[Label]) {
+/// Compare `zmm0` against each needle of `run` into `k`: the first
+/// compare under `first_mask`, each later one under `k` itself.
+fn emit_run_cmp(a: &mut Asm, sig: &ScanSig, k: KReg, run: Range<usize>, first_mask: Option<KReg>) {
+    let mut mask = first_mask;
+    for p in run {
+        emit_cmp(a, sig.elem, k, Zmm(0), needle_reg(p), sig.preds[p].op, mask);
+        mask = Some(k);
+    }
+}
+
+/// Emit the flush subroutine body for stage `s`: gather the pending
+/// positions from the stage's column once, compare them against each
+/// predicate of its run under mask, compress the survivors and forward
+/// them. Ends with `ret`.
+fn emit_flush_body(
+    a: &mut Asm,
+    g: &Geometry,
+    s: usize,
+    sig: &ScanSig,
+    stages: &Stages,
+    flush: &[Label],
+) {
+    let run = stages.preds(s);
     let done = a.new_label();
     a.mov_r64_mem(Gpr::Rsi, Mem::base_disp(Gpr::Rbp, count_off(s)));
     a.test_r64_r64(Gpr::Rsi, Gpr::Rsi);
@@ -398,30 +424,39 @@ fn emit_flush_body(a: &mut Asm, g: &Geometry, s: usize, sig: &ScanSig, flush: &[
     // count = 0
     a.xor_r32_r32(Gpr::R10, Gpr::R10);
     a.mov_mem_r64(Mem::base_disp(Gpr::Rbp, count_off(s)), Gpr::R10);
-    a.mov_r64_mem(Gpr::R10, Mem::base_disp(Gpr::Rdi, 8 * s as i32));
-    emit_follower_fetch(a, sig, s);
-    // Masked compare against the embedded needle.
-    emit_cmp(
-        a,
-        sig.elem,
-        KReg(2),
-        Zmm(0),
-        needle_reg(s),
-        sig.preds[s].op,
-        Some(KReg(2)),
-    );
+    a.mov_r64_mem(Gpr::R10, Mem::base_disp(Gpr::Rdi, 8 * run.start as i32));
+    emit_follower_fetch(a, sig, run.start, s);
+    // Masked compares against the embedded needles.
+    emit_run_cmp(a, sig, KReg(2), run, Some(KReg(2)));
     a.kortestw(KReg(2), KReg(2));
     a.jcc(Cond::E, done);
     a.kmovw_r32_k(Gpr::Rax, KReg(2));
     a.popcnt_r32_r32(Gpr::Rax, Gpr::Rax);
     a.vpcompressd(g.vl, Zmm(7), plist_reg(s), KReg(2), true);
-    if s == sig.len() - 1 {
+    if s == stages.len() - 1 {
         emit_output(a, g, sig);
     } else {
         emit_push(a, g, s + 1, flush);
     }
     a.bind(done);
     a.ret();
+}
+
+/// Reject runs the emitter cannot scan: a driver that claims a previous
+/// column, or a run whose predicates disagree on their column's storage.
+fn check_runs(sig: &ScanSig) -> Result<(), JitError> {
+    for (index, pred) in sig.preds.iter().enumerate() {
+        let reason = match index.checked_sub(1) {
+            _ if !pred.same_column => continue,
+            None => "the driver has no previous column",
+            Some(prev) if sig.preds[prev].storage != pred.storage => {
+                "a run's predicates read one column, so one storage"
+            }
+            Some(_) => continue,
+        };
+        return Err(JitError::BadPredicate { index, reason });
+    }
+    Ok(())
 }
 
 /// Reject packed columns the emitter cannot scan: outside a `u32` chain,
@@ -466,15 +501,17 @@ pub fn compile_avx512(sig: &ScanSig) -> Result<Emitted, JitError> {
     if sig.is_empty() || sig.len() > MAX_JIT_PREDICATES {
         return Err(JitError::BadChainLength(sig.len()));
     }
+    check_runs(sig)?;
     check_packed(sig)?;
     let tables = match sig.preds[0].storage {
         Storage::Packed { bits } => Some(driver_tables(bits as u32)),
         Storage::Plain => None,
     };
     let g = Geometry::of(sig.elem);
-    let p = sig.len();
+    let stages = sig.stages();
+    let n = stages.len();
     let mut a = Asm::new();
-    let flush: Vec<Label> = (0..p).map(|_| a.new_label()).collect();
+    let flush: Vec<Label> = (0..n).map(|_| a.new_label()).collect();
 
     // Prologue.
     a.push_r64(Gpr::Rbp);
@@ -484,7 +521,7 @@ pub fn compile_avx512(sig: &ScanSig) -> Result<Emitted, JitError> {
     a.sub_r64_imm32(Gpr::Rsp, FRAME);
 
     a.xor_r32_r32(Gpr::Rax, Gpr::Rax);
-    for s in 1..p {
+    for s in 1..n {
         a.mov_mem_r64(Mem::base_disp(Gpr::Rbp, count_off(s)), Gpr::Rax);
     }
     a.mov_r64_mem(Gpr::R8, Mem::base(Gpr::Rdi));
@@ -506,7 +543,7 @@ pub fn compile_avx512(sig: &ScanSig) -> Result<Emitted, JitError> {
     a.mov_r64_imm64(Gpr::Rax, g.iota);
     a.vmovdqu32_load(g.vl, Zmm(6), Mem::base(Gpr::Rax), None, false);
     a.vpxord(Vl::Z512, Zmm(8), Zmm(8), Zmm(8));
-    for s in 1..p {
+    for s in 1..n {
         let r = plist_reg(s);
         a.vpxord(g.vl, r, r, r);
     }
@@ -531,15 +568,7 @@ pub fn compile_avx512(sig: &ScanSig) -> Result<Emitted, JitError> {
     a.cmp_r64_r64(Gpr::Rdx, Gpr::Rcx);
     a.jcc(Cond::Ae, loop_end);
     emit_driver_fetch(&mut a, sig, tables.as_deref());
-    emit_cmp(
-        &mut a,
-        sig.elem,
-        KReg(1),
-        Zmm(0),
-        needle_reg(0),
-        sig.preds[0].op,
-        None,
-    );
+    emit_run_cmp(&mut a, sig, KReg(1), stages.preds(0), None);
     a.kortestw(KReg(1), KReg(1));
     a.jcc(Cond::E, next_block);
     a.kmovw_r32_k(Gpr::Rax, KReg(1));
@@ -548,7 +577,7 @@ pub fn compile_avx512(sig: &ScanSig) -> Result<Emitted, JitError> {
     a.vpbroadcastd_r32(g.vl, Zmm(14), Gpr::Rdx);
     a.vpaddd(g.vl, Zmm(14), Zmm(14), Zmm(6));
     a.vpcompressd(g.vl, Zmm(7), Zmm(14), KReg(1), true);
-    if p == 1 {
+    if n == 1 {
         emit_output(&mut a, &g, sig);
     } else {
         emit_push(&mut a, &g, 1, &flush);
@@ -559,7 +588,7 @@ pub fn compile_avx512(sig: &ScanSig) -> Result<Emitted, JitError> {
 
     // Drain stages ascending, return the total.
     a.bind(loop_end);
-    for &stage in &flush[1..p] {
+    for &stage in &flush[1..n] {
         a.call(stage);
     }
     a.mov_r64_r64(Gpr::Rax, Gpr::R11);
@@ -570,9 +599,9 @@ pub fn compile_avx512(sig: &ScanSig) -> Result<Emitted, JitError> {
     a.ret();
 
     // Flush subroutines.
-    for s in 1..p {
+    for s in 1..n {
         a.bind(flush[s]);
-        emit_flush_body(&mut a, &g, s, sig, &flush);
+        emit_flush_body(&mut a, &g, s, sig, &stages, &flush);
     }
     Ok(Emitted {
         code: a.finish(),
@@ -583,7 +612,7 @@ pub fn compile_avx512(sig: &ScanSig) -> Result<Emitted, JitError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{KernelArgs, KernelFn};
+    use crate::ir::{JitPred, KernelArgs, KernelFn};
     use crate::mem::ExecBuf;
     use fts_simd::has_avx512;
 
@@ -866,9 +895,143 @@ mod tests {
         assert_eq!(count, 2048);
     }
 
+    /// Needles and operators for runs over values in `0..23`.
+    const RUN_PREDS: [(CmpOp, u64); 5] = [
+        (CmpOp::Ge, 3),
+        (CmpOp::Le, 17),
+        (CmpOp::Ne, 11),
+        (CmpOp::Lt, 20),
+        (CmpOp::Gt, 1),
+    ];
+
+    /// Chains reading `cols[layout[k]]` for predicate `k`: runs in driver
+    /// position, in follower position and spanning three predicates, in
+    /// both output modes.
+    fn check_run_layouts<T: Copy + fts_storage::NativeType>(
+        elem: JitElem,
+        cols: &[Vec<T>],
+        to_bits: impl Fn(u64) -> u64,
+        from_bits: impl Fn(u64) -> T,
+    ) {
+        let layouts: [&[usize]; 5] = [
+            &[0, 0],
+            &[0, 0, 1],
+            &[1, 0, 0],
+            &[1, 0, 0, 0, 1],
+            &[0, 0, 1, 1],
+        ];
+        for layout in layouts {
+            let refs: Vec<&[T]> = layout.iter().map(|&c| &cols[c][..]).collect();
+            let preds: Vec<(CmpOp, T)> = RUN_PREDS[..layout.len()]
+                .iter()
+                .map(|&(op, n)| (op, from_bits(to_bits(n))))
+                .collect();
+            for emit in [false, true] {
+                let sig = ScanSig {
+                    elem,
+                    preds: RUN_PREDS[..layout.len()]
+                        .iter()
+                        .map(|&(op, n)| JitPred::plain(op, to_bits(n)))
+                        .collect(),
+                    emit_positions: emit,
+                }
+                .with_columns(layout);
+                assert!(sig.stages().len() < layout.len(), "{layout:?} has a run");
+                let (count, pos) = run(&sig, &refs);
+                let rows = cols[0].len() / elem.lanes() * elem.lanes();
+                let expected = expected_typed(&refs, &preds, rows, |v, op, n| v.cmp_op(op, n));
+                assert_eq!(count, expected.len() as u64, "{elem:?} {layout:?}");
+                if emit {
+                    assert_eq!(pos, expected, "{elem:?} {layout:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn same_column_runs_compare_one_fetch() {
+        if skip() {
+            return;
+        }
+        let raw: Vec<Vec<u64>> = (0..2u64)
+            .map(|c| (0..1000u64).map(|i| (i * (7 + c * 4) + c) % 23).collect())
+            .collect();
+        let u32s: Vec<Vec<u32>> = raw
+            .iter()
+            .map(|c| c.iter().map(|&v| v as u32).collect())
+            .collect();
+        check_run_layouts(JitElem::U32, &u32s, |n| n, |b| b as u32);
+        let f32s: Vec<Vec<f32>> = raw
+            .iter()
+            .map(|c| c.iter().map(|&v| v as f32).collect())
+            .collect();
+        check_run_layouts(
+            JitElem::F32,
+            &f32s,
+            |n| (n as f32).to_bits() as u64,
+            |b| f32::from_bits(b as u32),
+        );
+        let base = u32::MAX as u64 - 5;
+        let u64s: Vec<Vec<u64>> = raw
+            .iter()
+            .map(|c| c.iter().map(|&v| base + v).collect())
+            .collect();
+        check_run_layouts(JitElem::U64, &u64s, |n| base + n, |b| b);
+        let i64s: Vec<Vec<i64>> = raw
+            .iter()
+            .map(|c| c.iter().map(|&v| (v as i64 - 12) << 40).collect())
+            .collect();
+        check_run_layouts(
+            JitElem::I64,
+            &i64s,
+            |n| ((n as i64 - 12) << 40) as u64,
+            |b| b as i64,
+        );
+    }
+
+    #[test]
+    fn a_run_loads_its_column_once() {
+        // A two-predicate run on one column drives alone: no flush
+        // subroutine, so no gather; the second compare is masked into `k1`.
+        let range =
+            ScanSig::u32_chain(&[(CmpOp::Ge, 10), (CmpOp::Le, 35)], false).with_columns([0, 0]);
+        let pair = ScanSig::u32_chain(&[(CmpOp::Ge, 10), (CmpOp::Le, 35)], false);
+        let code = |sig: &ScanSig| compile_avx512(sig).unwrap().code;
+        assert!(code(&range).len() < code(&pair).len());
+        let one = ScanSig::u32_chain(&[(CmpOp::Ge, 10)], false);
+        // The run adds one needle broadcast and one compare to the
+        // one-predicate kernel: far less than a flush subroutine.
+        assert!(
+            code(&range).len() < code(&one).len() + 32,
+            "{} vs {}",
+            code(&range).len(),
+            code(&one).len()
+        );
+        let mut bad = ScanSig::u32_chain(&[(CmpOp::Eq, 1)], false);
+        bad.preds[0].same_column = true;
+        assert!(matches!(
+            compile_avx512(&bad),
+            Err(JitError::BadPredicate { index: 0, .. })
+        ));
+        let mixed = ScanSig {
+            elem: JitElem::U32,
+            preds: vec![
+                JitPred::plain(CmpOp::Eq, 1),
+                JitPred {
+                    same_column: true,
+                    ..JitPred::packed(4, CmpOp::Eq, 1)
+                },
+            ],
+            emit_positions: false,
+        };
+        assert!(matches!(
+            compile_avx512(&mixed),
+            Err(JitError::BadPredicate { index: 1, .. })
+        ));
+    }
+
     #[test]
     fn packed_rejections_name_the_predicate() {
-        use crate::ir::JitPred;
         let reject = |elem: JitElem, preds: Vec<JitPred>| match compile_avx512(&ScanSig {
             elem,
             preds,

@@ -1,12 +1,14 @@
 //! The scan-chain IR handed to the compilers — the "runtime parameters"
 //! of paper §V: element type, comparison operator, literal and column
-//! storage (plain, or bit-packed at some width, §VII) per predicate, and
+//! storage (plain, or bit-packed at some width, §VII) per predicate, which
+//! adjacent predicates read one column (and so form one fused stage), and
 //! whether the operator must emit a position list or only a count. The JIT
 //! specializes all of them into the emitted code (needles become
 //! immediates, operators become instruction immediates, a packed width
 //! becomes its unpack sequence), which is why the number of static
 //! instantiations would otherwise explode.
 
+use fts_core::fused::Stages;
 use fts_storage::{CmpOp, DataType};
 
 /// Maximum chain length one compiled kernel supports (the paper evaluates
@@ -72,8 +74,8 @@ pub enum Storage {
     },
 }
 
-/// One predicate: operator, the literal's raw lane bits and the column's
-/// storage.
+/// One predicate: operator, the literal's raw lane bits, the column's
+/// storage and whether the column is the previous predicate's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct JitPred {
     /// Comparison operator.
@@ -83,6 +85,10 @@ pub struct JitPred {
     pub needle_bits: u64,
     /// The column's storage.
     pub storage: Storage,
+    /// Whether the predicate reads the previous predicate's column: it then
+    /// joins that predicate's stage and compares the values the stage
+    /// already loaded or gathered (see [`ScanSig::stages`]).
+    pub same_column: bool,
 }
 
 impl JitPred {
@@ -92,6 +98,7 @@ impl JitPred {
             op,
             needle_bits,
             storage: Storage::Plain,
+            same_column: false,
         }
     }
 
@@ -103,6 +110,7 @@ impl JitPred {
             op,
             needle_bits: needle as u64,
             storage: Storage::Packed { bits },
+            same_column: false,
         }
     }
 }
@@ -202,6 +210,29 @@ impl ScanSig {
     pub fn has_packed(&self) -> bool {
         self.preds.iter().any(|p| p.storage != Storage::Plain)
     }
+
+    /// Mark the chain's same-column runs: `cols` yields each predicate's
+    /// column identity (such as its data's address and length), and a
+    /// predicate whose identity equals the previous one's reads that
+    /// predicate's column.
+    pub fn with_columns<I: PartialEq>(mut self, cols: impl IntoIterator<Item = I>) -> ScanSig {
+        let mut prev = None;
+        for (pred, col) in self.preds.iter_mut().zip(cols) {
+            pred.same_column = prev.as_ref() == Some(&col);
+            prev = Some(col);
+        }
+        self
+    }
+
+    /// The chain's fused stages: each maximal run of predicates on one
+    /// column (per [`JitPred::same_column`]) is one stage, stage 0 drives.
+    pub fn stages(&self) -> Stages {
+        let mut column = 0usize;
+        Stages::of(self.preds.iter().map(|p| {
+            column += usize::from(!p.same_column);
+            column
+        }))
+    }
 }
 
 /// The argument block passed to every compiled kernel (SysV: pointer in
@@ -291,6 +322,35 @@ mod tests {
 
         let s = ScanSig::f64_chain(&[(CmpOp::Le, -2.5)], false);
         assert_eq!(s.preds[0].needle_bits, (-2.5f64).to_bits());
+    }
+
+    #[test]
+    fn same_column_runs_are_part_of_the_key() {
+        let a = [1u32, 2];
+        let b = [3u32, 4];
+        let base = ScanSig::u32_chain(&[(CmpOp::Ge, 1), (CmpOp::Le, 2), (CmpOp::Eq, 3)], true);
+        let range = base
+            .clone()
+            .with_columns([a.as_ptr(), a.as_ptr(), b.as_ptr()]);
+        assert_eq!(
+            range
+                .preds
+                .iter()
+                .map(|p| p.same_column)
+                .collect::<Vec<_>>(),
+            [false, true, false]
+        );
+        let stages = range.stages();
+        assert_eq!(
+            (stages.len(), stages.preds(0), stages.preds(1)),
+            (2, 0..2, 2..3)
+        );
+        assert_eq!(base.stages().len(), 3);
+        assert_ne!(range, base);
+        let distinct = base
+            .clone()
+            .with_columns([a.as_ptr(), b.as_ptr(), a.as_ptr()]);
+        assert_eq!(distinct, base);
     }
 
     #[test]

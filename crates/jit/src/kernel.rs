@@ -3,8 +3,8 @@
 //! A [`CompiledKernel`] owns the executable code for one [`ScanSig`] (and
 //! a packed driver's unpack tables) and exposes one validated, safe run
 //! routine, [`CompiledKernel::run_cols`], for plain and bit-packed columns
-//! alike: it checks the column count, element type, storage and lengths
-//! against the signature, allocates the position buffer with the slack the
+//! alike: it checks the column count, element type, storage, lengths and
+//! same-column runs against the signature, allocates the position buffer with the slack the
 //! vector stores need, and (for the AVX-512 backend) evaluates the
 //! non-multiple-of-block tail rows after the kernel's drain so emitted
 //! positions stay ascending. [`CompiledKernel::run`] is its plain-slice
@@ -103,7 +103,8 @@ pub enum RunError {
     /// The element type differs from the signature's.
     ElemMismatch,
     /// A column's storage (plain or packed, and a packed column's width)
-    /// differs from its predicate's.
+    /// differs from its predicate's, or a predicate the signature puts on
+    /// the previous predicate's column got another column.
     StorageMismatch,
     /// Columns have different lengths.
     LengthMismatch,
@@ -257,8 +258,20 @@ impl CompiledKernel {
                 got: cols.len(),
             });
         }
+        let same = |a: &JitCol<'_, T>, b: &JitCol<'_, T>| match (a, b) {
+            (JitCol::Plain(a), JitCol::Plain(b)) => {
+                std::ptr::eq(a.as_ptr(), b.as_ptr()) && a.len() == b.len()
+            }
+            (JitCol::Packed(a), JitCol::Packed(b)) => std::ptr::eq(*a, *b),
+            _ => false,
+        };
         let mut lens = Vec::with_capacity(cols.len());
-        for (col, pred) in cols.iter().zip(&self.sig.preds) {
+        for (i, (col, pred)) in cols.iter().zip(&self.sig.preds).enumerate() {
+            // A run's later predicates compare what the stage's first one
+            // read, so they must name that column.
+            if pred.same_column && (i == 0 || !same(col, &cols[i - 1])) {
+                return Err(RunError::StorageMismatch);
+            }
             lens.push(match (col, pred.storage) {
                 (JitCol::Plain(d), Storage::Plain) => d.len(),
                 (JitCol::Packed(p), Storage::Packed { bits }) if p.bits() == bits => {

@@ -239,6 +239,19 @@ fn evex_instructions() {
         |a| a.vpcmpud(KReg(2), Zmm(12), Zmm(2), 1, Some(KReg(1))),
         "vpcmpltud k2{k1},zmm12,zmm2",
     );
+    // A same-column run's later compares write the mask under itself.
+    check(
+        |a| a.vpcmpud(KReg(1), Zmm(0), Zmm(2), 2, Some(KReg(1))),
+        "vpcmpleud k1{k1},zmm0,zmm2",
+    );
+    check(
+        |a| a.vpcmpud(KReg(2), Zmm(0), Zmm(3), 4, Some(KReg(2))),
+        "vpcmpnequd k2{k2},zmm0,zmm3",
+    );
+    check(
+        |a| a.vcmpps(KReg(1), Zmm(0), Zmm(2), 0x0E, Some(KReg(1))),
+        "vcmpgtps k1{k1},zmm0,zmm2",
+    );
     check(
         |a| a.vpcmpd(KReg(1), Zmm(0), Zmm(1), 4, None),
         "vpcmpneqd k1,zmm0,zmm1",
@@ -344,6 +357,10 @@ fn evex_64bit_and_ymm_instructions() {
     check(
         |a| a.vpcmpq(KReg(2), Zmm(0), Zmm(1), 4, Some(KReg(1))),
         "vpcmpneqq k2{k1},zmm0,zmm1",
+    );
+    check(
+        |a| a.vpcmpq(KReg(1), Zmm(0), Zmm(2), 1, Some(KReg(1))),
+        "vpcmpltq k1{k1},zmm0,zmm2",
     );
     check(
         |a| a.vcmppd(KReg(1), Zmm(0), Zmm(5), 0, None),

@@ -2,9 +2,10 @@
 //! random chain shapes — 1–5 columns, each plain or packed at a random
 //! width, any operator, either output mode, a random row count — the
 //! kernel compiled through the cache agrees with the interpreted reference.
+//! A second family puts runs of adjacent predicates on one column.
 
-use fts_core::fused::packed::{scan_packed_reference, PackedPred};
-use fts_core::TypedPred;
+use fts_core::fused::packed::{fused_scan_packed, scan_packed_reference, PackedPred};
+use fts_core::{OutputMode, TypedPred};
 use fts_jit::{JitBackend, JitCol, JitElem, JitPred, KernelCache, ScanSig};
 use fts_storage::bitpack::{mask_of, PackedColumn};
 use fts_storage::CmpOp;
@@ -114,6 +115,99 @@ proptest! {
             prop_assert_eq!(got.positions().unwrap(), &expected);
         } else {
             prop_assert_eq!(got.count(), expected.len() as u64);
+        }
+    }
+
+    /// Same-column runs: each drawn column (plain or packed) serves a run
+    /// of 1–3 adjacent predicates, each with its own operator and needle,
+    /// so runs sit in driver and in follower position. The JIT kernel and
+    /// the static packed kernel agree with the reference.
+    #[test]
+    fn jit_packed_runs_match_reference(
+        rows in 0usize..700,
+        driver in (prop::option::of(1u8..=16), 1usize..=3),
+        followers in prop::collection::vec((prop::option::of(1u8..=32), 1usize..=3), 0..=2),
+        tests in prop::collection::vec((prop::sample::select(CmpOp::ALL.to_vec()), 0u32..=8), 5),
+        emit_positions in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        if !available() {
+            return Ok(());
+        }
+        let columns: Vec<(Option<u8>, usize)> = std::iter::once(driver).chain(followers).collect();
+        let layout: Vec<usize> = columns
+            .iter()
+            .enumerate()
+            .flat_map(|(c, &(_, run))| std::iter::repeat_n(c, run))
+            .take(5)
+            .collect();
+        let mut state = seed | 1;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as u32
+        };
+        let values: Vec<Vec<u32>> = columns
+            .iter()
+            .map(|&(packed, _)| {
+                (0..rows)
+                    .map(|_| match packed {
+                        Some(bits) => rng() & mask_of(bits),
+                        None => rng() % PLAIN_RANGE,
+                    })
+                    .collect()
+            })
+            .collect();
+        let packed: Vec<Option<PackedColumn>> = columns
+            .iter()
+            .zip(&values)
+            .map(|(&(packed, _), v)| packed.map(|bits| PackedColumn::pack(v, bits).unwrap()))
+            .collect();
+        let needle = |k: usize| {
+            let domain = columns[layout[k]].0.map_or(PLAIN_RANGE - 1, mask_of);
+            (domain as u64 * tests[k].1 as u64 / 8) as u32
+        };
+
+        let sig = ScanSig {
+            elem: JitElem::U32,
+            preds: (0..layout.len())
+                .map(|k| match columns[layout[k]].0 {
+                    Some(bits) => JitPred::packed(bits, tests[k].0, needle(k)),
+                    None => JitPred::plain(tests[k].0, needle(k) as u64),
+                })
+                .collect(),
+            emit_positions,
+        }
+        .with_columns(&layout);
+        let cols: Vec<JitCol<'_, u32>> = layout
+            .iter()
+            .map(|&c| match &packed[c] {
+                Some(p) => JitCol::Packed(p),
+                None => JitCol::Plain(&values[c][..]),
+            })
+            .collect();
+        let reference: Vec<PackedPred<'_>> = (0..layout.len())
+            .map(|k| {
+                let (c, op) = (layout[k], tests[k].0);
+                match &packed[c] {
+                    Some(col) => PackedPred::Packed { col, op, needle: needle(k) },
+                    None => PackedPred::Plain(TypedPred::new(&values[c][..], op, needle(k))),
+                }
+            })
+            .collect();
+        let expected = scan_packed_reference(&reference);
+
+        let cache = KernelCache::new(JitBackend::Avx512);
+        let got = cache.get_or_compile(&sig).unwrap().run_cols(&cols).unwrap();
+        let mode = if emit_positions { OutputMode::Positions } else { OutputMode::Count };
+        let stat = fused_scan_packed(&reference, mode).unwrap();
+        if emit_positions {
+            prop_assert_eq!(got.positions().unwrap(), &expected);
+            prop_assert_eq!(stat.positions().unwrap(), &expected, "static packed kernel");
+        } else {
+            prop_assert_eq!(got.count(), expected.len() as u64);
+            prop_assert_eq!(stat.count(), expected.len() as u64, "static packed kernel");
         }
     }
 }

@@ -40,6 +40,7 @@
 //! never leaves count mode.
 
 use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -920,25 +921,23 @@ fn scan_chunk(
         None => ((0..rows).collect(), Vec::new()),
     };
 
-    // The followers, grouped by column in chain order of first
-    // appearance: a column's predicates share one read of each row.
-    let mut followers: Vec<(usize, Vec<LayoutPred<'_>>)> = Vec::new();
-    for (i, p) in chain.iter().enumerate() {
-        if members.contains(&i) {
-            continue;
-        }
-        match followers.iter_mut().find(|(c, _)| *c == p.bound.column) {
-            Some((_, group)) => group.push(p.form),
-            None => followers.push((p.bound.column, vec![p.form])),
-        }
-    }
+    // The followers in chain order, one pass per run of adjacent
+    // predicates on one column (the optimizer keeps a column's conjuncts
+    // adjacent), so a run reads each surviving row's value once.
+    let followers: Vec<&ChunkPred<'_, '_>> = chain
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| !members.contains(i))
+        .map(|(_, p)| p)
+        .collect();
     let mut survivors = positions.into_vec();
     let rows_in = survivors.len() as u64;
-    for (_, group) in &followers {
+    for run in followers.chunk_by(|a, b| a.bound.column == b.bound.column) {
         if survivors.is_empty() {
             break;
         }
-        filter_survivors(&mut survivors, group, false)?;
+        let forms: Vec<LayoutPred<'_>> = run.iter().map(|p| p.form).collect();
+        filter_survivors(&mut survivors, &forms, false)?;
     }
     if let Some(r) = analyze {
         r.phase2_rows_in += rows_in;
@@ -1086,7 +1085,7 @@ fn timing_record(
 ) -> ScanTelemetry {
     ScanTelemetry {
         enabled: true,
-        impl_name,
+        kernels: vec![(impl_name, 1)],
         rows,
         predicates,
         lanes,
@@ -1259,7 +1258,8 @@ fn run_packed_chain(
 
 /// The JIT half of a `u32` chain scan: fetch (or compile) from `cache` the
 /// kernel for the plain predicates followed by the packed ones, and run it
-/// over their columns. Returns the output and the kernel's own run time
+/// over their columns. Adjacent predicates on one column share a stage (the
+/// signature marks them). Returns the output and the kernel's own run time
 /// (compilation excluded, so calibration compares kernels, not compiles);
 /// `None` when the kernel cannot compile or run here, and the caller falls
 /// back to a static kernel.
@@ -1269,6 +1269,11 @@ fn run_jit(
     packed: &[(&PackedColumn, CmpOp, u32)],
     mode: OutputMode,
 ) -> Option<(ScanOutput, Duration)> {
+    let cols: Vec<JitCol<'_, u32>> = plain
+        .iter()
+        .map(|&(d, _, _)| JitCol::Plain(d))
+        .chain(packed.iter().map(|&(pc, _, _)| JitCol::Packed(pc)))
+        .collect();
     let sig = ScanSig {
         elem: JitElem::U32,
         preds: plain
@@ -1281,13 +1286,12 @@ fn run_jit(
             )
             .collect(),
         emit_positions: mode == OutputMode::Positions,
-    };
+    }
+    .with_columns(cols.iter().map(|c| match c {
+        JitCol::Plain(d) => (d.as_ptr(), d.len()),
+        JitCol::Packed(pc) => (pc.words().as_ptr(), pc.words().len()),
+    }));
     let kernel = cache.get_or_compile(&sig).ok()?;
-    let cols: Vec<JitCol<'_, u32>> = plain
-        .iter()
-        .map(|&(d, _, _)| JitCol::Plain(d))
-        .chain(packed.iter().map(|&(pc, _, _)| JitCol::Packed(pc)))
-        .collect();
     let started = Instant::now();
     let out = kernel.run_cols(&cols).ok()?;
     Some((out, started.elapsed()))
@@ -1336,7 +1340,7 @@ fn run_u32_chain(
                     &typed,
                     TelemetryLevel::Full,
                 );
-                t.impl_name = "jit-avx512(w512)";
+                t.kernels = vec![(QueryKernel::Jit.name(), 1)];
                 t.wall = wall;
                 r.note_scan(&t);
             }
@@ -1445,7 +1449,7 @@ pub fn execute_shared(
         let Lqp::Aggregate { input, aggs } = plan else {
             return None;
         };
-        let (entry, scan) = StatementScan::build(input, ctx).ok()?;
+        let (entry, scan) = StatementScan::build(input).ok()?;
         queries.push(SharedQuery {
             entry,
             scan,
@@ -1499,7 +1503,7 @@ fn execute_with(
 ) -> Result<QueryResult, ExecError> {
     match plan {
         Lqp::Aggregate { input, aggs } => {
-            let (entry, mut scan) = StatementScan::build(input, ctx)?;
+            let (entry, mut scan) = StatementScan::build(input)?;
             let mut agg = Aggregation::new(aggs)?;
             for (ci, chunk) in entry.table.chunks().iter().enumerate() {
                 if scan.prune(entry, ci) {
@@ -1554,7 +1558,7 @@ fn project(
     ctx: &ExecContext,
     mut analyze: Option<&mut AnalyzeReport>,
 ) -> Result<QueryResult, ExecError> {
-    let (entry, mut scan) = StatementScan::build(input, ctx)?;
+    let (entry, mut scan) = StatementScan::build(input)?;
     let mut rows: Vec<Vec<Value>> = Vec::new();
     for (ci, chunk) in entry.table.chunks().iter().enumerate() {
         if rows.len() >= limit {
@@ -1925,6 +1929,7 @@ fn sub_chain_key(preds: &[BoundPred]) -> SubChainKey {
 /// Where one chunk's tree evaluation runs.
 #[derive(Clone, Copy)]
 struct At<'c> {
+    table: &'c str,
     entry: &'c CatalogEntry,
     chunk_idx: usize,
     chunk: &'c Chunk,
@@ -1943,10 +1948,11 @@ struct TreeNode<'a> {
 enum TreeOp<'a> {
     /// Leaf conjuncts in driver position: one [`scan_chunk`] over the whole
     /// chunk, with the calibrator a standalone chain of the same predicates
-    /// uses.
+    /// uses. The registry hands it out at the first chunk the node scans,
+    /// so a chain whose every chunk is pruned registers none.
     Drive {
         chain: Cow<'a, [BoundPred]>,
-        adaptive: Option<Arc<Mutex<ChainCalibrator>>>,
+        adaptive: OnceCell<Option<Arc<Mutex<ChainCalibrator>>>>,
     },
     /// Leaves on one column, all of which (a `BETWEEN`) or any of which
     /// (`a = 3 OR a = 7`) must hold: one typed loop over the candidates.
@@ -1971,19 +1977,12 @@ impl<'a> TreeNode<'a> {
         }
     }
 
-    /// A driver over `chain`, holding the registry's calibrator for it.
-    fn driver(
-        table: &str,
-        entry: &CatalogEntry,
-        chain: Cow<'a, [BoundPred]>,
-        ctx: &ExecContext,
-    ) -> TreeNode<'a> {
-        let adaptive = ctx
-            .calibration
-            .get_or_build(table, &sub_chain_key(&chain), || {
-                build_adaptive(entry, &chain, ctx)
-            });
-        TreeNode::new(TreeOp::Drive { chain, adaptive })
+    /// A driver over `chain`.
+    fn driver(chain: Cow<'a, [BoundPred]>) -> TreeNode<'a> {
+        TreeNode::new(TreeOp::Drive {
+            chain,
+            adaptive: OnceCell::new(),
+        })
     }
 
     /// Compile an ordered NNF tree. A node in driver position (`drives`:
@@ -1991,17 +1990,9 @@ impl<'a> TreeNode<'a> {
     /// when the AND has no leaf conjunct) runs its leaf conjuncts as one
     /// driver; every other node filters, its leaves grouped by column into
     /// one loop each.
-    fn compile(
-        expr: &'a BoolExpr<BoundPred>,
-        drives: bool,
-        table: &str,
-        entry: &CatalogEntry,
-        ctx: &ExecContext,
-    ) -> Result<TreeNode<'a>, ExecError> {
+    fn compile(expr: &'a BoolExpr<BoundPred>, drives: bool) -> Result<TreeNode<'a>, ExecError> {
         let (cs, is_and) = match expr {
-            BoolExpr::Pred(p) if drives => {
-                return Ok(Self::driver(table, entry, Cow::Owned(vec![p.clone()]), ctx))
-            }
+            BoolExpr::Pred(p) if drives => return Ok(Self::driver(Cow::Owned(vec![p.clone()]))),
             BoolExpr::Pred(p) => {
                 return Ok(TreeNode::new(TreeOp::Column {
                     preds: vec![p],
@@ -2021,10 +2012,10 @@ impl<'a> TreeNode<'a> {
             let chain: Vec<BoundPred> = cs.iter().filter_map(leaf).cloned().collect();
             let first_drives = chain.is_empty();
             if !first_drives {
-                children.push(Self::driver(table, entry, Cow::Owned(chain), ctx));
+                children.push(Self::driver(Cow::Owned(chain)));
             }
             for (i, c) in cs.iter().filter(|c| leaf(c).is_none()).enumerate() {
-                children.push(Self::compile(c, first_drives && i == 0, table, entry, ctx)?);
+                children.push(Self::compile(c, first_drives && i == 0)?);
             }
         } else {
             for c in cs {
@@ -2049,7 +2040,7 @@ impl<'a> TreeNode<'a> {
                             })),
                         }
                     }
-                    _ => children.push(Self::compile(c, drives, table, entry, ctx)?),
+                    _ => children.push(Self::compile(c, drives)?),
                 }
             }
         }
@@ -2088,6 +2079,12 @@ impl<'a> TreeNode<'a> {
         let rows = at.chunk.rows();
         let out = match &mut self.op {
             TreeOp::Drive { chain, adaptive } => {
+                let adaptive = adaptive.get_or_init(|| {
+                    let key = sub_chain_key(chain);
+                    at.ctx
+                        .calibration
+                        .get_or_build(at.table, &key, || build_adaptive(at.entry, chain, at.ctx))
+                });
                 // Hold the chain's calibration lock for the chunk: the
                 // phase read and the observe that follows must see no
                 // interleaved writer, or probe timings would corrupt.
@@ -2204,12 +2201,7 @@ impl<'a> TreeNode<'a> {
     /// Append the node's and its descendants' reports, depth first.
     fn report_into(&self, depth: usize, out: &mut Vec<SubChainReport>) {
         let (label, adaptive) = match &self.op {
-            TreeOp::Drive { chain, adaptive } => (
-                chain_text(chain),
-                adaptive
-                    .as_ref()
-                    .map(|s| AdaptiveDecision::of(&lock_plain(s))),
-            ),
+            TreeOp::Drive { chain, adaptive } => (chain_text(chain), decision(adaptive)),
             TreeOp::Column { preds, any } => (
                 preds
                     .iter()
@@ -2271,23 +2263,29 @@ fn filter_column(
     filter_survivors(candidates, &forms, any)
 }
 
+/// What a driver's calibrator has learned, once the driver has scanned.
+fn decision(adaptive: &OnceCell<Option<Arc<Mutex<ChainCalibrator>>>>) -> Option<AdaptiveDecision> {
+    let state = adaptive.get()?.as_ref()?;
+    Some(AdaptiveDecision::of(&lock_plain(state)))
+}
+
 /// Per-statement scan: the WHERE clause compiled into a tree whose root
 /// drives (a conjunctive chain is a lone driver), shared by every chunk
 /// the statement scans.
 struct StatementScan<'a> {
+    table: &'a str,
     root: TreeNode<'a>,
 }
 
 impl<'a> StatementScan<'a> {
-    /// Resolve the scan subtree and compile its WHERE clause, attaching
-    /// each driver's adaptive state from the context's shared registry.
-    fn build(plan: &'a Lqp, ctx: &ExecContext) -> Result<(&'a CatalogEntry, Self), ExecError> {
+    /// Resolve the scan subtree and compile its WHERE clause.
+    fn build(plan: &'a Lqp) -> Result<(&'a CatalogEntry, Self), ExecError> {
         let (table, entry, clause) = scan_root(plan)?;
         let root = match clause {
-            Where::Chain(preds) => TreeNode::driver(table, entry, Cow::Borrowed(preds), ctx),
-            Where::Tree(expr) => TreeNode::compile(expr, true, table, entry, ctx)?,
+            Where::Chain(preds) => TreeNode::driver(Cow::Borrowed(preds)),
+            Where::Tree(expr) => TreeNode::compile(expr, true)?,
         };
-        Ok((entry, StatementScan { root }))
+        Ok((entry, StatementScan { table, root }))
     }
 
     /// Whether min/max pruning proves this chunk cannot produce matches.
@@ -2306,6 +2304,7 @@ impl<'a> StatementScan<'a> {
         analyze: Option<&mut AnalyzeReport>,
     ) -> Result<ScanOutput, ExecError> {
         let at = At {
+            table: self.table,
             entry,
             chunk_idx,
             chunk,
@@ -2321,9 +2320,7 @@ impl<'a> StatementScan<'a> {
         let mut nodes = Vec::new();
         match &self.root.op {
             TreeOp::Drive { adaptive, .. } => {
-                report.adaptive = adaptive
-                    .as_ref()
-                    .map(|s| AdaptiveDecision::of(&lock_plain(s)));
+                report.adaptive = decision(adaptive);
                 return;
             }
             TreeOp::And(cs) | TreeOp::Or(cs) => {
@@ -3029,6 +3026,64 @@ mod tests {
         }
     }
 
+    /// EXPLAIN ANALYZE's scan line names every kernel the chunks ran, each
+    /// with its chunk count: a calibrating statement runs each probe
+    /// candidate on chunks of its own.
+    #[test]
+    fn explain_analyze_names_every_kernel_that_ran() {
+        let cat = many_chunk_catalog();
+        let sql = "SELECT COUNT(*) FROM big WHERE a = 5 AND b = 1";
+        let p = optimize(plan(&parse(sql).unwrap(), &cat).unwrap());
+        for jit in [JitMode::Off, JitMode::On] {
+            let (_, report) = execute_analyzed(&p, &make_ctx(jit)).unwrap();
+            let a = report.adaptive.as_ref().expect("a u32 chain calibrates");
+            let probed: Vec<&str> = a.probed.iter().map(|c| c.0).collect();
+            let ran: Vec<&str> = report.scan.kernels.iter().map(|k| k.0).collect();
+            assert!(probed.len() >= 2, "{jit:?}: {probed:?}");
+            assert_eq!(ran, probed, "{jit:?}: first-run order is probe order");
+            let chunks: u64 = report.scan.kernels.iter().map(|k| k.1).sum();
+            assert_eq!(chunks, report.chunks_scanned, "{jit:?}");
+            let text = report.render(10.0);
+            let line = text.lines().find(|l| l.starts_with("Scan [")).unwrap();
+            for (name, n) in &report.scan.kernels {
+                assert!(line.contains(&format!("{name}×{n}")), "{line}");
+            }
+        }
+    }
+
+    /// A statement whose every chunk min/max pruning skips registers no
+    /// calibrator and reports no decision, for a chain and a tree's driver.
+    #[test]
+    fn a_fully_pruned_statement_registers_no_calibrator() {
+        let cat = many_chunk_catalog();
+        let ctx = make_ctx(JitMode::On);
+        for sql in [
+            "SELECT COUNT(*) FROM big WHERE a > 50 AND b = 1",
+            "SELECT COUNT(*) FROM big WHERE b = 1 AND (a > 50 OR a > 60)",
+        ] {
+            let p = optimize(plan(&parse(sql).unwrap(), &cat).unwrap());
+            let (result, report) = execute_analyzed(&p, &ctx).unwrap();
+            assert_eq!(result, QueryResult::Count(0), "{sql}");
+            assert_eq!((report.chunks_scanned, report.chunks_pruned), (0, 40));
+            assert_eq!(ctx.calibration.len(), 0, "{sql}");
+            assert!(report.adaptive.is_none(), "{sql}");
+            let prefix = report.bool_scan.as_ref().and_then(|b| b.prefix.as_ref());
+            assert!(prefix.is_none_or(|d| d.adaptive.is_none()), "{sql}");
+            let text = report.render(10.0);
+            assert!(!text.contains("winner="), "{text}");
+        }
+        // The first scanned chunk registers the chain.
+        let p = optimize(
+            plan(
+                &parse("SELECT COUNT(*) FROM big WHERE a = 5 AND b = 1").unwrap(),
+                &cat,
+            )
+            .unwrap(),
+        );
+        execute(&p, &ctx).unwrap();
+        assert_eq!(ctx.calibration.len(), 1);
+    }
+
     #[test]
     fn adaptive_steady_state_does_not_thrash_the_jit_cache() {
         if !avx512_enabled() {
@@ -3278,7 +3333,7 @@ mod tests {
         // only the byte-sliced driver's survivors.
         assert_eq!(report.phase2_rows_in, expected.len() as u64);
         assert_eq!(report.phase2_rows_out, expected.len() as u64);
-        assert_eq!(report.scan.impl_name, "bytesliced");
+        assert_eq!(report.scan.impl_name(), "bytesliced");
         assert!(report.scan.enabled && report.scan.rows == 300);
 
         // A FoR chain longer than one kernel: the first 8 predicates
@@ -3308,7 +3363,7 @@ mod tests {
             let (result, report) = execute_analyzed(&p, &ctx).unwrap();
             assert_eq!(result, QueryResult::Count(expected), "{table}");
             assert!(report.scan.enabled, "{table}");
-            assert_eq!(report.scan.impl_name, name);
+            assert_eq!(report.scan.impl_name(), name);
             assert_eq!(report.scan.rows, 1000, "{table}");
             assert_eq!(report.scan.morsels, 4, "{table}: one record per chunk");
             assert_eq!(report.scan.predicates, 2, "{table}");

@@ -262,17 +262,22 @@ pub(crate) fn leaf(expr: &BoolExpr<BoundPred>) -> Option<&BoundPred> {
 pub(crate) fn tree_selectivity(expr: &BoolExpr<BoundPred>) -> f64 {
     match expr {
         BoolExpr::Pred(p) => p.selectivity,
-        BoolExpr::And(cs) => {
-            let others: f64 = cs
-                .iter()
-                .filter(|c| leaf(c).is_none())
-                .map(tree_selectivity)
-                .product();
-            conjunction_selectivity(cs.iter().filter_map(leaf)) * others
-        }
+        BoolExpr::And(cs) => and_selectivity(cs),
         BoolExpr::Or(cs) => disjunction_selectivity(cs.iter().map(tree_selectivity)),
         BoolExpr::Not(c) => 1.0 - tree_selectivity(c),
     }
+}
+
+/// Estimated selectivity of conjoined NNF nodes: the leaves combine by
+/// [`conjunction_selectivity`] and multiply with the other nodes'
+/// estimates.
+pub(crate) fn and_selectivity(cs: &[BoolExpr<BoundPred>]) -> f64 {
+    let others: f64 = cs
+        .iter()
+        .filter(|c| leaf(c).is_none())
+        .map(tree_selectivity)
+        .product();
+    conjunction_selectivity(cs.iter().filter_map(leaf)) * others
 }
 
 /// Append a tree one node per line, children indented below their parent

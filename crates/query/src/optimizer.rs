@@ -7,19 +7,22 @@
 //!    evaluated as early as possible").
 //! 2. **Predicate reordering** — consecutive σ chains are sorted by
 //!    estimated selectivity, most selective first ("… and in the most
-//!    efficient order"). The driver predicate of the fused scan then
-//!    filters the most rows, minimizing gather traffic. A boolean tree
-//!    ([`Lqp::FilterTree`]) is ordered the same way at every node: an AND's
-//!    children ascending by estimate, an OR's children descending, so the
-//!    set of rows its later children still have to decide shrinks fastest
-//!    (DESIGN.md §6.2).
+//!    efficient order"), one column at a time: a column's conjuncts stay
+//!    adjacent, and the columns run ascending by their combined estimate,
+//!    so a `BETWEEN` counts as the range it is and forms one fused stage.
+//!    The driver stage of the fused scan then filters the most rows,
+//!    minimizing gather traffic. A boolean tree ([`Lqp::FilterTree`]) is
+//!    ordered the same way at every node: an AND's children ascending by
+//!    estimate (its leaf conjuncts grouped by column), an OR's children
+//!    descending, so the set of rows its later children still have to
+//!    decide shrinks fastest (DESIGN.md §6.2).
 //! 3. **Fused-chain tagging** — a maximal chain of ≥ 2 consecutive σ nodes
 //!    is collapsed into one [`Lqp::FusedFilterChain`], which the translator
 //!    turns into a Fused Table Scan operator (Fig. 8's right-hand plan).
 
 use fts_core::BoolExpr;
 
-use crate::lqp::{tree_selectivity, BoundPred, Lqp};
+use crate::lqp::{and_selectivity, leaf, tree_selectivity, BoundPred, Lqp};
 
 /// Apply all rules and return the optimized plan.
 pub fn optimize(plan: Lqp) -> Lqp {
@@ -77,8 +80,9 @@ pub fn pushdown(plan: Lqp) -> Lqp {
     }
 }
 
-/// Rule 2: sort maximal σ chains by estimated selectivity (ascending),
-/// and order every boolean tree's nodes by estimate.
+/// Rule 2: order maximal σ chains most selective first, one column at a
+/// time (a column's predicates adjacent, columns ascending by their
+/// combined estimate), and order every boolean tree's nodes by estimate.
 pub fn reorder_predicates(plan: Lqp) -> Lqp {
     match plan {
         Lqp::FilterTree { input, expr } => Lqp::FilterTree {
@@ -86,44 +90,73 @@ pub fn reorder_predicates(plan: Lqp) -> Lqp {
             expr: order_tree(expr),
         },
         Lqp::Filter { .. } => {
-            let (mut preds, below) = collect_chain(plan);
-            // Stable sort keeps the written order for equal estimates.
-            preds.sort_by(|a, b| {
-                a.selectivity
-                    .partial_cmp(&b.selectivity)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
+            let (preds, below) = collect_chain(plan);
+            let preds = order_conjuncts(preds.into_iter().map(BoolExpr::Pred).collect())
+                .into_iter()
+                .filter_map(|c| match c {
+                    BoolExpr::Pred(p) => Some(p),
+                    _ => None,
+                })
+                .collect();
             rebuild_chain(preds, reorder_predicates(below))
         }
         other => map_input(other, reorder_predicates),
     }
 }
 
-/// Order a tree's children at every node: an AND's ascending by estimate
-/// (its leaf conjuncts become the driver chain, most selective first), an
-/// OR's descending (the child that accepts the most runs first, so later
-/// children see the fewest undecided rows). Sorting is stable, so equal
-/// estimates keep the written order.
+/// Order a tree's children at every node: an AND's by
+/// [`order_conjuncts`] (its leaf conjuncts become the driver chain), an
+/// OR's descending by estimate (the child that accepts the most runs
+/// first, so later children see the fewest undecided rows). Sorting is
+/// stable, so equal estimates keep the written order.
 fn order_tree(expr: BoolExpr<BoundPred>) -> BoolExpr<BoundPred> {
-    let ordered = |children: Vec<BoolExpr<BoundPred>>, descending: bool| {
-        let mut keyed: Vec<(f64, BoolExpr<BoundPred>)> = children
-            .into_iter()
-            .map(|c| {
-                let c = order_tree(c);
-                (tree_selectivity(&c), c)
-            })
-            .collect();
-        keyed.sort_by(|a, b| match descending {
-            true => b.0.total_cmp(&a.0),
-            false => a.0.total_cmp(&b.0),
-        });
-        keyed.into_iter().map(|(_, c)| c).collect()
-    };
     match expr {
-        BoolExpr::And(cs) => BoolExpr::And(ordered(cs, false)),
-        BoolExpr::Or(cs) => BoolExpr::Or(ordered(cs, true)),
+        BoolExpr::And(cs) => {
+            BoolExpr::And(order_conjuncts(cs.into_iter().map(order_tree).collect()))
+        }
+        BoolExpr::Or(cs) => {
+            let mut keyed: Vec<(f64, BoolExpr<BoundPred>)> = cs
+                .into_iter()
+                .map(|c| {
+                    let c = order_tree(c);
+                    (tree_selectivity(&c), c)
+                })
+                .collect();
+            keyed.sort_by(|a, b| b.0.total_cmp(&a.0));
+            BoolExpr::Or(keyed.into_iter().map(|(_, c)| c).collect())
+        }
         other => other,
     }
+}
+
+/// Order a conjunction's children, most selective first, one column at a
+/// time: each column's leaf conjuncts form one group, ascending by their
+/// own estimates, and every other child is a group of its own. Groups run
+/// ascending by their combined estimate, so a `BETWEEN` counts as the
+/// range it is, and a column's conjuncts stay adjacent: the fused scan
+/// evaluates each column's run as one stage. Both sorts are stable, so
+/// equal estimates keep the written order.
+fn order_conjuncts(children: Vec<BoolExpr<BoundPred>>) -> Vec<BoolExpr<BoundPred>> {
+    let column = |c: &BoolExpr<BoundPred>| leaf(c).map(|p| p.column);
+    let mut groups: Vec<Vec<BoolExpr<BoundPred>>> = Vec::new();
+    for c in children {
+        match groups
+            .iter_mut()
+            .find(|g| column(&c).is_some() && column(&g[0]) == column(&c))
+        {
+            Some(group) => group.push(c),
+            None => groups.push(vec![c]),
+        }
+    }
+    let mut keyed: Vec<(f64, Vec<BoolExpr<BoundPred>>)> = groups
+        .into_iter()
+        .map(|mut group| {
+            group.sort_by(|a, b| tree_selectivity(a).total_cmp(&tree_selectivity(b)));
+            (and_selectivity(&group), group)
+        })
+        .collect();
+    keyed.sort_by(|a, b| a.0.total_cmp(&b.0));
+    keyed.into_iter().flat_map(|(_, group)| group).collect()
 }
 
 /// Rule 3: tag maximal σ chains of length ≥ 2 as fused.
@@ -364,6 +397,70 @@ mod tests {
         ]
         .join("\n");
         assert!(text.contains(&tree), "{text}");
+    }
+
+    #[test]
+    fn a_column_s_conjuncts_stay_adjacent_and_drive_as_a_range() {
+        let mut cat = Catalog::new();
+        cat.register(
+            "l",
+            Table::from_columns(
+                vec![
+                    ColumnDef::new("shipdate", DataType::U32), // 0..=1000
+                    ColumnDef::new("discount", DataType::U32), // 0..=10
+                    ColumnDef::new("quantity", DataType::U32), // 0..=50
+                ],
+                vec![
+                    Column::from_fn(1001, |i| i as u32),
+                    Column::from_fn(1001, |i| (i % 11) as u32),
+                    Column::from_fn(1001, |i| (i % 51) as u32),
+                ],
+            )
+            .unwrap(),
+        );
+        let columns = |sql: &str| -> Vec<String> {
+            let p = optimize(plan(&parse(sql).unwrap(), &cat).unwrap());
+            let Lqp::Aggregate { input, .. } = &p else {
+                panic!("{p:?}")
+            };
+            match input.as_ref() {
+                Lqp::FusedFilterChain { preds, .. } => {
+                    preds.iter().map(|q| q.column_name.clone()).collect()
+                }
+                Lqp::FilterTree {
+                    expr: BoolExpr::And(cs),
+                    ..
+                } => cs
+                    .iter()
+                    .map(|c| leaf(c).map_or("tree".into(), |q| q.column_name.clone()))
+                    .collect(),
+                other => panic!("{other:?}"),
+            }
+        };
+        // Q6's shape: the shipdate range (0.7 + 0.44 − 1 = 0.14) drives,
+        // though each half alone is wider than `quantity < 24` (0.48); the
+        // discount range (0.29) follows as one stage.
+        assert_eq!(
+            columns(
+                "SELECT COUNT(*) FROM l WHERE shipdate >= 300 AND shipdate < 440 \
+                 AND discount >= 5 AND discount <= 7 AND quantity < 24"
+            ),
+            ["shipdate", "shipdate", "discount", "discount", "quantity"]
+        );
+        // A BETWEEN's halves (0.8 and 0.72) stay adjacent around a
+        // predicate whose estimate (0.75) falls between them.
+        assert_eq!(
+            columns("SELECT COUNT(*) FROM l WHERE quantity BETWEEN 10 AND 35 AND shipdate < 750"),
+            ["quantity", "quantity", "shipdate"]
+        );
+        // The same among an AND's leaf conjuncts next to an OR.
+        assert_eq!(
+            columns(
+                "SELECT COUNT(*) FROM l WHERE (discount = 3 OR discount = 4) \
+                 AND quantity >= 10 AND shipdate < 750 AND quantity <= 35"
+            ),
+            ["tree", "quantity", "quantity", "shipdate"]
+        );
     }
 
     #[test]
