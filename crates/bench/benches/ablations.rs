@@ -68,7 +68,7 @@ fn jit(c: &mut Criterion) {
     let preds = preds_of(&chain);
     let cols: Vec<&[u32]> = chain.columns.iter().map(|col| &col[..]).collect();
     let expected = chain.matching_rows.len() as u64;
-    let sig = ScanSig::u32_chain(&sig_pairs(2), false);
+    let sig = ScanSig::chain::<u32>(&sig_pairs(2), false);
     let kernel = CompiledKernel::compile(sig.clone(), JitBackend::Avx512).unwrap();
 
     let mut group = c.benchmark_group("ablation_jit");

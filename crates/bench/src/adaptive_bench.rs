@@ -175,8 +175,11 @@ pub fn bench_adaptive(scale: &Scale) -> FigureResult {
                 .then(|| {
                     let pairs: Vec<(CmpOp, u32)> =
                         needles.iter().map(|&n| (CmpOp::Eq, n)).collect();
-                    CompiledKernel::compile(ScanSig::u32_chain(&pairs, false), JitBackend::Avx512)
-                        .ok()
+                    CompiledKernel::compile(
+                        ScanSig::chain::<u32>(&pairs, false),
+                        JitBackend::Avx512,
+                    )
+                    .ok()
                 })
                 .flatten();
 

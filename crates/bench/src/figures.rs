@@ -362,7 +362,7 @@ pub fn ablation_jit(scale: &Scale) -> FigureResult {
         });
         fig.push("static AVX-512 kernel", sel, &[("median_ms", ms)]);
 
-        let sig = ScanSig::u32_chain(&sig_pairs(2), false);
+        let sig = ScanSig::chain::<u32>(&sig_pairs(2), false);
         let kernel = cache.get_or_compile(&sig).expect("jit compile");
         let ms = median_ms(scale.reps, || {
             assert_eq!(kernel.run(&cols).expect("run").count(), expected);
@@ -377,9 +377,11 @@ pub fn ablation_jit(scale: &Scale) -> FigureResult {
             ],
         );
 
-        let scalar_jit =
-            CompiledKernel::compile(ScanSig::u32_chain(&sig_pairs(2), false), JitBackend::Scalar)
-                .expect("scalar jit");
+        let scalar_jit = CompiledKernel::compile(
+            ScanSig::chain::<u32>(&sig_pairs(2), false),
+            JitBackend::Scalar,
+        )
+        .expect("scalar jit");
         let ms = median_ms(scale.reps.min(5), || {
             assert_eq!(scalar_jit.run(&cols).expect("run").count(), expected);
         });

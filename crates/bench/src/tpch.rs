@@ -129,7 +129,7 @@ pub fn q6_jit(li: &LineItem, cache: &fts_jit::KernelCache) -> (u64, u64) {
     if !fts_simd::has_avx512() {
         return q6_with(li, fts_core::best_fused_impl::<u32>());
     }
-    let sig = ScanSig::u32_chain(
+    let sig = ScanSig::chain::<u32>(
         &[
             (CmpOp::Ge, Q6_DATE_LO),
             (CmpOp::Lt, Q6_DATE_HI),

@@ -8,9 +8,9 @@
 use fts_simd::{detect, SimdLevel};
 use fts_storage::{DataType, NativeType, PosList};
 
-use crate::pred::{ColumnPred, OutputMode, ScanOutput, TypedPred};
+use crate::pred::{OutputMode, ScanOutput, TypedPred};
 use crate::telemetry::{ScanTelemetry, TelemetryLevel};
-use crate::{blockwise, fused, reference, sisd};
+use crate::{blockwise, fused, sisd};
 
 /// AVX register width used by a fused kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -362,104 +362,11 @@ pub fn run_fused_auto<T: ScanElem>(preds: &[TypedPred<'_, T>], mode: OutputMode)
     run_scan(best_fused_impl::<T>(), preds, mode).expect("auto impl is always available")
 }
 
-/// Dynamic entry for the query layer: a chain over [`fts_storage::Column`]s.
-///
-/// Homogeneous 32-bit chains dispatch to the best fused kernel; everything
-/// else (mixed types, 64/16/8-bit elements) falls back to the reference
-/// row loop — the query layer avoids that path by dictionary-encoding.
-/// Returns `None` when a needle's type does not match its column.
-pub fn scan_columns_auto(preds: &[ColumnPred<'_>], mode: OutputMode) -> Option<ScanOutput> {
-    scan_columns_auto_telemetered(preds, mode, TelemetryLevel::Off).map(|(o, _)| o)
-}
-
-fn typed_preds<'a, T: ScanElem>(preds: &[ColumnPred<'a>]) -> Option<Vec<TypedPred<'a, T>>> {
-    preds
-        .iter()
-        .map(|p| {
-            Some(TypedPred::new(
-                p.column.as_native::<T>()?,
-                p.op,
-                T::from_value(p.needle)?,
-            ))
-        })
-        .collect()
-}
-
-/// [`scan_columns_auto`] that also collects [`ScanTelemetry`] at the
-/// requested level. Homogeneous chains report the fused kernel's full
-/// stage statistics; the reference fallback reports a [`TelemetryLevel::Timing`]-style
-/// record (rows, bytes, wall) under the name `reference`.
-pub fn scan_columns_auto_telemetered(
-    preds: &[ColumnPred<'_>],
-    mode: OutputMode,
-    level: TelemetryLevel,
-) -> Option<(ScanOutput, ScanTelemetry)> {
-    let Some(first) = preds.first() else {
-        return Some((
-            ScanOutput::Positions(PosList::new()),
-            ScanTelemetry::disabled("empty"),
-        ));
-    };
-    let homogeneous = preds
-        .iter()
-        .all(|p| p.column.data_type() == first.column.data_type());
-    if homogeneous && preds.len() <= fused::MAX_PREDICATES {
-        macro_rules! fused_typed {
-            ($t:ty) => {
-                return run_scan_telemetered(
-                    best_fused_impl::<$t>(),
-                    &typed_preds::<$t>(preds)?,
-                    mode,
-                    level,
-                )
-                .ok()
-            };
-        }
-        match first.column.data_type() {
-            DataType::U32 => fused_typed!(u32),
-            DataType::I32 => fused_typed!(i32),
-            DataType::F32 => fused_typed!(f32),
-            DataType::U64 => fused_typed!(u64),
-            DataType::I64 => fused_typed!(i64),
-            DataType::F64 => fused_typed!(f64),
-            _ => {}
-        }
-    }
-    let started = (level != TelemetryLevel::Off).then(std::time::Instant::now);
-    let out = reference::scan_columns(preds)?;
-    let telemetry = match started {
-        None => ScanTelemetry::disabled("reference"),
-        Some(started) => {
-            let rows = first.column.len() as u64;
-            ScanTelemetry {
-                enabled: true,
-                kernels: vec![("reference", 1)],
-                rows,
-                predicates: preds.len(),
-                lanes: 1,
-                blocks: rows,
-                bytes_touched: preds
-                    .iter()
-                    .map(|p| rows * p.column.data_type().width() as u64)
-                    .sum(),
-                wall: started.elapsed(),
-                morsels: 1,
-                threads: 1,
-                ..ScanTelemetry::default()
-            }
-        }
-    };
-    let out = match (mode, out) {
-        (OutputMode::Count, o) => ScanOutput::Count(o.count()),
-        (OutputMode::Positions, o) => o,
-    };
-    Some((out, telemetry))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fts_storage::{CmpOp, Column, Value};
+    use crate::reference;
+    use fts_storage::CmpOp;
 
     fn all_impls() -> Vec<ScanImpl> {
         let mut v = vec![
@@ -554,91 +461,6 @@ mod tests {
         }
         // 8-bit types still use the scalar engine.
         assert!(matches!(best_fused_impl::<u8>(), ScanImpl::FusedScalar(_)));
-    }
-
-    #[test]
-    fn column_level_dispatch() {
-        let a = Column::from_vec((0..500u32).map(|i| i % 7).collect::<Vec<_>>());
-        let b = Column::from_vec((0..500u32).map(|i| i % 3).collect::<Vec<_>>());
-        let preds = [
-            ColumnPred {
-                column: &a,
-                op: CmpOp::Eq,
-                needle: Value::U32(2),
-            },
-            ColumnPred {
-                column: &b,
-                op: CmpOp::Eq,
-                needle: Value::U32(1),
-            },
-        ];
-        let expected = reference::scan_columns(&preds).unwrap();
-        let got = scan_columns_auto(&preds, OutputMode::Positions).unwrap();
-        assert_eq!(got, expected);
-        let got = scan_columns_auto(&preds, OutputMode::Count).unwrap();
-        assert_eq!(got.count(), expected.count());
-
-        // Heterogeneous chain falls back to the reference loop.
-        let c = Column::from_vec((0..500i64).map(|i| i % 2).collect::<Vec<_>>());
-        let mixed = [
-            ColumnPred {
-                column: &a,
-                op: CmpOp::Eq,
-                needle: Value::U32(2),
-            },
-            ColumnPred {
-                column: &c,
-                op: CmpOp::Eq,
-                needle: Value::I64(1),
-            },
-        ];
-        let expected = reference::scan_columns(&mixed).unwrap();
-        assert_eq!(
-            scan_columns_auto(&mixed, OutputMode::Positions).unwrap(),
-            expected
-        );
-
-        // Type mismatch surfaces as None.
-        let bad = [ColumnPred {
-            column: &a,
-            op: CmpOp::Eq,
-            needle: Value::I32(2),
-        }];
-        assert!(scan_columns_auto(&bad, OutputMode::Count).is_none());
-    }
-
-    #[test]
-    fn column_level_dispatch_64bit_types() {
-        let a = Column::from_vec((0..300u64).map(|i| (i % 7) + (1 << 40)).collect::<Vec<_>>());
-        let b = Column::from_vec((0..300).map(|i| (i % 3) as f64 * 0.5).collect::<Vec<_>>());
-        let preds64 = [ColumnPred {
-            column: &a,
-            op: CmpOp::Ge,
-            needle: Value::U64((1 << 40) + 5),
-        }];
-        let expected = reference::scan_columns(&preds64).unwrap();
-        assert_eq!(
-            scan_columns_auto(&preds64, OutputMode::Positions).unwrap(),
-            expected
-        );
-
-        let predsf = [
-            ColumnPred {
-                column: &b,
-                op: CmpOp::Gt,
-                needle: Value::F64(0.4),
-            },
-            ColumnPred {
-                column: &b,
-                op: CmpOp::Lt,
-                needle: Value::F64(0.9),
-            },
-        ];
-        let expected = reference::scan_columns(&predsf).unwrap();
-        assert_eq!(
-            scan_columns_auto(&predsf, OutputMode::Positions).unwrap(),
-            expected
-        );
     }
 
     #[test]

@@ -14,13 +14,15 @@
 //!   ([`fused::scalar`]), the AVX2 backport ([`fused::avx2`]) and the
 //!   AVX-512 kernels at 128/256/512 bits ([`fused::avx512`]).
 //! * [`engine`] — runtime dispatch over ISA, element type, register width
-//!   and output mode; the API the query layer and benchmarks call.
+//!   and output mode for typed chains ([`TypedPred`]); the API the query
+//!   layer and benchmarks call.
 //! * [`bool_expr`] — the boolean predicate tree IR (AND/OR/NOT) and its
 //!   negation normal form; `fts-query`'s executor runs it as one driver
 //!   plus a filter tree.
-//! * [`adaptive`] — the host's kernels in one preference order and the
-//!   calibration state machine that `fts-query`'s executor drives, one
-//!   chunk per probe.
+//! * [`adaptive`] — the host's kernels for an element type in one
+//!   preference order and the calibration state machine that
+//!   `fts-query`'s executor drives, one chunk per probe, for plain chains
+//!   of every type with kernels.
 //! * [`pred`], [`telemetry`] — predicate and output types; per-stage scan
 //!   statistics and the bandwidth-vs-compute verdict.
 //! * [`parallel`], [`sched`] — morsel-parallel scans, admission control
@@ -47,14 +49,14 @@ pub use adaptive::{
 };
 pub use bool_expr::{value_key_bits, BoolExpr};
 pub use engine::{
-    best_fused_impl, run_fused_auto, run_scan, run_scan_telemetered, scan_columns_auto,
-    scan_columns_auto_telemetered, EngineError, RegWidth, ScanElem, ScanImpl,
+    best_fused_impl, run_fused_auto, run_scan, run_scan_telemetered, EngineError, RegWidth,
+    ScanElem, ScanImpl,
 };
 pub use fused::bytesliced::{scan_bytesliced, ByteSliceStats, ByteSlicedPred};
 pub use fused::for_scan::{
     fused_scan_for, scan_for_reference, ForPred, ForScanError, ForScanStats,
 };
 pub use parallel::{run_scan_parallel, run_scan_parallel_telemetered, DEFAULT_MORSEL_ROWS};
-pub use pred::{ColumnPred, OutputMode, ScanOutput, TypedPred};
+pub use pred::{OutputMode, ScanOutput, TypedPred};
 pub use sched::{AdmissionConfig, AdmissionController, Permit, ScanPool};
 pub use telemetry::{BoundVerdict, ScanTelemetry, StageTelemetry, TelemetryLevel};

@@ -1,6 +1,6 @@
 //! Predicate and output types shared by every scan implementation.
 
-use fts_storage::{CmpOp, Column, NativeType, PosList, Value};
+use fts_storage::{CmpOp, NativeType, PosList};
 
 /// A typed predicate bound to its column data: `data[row] OP needle`.
 #[derive(Debug, Clone, Copy)]
@@ -33,17 +33,6 @@ impl<'a, T: NativeType> TypedPred<'a, T> {
     pub fn matches(&self, row: usize) -> bool {
         self.data[row].cmp_op(self.op, self.needle)
     }
-}
-
-/// A dynamically typed predicate over a [`Column`].
-#[derive(Debug, Clone)]
-pub struct ColumnPred<'a> {
-    /// The column values (one chunk's worth).
-    pub column: &'a Column,
-    /// Comparison operator.
-    pub op: CmpOp,
-    /// Literal, already cast to the column's type.
-    pub needle: Value,
 }
 
 /// What a scan produces: a match count (for `COUNT(*)` pipelines) or the

@@ -7,7 +7,7 @@
 use fts_storage::{NativeType, PosList};
 
 use crate::bool_expr::BoolExpr;
-use crate::pred::{ColumnPred, ScanOutput, TypedPred};
+use crate::pred::TypedPred;
 
 /// Rows (ascending) matching every predicate of a homogeneous typed chain.
 ///
@@ -35,30 +35,6 @@ pub fn scan_count<T: NativeType>(preds: &[TypedPred<'_, T>]) -> u64 {
     scan_positions(preds).len() as u64
 }
 
-/// Dynamic-typed reference over [`fts_storage::Column`]s; columns may have
-/// different types (the fully general case of §V). Returns `None` if any
-/// needle's type does not match its column.
-pub fn scan_columns(preds: &[ColumnPred<'_>]) -> Option<ScanOutput> {
-    let Some(first) = preds.first() else {
-        return Some(ScanOutput::Positions(PosList::new()));
-    };
-    let rows = first.column.len();
-    let mut out = PosList::new();
-    for row in 0..rows {
-        let mut all = true;
-        for p in preds {
-            if !p.column.matches_at(row, p.op, p.needle)? {
-                all = false;
-                break;
-            }
-        }
-        if all {
-            out.push(row as u32);
-        }
-    }
-    Some(ScanOutput::Positions(out))
-}
-
 /// Rows (ascending) of `0..rows` where a boolean tree holds, walked row
 /// at a time with short-circuiting; `holds(leaf, row)` evaluates one leaf
 /// and `Not` is the logical complement. The oracle for every path that
@@ -76,7 +52,7 @@ pub fn reference_scan_bool<P>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fts_storage::{CmpOp, Column, Value};
+    use fts_storage::CmpOp;
 
     #[test]
     fn two_predicate_example_from_paper() {
@@ -95,37 +71,6 @@ mod tests {
         assert!(scan_positions::<u32>(&[]).is_empty());
         let empty: [u32; 0] = [];
         assert!(scan_positions(&[TypedPred::eq(&empty[..], 1)]).is_empty());
-    }
-
-    #[test]
-    fn mixed_type_dynamic_chain() {
-        let a = Column::from_vec(vec![1u32, 5, 5, 5]);
-        let b = Column::from_vec(vec![-1i64, 3, -1, 3]);
-        let preds = [
-            ColumnPred {
-                column: &a,
-                op: CmpOp::Eq,
-                needle: Value::U32(5),
-            },
-            ColumnPred {
-                column: &b,
-                op: CmpOp::Gt,
-                needle: Value::I64(0),
-            },
-        ];
-        let out = scan_columns(&preds).unwrap();
-        assert_eq!(out.positions().unwrap().as_slice(), &[1, 3]);
-    }
-
-    #[test]
-    fn dynamic_chain_type_mismatch_is_none() {
-        let a = Column::from_vec(vec![1u32]);
-        let preds = [ColumnPred {
-            column: &a,
-            op: CmpOp::Eq,
-            needle: Value::I32(1),
-        }];
-        assert!(scan_columns(&preds).is_none());
     }
 
     #[test]

@@ -214,8 +214,8 @@ mod tests {
     #[test]
     fn caches_by_signature() {
         let cache = KernelCache::new(JitBackend::Scalar);
-        let s1 = ScanSig::u32_chain(&[(CmpOp::Eq, 5)], false);
-        let s2 = ScanSig::u32_chain(&[(CmpOp::Eq, 6)], false);
+        let s1 = ScanSig::chain::<u32>(&[(CmpOp::Eq, 5)], false);
+        let s2 = ScanSig::chain::<u32>(&[(CmpOp::Eq, 6)], false);
 
         let k1a = cache.get_or_compile(&s1).unwrap();
         let k1b = cache.get_or_compile(&s1).unwrap();
@@ -237,7 +237,7 @@ mod tests {
     #[test]
     fn cached_kernel_still_runs() {
         let cache = KernelCache::new(JitBackend::Scalar);
-        let sig = ScanSig::u32_chain(&[(CmpOp::Gt, 2)], false);
+        let sig = ScanSig::chain::<u32>(&[(CmpOp::Gt, 2)], false);
         let a = [1u32, 5, 3, 0, 9];
         for _ in 0..3 {
             let k = cache.get_or_compile(&sig).unwrap();
@@ -249,7 +249,7 @@ mod tests {
     #[test]
     fn concurrent_access_is_safe() {
         let cache = Arc::new(KernelCache::new(JitBackend::Scalar));
-        let sig = ScanSig::u32_chain(&[(CmpOp::Eq, 1)], false);
+        let sig = ScanSig::chain::<u32>(&[(CmpOp::Eq, 1)], false);
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 let cache = Arc::clone(&cache);
@@ -277,7 +277,7 @@ mod tests {
         // Force the race deterministically: many threads, a barrier so
         // they all pass the initial not-found check before any insert.
         let cache = Arc::new(KernelCache::new(JitBackend::Scalar));
-        let sig = ScanSig::u32_chain(&[(CmpOp::Le, 7)], false);
+        let sig = ScanSig::chain::<u32>(&[(CmpOp::Le, 7)], false);
         let barrier = Arc::new(std::sync::Barrier::new(6));
         let handles: Vec<_> = (0..6)
             .map(|_| {
@@ -311,7 +311,7 @@ mod tests {
     fn capacity_bound_evicts_lru() {
         let cache = KernelCache::with_capacity(JitBackend::Scalar, 2);
         let sigs: Vec<ScanSig> = (0..4)
-            .map(|i| ScanSig::u32_chain(&[(CmpOp::Eq, i)], false))
+            .map(|i| ScanSig::chain::<u32>(&[(CmpOp::Eq, i)], false))
             .collect();
         cache.get_or_compile(&sigs[0]).unwrap();
         cache.get_or_compile(&sigs[1]).unwrap();
@@ -333,8 +333,8 @@ mod tests {
     #[test]
     fn evicted_kernel_keeps_running() {
         let cache = KernelCache::with_capacity(JitBackend::Scalar, 1);
-        let s1 = ScanSig::u32_chain(&[(CmpOp::Eq, 1)], false);
-        let s2 = ScanSig::u32_chain(&[(CmpOp::Eq, 2)], false);
+        let s1 = ScanSig::chain::<u32>(&[(CmpOp::Eq, 1)], false);
+        let s2 = ScanSig::chain::<u32>(&[(CmpOp::Eq, 2)], false);
         let k1 = cache.get_or_compile(&s1).unwrap();
         cache.get_or_compile(&s2).unwrap();
         assert_eq!(cache.len(), 1);
@@ -369,7 +369,7 @@ mod tests {
     #[test]
     fn propagates_compile_errors() {
         let cache = KernelCache::new(JitBackend::Scalar);
-        let bad = ScanSig::u32_chain(&[], false);
+        let bad = ScanSig::chain::<u32>(&[], false);
         assert!(cache.get_or_compile(&bad).is_err());
         assert!(cache.is_empty());
     }
@@ -407,7 +407,7 @@ mod tests {
         let cache = Arc::new(KernelCache::with_capacity(JitBackend::Scalar, SIGS));
         let sigs: Arc<Vec<ScanSig>> = Arc::new(
             (0..SIGS as u32)
-                .map(|i| ScanSig::u32_chain(&[(CmpOp::Gt, i)], false))
+                .map(|i| ScanSig::chain::<u32>(&[(CmpOp::Gt, i)], false))
                 .collect(),
         );
         let barrier = Arc::new(std::sync::Barrier::new(THREADS));
@@ -451,7 +451,7 @@ mod tests {
         let cache = Arc::new(KernelCache::with_capacity(JitBackend::Scalar, 3));
         let sigs: Arc<Vec<ScanSig>> = Arc::new(
             (0..SIGS as u32)
-                .map(|i| ScanSig::u32_chain(&[(CmpOp::Le, i)], false))
+                .map(|i| ScanSig::chain::<u32>(&[(CmpOp::Le, i)], false))
                 .collect(),
         );
         let barrier = Arc::new(std::sync::Barrier::new(THREADS));

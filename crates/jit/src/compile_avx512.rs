@@ -671,7 +671,7 @@ mod tests {
         }
         let a = [2u32, 5, 4, 5, 6, 1, 5, 7, 6, 8, 5, 3, 5, 9, 9, 5];
         let b = [5u32, 2, 3, 1, 1, 3, 6, 0, 8, 7, 3, 3, 2, 9, 3, 2];
-        let sig = ScanSig::u32_chain(&[(CmpOp::Eq, 5), (CmpOp::Eq, 2)], true);
+        let sig = ScanSig::chain::<u32>(&[(CmpOp::Eq, 5), (CmpOp::Eq, 2)], true);
         let (count, pos) = run(&sig, &[&a[..], &b[..]]);
         assert_eq!(count, 3);
         assert_eq!(pos, vec![1, 12, 15]);
@@ -687,7 +687,7 @@ mod tests {
         for op0 in CmpOp::ALL {
             for op1 in CmpOp::ALL {
                 let preds = [(op0, 6u32), (op1, 3u32)];
-                let sig = ScanSig::u32_chain(&preds, true);
+                let sig = ScanSig::chain::<u32>(&preds, true);
                 let (count, pos) = run(&sig, &[&a[..], &b[..]]);
                 let expected = expected_u32(&[&a, &b], &preds, 640);
                 assert_eq!(pos, expected, "{op0} {op1}");
@@ -708,7 +708,7 @@ mod tests {
             let refs: Vec<&[u32]> = cols[..p].iter().map(|c| &c[..]).collect();
             let preds: Vec<(CmpOp, u32)> = vec![(CmpOp::Eq, 1); p];
             for emit in [false, true] {
-                let sig = ScanSig::u32_chain(&preds, emit);
+                let sig = ScanSig::chain::<u32>(&preds, emit);
                 let (count, pos) = run(&sig, &refs);
                 let expected = expected_u32(&refs, &preds, 1600);
                 assert_eq!(count, expected.len() as u64, "P={p} emit={emit}");
@@ -736,7 +736,7 @@ mod tests {
             (&all, &all),
         ] {
             let preds = [(CmpOp::Eq, 5u32), (CmpOp::Eq, 5u32)];
-            let sig = ScanSig::u32_chain(&preds, true);
+            let sig = ScanSig::chain::<u32>(&preds, true);
             let (count, pos) = run(&sig, &[&x[..], &y[..]]);
             let expected = expected_u32(&[x, y], &preds, rows);
             assert_eq!(count, expected.len() as u64);
@@ -753,7 +753,7 @@ mod tests {
         let a: Vec<i32> = (0..800).map(|i| (i % 9) - 4).collect();
         let b: Vec<i32> = (0..800).map(|i| (i % 5) - 2).collect();
         for op in CmpOp::ALL {
-            let sig = ScanSig::i32_chain(&[(op, -1), (CmpOp::Ge, 0)], true);
+            let sig = ScanSig::chain::<i32>(&[(op, -1), (CmpOp::Ge, 0)], true);
             let (_, pos) = run(&sig, &[&a[..], &b[..]]);
             let expected: Vec<u32> = (0..800u32)
                 .filter(|&r| a[r as usize].cmp_op(op, -1) && b[r as usize] >= 0)
@@ -773,7 +773,7 @@ mod tests {
         a[500] = f32::NAN;
         let b: Vec<f32> = (0..640).map(|i| (i % 3) as f32).collect();
         for op in CmpOp::ALL {
-            let sig = ScanSig::f32_chain(&[(op, 3.0), (CmpOp::Lt, 2.0)], true);
+            let sig = ScanSig::chain::<f32>(&[(op, 3.0), (CmpOp::Lt, 2.0)], true);
             let (_, pos) = run(&sig, &[&a[..], &b[..]]);
             let expected: Vec<u32> = (0..640u32)
                 .filter(|&r| a[r as usize].cmp_op(op, 3.0) && b[r as usize] < 2.0)
@@ -785,12 +785,12 @@ mod tests {
     #[test]
     fn rejects_bad_lengths() {
         assert!(matches!(
-            compile_avx512(&ScanSig::u32_chain(&[], false)),
+            compile_avx512(&ScanSig::chain::<u32>(&[], false)),
             Err(JitError::BadChainLength(0))
         ));
         let long = vec![(CmpOp::Eq, 1u32); 6];
         assert!(matches!(
-            compile_avx512(&ScanSig::u32_chain(&long, false)),
+            compile_avx512(&ScanSig::chain::<u32>(&long, false)),
             Err(JitError::BadChainLength(6))
         ));
     }
@@ -825,7 +825,7 @@ mod tests {
         for op0 in CmpOp::ALL {
             for op1 in CmpOp::ALL {
                 let preds = [(op0, big), (op1, 3u64)];
-                let sig = ScanSig::u64_chain(&preds, true);
+                let sig = ScanSig::chain::<u64>(&preds, true);
                 let (count, pos) = run(&sig, &[&a[..], &b[..]]);
                 // The test harness truncates to full 16-value blocks for the
                 // 32-bit kernels; the 64-bit kernel consumes 8-value blocks,
@@ -851,7 +851,7 @@ mod tests {
         let b: Vec<i64> = (0..800).map(|i| (i % 5) - 2).collect();
         for op in CmpOp::ALL {
             let preds = [(op, -1i64), (CmpOp::Ge, 0i64)];
-            let sig = ScanSig::i64_chain(&preds, true);
+            let sig = ScanSig::chain::<i64>(&preds, true);
             let (_, pos) = run(&sig, &[&a[..], &b[..]]);
             let expected = expected_typed(&[&a, &b], &preds, 800, |v, op, n| v.cmp_op(op, n));
             assert_eq!(pos, expected, "i64 {op}");
@@ -863,7 +863,7 @@ mod tests {
         let g: Vec<f64> = (0..800).map(|i| (i % 3) as f64 - 1.0).collect();
         for op in CmpOp::ALL {
             let preds = [(op, 1.5f64), (CmpOp::Lt, 1.0f64)];
-            let sig = ScanSig::f64_chain(&preds, true);
+            let sig = ScanSig::chain::<f64>(&preds, true);
             let (_, pos) = run(&sig, &[&f[..], &g[..]]);
             let expected = expected_typed(&[&f, &g], &preds, 800, |v, op, n| v.cmp_op(op, n));
             assert_eq!(pos, expected, "f64 {op}");
@@ -881,7 +881,7 @@ mod tests {
         for p in 1..=5 {
             let refs: Vec<&[u64]> = cols[..p].iter().map(|c| &c[..]).collect();
             let preds: Vec<(CmpOp, u64)> = vec![(CmpOp::Eq, 1); p];
-            let sig = ScanSig::u64_chain(&preds, true);
+            let sig = ScanSig::chain::<u64>(&preds, true);
             let (count, pos) = run(&sig, &refs);
             use fts_storage::NativeType;
             let expected = expected_typed(&refs, &preds, 960, |v, op, n| v.cmp_op(op, n));
@@ -890,7 +890,7 @@ mod tests {
         }
         // All-match stresses the full/overflow flush paths.
         let all = vec![5u64; 2048];
-        let sig = ScanSig::u64_chain(&[(CmpOp::Eq, 5), (CmpOp::Eq, 5)], false);
+        let sig = ScanSig::chain::<u64>(&[(CmpOp::Eq, 5), (CmpOp::Eq, 5)], false);
         let (count, _) = run(&sig, &[&all[..], &all[..]]);
         assert_eq!(count, 2048);
     }
@@ -994,11 +994,11 @@ mod tests {
         // A two-predicate run on one column drives alone: no flush
         // subroutine, so no gather; the second compare is masked into `k1`.
         let range =
-            ScanSig::u32_chain(&[(CmpOp::Ge, 10), (CmpOp::Le, 35)], false).with_columns([0, 0]);
-        let pair = ScanSig::u32_chain(&[(CmpOp::Ge, 10), (CmpOp::Le, 35)], false);
+            ScanSig::chain::<u32>(&[(CmpOp::Ge, 10), (CmpOp::Le, 35)], false).with_columns([0, 0]);
+        let pair = ScanSig::chain::<u32>(&[(CmpOp::Ge, 10), (CmpOp::Le, 35)], false);
         let code = |sig: &ScanSig| compile_avx512(sig).unwrap().code;
         assert!(code(&range).len() < code(&pair).len());
-        let one = ScanSig::u32_chain(&[(CmpOp::Ge, 10)], false);
+        let one = ScanSig::chain::<u32>(&[(CmpOp::Ge, 10)], false);
         // The run adds one needle broadcast and one compare to the
         // one-predicate kernel: far less than a flush subroutine.
         assert!(
@@ -1007,7 +1007,7 @@ mod tests {
             code(&range).len(),
             code(&one).len()
         );
-        let mut bad = ScanSig::u32_chain(&[(CmpOp::Eq, 1)], false);
+        let mut bad = ScanSig::chain::<u32>(&[(CmpOp::Eq, 1)], false);
         bad.preds[0].same_column = true;
         assert!(matches!(
             compile_avx512(&bad),
@@ -1084,7 +1084,7 @@ mod tests {
 
     #[test]
     fn emitted_code_is_reasonably_sized() {
-        let sig = ScanSig::u32_chain(&[(CmpOp::Eq, 5), (CmpOp::Eq, 2)], true);
+        let sig = ScanSig::chain::<u32>(&[(CmpOp::Eq, 5), (CmpOp::Eq, 2)], true);
         let code = compile_avx512(&sig).unwrap().code;
         assert!(
             code.len() > 100 && code.len() < 4096,

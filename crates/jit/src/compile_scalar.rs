@@ -140,11 +140,11 @@ mod tests {
             .filter(|&i| a[i as usize] == 5 && b[i as usize] == 2)
             .collect();
 
-        let sig = ScanSig::u32_chain(&[(CmpOp::Eq, 5), (CmpOp::Eq, 2)], false);
+        let sig = ScanSig::chain::<u32>(&[(CmpOp::Eq, 5), (CmpOp::Eq, 2)], false);
         let (count, _) = run_u32(&sig, &[&a, &b]);
         assert_eq!(count, expected.len() as u64);
 
-        let sig = ScanSig::u32_chain(&[(CmpOp::Eq, 5), (CmpOp::Eq, 2)], true);
+        let sig = ScanSig::chain::<u32>(&[(CmpOp::Eq, 5), (CmpOp::Eq, 2)], true);
         let (count, pos) = run_u32(&sig, &[&a, &b]);
         assert_eq!(count, expected.len() as u64);
         assert_eq!(pos, expected);
@@ -154,7 +154,7 @@ mod tests {
     fn all_u32_operators() {
         let a: Vec<u32> = (0..500).map(|i| i % 13).collect();
         for op in CmpOp::ALL {
-            let sig = ScanSig::u32_chain(&[(op, 6)], true);
+            let sig = ScanSig::chain::<u32>(&[(op, 6)], true);
             let (_, pos) = run_u32(&sig, &[&a]);
             let expected: Vec<u32> = (0..500u32)
                 .filter(|&i| {
@@ -170,7 +170,7 @@ mod tests {
     fn signed_operators_with_negatives() {
         let a: Vec<i32> = (0..500).map(|i| (i % 9) - 4).collect();
         for op in CmpOp::ALL {
-            let sig = ScanSig::i32_chain(&[(op, -1)], false);
+            let sig = ScanSig::chain::<i32>(&[(op, -1)], false);
             let code = compile_scalar(&sig).unwrap();
             let buf = ExecBuf::new(&code).unwrap();
             let mut args = KernelArgs {
@@ -200,7 +200,7 @@ mod tests {
             .map(|c| (0..300u32).map(|i| (i * (c + 3)) % 3).collect())
             .collect();
         let refs: Vec<&[u32]> = cols.iter().map(|c| &c[..]).collect();
-        let sig = ScanSig::u32_chain(&[(CmpOp::Eq, 0); 5], true);
+        let sig = ScanSig::chain::<u32>(&[(CmpOp::Eq, 0); 5], true);
         let (count, pos) = run_u32(&sig, &refs);
         let expected: Vec<u32> = (0..300u32)
             .filter(|&i| cols.iter().all(|c| c[i as usize] == 0))
@@ -212,18 +212,18 @@ mod tests {
     #[test]
     fn rejects_bad_signatures() {
         assert!(matches!(
-            compile_scalar(&ScanSig::u32_chain(&[], false)),
+            compile_scalar(&ScanSig::chain::<u32>(&[], false)),
             Err(JitError::BadChainLength(0))
         ));
         assert!(matches!(
-            compile_scalar(&ScanSig::f32_chain(&[(CmpOp::Eq, 1.0)], false)),
+            compile_scalar(&ScanSig::chain::<f32>(&[(CmpOp::Eq, 1.0)], false)),
             Err(JitError::ElemUnsupported(JitElem::F32))
         ));
     }
 
     #[test]
     fn empty_input_returns_zero() {
-        let sig = ScanSig::u32_chain(&[(CmpOp::Eq, 5)], false);
+        let sig = ScanSig::chain::<u32>(&[(CmpOp::Eq, 5)], false);
         let empty: &[u32] = &[];
         let (count, _) = run_u32(&sig, &[empty]);
         assert_eq!(count, 0);

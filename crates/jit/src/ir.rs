@@ -11,6 +11,8 @@
 use fts_core::fused::Stages;
 use fts_storage::{CmpOp, DataType};
 
+use crate::kernel::JitRunElem;
+
 /// Maximum chain length one compiled kernel supports (the paper evaluates
 /// up to 5 predicates; the register allocation in the AVX-512 backend is
 /// laid out for this bound).
@@ -127,67 +129,10 @@ pub struct ScanSig {
 }
 
 impl ScanSig {
-    /// Signature for a `u32` chain.
-    pub fn u32_chain(preds: &[(CmpOp, u32)], emit_positions: bool) -> ScanSig {
+    /// Signature for a chain of plain columns of element type `T`.
+    pub fn chain<T: JitRunElem>(preds: &[(CmpOp, T)], emit_positions: bool) -> ScanSig {
         ScanSig {
-            elem: JitElem::U32,
-            preds: preds
-                .iter()
-                .map(|&(op, n)| JitPred::plain(op, n as u64))
-                .collect(),
-            emit_positions,
-        }
-    }
-
-    /// Signature for an `i32` chain.
-    pub fn i32_chain(preds: &[(CmpOp, i32)], emit_positions: bool) -> ScanSig {
-        ScanSig {
-            elem: JitElem::I32,
-            preds: preds
-                .iter()
-                .map(|&(op, n)| JitPred::plain(op, n as u32 as u64))
-                .collect(),
-            emit_positions,
-        }
-    }
-
-    /// Signature for an `f32` chain.
-    pub fn f32_chain(preds: &[(CmpOp, f32)], emit_positions: bool) -> ScanSig {
-        ScanSig {
-            elem: JitElem::F32,
-            preds: preds
-                .iter()
-                .map(|&(op, n)| JitPred::plain(op, n.to_bits() as u64))
-                .collect(),
-            emit_positions,
-        }
-    }
-
-    /// Signature for a `u64` chain.
-    pub fn u64_chain(preds: &[(CmpOp, u64)], emit_positions: bool) -> ScanSig {
-        ScanSig {
-            elem: JitElem::U64,
-            preds: preds.iter().map(|&(op, n)| JitPred::plain(op, n)).collect(),
-            emit_positions,
-        }
-    }
-
-    /// Signature for an `i64` chain.
-    pub fn i64_chain(preds: &[(CmpOp, i64)], emit_positions: bool) -> ScanSig {
-        ScanSig {
-            elem: JitElem::I64,
-            preds: preds
-                .iter()
-                .map(|&(op, n)| JitPred::plain(op, n as u64))
-                .collect(),
-            emit_positions,
-        }
-    }
-
-    /// Signature for an `f64` chain.
-    pub fn f64_chain(preds: &[(CmpOp, f64)], emit_positions: bool) -> ScanSig {
-        ScanSig {
-            elem: JitElem::F64,
+            elem: T::ELEM,
             preds: preds
                 .iter()
                 .map(|&(op, n)| JitPred::plain(op, n.to_bits()))
@@ -304,23 +249,23 @@ mod tests {
 
     #[test]
     fn signatures_capture_bits() {
-        let s = ScanSig::u32_chain(&[(CmpOp::Eq, 5), (CmpOp::Ne, 2)], false);
+        let s = ScanSig::chain::<u32>(&[(CmpOp::Eq, 5), (CmpOp::Ne, 2)], false);
         assert_eq!(s.len(), 2);
         assert_eq!(s.preds[0].needle_bits, 5);
         assert!(!s.emit_positions);
 
-        let s = ScanSig::i32_chain(&[(CmpOp::Lt, -1)], true);
+        let s = ScanSig::chain::<i32>(&[(CmpOp::Lt, -1)], true);
         assert_eq!(s.preds[0].needle_bits, u32::MAX as u64);
 
-        let s = ScanSig::f32_chain(&[(CmpOp::Ge, 1.5)], true);
+        let s = ScanSig::chain::<f32>(&[(CmpOp::Ge, 1.5)], true);
         assert_eq!(s.preds[0].needle_bits, 1.5f32.to_bits() as u64);
 
-        let s = ScanSig::u64_chain(&[(CmpOp::Gt, u64::MAX - 1)], false);
+        let s = ScanSig::chain::<u64>(&[(CmpOp::Gt, u64::MAX - 1)], false);
         assert_eq!(s.preds[0].needle_bits, u64::MAX - 1);
         assert_eq!(s.elem.lanes(), 8);
         assert!(s.elem.is_wide());
 
-        let s = ScanSig::f64_chain(&[(CmpOp::Le, -2.5)], false);
+        let s = ScanSig::chain::<f64>(&[(CmpOp::Le, -2.5)], false);
         assert_eq!(s.preds[0].needle_bits, (-2.5f64).to_bits());
     }
 
@@ -328,7 +273,7 @@ mod tests {
     fn same_column_runs_are_part_of_the_key() {
         let a = [1u32, 2];
         let b = [3u32, 4];
-        let base = ScanSig::u32_chain(&[(CmpOp::Ge, 1), (CmpOp::Le, 2), (CmpOp::Eq, 3)], true);
+        let base = ScanSig::chain::<u32>(&[(CmpOp::Ge, 1), (CmpOp::Le, 2), (CmpOp::Eq, 3)], true);
         let range = base
             .clone()
             .with_columns([a.as_ptr(), a.as_ptr(), b.as_ptr()]);
@@ -357,10 +302,10 @@ mod tests {
     fn signature_is_hashable_cache_key() {
         use std::collections::HashSet;
         let mut set = HashSet::new();
-        set.insert(ScanSig::u32_chain(&[(CmpOp::Eq, 5)], false));
-        set.insert(ScanSig::u32_chain(&[(CmpOp::Eq, 5)], false));
-        set.insert(ScanSig::u32_chain(&[(CmpOp::Eq, 6)], false));
-        set.insert(ScanSig::u32_chain(&[(CmpOp::Eq, 5)], true));
+        set.insert(ScanSig::chain::<u32>(&[(CmpOp::Eq, 5)], false));
+        set.insert(ScanSig::chain::<u32>(&[(CmpOp::Eq, 5)], false));
+        set.insert(ScanSig::chain::<u32>(&[(CmpOp::Eq, 6)], false));
+        set.insert(ScanSig::chain::<u32>(&[(CmpOp::Eq, 5)], true));
         assert_eq!(set.len(), 3);
     }
 

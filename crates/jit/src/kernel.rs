@@ -37,12 +37,19 @@ pub trait JitRunElem: NativeType {
 
     /// Reconstruct a value from its lane bits.
     fn from_bits(bits: u64) -> Self;
+
+    /// The value's lane bits, as a needle's `JitPred::needle_bits` holds
+    /// them: the inverse of [`JitRunElem::from_bits`].
+    fn to_bits(self) -> u64;
 }
 
 impl JitRunElem for u32 {
     const ELEM: JitElem = JitElem::U32;
     fn from_bits(bits: u64) -> Self {
         bits as u32
+    }
+    fn to_bits(self) -> u64 {
+        self as u64
     }
 }
 
@@ -51,12 +58,18 @@ impl JitRunElem for i32 {
     fn from_bits(bits: u64) -> Self {
         bits as u32 as i32
     }
+    fn to_bits(self) -> u64 {
+        self as u32 as u64
+    }
 }
 
 impl JitRunElem for f32 {
     const ELEM: JitElem = JitElem::F32;
     fn from_bits(bits: u64) -> Self {
         f32::from_bits(bits as u32)
+    }
+    fn to_bits(self) -> u64 {
+        f32::to_bits(self) as u64
     }
 }
 
@@ -65,6 +78,9 @@ impl JitRunElem for u64 {
     fn from_bits(bits: u64) -> Self {
         bits
     }
+    fn to_bits(self) -> u64 {
+        self
+    }
 }
 
 impl JitRunElem for i64 {
@@ -72,12 +88,18 @@ impl JitRunElem for i64 {
     fn from_bits(bits: u64) -> Self {
         bits as i64
     }
+    fn to_bits(self) -> u64 {
+        self as u64
+    }
 }
 
 impl JitRunElem for f64 {
     const ELEM: JitElem = JitElem::F64;
     fn from_bits(bits: u64) -> Self {
         f64::from_bits(bits)
+    }
+    fn to_bits(self) -> u64 {
+        f64::to_bits(self)
     }
 }
 
@@ -141,7 +163,7 @@ impl std::error::Error for RunError {}
 ///
 /// // Specialize §II's loop for `a = 5 AND b = 1` (needles become
 /// // immediates in the emitted machine code).
-/// let sig = ScanSig::u32_chain(&[(CmpOp::Eq, 5), (CmpOp::Eq, 1)], false);
+/// let sig = ScanSig::chain::<u32>(&[(CmpOp::Eq, 5), (CmpOp::Eq, 1)], false);
 /// let kernel = CompiledKernel::compile(sig, JitBackend::Scalar).unwrap();
 /// let a: Vec<u32> = (0..100).map(|i| i % 10).collect();
 /// let b: Vec<u32> = (0..100).map(|i| i % 4).collect();
@@ -394,7 +416,7 @@ mod tests {
     fn scalar_backend_end_to_end() {
         let a: Vec<u32> = (0..1003).map(|i| i % 10).collect();
         let b: Vec<u32> = (0..1003).map(|i| i % 4).collect();
-        let sig = ScanSig::u32_chain(&[(CmpOp::Eq, 5), (CmpOp::Eq, 2)], true);
+        let sig = ScanSig::chain::<u32>(&[(CmpOp::Eq, 5), (CmpOp::Eq, 2)], true);
         let k = CompiledKernel::compile(sig, JitBackend::Scalar).unwrap();
         let out = k.run(&[&a[..], &b[..]]).unwrap();
         let expected: Vec<u32> = (0..1003u32)
@@ -414,7 +436,7 @@ mod tests {
         for rows in [0usize, 1, 15, 16, 17, 1003] {
             let a: Vec<u32> = (0..rows as u32).map(|i| i % 3).collect();
             let b: Vec<u32> = (0..rows as u32).map(|i| i % 2).collect();
-            let sig = ScanSig::u32_chain(&[(CmpOp::Eq, 0), (CmpOp::Eq, 1)], true);
+            let sig = ScanSig::chain::<u32>(&[(CmpOp::Eq, 0), (CmpOp::Eq, 1)], true);
             let k = CompiledKernel::compile(sig, JitBackend::Avx512).unwrap();
             let out = k.run(&[&a[..], &b[..]]).unwrap();
             let expected: Vec<u32> = (0..rows as u32)
@@ -437,7 +459,7 @@ mod tests {
         for rows in [0usize, 1, 7, 8, 9, 505] {
             let a: Vec<u64> = (0..rows as u64).map(|i| i % 3).collect();
             let b: Vec<f64> = (0..rows).map(|i| (i % 2) as f64).collect();
-            let sig = ScanSig::u64_chain(&[(CmpOp::Eq, 0)], true);
+            let sig = ScanSig::chain::<u64>(&[(CmpOp::Eq, 0)], true);
             let k = CompiledKernel::compile(sig, JitBackend::Avx512).unwrap();
             let out = k.run(&[&a[..]]).unwrap();
             let expected: Vec<u32> = (0..rows as u32).filter(|&i| a[i as usize] == 0).collect();
@@ -447,7 +469,7 @@ mod tests {
                 "rows={rows}"
             );
 
-            let sig = ScanSig::f64_chain(&[(CmpOp::Eq, 1.0)], false);
+            let sig = ScanSig::chain::<f64>(&[(CmpOp::Eq, 1.0)], false);
             let k = CompiledKernel::compile(sig, JitBackend::Avx512).unwrap();
             let expected = b.iter().filter(|&&v| v == 1.0).count() as u64;
             assert_eq!(k.run(&[&b[..]]).unwrap().count(), expected, "rows={rows}");
@@ -456,7 +478,7 @@ mod tests {
 
     #[test]
     fn validation_errors() {
-        let sig = ScanSig::u32_chain(&[(CmpOp::Eq, 5), (CmpOp::Eq, 2)], false);
+        let sig = ScanSig::chain::<u32>(&[(CmpOp::Eq, 5), (CmpOp::Eq, 2)], false);
         let k = CompiledKernel::compile(sig, JitBackend::Scalar).unwrap();
         let a = [1u32, 2];
         let b = [1u32];
@@ -489,7 +511,7 @@ mod tests {
 
     #[test]
     fn disassemble_produces_assembly_when_objdump_exists() {
-        let sig = ScanSig::u32_chain(&[(CmpOp::Eq, 5)], false);
+        let sig = ScanSig::chain::<u32>(&[(CmpOp::Eq, 5)], false);
         let k = CompiledKernel::compile(sig, JitBackend::Scalar).unwrap();
         match k.disassemble() {
             Some(asm) => {
@@ -507,12 +529,12 @@ mod tests {
         }
         let a: Vec<u32> = (0..500).map(|i| i % 7).collect();
         let kc = CompiledKernel::compile(
-            ScanSig::u32_chain(&[(CmpOp::Lt, 3)], false),
+            ScanSig::chain::<u32>(&[(CmpOp::Lt, 3)], false),
             JitBackend::Avx512,
         )
         .unwrap();
         let kp = CompiledKernel::compile(
-            ScanSig::u32_chain(&[(CmpOp::Lt, 3)], true),
+            ScanSig::chain::<u32>(&[(CmpOp::Lt, 3)], true),
             JitBackend::Avx512,
         )
         .unwrap();

@@ -21,6 +21,7 @@
 //!   scanned table), then run compatible groups through
 //!   [`execute_shared`] as one cooperative table pass.
 
+use std::collections::HashSet;
 use std::sync::{Arc, RwLock};
 
 use fts_storage::{Chunk, ColumnProfile, Table, TableError};
@@ -355,7 +356,7 @@ impl Prepared {
     }
 
     /// An approximate cost of the statement in bytes scanned (table rows
-    /// × touched column width), used for admission budgeting. Pruning and
+    /// × 4 B per column read), used for admission budgeting. Pruning and
     /// early-outs only make the true cost smaller.
     pub fn cost_bytes(&self) -> u64 {
         fn scan_entry(plan: &Lqp) -> Option<u64> {
@@ -365,20 +366,25 @@ impl Prepared {
             }
         }
         let rows = scan_entry(&self.plan).unwrap_or(0);
-        let cols = count_preds(&self.plan).max(1) as u64;
+        let cols = count_columns(&self.plan).max(1) as u64;
         rows * cols * 4
     }
 }
 
-/// Number of bound predicate leaves in the plan (for the cost model).
-fn count_preds(plan: &Lqp) -> usize {
+/// Column reads the plan's filters make (for the cost model): a fused
+/// chain reads each of its columns once, since a column's predicates are
+/// one stage; a boolean tree reads a column per leaf, since a root OR's
+/// children each drive over the chunk.
+fn count_columns(plan: &Lqp) -> usize {
     let own = match plan {
         Lqp::Filter { .. } => 1,
-        Lqp::FusedFilterChain { preds, .. } => preds.len(),
+        Lqp::FusedFilterChain { preds, .. } => {
+            preds.iter().map(|p| p.column).collect::<HashSet<_>>().len()
+        }
         Lqp::FilterTree { expr, .. } => expr.leaf_count(),
         _ => 0,
     };
-    own + plan.input().map(count_preds).unwrap_or(0)
+    own + plan.input().map(count_columns).unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -602,6 +608,20 @@ mod tests {
             .prepare("SELECT COUNT(*) FROM t WHERE a = 1 AND b = 2")
             .unwrap();
         assert_eq!(chain.cost_bytes(), 1000 * 2 * 4);
+    }
+
+    #[test]
+    fn chain_cost_counts_each_column_once() {
+        let engine = engine();
+        // A BETWEEN is one stage over one column: two columns read.
+        let between = engine
+            .prepare("SELECT COUNT(*) FROM t WHERE a BETWEEN 1 AND 5 AND b = 2")
+            .unwrap();
+        assert_eq!(between.cost_bytes(), 1000 * 2 * 4);
+        let one_column = engine
+            .prepare("SELECT COUNT(*) FROM t WHERE a >= 1 AND a <> 3 AND a < 9")
+            .unwrap();
+        assert_eq!(one_column.cost_bytes(), 1000 * 4);
     }
 
     #[test]

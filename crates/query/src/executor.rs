@@ -5,23 +5,23 @@
 //! its per-layout form, keeping the optimizer's ascending-selectivity
 //! order:
 //!
-//! * a plain `u32` segment scans its values directly;
+//! * a plain segment keeps its native type;
 //! * a **dictionary** segment of *any* type rewrites into a `u32` value-id
-//!   predicate (paper assumption 3 — this is how non-32-bit types reach the
-//!   fused kernels);
+//!   predicate (paper assumption 3);
 //! * bit-packed, frame-of-reference and byte-sliced segments keep their
-//!   encoded form;
-//! * every other plain segment keeps its native type; `u8`/`u16`/`i8`/`i16`
-//!   have no scan kernel, so they never drive and only filter survivors.
+//!   encoded form.
 //!
 //! Then **one driver scan** runs per chunk: among the groups a kernel
-//! evaluates in one pass — the plain/dictionary `u32` chain (JIT or the
-//! adaptively calibrated static kernels), packed + `u32`, FoR + `u32`,
-//! all byte-sliced predicates, a same-type typed chain — the one with the
-//! lowest estimated selectivity drives. A driver covering the whole chain
-//! runs in the caller's mode (count or positions); otherwise it emits
-//! positions and every other predicate **filters the survivors** in chain
-//! order with one typed loop per layout, the paper's gather step.
+//! evaluates in one pass — a plain chain of one element type (dictionary
+//! ids count as `u32`), packed + `u32`, FoR + `u32`, all byte-sliced
+//! predicates — the one with the lowest estimated selectivity drives. A
+//! plain chain runs the JIT kernel or the adaptively calibrated static
+//! kernels at any of the six types with kernels (`u32`, `i32`, `f32`,
+//! `u64`, `i64`, `f64`); `u8`/`u16`/`i8`/`i16` columns never drive and
+//! only filter survivors. A driver covering the whole chain runs in the
+//! caller's mode (count or positions); otherwise it emits positions and
+//! every other predicate **filters the survivors** in chain order with one
+//! typed loop per layout, the paper's gather step.
 //!
 //! A WHERE clause with an OR runs the same way, as **one driver plus a
 //! filter tree** (`TreeNode`, DESIGN.md §6.3): the root's leaf conjuncts
@@ -40,7 +40,6 @@
 //! never leaves count mode.
 
 use std::borrow::Cow;
-use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -49,12 +48,12 @@ use fts_core::adaptive::{candidate_scan_impls, CalibrationConfig, Calibrator, Ph
 use fts_core::blockwise::Bitmap;
 use fts_core::fused::packed::{fused_scan_packed, packed_kernel_available, PackedPred};
 use fts_core::{
-    best_fused_impl, run_scan, run_scan_telemetered, scan_columns_auto_telemetered, value_key_bits,
-    BoolExpr, ColumnPred, OutputMode, RegWidth, ScanImpl, ScanOutput, ScanTelemetry,
-    TelemetryLevel, TypedPred,
+    best_fused_impl, run_scan, run_scan_telemetered, value_key_bits, BoolExpr, OutputMode,
+    RegWidth, ScanElem, ScanImpl, ScanOutput, ScanTelemetry, TelemetryLevel, TypedPred,
 };
 use fts_core::{fused_scan_for, scan_bytesliced, ByteSlicedPred, ForPred};
-use fts_jit::{CacheStats, JitBackend, JitCol, JitElem, JitPred, KernelCache, ScanSig};
+use fts_jit::kernel::JitRunElem;
+use fts_jit::{CacheStats, JitBackend, JitCol, JitPred, KernelCache, ScanSig};
 use fts_simd::SimdLevel;
 use fts_storage::{
     with_native, ByteSlicedColumn, Chunk, CmpOp, Column, DataType, ForColumn, IdPredicate,
@@ -76,8 +75,9 @@ pub enum JitMode {
     /// Pre-monomorphized kernels from `fts-core` (the "static" path).
     Off,
     /// Machine-code kernels from the `fts-jit` cache when applicable
-    /// (u32 chains of ≤ 5 predicates on AVX-512 hosts), falling back to
-    /// the static kernels otherwise.
+    /// (plain chains of ≤ 5 predicates at any element type with kernels,
+    /// and packed chains, on AVX-512 hosts), falling back to the static
+    /// kernels otherwise.
     On,
 }
 
@@ -92,8 +92,8 @@ pub struct ExecContext {
     /// packed kernels can be counted on their own.
     pub packed_kernels: Arc<KernelCache>,
     /// Shared adaptive-calibration state, keyed by (table, sub-chain
-    /// signature) — concurrent statements on the same chain feed one
-    /// calibrator instead of each re-probing from scratch.
+    /// signature, driver element type) — concurrent statements on the same
+    /// chain feed one calibrator instead of each re-probing from scratch.
     pub calibration: Arc<CalibrationRegistry>,
     /// Chunks skipped by min/max pruning (observability + tests).
     pub chunks_pruned: AtomicU64,
@@ -139,8 +139,9 @@ fn avx512_enabled() -> bool {
     fts_simd::detect() >= SimdLevel::Avx512
 }
 
-/// Whether the JIT runs a `u32` chain of `preds` predicates: JIT on, an
-/// enabled AVX-512 backend and a chain the emitter supports.
+/// Whether the JIT runs a plain chain of `preds` predicates (any element
+/// type with kernels): JIT on, an enabled AVX-512 backend and a chain the
+/// emitter supports.
 fn jit_covers(ctx: &ExecContext, preds: usize) -> bool {
     ctx.jit == JitMode::On && avx512_enabled() && preds <= fts_jit::MAX_JIT_PREDICATES
 }
@@ -243,8 +244,9 @@ pub struct AnalyzeReport {
     pub jit_compile_time: Duration,
     /// Packed kernels resident after the statement.
     pub packed_kernels: usize,
-    /// What the adaptive kernel selector decided (None when the scan ran
-    /// on a chain shape the selector does not cover).
+    /// What the adaptive kernel selector decided (None when no chunk's
+    /// whole chain ran a plain driver; the first element type's decision
+    /// when a column's chunks differ in layout).
     /// For a boolean tree the per-driver decisions live in
     /// [`AnalyzeReport::bool_scan`] instead.
     pub adaptive: Option<AdaptiveDecision>,
@@ -435,7 +437,7 @@ impl AnalyzeReport {
     }
 }
 
-/// A kernel the query-layer adaptive selector can pick for a `u32` chain:
+/// A kernel the query-layer adaptive selector can pick for a plain chain:
 /// the JIT'd machine-code kernel or one of the static engines.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum QueryKernel {
@@ -458,9 +460,12 @@ impl QueryKernel {
 /// calibration morsel.
 type ChainCalibrator = Calibrator<QueryKernel>;
 
-/// A chain's calibration identity across statements: the table it scans
-/// plus its per-predicate signature.
-type CalKey = (String, SubChainKey);
+/// A chain's calibration identity across statements: the table it scans,
+/// its per-predicate signature and the element type its plain driver runs
+/// at. A column can be plain in one chunk and dictionary-encoded (`u32`
+/// ids) in another, so one chain can drive at two types, and each type
+/// calibrates among the kernels it runs.
+type CalKey = (String, SubChainKey, DataType);
 
 /// Most chains [`CalibrationRegistry`] keeps state for; past it, adding a
 /// chain evicts the least recently used one.
@@ -501,24 +506,20 @@ impl CalibrationRegistry {
         }
     }
 
-    /// The chain's shared calibrator, building it with `build` on first
-    /// use. `build` returning None (chain shape not covered by the
-    /// selector) is not cached, so a later statement may still succeed.
+    /// The calibrator at `key`, building it with `build` on first use.
     fn get_or_build(
         &self,
-        table: &str,
-        key: &SubChainKey,
-        build: impl FnOnce() -> Option<ChainCalibrator>,
-    ) -> Option<Arc<Mutex<ChainCalibrator>>> {
+        key: CalKey,
+        build: impl FnOnce() -> ChainCalibrator,
+    ) -> Arc<Mutex<ChainCalibrator>> {
         let mut registry = lock_plain(&self.states);
         registry.tick += 1;
         let tick = registry.tick;
-        let key = (table.to_string(), key.clone());
         if let Some((state, last_used)) = registry.chains.get_mut(&key) {
             *last_used = tick;
-            return Some(Arc::clone(state));
+            return Arc::clone(state);
         }
-        let state = Arc::new(Mutex::new(build()?));
+        let state = Arc::new(Mutex::new(build()));
         if registry.chains.len() >= CALIBRATION_CAPACITY {
             if let Some(lru) = registry
                 .chains
@@ -530,7 +531,7 @@ impl CalibrationRegistry {
             }
         }
         registry.chains.insert(key, (Arc::clone(&state), tick));
-        Some(state)
+        state
     }
 
     /// Mean observed selectivity across calibrated chains of `table` that
@@ -539,7 +540,7 @@ impl CalibrationRegistry {
     pub fn observed_selectivity(&self, table: &str, column: usize) -> Option<f64> {
         let registry = lock_plain(&self.states);
         let (mut acc, mut n) = (0.0f64, 0u32);
-        for ((t, key), (state, _)) in registry.chains.iter() {
+        for ((t, key, _), (state, _)) in registry.chains.iter() {
             if t == table && key.iter().any(|&(c, _, _)| c == column) {
                 let sel = lock_plain(state).report().observed_selectivity;
                 if sel > 0.0 {
@@ -617,44 +618,60 @@ impl AdaptiveDecision {
     }
 }
 
-/// Build the calibrator for a chain the selector covers: a non-empty
-/// predicate chain over plain-`u32` or dictionary segments (both run the
-/// fused `u32` kernels). Other shapes (packed, FoR, byte-sliced, typed)
-/// return None and run uncalibrated. The candidates are the JIT kernel
-/// where it runs, then [`candidate_scan_impls`] in its preference order;
-/// the expected selectivity is the product of the predicates' estimates.
-fn build_adaptive(
-    entry: &CatalogEntry,
-    preds: &[BoundPred],
-    ctx: &ExecContext,
-) -> Option<ChainCalibrator> {
-    let first = entry.table.chunks().first()?;
-    let covered = preds.iter().all(|p| match first.segment(p.column) {
-        Segment::Plain(col) => col.data_type() == DataType::U32,
-        Segment::Dict(_) => true,
-        _ => false,
-    });
-    if preds.is_empty() || !covered {
-        return None;
-    }
-    let kernels: Vec<QueryKernel> = jit_covers(ctx, preds.len())
-        .then_some(QueryKernel::Jit)
-        .into_iter()
-        .chain(
-            candidate_scan_impls::<u32>()
+/// The calibrators a driver chain has taken from the registry, one per
+/// element type its chunks drove the whole chain at.
+type Calibrators = Vec<(DataType, Arc<Mutex<ChainCalibrator>>)>;
+
+/// Where a driver chain finds its calibrators during one statement: the
+/// table and chain that key them in the registry, and the ones taken so
+/// far. A calibrator is taken at the first chunk whose whole chain drives
+/// at its element type, so a chain whose every chunk is pruned registers
+/// none.
+struct Calibration<'s> {
+    table: &'s str,
+    chain: &'s [BoundPred],
+    taken: &'s mut Calibrators,
+}
+
+impl Calibration<'_> {
+    /// The chain's calibrator at element type `T`, whose chunks translate
+    /// to `preds` predicates. Its candidates are the JIT kernel where it
+    /// runs the chain, then [`candidate_scan_impls`] for `T` in its
+    /// preference order, so it never offers a kernel `T` cannot run; its
+    /// expected selectivity is the product of the predicates' estimates.
+    fn calibrator<T: PlainElem>(
+        &mut self,
+        ctx: &ExecContext,
+        preds: usize,
+    ) -> Arc<Mutex<ChainCalibrator>> {
+        if let Some((_, state)) = self.taken.iter().find(|(ty, _)| *ty == T::DATA_TYPE) {
+            return Arc::clone(state);
+        }
+        let key = (
+            self.table.to_string(),
+            sub_chain_key(self.chain),
+            T::DATA_TYPE,
+        );
+        let state = ctx.calibration.get_or_build(key, || {
+            let kernels: Vec<QueryKernel> = jit_covers(ctx, preds)
+                .then_some(QueryKernel::Jit)
                 .into_iter()
-                .map(QueryKernel::Static),
-        )
-        .collect();
-    let expected = preds
-        .iter()
-        .map(|p| p.selectivity.clamp(0.0, 1.0))
-        .product();
-    Some(Calibrator::new(
-        &kernels,
-        expected,
-        CalibrationConfig::default(),
-    ))
+                .chain(
+                    candidate_scan_impls::<T>()
+                        .into_iter()
+                        .map(QueryKernel::Static),
+                )
+                .collect();
+            let expected = self
+                .chain
+                .iter()
+                .map(|p| p.selectivity.clamp(0.0, 1.0))
+                .product();
+            Calibrator::new(&kernels, expected, CalibrationConfig::default())
+        });
+        self.taken.push((T::DATA_TYPE, Arc::clone(&state)));
+        state
+    }
 }
 
 /// Execution errors.
@@ -703,6 +720,37 @@ enum LayoutPred<'c> {
     /// and only filter survivors).
     Typed(&'c Column, CmpOp, Value),
 }
+
+/// An element type with fused kernels, static ([`ScanElem`]) and JIT
+/// ([`JitRunElem`]): the types a plain chain drives at.
+trait PlainElem: ScanElem + JitRunElem {
+    /// `form` as a predicate over this type's plain values, if it is one.
+    fn plain<'c>(form: &LayoutPred<'c>) -> Option<TypedPred<'c, Self>> {
+        match *form {
+            LayoutPred::Typed(col, op, needle) => Some(TypedPred::new(
+                col.as_native()?,
+                op,
+                Self::from_value(needle)?,
+            )),
+            _ => None,
+        }
+    }
+}
+
+/// Plain `u32` values and dictionary ids.
+impl PlainElem for u32 {
+    fn plain<'c>(form: &LayoutPred<'c>) -> Option<TypedPred<'c, u32>> {
+        match *form {
+            LayoutPred::U32(data, op, needle) => Some(TypedPred::new(data, op, needle)),
+            _ => None,
+        }
+    }
+}
+impl PlainElem for i32 {}
+impl PlainElem for f32 {}
+impl PlainElem for u64 {}
+impl PlainElem for i64 {}
+impl PlainElem for f64 {}
 
 /// A translated predicate plus what the driver choice needs from its
 /// bound form (column, logical operator, selectivity estimate).
@@ -773,29 +821,28 @@ fn translate_chain<'c, 'p>(
 /// over the chunk — a candidate driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Driver {
-    /// Plain/dictionary `u32` chain ([`run_u32_chain`]: JIT + calibration).
-    U32,
+    /// Plain chain of one element type, dictionary ids counting as `u32`
+    /// ([`run_plain_chain`]: JIT + calibration).
+    Plain(DataType),
     /// Bit-packed + `u32` chain ([`run_packed_chain`]; needs VBMI2).
     Packed,
     /// Frame-of-reference + `u32` chain ([`fused_scan_for`]).
     For,
     /// Byte-sliced conjunction ([`scan_bytesliced`]).
     ByteSliced,
-    /// Same-type typed chain ([`scan_columns_auto_telemetered`]).
-    Typed(DataType),
 }
 
 impl Driver {
     /// The group a predicate anchors (None: it can only filter).
     fn anchored_by(form: &LayoutPred<'_>) -> Option<Driver> {
         match form {
-            LayoutPred::U32(..) => Some(Driver::U32),
+            LayoutPred::U32(..) => Some(Driver::Plain(DataType::U32)),
             LayoutPred::Packed(..) => packed_kernel_available().then_some(Driver::Packed),
             LayoutPred::For(..) => Some(Driver::For),
             LayoutPred::ByteSliced(..) => Some(Driver::ByteSliced),
             LayoutPred::Typed(col, ..) => match col.data_type() {
                 DataType::U8 | DataType::U16 | DataType::I8 | DataType::I16 => None,
-                ty => Some(Driver::Typed(ty)),
+                ty => Some(Driver::Plain(ty)),
             },
         }
     }
@@ -813,7 +860,10 @@ impl Driver {
     fn admits(self, form: &LayoutPred<'_>) -> bool {
         match form {
             // Plain u32 predicates fuse into the packed and FoR chains.
-            LayoutPred::U32(..) => matches!(self, Driver::U32 | Driver::Packed | Driver::For),
+            LayoutPred::U32(..) => matches!(
+                self,
+                Driver::Plain(DataType::U32) | Driver::Packed | Driver::For
+            ),
             other => Driver::anchored_by(other) == Some(self),
         }
     }
@@ -876,7 +926,7 @@ fn scan_chunk(
     ctx: &ExecContext,
     mode: OutputMode,
     mut analyze: Option<&mut AnalyzeReport>,
-    adaptive: Option<&mut ChainCalibrator>,
+    calibration: Option<&mut Calibration<'_>>,
 ) -> Result<ScanOutput, ExecError> {
     let rows = chunk.rows() as u32;
     let Some(chain) = translate_chain(chunk, preds)? else {
@@ -896,9 +946,9 @@ fn scan_chunk(
         Some((driver, members)) => {
             let whole = members.len() == chain.len();
             let driver_mode = if whole { mode } else { OutputMode::Positions };
-            // Calibration covers exactly the chains it was built for: a
-            // u32 driver that is the whole chain.
-            let adaptive = if whole { adaptive } else { None };
+            // The one place that decides which chains calibrate: a plain
+            // driver that is the whole chain.
+            let calibration = calibration.filter(|_| whole && matches!(driver, Driver::Plain(_)));
             let group: Vec<&LayoutPred<'_>> = members.iter().map(|&i| &chain[i].form).collect();
             let out = run_driver(
                 driver,
@@ -907,7 +957,7 @@ fn scan_chunk(
                 ctx,
                 driver_mode,
                 analyze.as_deref_mut(),
-                adaptive,
+                calibration,
             )?;
             if whole {
                 return Ok(out);
@@ -962,21 +1012,22 @@ fn run_driver(
     ctx: &ExecContext,
     mode: OutputMode,
     analyze: Option<&mut AnalyzeReport>,
-    adaptive: Option<&mut ChainCalibrator>,
+    calibration: Option<&mut Calibration<'_>>,
 ) -> Result<ScanOutput, ExecError> {
-    let u32_preds = || -> Vec<(&[u32], CmpOp, u32)> {
-        group
-            .iter()
-            .filter_map(|p| match **p {
-                LayoutPred::U32(d, op, n) => Some((d, op, n)),
-                _ => None,
-            })
-            .collect()
-    };
     let started = analyze.is_some().then(Instant::now);
     match driver {
-        Driver::U32 => run_u32_chain(&u32_preds(), ctx, mode, analyze, adaptive),
+        Driver::Plain(ty) => match ty {
+            DataType::U32 => run_plain_chain::<u32>(group, ctx, mode, analyze, calibration),
+            DataType::I32 => run_plain_chain::<i32>(group, ctx, mode, analyze, calibration),
+            DataType::F32 => run_plain_chain::<f32>(group, ctx, mode, analyze, calibration),
+            DataType::U64 => run_plain_chain::<u64>(group, ctx, mode, analyze, calibration),
+            DataType::I64 => run_plain_chain::<i64>(group, ctx, mode, analyze, calibration),
+            DataType::F64 => run_plain_chain::<f64>(group, ctx, mode, analyze, calibration),
+            _ => unreachable!("kernel-less types never drive"),
+        },
         Driver::Packed => {
+            let plain: Vec<TypedPred<'_, u32>> =
+                group.iter().filter_map(|p| u32::plain(p)).collect();
             let packed: Vec<(&PackedColumn, CmpOp, u32)> = group
                 .iter()
                 .filter_map(|p| match **p {
@@ -984,7 +1035,7 @@ fn run_driver(
                     _ => None,
                 })
                 .collect();
-            run_packed_chain(&u32_preds(), &packed, ctx, mode, analyze)
+            run_packed_chain(&plain, &packed, ctx, mode, analyze)
         }
         Driver::For => {
             let chain: Vec<ForPred<'_>> = group
@@ -1044,28 +1095,6 @@ fn run_driver(
                     stats.plane_groups_read * 64,
                     started.elapsed(),
                 ));
-            }
-            Ok(out)
-        }
-        Driver::Typed(_) => {
-            let chain: Vec<ColumnPred<'_>> = group
-                .iter()
-                .filter_map(|p| match **p {
-                    LayoutPred::Typed(column, op, needle) => {
-                        Some(ColumnPred { column, op, needle })
-                    }
-                    _ => None,
-                })
-                .collect();
-            let level = if analyze.is_some() {
-                TelemetryLevel::Full
-            } else {
-                TelemetryLevel::Off
-            };
-            let (out, t) = scan_columns_auto_telemetered(&chain, mode, level)
-                .ok_or(ExecError::PredicateTypeError)?;
-            if let Some(r) = analyze {
-                r.note_scan(&t);
             }
             Ok(out)
         }
@@ -1194,7 +1223,7 @@ fn compact(positions: &mut Vec<u32>, keep: impl Fn(usize) -> bool) {
 /// Run a mixed plain/packed chain: the JIT packed backend when possible,
 /// otherwise the static packed kernel.
 fn run_packed_chain(
-    u32_preds: &[(&[u32], CmpOp, u32)],
+    u32_preds: &[TypedPred<'_, u32>],
     packed_preds: &[(&PackedColumn, CmpOp, u32)],
     ctx: &ExecContext,
     mode: OutputMode,
@@ -1220,7 +1249,7 @@ fn run_packed_chain(
         }
         let chain: Vec<PackedPred<'_>> = u32_preds
             .iter()
-            .map(|&(d, op, n)| PackedPred::Plain(TypedPred::new(d, op, n)))
+            .map(|&p| PackedPred::Plain(p))
             .chain(packed_preds.iter().map(|&(pc, op, n)| PackedPred::Packed {
                 col: pc,
                 op,
@@ -1237,7 +1266,7 @@ fn run_packed_chain(
         // Plain columns at 4 B/row, packed columns at bits/8 B/row.
         let rows = u32_preds
             .first()
-            .map(|&(d, _, _)| d.len())
+            .map(|p| p.data.len())
             .unwrap_or_else(|| packed_preds[0].0.len()) as u64;
         let bytes = u32_preds.len() as u64 * rows * 4
             + packed_preds
@@ -1256,29 +1285,30 @@ fn run_packed_chain(
     Ok(out)
 }
 
-/// The JIT half of a `u32` chain scan: fetch (or compile) from `cache` the
-/// kernel for the plain predicates followed by the packed ones, and run it
-/// over their columns. Adjacent predicates on one column share a stage (the
-/// signature marks them). Returns the output and the kernel's own run time
-/// (compilation excluded, so calibration compares kernels, not compiles);
-/// `None` when the kernel cannot compile or run here, and the caller falls
-/// back to a static kernel.
-fn run_jit(
+/// The JIT half of a chain scan: fetch (or compile) from `cache` the
+/// kernel for the plain predicates followed by the packed ones (which occur
+/// only in `u32` chains), and run it over their columns. Adjacent
+/// predicates on one column share a stage (the signature marks them).
+/// Returns the output and the kernel's own run time (compilation excluded,
+/// so calibration compares kernels, not compiles); `None` when the kernel
+/// cannot compile or run here, and the caller falls back to a static
+/// kernel.
+fn run_jit<T: JitRunElem>(
     cache: &KernelCache,
-    plain: &[(&[u32], CmpOp, u32)],
+    plain: &[TypedPred<'_, T>],
     packed: &[(&PackedColumn, CmpOp, u32)],
     mode: OutputMode,
 ) -> Option<(ScanOutput, Duration)> {
-    let cols: Vec<JitCol<'_, u32>> = plain
+    let cols: Vec<JitCol<'_, T>> = plain
         .iter()
-        .map(|&(d, _, _)| JitCol::Plain(d))
+        .map(|p| JitCol::Plain(p.data))
         .chain(packed.iter().map(|&(pc, _, _)| JitCol::Packed(pc)))
         .collect();
     let sig = ScanSig {
-        elem: JitElem::U32,
+        elem: T::ELEM,
         preds: plain
             .iter()
-            .map(|&(_, op, n)| JitPred::plain(op, n as u64))
+            .map(|p| JitPred::plain(p.op, p.needle.to_bits()))
             .chain(
                 packed
                     .iter()
@@ -1288,8 +1318,8 @@ fn run_jit(
         emit_positions: mode == OutputMode::Positions,
     }
     .with_columns(cols.iter().map(|c| match c {
-        JitCol::Plain(d) => (d.as_ptr(), d.len()),
-        JitCol::Packed(pc) => (pc.words().as_ptr(), pc.words().len()),
+        JitCol::Plain(d) => (d.as_ptr().cast::<u8>(), d.len()),
+        JitCol::Packed(pc) => (pc.words().as_ptr().cast::<u8>(), pc.words().len()),
     }));
     let kernel = cache.get_or_compile(&sig).ok()?;
     let started = Instant::now();
@@ -1297,24 +1327,35 @@ fn run_jit(
     Some((out, started.elapsed()))
 }
 
-/// Run a homogeneous `u32` chain (at most
-/// [`fts_core::fused::MAX_PREDICATES`] predicates) through the best
-/// available engine.
-fn run_u32_chain(
-    preds: &[(&[u32], CmpOp, u32)],
+/// Run a plain chain of element type `T` — `group` holds at most
+/// [`fts_core::fused::MAX_PREDICATES`] plain or dictionary-id predicates —
+/// through the best available engine. `calibration` is set for a whole
+/// chain: its calibrator at `T` picks the kernel, a probe candidate while
+/// calibrating and the winner in steady state. Without one the static
+/// policy applies: the JIT when it runs the chain, else the best
+/// pre-monomorphized fused kernel for `T`.
+fn run_plain_chain<T: PlainElem>(
+    group: &[&LayoutPred<'_>],
     ctx: &ExecContext,
     mode: OutputMode,
     analyze: Option<&mut AnalyzeReport>,
-    adaptive: Option<&mut ChainCalibrator>,
+    calibration: Option<&mut Calibration<'_>>,
 ) -> Result<ScanOutput, ExecError> {
-    // The calibrator (if any) picks this chunk's kernel — a probe
-    // candidate while calibrating, the winner in steady state. Without
-    // one, the static policy applies: JIT when enabled, else the best
-    // pre-monomorphized fused kernel.
+    let preds: Vec<TypedPred<'_, T>> = group
+        .iter()
+        .map(|p| T::plain(p))
+        .collect::<Option<_>>()
+        .ok_or(ExecError::PredicateTypeError)?;
+    let state = calibration.map(|c| c.calibrator::<T>(ctx, preds.len()));
+    // Hold the chain's calibration lock for the chunk: the phase read and
+    // the observe that follows must see no interleaved writer, or probe
+    // timings would corrupt.
+    let mut guard = state.as_deref().map(lock_plain);
+    let adaptive = guard.as_deref_mut();
     let picked = adaptive.as_ref().map(|cal| match cal.phase() {
         Phase::Calibrating(k) | Phase::Steady(k) => k,
     });
-    let rows = preds[0].0.len() as u64;
+    let rows = preds[0].data.len() as u64;
     let use_jit = match picked {
         Some(kernel) => kernel == QueryKernel::Jit,
         None => jit_covers(ctx, preds.len()),
@@ -1322,22 +1363,19 @@ fn run_u32_chain(
     if use_jit {
         // One cache key per kernel: a calibrated chain and the same chain
         // driving a longer one share the compiled code.
-        if let Some((out, wall)) = run_jit(&ctx.kernels, preds, &[], mode) {
+        if let Some((out, wall)) = run_jit(&ctx.kernels, &preds, &[], mode) {
             if let Some(cal) = adaptive {
                 cal.observe(QueryKernel::Jit, rows, wall.as_nanos() as u64, out.count());
             }
             if let Some(r) = analyze {
                 // The JIT kernel implements the same per-block fused
                 // algorithm as the 512-bit AVX-512 engine, so the
-                // scalar-model replay yields its exact stage counters;
-                // only the wall time comes from the machine-code run.
-                let typed: Vec<TypedPred<'_, u32>> = preds
-                    .iter()
-                    .map(|&(d, op, n)| TypedPred::new(d, op, n))
-                    .collect();
+                // scalar-model replay at `T`'s lane count yields its exact
+                // stage counters; only the wall time comes from the
+                // machine-code run.
                 let mut t = fts_core::telemetry::collect(
                     ScanImpl::FusedAvx512(RegWidth::W512),
-                    &typed,
+                    &preds,
                     TelemetryLevel::Full,
                 );
                 t.kernels = vec![(QueryKernel::Jit.name(), 1)];
@@ -1347,14 +1385,10 @@ fn run_u32_chain(
             return Ok(out);
         }
     }
-    let typed: Vec<TypedPred<'_, u32>> = preds
-        .iter()
-        .map(|&(d, op, n)| TypedPred::new(d, op, n))
-        .collect();
     let imp = match picked {
         Some(QueryKernel::Static(imp)) => imp,
         // Adaptive picked JIT but compilation/run failed: fall back.
-        _ => best_fused_impl::<u32>(),
+        _ => best_fused_impl::<T>(),
     };
     // Calibration uses the kernel's own wall time: `run_scan_telemetered`
     // times the real run before its stage-replay pass, so EXPLAIN ANALYZE
@@ -1362,13 +1396,13 @@ fn run_u32_chain(
     let engine_error = |e: fts_core::EngineError| ExecError::UnsupportedPlan(e.to_string());
     let (out, wall) = if let Some(r) = analyze {
         let (out, t) =
-            run_scan_telemetered(imp, &typed, mode, TelemetryLevel::Full).map_err(engine_error)?;
+            run_scan_telemetered(imp, &preds, mode, TelemetryLevel::Full).map_err(engine_error)?;
         let wall = t.wall;
         r.note_scan(&t);
         (out, wall)
     } else {
         let started = Instant::now();
-        let out = run_scan(imp, &typed, mode).map_err(engine_error)?;
+        let out = run_scan(imp, &preds, mode).map_err(engine_error)?;
         (out, started.elapsed())
     };
     if let Some(cal) = adaptive {
@@ -1947,12 +1981,11 @@ struct TreeNode<'a> {
 
 enum TreeOp<'a> {
     /// Leaf conjuncts in driver position: one [`scan_chunk`] over the whole
-    /// chunk, with the calibrator a standalone chain of the same predicates
-    /// uses. The registry hands it out at the first chunk the node scans,
-    /// so a chain whose every chunk is pruned registers none.
+    /// chunk, with the calibrators a standalone chain of the same predicates
+    /// uses ([`Calibration`]).
     Drive {
         chain: Cow<'a, [BoundPred]>,
-        adaptive: OnceCell<Option<Arc<Mutex<ChainCalibrator>>>>,
+        adaptive: Calibrators,
     },
     /// Leaves on one column, all of which (a `BETWEEN`) or any of which
     /// (`a = 3 OR a = 7`) must hold: one typed loop over the candidates.
@@ -1981,7 +2014,7 @@ impl<'a> TreeNode<'a> {
     fn driver(chain: Cow<'a, [BoundPred]>) -> TreeNode<'a> {
         TreeNode::new(TreeOp::Drive {
             chain,
-            adaptive: OnceCell::new(),
+            adaptive: Calibrators::new(),
         })
     }
 
@@ -2079,17 +2112,20 @@ impl<'a> TreeNode<'a> {
         let rows = at.chunk.rows();
         let out = match &mut self.op {
             TreeOp::Drive { chain, adaptive } => {
-                let adaptive = adaptive.get_or_init(|| {
-                    let key = sub_chain_key(chain);
-                    at.ctx
-                        .calibration
-                        .get_or_build(at.table, &key, || build_adaptive(at.entry, chain, at.ctx))
-                });
-                // Hold the chain's calibration lock for the chunk: the
-                // phase read and the observe that follows must see no
-                // interleaved writer, or probe timings would corrupt.
-                let mut guard = adaptive.as_ref().map(|s| lock_plain(s));
-                scan_chunk(at.chunk, chain, at.ctx, mode, analyze, guard.as_deref_mut())?
+                let chain: &[BoundPred] = chain;
+                let mut calibration = Calibration {
+                    table: at.table,
+                    chain,
+                    taken: adaptive,
+                };
+                scan_chunk(
+                    at.chunk,
+                    chain,
+                    at.ctx,
+                    mode,
+                    analyze,
+                    Some(&mut calibration),
+                )?
             }
             TreeOp::And(children) => {
                 let (first, rest) = children.split_first_mut().expect("an AND has children");
@@ -2263,9 +2299,10 @@ fn filter_column(
     filter_survivors(candidates, &forms, any)
 }
 
-/// What a driver's calibrator has learned, once the driver has scanned.
-fn decision(adaptive: &OnceCell<Option<Arc<Mutex<ChainCalibrator>>>>) -> Option<AdaptiveDecision> {
-    let state = adaptive.get()?.as_ref()?;
+/// What a driver's calibrator has learned, once the driver has scanned:
+/// the first one it took when its chunks drove at two element types.
+fn decision(adaptive: &Calibrators) -> Option<AdaptiveDecision> {
+    let (_, state) = adaptive.first()?;
     Some(AdaptiveDecision::of(&lock_plain(state)))
 }
 
@@ -3023,6 +3060,111 @@ mod tests {
             assert_eq!(probed, expected, "{jit:?}");
             assert!(a.probed.iter().all(|c| c.1 == 1), "{jit:?}: {a:?}");
             assert!(a.winner.is_some(), "{jit:?}");
+        }
+    }
+
+    /// A plain chain at a 64-bit type calibrates as a `u32` one does: the
+    /// JIT kernel where it runs the chain, then the leading static kernels
+    /// for the type. Here an `i64` same-column range and an `f64` chain
+    /// over columns with NaN rows, whose counts match a row walk.
+    #[test]
+    fn typed_chains_calibrate() {
+        let x: Vec<i64> = (0..2048).map(|i| (i * 7919) % 1000 - 500).collect();
+        let nan_every = |k: usize, f: fn(usize) -> f64| {
+            move |i: usize| if i.is_multiple_of(k) { f64::NAN } else { f(i) }
+        };
+        let y: Vec<f64> = (0..2048)
+            .map(nan_every(7, |i| (i % 40) as f64 * 0.5))
+            .collect();
+        let z: Vec<f64> = (0..2048).map(nan_every(5, |i| (i % 9) as f64)).collect();
+        let cat = chunked_catalog(
+            vec![
+                ("x", Column::from_vec(x.clone())),
+                ("y", Column::from_vec(y.clone())),
+                ("z", Column::from_vec(z.clone())),
+            ],
+            512, // 4 chunks: three probes and a steady one
+        );
+        let walk = |keep: &dyn Fn(usize) -> bool| (0..2048).filter(|&i| keep(i)).count() as u64;
+        let cases = [
+            (
+                "SELECT COUNT(*) FROM v WHERE x >= -200 AND x < 300",
+                walk(&|i| x[i] >= -200 && x[i] < 300),
+            ),
+            (
+                "SELECT COUNT(*) FROM v WHERE y <> 4.5 AND z < 6.0",
+                walk(&|i| y[i].cmp_op(CmpOp::Ne, 4.5) && z[i].cmp_op(CmpOp::Lt, 6.0)),
+            ),
+        ];
+        for (sql, want) in cases {
+            let p = optimize(plan(&parse(sql).unwrap(), &cat).unwrap());
+            for jit in [JitMode::Off, JitMode::On] {
+                let expected: &[&str] = match (fts_simd::detect(), jit) {
+                    (SimdLevel::Avx512, JitMode::On) => {
+                        &["jit-avx512(w512)", "AVX-512 Fused (512)", "SISD (auto vec)"]
+                    }
+                    (SimdLevel::Avx512, JitMode::Off) => {
+                        &["AVX-512 Fused (512)", "SISD (auto vec)", "SISD (no vec)"]
+                    }
+                    (SimdLevel::Avx2 | SimdLevel::Scalar, _) => {
+                        &["SISD (auto vec)", "SISD (no vec)"]
+                    }
+                };
+                let (result, report) = execute_analyzed(&p, &make_ctx(jit)).unwrap();
+                assert_eq!(result, QueryResult::Count(want), "{sql} {jit:?}");
+                assert_eq!(
+                    report.scan.pred_survivors.last(),
+                    Some(&want),
+                    "{sql} {jit:?}"
+                );
+                let a = report.adaptive.expect("a typed chain calibrates");
+                let probed: Vec<&str> = a.probed.iter().map(|c| c.0).collect();
+                assert_eq!(probed, expected, "{sql} {jit:?}");
+                assert!(a.probed.iter().all(|c| c.1 == 1), "{sql} {jit:?}: {a:?}");
+                assert!(a.winner.is_some(), "{sql} {jit:?}");
+            }
+        }
+    }
+
+    /// A column the layout advisor left plain in some chunks and
+    /// dictionary-encoded in others drives at `i64` in the first and at
+    /// `u32` ids in the second, and each type calibrates among kernels it
+    /// runs: the statements answer as over the all-plain table, through
+    /// calibration and in steady state.
+    #[test]
+    fn a_column_whose_chunks_differ_in_layout() {
+        // Ascending values: a range above chunk 0's prunes it, so the
+        // chain's first scanned chunk is dictionary-encoded.
+        let x = Column::from_fn(2048, |i| i as i64 * 3 - 1000 + (i as i64 * 7) % 5);
+        let schema = vec![ColumnDef::new("x", DataType::I64)];
+        let plain = Table::from_chunked_columns(schema, vec![x], 512).unwrap();
+        let mut mixed = plain.clone();
+        for chunk in [1, 3] {
+            let encoded = mixed
+                .reencode_chunk_column(chunk, 0, fts_storage::Layout::Dict)
+                .unwrap();
+            mixed = mixed.with_chunk_replaced(chunk, encoded);
+        }
+        assert!(matches!(mixed.chunks()[1].segment(0), Segment::Dict(_)));
+        assert!(matches!(mixed.chunks()[2].segment(0), Segment::Plain(_)));
+        for jit in [JitMode::Off, JitMode::On] {
+            let engine = crate::engine::Engine::with_jit(jit);
+            engine.register("plain", plain.clone());
+            engine.register("mixed", mixed.clone());
+            for where_ in ["x >= -900 AND x < 5000", "x >= 1000 AND x < 5500"] {
+                for _ in 0..3 {
+                    for select in ["COUNT(*)", "SUM(x), COUNT(*)"] {
+                        let sql = |t: &str| format!("SELECT {select} FROM {t} WHERE {where_}");
+                        let want = engine.query(&sql("plain")).unwrap();
+                        let got = engine.query(&sql("mixed"));
+                        assert_eq!(got, Ok(want), "{} {jit:?}", sql("mixed"));
+                    }
+                }
+                let sql = format!("SELECT COUNT(*) FROM mixed WHERE {where_}");
+                let (_, report) = engine.query_analyzed(&sql).unwrap();
+                let a = report.adaptive.expect("the chain calibrates");
+                assert!(a.winner.is_some(), "{sql} {jit:?}: {a:?}");
+            }
         }
     }
 

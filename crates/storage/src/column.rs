@@ -6,7 +6,7 @@
 //! [`crate::with_native`] dispatch macro.
 
 use crate::aligned::AlignedBuf;
-use crate::types::{CmpOp, DataType, NativeType, Value};
+use crate::types::{DataType, NativeType, Value};
 
 /// Type-erased column values (one variant per [`DataType`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -135,19 +135,6 @@ impl Column {
         with_native!(self, s => s[row].to_value())
     }
 
-    /// Evaluate `self[row] OP literal` on the slow (dynamic) path.
-    ///
-    /// The literal must already be cast to this column's type; returns
-    /// `None` on a type mismatch.
-    pub fn matches_at(&self, row: usize, op: CmpOp, literal: Value) -> Option<bool> {
-        with_native!(self, s => {
-            fn go<T: NativeType>(s: &[T], row: usize, op: CmpOp, lit: Value) -> Option<bool> {
-                Some(s[row].cmp_op(op, T::from_value(lit)?))
-            }
-            go(s, row, op, literal)
-        })
-    }
-
     /// Minimum and maximum value (ignoring NaN), or `None` for an empty or
     /// all-NaN column. Used to seed column statistics.
     pub fn min_max(&self) -> Option<(Value, Value)> {
@@ -207,16 +194,6 @@ mod tests {
             assert_eq!(col.len(), 10);
             assert_eq!(col.value_at(3).as_f64(), Some(3.0));
         }
-    }
-
-    #[test]
-    fn matches_at_dynamic() {
-        let col = Column::from_vec(vec![5u32, 2, 9]);
-        assert_eq!(col.matches_at(0, CmpOp::Eq, Value::U32(5)), Some(true));
-        assert_eq!(col.matches_at(1, CmpOp::Eq, Value::U32(5)), Some(false));
-        assert_eq!(col.matches_at(2, CmpOp::Gt, Value::U32(5)), Some(true));
-        // type mismatch
-        assert_eq!(col.matches_at(0, CmpOp::Eq, Value::I32(5)), None);
     }
 
     #[test]

@@ -25,7 +25,7 @@ fn hexdump(bytes: &[u8]) -> String {
 
 fn main() {
     // The paper's running query: a = 5 AND b = 2.
-    let sig = ScanSig::u32_chain(&[(CmpOp::Eq, 5), (CmpOp::Eq, 2)], false);
+    let sig = ScanSig::chain::<u32>(&[(CmpOp::Eq, 5), (CmpOp::Eq, 2)], false);
 
     println!("=== chain signature ===============================================");
     println!("{sig:#?}");
@@ -81,7 +81,7 @@ fn main() {
         for _ in 0..5 {
             let _ = cache.get_or_compile(&sig).expect("cache");
         }
-        let other = ScanSig::u32_chain(&[(CmpOp::Lt, 100)], true);
+        let other = ScanSig::chain::<u32>(&[(CmpOp::Lt, 100)], true);
         let _ = cache.get_or_compile(&other).expect("cache");
         println!("{cache:?}");
     } else {

@@ -63,12 +63,12 @@ fn check_chain(chain: &GeneratedChain<u32>, needles: &[(CmpOp, u32)]) {
     // JIT backends.
     let cols: Vec<&[u32]> = chain.columns.iter().map(|c| &c[..]).collect();
     if needles.len() <= 5 {
-        let sig = ScanSig::u32_chain(needles, true);
+        let sig = ScanSig::chain::<u32>(needles, true);
         let k = CompiledKernel::compile(sig, JitBackend::Scalar).unwrap();
         let got = k.run(&cols).unwrap();
         assert_eq!(got.positions().unwrap(), &expected, "JIT scalar");
         if has_avx512() {
-            let sig = ScanSig::u32_chain(needles, true);
+            let sig = ScanSig::chain::<u32>(needles, true);
             let k = CompiledKernel::compile(sig, JitBackend::Avx512).unwrap();
             let got = k.run(&cols).unwrap();
             assert_eq!(got.positions().unwrap(), &expected, "JIT AVX-512");

@@ -181,7 +181,7 @@ fn jit_compile_cost_is_negligible() {
         eprintln!("skipping: no AVX-512");
         return;
     }
-    let sig = ScanSig::u32_chain(&[(CmpOp::Eq, 5), (CmpOp::Eq, 2)], false);
+    let sig = ScanSig::chain::<u32>(&[(CmpOp::Eq, 5), (CmpOp::Eq, 2)], false);
     let k = CompiledKernel::compile(sig, JitBackend::Avx512).unwrap();
     assert!(
         k.compile_time().as_micros() < 10_000,
