@@ -198,11 +198,11 @@ pub trait ScanElem: NativeType {
 }
 
 macro_rules! impl_scan_elem_32 {
-    ($t:ty, $avx2mod:ident, $m128:ident, $m256:ident, $m512:ident) => {
+    ($($t:ty),*) => {$(
         impl ScanElem for $t {
             #[cfg(target_arch = "x86_64")]
             fn fused_avx2(preds: &[TypedPred<'_, Self>], mode: OutputMode) -> Option<ScanOutput> {
-                Some(fused::avx2::$avx2mod::fused_scan(preds, mode))
+                Some(fused::avx2::fused_scan(preds, mode))
             }
 
             #[cfg(target_arch = "x86_64")]
@@ -211,22 +211,16 @@ macro_rules! impl_scan_elem_32 {
                 preds: &[TypedPred<'_, Self>],
                 mode: OutputMode,
             ) -> Option<ScanOutput> {
-                Some(match width {
-                    RegWidth::W128 => fused::avx512::$m128::fused_scan(preds, mode),
-                    RegWidth::W256 => fused::avx512::$m256::fused_scan(preds, mode),
-                    RegWidth::W512 => fused::avx512::$m512::fused_scan(preds, mode),
-                })
+                Some(fused::avx512::fused_scan(width, preds, mode))
             }
         }
-    };
+    )*};
 }
 
-impl_scan_elem_32!(u32, u32_w128, u32_w128, u32_w256, u32_w512);
-impl_scan_elem_32!(i32, i32_w128, i32_w128, i32_w256, i32_w512);
-impl_scan_elem_32!(f32, f32_w128, f32_w128, f32_w256, f32_w512);
+impl_scan_elem_32!(u32, i32, f32);
 
 macro_rules! impl_scan_elem_64 {
-    ($t:ty, $m512:ident) => {
+    ($($t:ty),*) => {$(
         impl ScanElem for $t {
             #[cfg(target_arch = "x86_64")]
             fn fused_avx512(
@@ -236,17 +230,15 @@ macro_rules! impl_scan_elem_64 {
             ) -> Option<ScanOutput> {
                 // 8-byte lanes exist at full zmm width only (8 lanes).
                 match width {
-                    RegWidth::W512 => Some(fused::w64::$m512::fused_scan(preds, mode)),
+                    RegWidth::W512 => Some(fused::w64::fused_scan(preds, mode)),
                     RegWidth::W128 | RegWidth::W256 => None,
                 }
             }
         }
-    };
+    )*};
 }
 
-impl_scan_elem_64!(u64, u64_w512);
-impl_scan_elem_64!(i64, i64_w512);
-impl_scan_elem_64!(f64, f64_w512);
+impl_scan_elem_64!(u64, i64, f64);
 impl ScanElem for u8 {}
 impl ScanElem for u16 {}
 impl ScanElem for i8 {}
@@ -345,16 +337,14 @@ pub fn run_scan_telemetered<T: ScanElem>(
     Ok((out, telemetry))
 }
 
-/// The best fused implementation the host and element type support:
-/// AVX-512 (512-bit) → AVX2 → scalar model engine.
+/// The best fused implementation the host and element type support: the
+/// first fused kernel of [`candidate_scan_impls`](crate::candidate_scan_impls)
+/// (AVX-512 (512-bit), then AVX2), else the scalar model engine.
 pub fn best_fused_impl<T: ScanElem>() -> ScanImpl {
-    let kernels_32 = matches!(T::DATA_TYPE, DataType::U32 | DataType::I32 | DataType::F32);
-    let kernels_64 = matches!(T::DATA_TYPE, DataType::U64 | DataType::I64 | DataType::F64);
-    match detect() {
-        SimdLevel::Avx512 if kernels_32 || kernels_64 => ScanImpl::FusedAvx512(RegWidth::W512),
-        SimdLevel::Avx2 | SimdLevel::Avx512 if kernels_32 => ScanImpl::FusedAvx2,
-        _ => ScanImpl::FusedScalar(RegWidth::W512),
-    }
+    crate::adaptive::candidate_scan_impls::<T>()
+        .into_iter()
+        .find(|imp| matches!(imp, ScanImpl::FusedAvx2 | ScanImpl::FusedAvx512(_)))
+        .unwrap_or(ScanImpl::FusedScalar(RegWidth::W512))
 }
 
 /// Run the chain with [`best_fused_impl`].

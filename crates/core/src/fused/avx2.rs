@@ -1,37 +1,38 @@
 //! AVX2 backport of the Fused Table Scan — the paper's *AVX2 Fused (128)*
-//! baseline (§III last paragraph, §IV Fig. 5).
+//! baseline (§III last paragraph, §IV Fig. 5): the skeleton of
+//! [`crate::fused::skeleton`] stamped for [`Avx2`], 4 lanes of `u32`, `i32`
+//! or `f32`.
 //!
 //! AVX2 has no mask registers, no compress and no two-table permute, so the
 //! three AVX-512 specialties are emulated exactly the way the paper's
 //! `REG == 128 && !AVX512` configuration does:
 //!
 //! * **compare → bitmask**: vector compare (`vpcmpeqd`/`vpcmpgtd`, with a
-//!   sign-bias trick for unsigned operands) followed by `vmovmskps`;
+//!   sign-bias trick for unsigned operands) followed by `vmovmskps`; a
+//!   masked compare is `k & cmp`;
 //! * **compress**: a 16-entry lookup table of `vpshufb` controls indexed by
 //!   the 4-bit match mask (the paper notes this emulation "became 32
 //!   lines");
 //! * **append** (`vpermt2d` equivalent): shift the fresh batch up by the
 //!   list length with another `vpshufb` control and OR it onto the
 //!   zero-padded list;
-//! * **masked gather**: AVX2's `vpgatherdd` with a sign-bit vector mask
-//!   (inactive lanes are not dereferenced, like AVX-512).
-//!
-//! The tail (< 4 rows) is evaluated with the scalar chain *after* the
-//! drain, preserving ascending output order.
+//! * **masked load and gather**: `vpmaskmovd` and AVX2's `vpgatherdd` with a
+//!   sign-bit vector mask (inactive lanes are not dereferenced, like
+//!   AVX-512), so the tail block runs through the pipeline like any other.
 
 #![cfg(target_arch = "x86_64")]
-#![allow(unsafe_op_in_unsafe_fn)] // one kernel = one contiguous unsafe context
+#![allow(unsafe_op_in_unsafe_fn)] // one primitive = one intrinsic sequence
 
 use std::arch::x86_64::*;
+use std::marker::PhantomData;
 
 use fts_simd::has_avx2;
-use fts_storage::{CmpOp, PosList};
+use fts_storage::CmpOp;
 
-use crate::fused::{Stages, MAX_PREDICATES};
+use crate::fused::skeleton::{fused_skeleton, split, Family, Lanes, Positions};
 use crate::pred::{OutputMode, ScanOutput, TypedPred};
 
-/// Lanes per 128-bit register of 4-byte values.
-pub const LANES: usize = 4;
+fused_skeleton!("avx2,popcnt");
 
 /// `vpshufb` controls emulating `vpcompressd`: entry `m` packs the lanes
 /// whose bit is set in `m` to the front and zeroes the rest (0x80 control).
@@ -77,27 +78,22 @@ static SHIFT_LUT: [[u8; 16]; 5] = {
     lut
 };
 
-/// Sign-bit lane masks for the AVX2 gather: entry `c` activates lanes `< c`.
-static GATHER_MASK: [[i32; 4]; 5] = [
-    [0, 0, 0, 0],
-    [-1, 0, 0, 0],
-    [-1, -1, 0, 0],
-    [-1, -1, -1, 0],
-    [-1, -1, -1, -1],
-];
+/// The sign-bit vector mask of the lanes set in `k`, as `vpmaskmovd` and
+/// AVX2's `vpgatherdd` take it.
+#[inline(always)]
+unsafe fn lanes(k: u32) -> __m128i {
+    let bit = _mm_setr_epi32(1, 2, 4, 8);
+    _mm_cmpeq_epi32(_mm_and_si128(_mm_set1_epi32(k as i32), bit), bit)
+}
 
-// --- compare-to-bitmask fns (one per element kind) ----------------------
-
-#[inline]
-#[target_feature(enable = "avx2")]
+#[inline(always)]
 unsafe fn movemask(v: __m128i) -> u32 {
     _mm_movemask_ps(_mm_castsi128_ps(v)) as u32
 }
 
 /// Biased integer compare: `bias = i32::MIN` turns signed `vpcmpgtd` into an
 /// unsigned comparison; `bias = 0` keeps it signed.
-#[inline]
-#[target_feature(enable = "avx2")]
+#[inline(always)]
 unsafe fn cmp_int_mask(op: CmpOp, a: __m128i, b: __m128i, bias: __m128i) -> u32 {
     match op {
         CmpOp::Eq => movemask(_mm_cmpeq_epi32(a, b)),
@@ -116,243 +112,150 @@ unsafe fn cmp_int_mask(op: CmpOp, a: __m128i, b: __m128i, bias: __m128i) -> u32 
     }
 }
 
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn cmp_mask_u32(op: CmpOp, a: __m128i, b: __m128i) -> u32 {
-    cmp_int_mask(op, a, b, _mm_set1_epi32(i32::MIN))
+/// An AVX2 value register: 4 lanes of an xmm register, compared into a
+/// `movemask` bitfield.
+#[derive(Clone, Copy)]
+pub(crate) struct Vals4(__m128i);
+
+impl Lanes<Vals4> for u32 {
+    #[inline(always)]
+    unsafe fn splat(self) -> Vals4 {
+        Vals4(_mm_set1_epi32(self as i32))
+    }
+
+    #[inline(always)]
+    unsafe fn cmp(op: CmpOp, a: Vals4, b: Vals4) -> u32 {
+        cmp_int_mask(op, a.0, b.0, _mm_set1_epi32(i32::MIN))
+    }
 }
 
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn cmp_mask_i32(op: CmpOp, a: __m128i, b: __m128i) -> u32 {
-    cmp_int_mask(op, a, b, _mm_setzero_si128())
+impl Lanes<Vals4> for i32 {
+    #[inline(always)]
+    unsafe fn splat(self) -> Vals4 {
+        Vals4(_mm_set1_epi32(self))
+    }
+
+    #[inline(always)]
+    unsafe fn cmp(op: CmpOp, a: Vals4, b: Vals4) -> u32 {
+        cmp_int_mask(op, a.0, b.0, _mm_setzero_si128())
+    }
 }
 
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn cmp_mask_f32(op: CmpOp, a: __m128i, b: __m128i) -> u32 {
-    let (fa, fb) = (_mm_castsi128_ps(a), _mm_castsi128_ps(b));
-    // Ordered, quiet predicates — NaN compares false everywhere.
-    let v = match op {
-        CmpOp::Eq => _mm_cmp_ps::<_CMP_EQ_OQ>(fa, fb),
-        CmpOp::Ne => _mm_cmp_ps::<_CMP_NEQ_OQ>(fa, fb),
-        CmpOp::Lt => _mm_cmp_ps::<_CMP_LT_OS>(fa, fb),
-        CmpOp::Le => _mm_cmp_ps::<_CMP_LE_OS>(fa, fb),
-        CmpOp::Gt => _mm_cmp_ps::<_CMP_GT_OS>(fa, fb),
-        CmpOp::Ge => _mm_cmp_ps::<_CMP_GE_OS>(fa, fb),
-    };
-    _mm_movemask_ps(v) as u32
+impl Lanes<Vals4> for f32 {
+    #[inline(always)]
+    unsafe fn splat(self) -> Vals4 {
+        Vals4(_mm_castps_si128(_mm_set1_ps(self)))
+    }
+
+    #[inline(always)]
+    unsafe fn cmp(op: CmpOp, a: Vals4, b: Vals4) -> u32 {
+        let (fa, fb) = (_mm_castsi128_ps(a.0), _mm_castsi128_ps(b.0));
+        // Ordered, quiet predicates — NaN compares false everywhere.
+        let v = match op {
+            CmpOp::Eq => _mm_cmp_ps::<_CMP_EQ_OQ>(fa, fb),
+            CmpOp::Ne => _mm_cmp_ps::<_CMP_NEQ_OQ>(fa, fb),
+            CmpOp::Lt => _mm_cmp_ps::<_CMP_LT_OS>(fa, fb),
+            CmpOp::Le => _mm_cmp_ps::<_CMP_LE_OS>(fa, fb),
+            CmpOp::Gt => _mm_cmp_ps::<_CMP_GT_OS>(fa, fb),
+            CmpOp::Ge => _mm_cmp_ps::<_CMP_GE_OS>(fa, fb),
+        };
+        _mm_movemask_ps(v) as u32
+    }
 }
 
-macro_rules! avx2_kernel {
-    ($modname:ident, $elem:ty, $cmp:ident) => {
-        /// AVX2 fused kernel for one element kind (128-bit registers).
-        pub mod $modname {
-            use super::*;
+/// An AVX2 position list: 4 lanes of an xmm register, with compress and
+/// append emulated by `vpshufb` tables.
+#[derive(Clone, Copy)]
+pub(crate) struct List4(__m128i);
 
-            struct State<'a> {
-                preds: &'a [TypedPred<'a, $elem>],
-                stages: Stages,
-                nsplat: [__m128i; MAX_PREDICATES],
-                plists: [__m128i; MAX_PREDICATES],
-                counts: [usize; MAX_PREDICATES],
-                out: Vec<u32>,
-                total: u64,
-            }
+impl Positions for List4 {
+    const LANES: usize = 4;
 
-            /// Emulated `vpcompressd` with zeroing: pack lanes of `v` whose
-            /// bit in `k` is set, zero the rest.
-            #[inline]
-            #[target_feature(enable = "avx2")]
-            unsafe fn compress(k: u32, v: __m128i) -> __m128i {
-                let ctl = _mm_loadu_si128(COMPRESS_LUT[k as usize].as_ptr() as *const __m128i);
-                _mm_shuffle_epi8(v, ctl)
-            }
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        List4(_mm_setzero_si128())
+    }
 
-            #[target_feature(enable = "avx2,popcnt")]
-            unsafe fn push<const EMIT: bool, const RUN: bool>(
-                st: &mut State<'_>,
-                s: usize,
-                fresh: __m128i,
-                m: usize,
-            ) {
-                if st.counts[s] + m > LANES {
-                    flush::<EMIT, RUN>(st, s);
-                    st.plists[s] = fresh;
-                    st.counts[s] = m;
-                } else {
-                    // Append: shift the fresh batch up by the list length
-                    // and OR onto the zero-padded list.
-                    let ctl = _mm_loadu_si128(SHIFT_LUT[st.counts[s]].as_ptr() as *const __m128i);
-                    let shifted = _mm_shuffle_epi8(fresh, ctl);
-                    st.plists[s] = _mm_or_si128(st.plists[s], shifted);
-                    st.counts[s] += m;
-                }
-                if st.counts[s] == LANES {
-                    flush::<EMIT, RUN>(st, s);
-                }
-            }
+    #[inline(always)]
+    unsafe fn iota(base: usize) -> Self {
+        List4(_mm_add_epi32(
+            _mm_setr_epi32(0, 1, 2, 3),
+            _mm_set1_epi32(base as i32),
+        ))
+    }
 
-            #[target_feature(enable = "avx2,popcnt")]
-            unsafe fn flush<const EMIT: bool, const RUN: bool>(st: &mut State<'_>, s: usize) {
-                let c = st.counts[s];
-                if c == 0 {
-                    return;
-                }
-                let plist = st.plists[s];
-                st.plists[s] = _mm_setzero_si128();
-                st.counts[s] = 0;
+    /// Emulated `vpcompressd` with zeroing.
+    #[inline(always)]
+    unsafe fn compress(k: u32, list: Self) -> Self {
+        let ctl = _mm_loadu_si128(COMPRESS_LUT[k as usize].as_ptr() as *const __m128i);
+        List4(_mm_shuffle_epi8(list.0, ctl))
+    }
 
-                let run = if RUN { st.stages.preds(s) } else { s..s + 1 };
-                let maskv = _mm_loadu_si128(GATHER_MASK[c].as_ptr() as *const __m128i);
-                let vals = _mm_mask_i32gather_epi32::<4>(
-                    _mm_setzero_si128(),
-                    st.preds[run.start].data.as_ptr() as *const i32,
-                    plist,
-                    maskv,
-                );
-                let first = &st.preds[run.start];
-                let mut k2 =
-                    $cmp(first.op, vals, st.nsplat[run.start]) & fts_simd::model::lane_mask(c);
-                for p in run.start + 1..run.end {
-                    k2 &= $cmp(st.preds[p].op, vals, st.nsplat[p]);
-                }
-                let m2 = k2.count_ones() as usize;
-                if m2 == 0 {
-                    return;
-                }
-                let fresh2 = compress(k2, plist);
-                if s + 1 == st.stages.len() {
-                    emit::<EMIT>(st, fresh2, m2);
-                } else {
-                    push::<EMIT, RUN>(st, s + 1, fresh2, m2);
-                }
-            }
+    /// Shift the fresh batch up by the list length and OR it onto the
+    /// zero-padded list.
+    #[inline(always)]
+    unsafe fn append(list: Self, len: usize, fresh: Self) -> Self {
+        let ctl = _mm_loadu_si128(SHIFT_LUT[len].as_ptr() as *const __m128i);
+        List4(_mm_or_si128(list.0, _mm_shuffle_epi8(fresh.0, ctl)))
+    }
 
-            #[target_feature(enable = "avx2,popcnt")]
-            unsafe fn emit<const EMIT: bool>(st: &mut State<'_>, fresh: __m128i, m: usize) {
-                st.total += m as u64;
-                if EMIT {
-                    let len = st.out.len();
-                    st.out.reserve(LANES);
-                    _mm_storeu_si128(st.out.as_mut_ptr().add(len) as *mut __m128i, fresh);
-                    st.out.set_len(len + m);
-                }
-            }
-
-            /// The scan loop; `RUN` compiles in the further compares of
-            /// same-column runs, so a run-free chain keeps one compare per
-            /// stage.
-            #[target_feature(enable = "avx2,popcnt")]
-            unsafe fn kernel<const EMIT: bool, const RUN: bool>(
-                preds: &[TypedPred<'_, $elem>],
-                stages: Stages,
-            ) -> (u64, Vec<u32>) {
-                let rows = preds[0].data.len();
-                let driver_end = stages.preds(0).end;
-                let mut st = State {
-                    preds,
-                    stages,
-                    nsplat: std::array::from_fn(|i| {
-                        _mm_set1_epi32(preds.get(i).map_or(0, |q| elem_bits(q.needle)))
-                    }),
-                    plists: [_mm_setzero_si128(); MAX_PREDICATES],
-                    counts: [0; MAX_PREDICATES],
-                    out: Vec::new(),
-                    total: 0,
-                };
-                let col0 = preds[0].data.as_ptr();
-                let op0 = preds[0].op;
-                let needle0 = st.nsplat[0];
-                let iota = _mm_setr_epi32(0, 1, 2, 3);
-
-                let full_blocks = rows / LANES;
-                for blk in 0..full_blocks {
-                    let v = _mm_loadu_si128(col0.add(blk * LANES) as *const __m128i);
-                    let mut k = $cmp(op0, v, needle0);
-                    if RUN {
-                        for p in 1..driver_end {
-                            k &= $cmp(preds[p].op, v, st.nsplat[p]);
-                        }
-                    }
-                    if k == 0 {
-                        continue;
-                    }
-                    let m = k.count_ones() as usize;
-                    let idx = _mm_add_epi32(iota, _mm_set1_epi32((blk * LANES) as i32));
-                    let fresh = compress(k, idx);
-                    if stages.len() == 1 {
-                        emit::<EMIT>(&mut st, fresh, m);
-                    } else {
-                        push::<EMIT, RUN>(&mut st, 1, fresh, m);
-                    }
-                }
-
-                // Drain, then evaluate the (< 4 row) tail scalar — after the
-                // drain so positions stay ascending.
-                for s in 1..stages.len() {
-                    flush::<EMIT, RUN>(&mut st, s);
-                }
-                for row in full_blocks * LANES..rows {
-                    if preds.iter().all(|q| q.matches(row)) {
-                        st.total += 1;
-                        if EMIT {
-                            st.out.push(row as u32);
-                        }
-                    }
-                }
-                (st.total, st.out)
-            }
-
-            /// Safe entry point; panics without AVX2 or on an invalid chain.
-            pub fn fused_scan(preds: &[TypedPred<'_, $elem>], mode: OutputMode) -> ScanOutput {
-                assert!(has_avx2(), "AVX2 not available on this host");
-                assert!(
-                    preds.len() <= MAX_PREDICATES,
-                    "chain too long for one fused kernel"
-                );
-                let empty = match mode {
-                    OutputMode::Count => ScanOutput::Count(0),
-                    OutputMode::Positions => ScanOutput::Positions(PosList::new()),
-                };
-                let Some(first) = preds.first() else {
-                    return empty;
-                };
-                let rows = first.data.len();
-                for q in preds {
-                    assert_eq!(q.data.len(), rows, "chain columns must have equal length");
-                }
-                assert!(
-                    rows <= i32::MAX as usize,
-                    "chunk exceeds 32-bit gather index range"
-                );
-                let stages = Stages::of_typed(preds);
-                // SAFETY: AVX2 presence asserted; columns validated.
-                let (total, out) = unsafe {
-                    match (mode, stages.len() < preds.len()) {
-                        (OutputMode::Count, false) => kernel::<false, false>(preds, stages),
-                        (OutputMode::Count, true) => kernel::<false, true>(preds, stages),
-                        (OutputMode::Positions, false) => kernel::<true, false>(preds, stages),
-                        (OutputMode::Positions, true) => kernel::<true, true>(preds, stages),
-                    }
-                };
-                match mode {
-                    OutputMode::Count => ScanOutput::Count(total),
-                    OutputMode::Positions => ScanOutput::Positions(PosList::from_vec(out)),
-                }
-            }
-        }
-    };
+    #[inline(always)]
+    unsafe fn store(dst: *mut u32, list: Self) {
+        _mm_storeu_si128(dst as *mut __m128i, list.0)
+    }
 }
 
-#[inline(always)]
-fn elem_bits<T: super::avx512::Elem32>(v: T) -> i32 {
-    super::avx512::Elem32::bits(v)
+/// The AVX2 family: 4 lanes of `T` in xmm registers.
+pub(crate) struct Avx2<T>(PhantomData<T>);
+
+impl<T: Lanes<Vals4>> Family for Avx2<T> {
+    type Col<'a> = &'a [T];
+    type Elem = T;
+    type Vals = Vals4;
+    type List = List4;
+
+    fn available() -> bool {
+        has_avx2()
+    }
+
+    #[inline(always)]
+    unsafe fn load(col: &[T], row: usize, n: usize) -> Vals4 {
+        const {
+            assert!(
+                std::mem::size_of::<T>() == 4,
+                "32-bit lanes hold 4-byte values"
+            )
+        };
+        let src = col.as_ptr().add(row) as *const i32;
+        Vals4(if n == 4 {
+            _mm_loadu_si128(src as *const __m128i)
+        } else {
+            _mm_maskload_epi32(src, lanes(fts_simd::model::lane_mask(n)))
+        })
+    }
+
+    #[inline(always)]
+    unsafe fn gather(col: &[T], list: List4, k: u32) -> Vals4 {
+        let base = col.as_ptr() as *const i32;
+        Vals4(_mm_mask_i32gather_epi32::<4>(
+            _mm_setzero_si128(),
+            base,
+            list.0,
+            lanes(k),
+        ))
+    }
 }
 
-avx2_kernel!(u32_w128, u32, cmp_mask_u32);
-avx2_kernel!(i32_w128, i32, cmp_mask_i32);
-avx2_kernel!(f32_w128, f32, cmp_mask_f32);
+/// Run a chain on the AVX2 kernel. Panics without AVX2 or on an invalid
+/// chain (ragged columns, more than [`crate::fused::MAX_PREDICATES`]
+/// predicates).
+pub(crate) fn fused_scan<T: Lanes<Vals4>>(
+    preds: &[TypedPred<'_, T>],
+    mode: OutputMode,
+) -> ScanOutput {
+    let (cols, ops, needles) = split(preds);
+    scan::<Avx2<T>>(&cols, &ops, &needles, mode)
+}
 
 #[cfg(test)]
 mod tests {
@@ -398,9 +301,9 @@ mod tests {
         let a = [2u32, 5, 4, 5, 6, 1, 5, 7, 6, 8, 5, 3, 5, 9, 9, 5];
         let b = [5u32, 2, 3, 1, 1, 3, 6, 0, 8, 7, 3, 3, 2, 9, 3, 2];
         let preds = [TypedPred::eq(&a[..], 5), TypedPred::eq(&b[..], 2)];
-        let out = u32_w128::fused_scan(&preds, OutputMode::Positions);
+        let out = fused_scan(&preds, OutputMode::Positions);
         assert_eq!(out.positions().unwrap().as_slice(), &[1, 12, 15]);
-        assert_eq!(u32_w128::fused_scan(&preds, OutputMode::Count).count(), 3);
+        assert_eq!(fused_scan(&preds, OutputMode::Count).count(), 3);
     }
 
     #[test]
@@ -426,7 +329,7 @@ mod tests {
                 TypedPred::new(&b[..], CmpOp::Eq, 1u32),
             ];
             let expected = reference::scan_positions(&preds);
-            let got = u32_w128::fused_scan(&preds, OutputMode::Positions);
+            let got = fused_scan(&preds, OutputMode::Positions);
             assert_eq!(got.positions().unwrap(), &expected, "{op}");
         }
     }
@@ -444,7 +347,7 @@ mod tests {
                 TypedPred::new(&b[..], CmpOp::Ge, -1i32),
             ];
             let expected = reference::scan_positions(&preds);
-            let got = i32_w128::fused_scan(&preds, OutputMode::Positions);
+            let got = fused_scan(&preds, OutputMode::Positions);
             assert_eq!(got.positions().unwrap(), &expected, "i32 {op}");
         }
 
@@ -457,7 +360,7 @@ mod tests {
                 TypedPred::new(&g[..], CmpOp::Lt, 2.0f32),
             ];
             let expected = reference::scan_positions(&preds);
-            let got = f32_w128::fused_scan(&preds, OutputMode::Positions);
+            let got = fused_scan(&preds, OutputMode::Positions);
             assert_eq!(got.positions().unwrap(), &expected, "f32 {op}");
         }
     }
@@ -479,17 +382,14 @@ mod tests {
                 let preds: Vec<TypedPred<'_, u32>> =
                     cols[..p].iter().map(|c| TypedPred::eq(&c[..], 0)).collect();
                 let expected = reference::scan_positions(&preds);
-                let got = u32_w128::fused_scan(&preds, OutputMode::Positions);
+                let got = fused_scan(&preds, OutputMode::Positions);
                 assert_eq!(got.positions().unwrap(), &expected, "rows={rows} P={p}");
-                let got = u32_w128::fused_scan(&preds, OutputMode::Count);
+                let got = fused_scan(&preds, OutputMode::Count);
                 assert_eq!(got.count(), expected.len() as u64, "rows={rows} P={p}");
             }
         }
         let all = vec![5u32; 1000];
         let preds = [TypedPred::eq(&all[..], 5u32), TypedPred::eq(&all[..], 5u32)];
-        assert_eq!(
-            u32_w128::fused_scan(&preds, OutputMode::Count).count(),
-            1000
-        );
+        assert_eq!(fused_scan(&preds, OutputMode::Count).count(), 1000);
     }
 }

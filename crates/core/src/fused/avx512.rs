@@ -1,698 +1,287 @@
-//! AVX-512 Fused Table Scan kernels (paper §III, Fig. 3).
+//! AVX-512 Fused Table Scan kernels (paper §III, Fig. 3): the skeleton of
+//! [`crate::fused::skeleton`] stamped for [`Avx512`], 4, 8 or 16 lanes of
+//! `u32`, `i32` or `f32`. Its [`Reg32`] registers and element [`Lanes`]
+//! also serve the 64-bit and packed families.
 //!
-//! One kernel per (element kind × register width). All nine use the same
-//! engine skeleton as [`crate::fused::scalar`]; the instruction mapping is
-//! exactly the paper's:
+//! The instruction mapping is the paper's:
 //!
 //! | step | instruction |
 //! |------|-------------|
-//! | block load            | `vmovdqu32` (`_mm*_loadu_epi32`), masked for the tail |
+//! | block load            | `vmovdqu32` (`_mm*_maskz_loadu_epi32`), masked for the tail |
 //! | driver compare        | `vpcmpud`/`vpcmpd`/`vcmpps` → k-mask |
 //! | offsets → position list | `vpcompressd` (`_mm*_maskz_compress_epi32`) |
 //! | append to list        | `vpermt2d` (`_mm*_permutex2var_epi32`) with a per-length control |
 //! | follow-up fetch       | `vpgatherdd` masked (`_mm*_mmask_i32gather_epi32`) |
 //! | follow-up compare     | masked `vpcmpud`/… keeping the bitmask in `k` registers |
 //!
-//! Values are carried in integer registers regardless of element kind —
+//! Values are carried in integer registers regardless of element kind:
 //! `f32` only reinterprets the lanes at the compare (`vcmpps` on the same
 //! bits), so the whole position-list machinery is shared.
 //!
-//! The safe wrappers panic unless [`fts_simd::has_avx512`] holds; the
-//! engine layer ([`crate::engine`]) routes around that.
+//! The entries panic unless [`fts_simd::has_avx512`] holds; the engine
+//! layer ([`crate::engine`]) routes around that.
 
 #![cfg(target_arch = "x86_64")]
-#![allow(unsafe_op_in_unsafe_fn)] // one kernel = one contiguous unsafe context
+#![allow(unsafe_op_in_unsafe_fn)] // one primitive = one intrinsic sequence
 
 use std::arch::x86_64::*;
+use std::marker::PhantomData;
 
 use fts_simd::has_avx512;
-use fts_storage::{CmpOp, NativeType, PosList};
+use fts_simd::model::lane_mask;
+use fts_storage::CmpOp;
 
-use crate::fused::{Stages, MAX_PREDICATES, MERGE16, MERGE4, MERGE8};
+use crate::engine::RegWidth;
+use crate::fused::skeleton::{fused_skeleton, split, Family, LaneBits, Lanes, Positions};
+use crate::fused::{MERGE16, MERGE4, MERGE8};
 use crate::pred::{OutputMode, ScanOutput, TypedPred};
 
-/// 32-bit element kinds the kernels support: the lane bits plus which
-/// compare family interprets them.
-pub trait Elem32: NativeType {
-    /// The lane's raw bits as `i32` (what `vpbroadcastd` wants).
-    fn bits(self) -> i32;
+fused_skeleton!("avx512f,avx512vl,avx512bw,avx512dq,avx2,popcnt");
+
+/// A register of 32-bit lanes: a position list, and the value fetches
+/// that do not depend on the element kind.
+///
+/// # Safety
+///
+/// Every `unsafe fn` needs AVX-512 F and VL on the running host, and reads
+/// only the elements it names: `src[..n]`, or `base[idx[i]]` for the lanes
+/// `i` set in `k`, which must exist.
+pub(crate) trait Reg32: Positions {
+    /// Load `src[..n]`, zeroing lanes `n..` without reading them; a whole
+    /// register loads unmasked.
+    unsafe fn load(src: *const u32, n: usize) -> Self;
+    /// Load `base[idx[i]]` for the lanes `i` set in `k`.
+    unsafe fn gather(base: *const u32, idx: Self, k: u32) -> Self;
 }
 
-impl Elem32 for u32 {
-    #[inline(always)]
-    fn bits(self) -> i32 {
-        self as i32
-    }
-}
+macro_rules! reg32 {
+    ($v:ty, $lanes:literal, $kmask:ty, $iota:expr, $merge:ident, $set1:ident, $setzero:ident,
+     $add:ident, $loadu:ident, $maskz_loadu:ident, $storeu:ident,
+     $maskz_compress:ident, $permutex2var:ident, $mask_gather:ident) => {
+        impl Positions for $v {
+            const LANES: usize = $lanes;
 
-impl Elem32 for i32 {
-    #[inline(always)]
-    fn bits(self) -> i32 {
-        self
-    }
-}
+            #[inline(always)]
+            unsafe fn zero() -> Self {
+                $setzero()
+            }
 
-impl Elem32 for f32 {
-    #[inline(always)]
-    fn bits(self) -> i32 {
-        self.to_bits() as i32
-    }
-}
+            #[inline(always)]
+            unsafe fn iota(base: usize) -> Self {
+                // SAFETY: a register is its lanes' bits.
+                const IOTA: $v = unsafe { std::mem::transmute::<[u32; $lanes], $v>($iota) };
+                $add(IOTA, $set1(base as i32))
+            }
 
-static IOTA4: [u32; 4] = [0, 1, 2, 3];
-static IOTA8: [u32; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
-/// Public iota table reused by the mixed-width kernel.
-pub static IOTA16_PUB: [u32; 16] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15];
-static IOTA16: [u32; 16] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15];
+            #[inline(always)]
+            unsafe fn compress(k: u32, list: Self) -> Self {
+                $maskz_compress(k as $kmask, list)
+            }
 
-// --- compare dispatch macros -------------------------------------------
-// A `match` over a loop-invariant `CmpOp` compiles to one perfectly
-// predicted branch; the JIT backend in `fts-jit` removes even that.
+            #[inline(always)]
+            unsafe fn append(list: Self, len: usize, fresh: Self) -> Self {
+                let ctl = $loadu($merge[len].as_ptr() as *const i32);
+                $permutex2var(list, ctl, fresh)
+            }
 
-macro_rules! def_int_cmp {
-    ($cmp:ident, $mask_cmp:ident, $vec:ty, $mask:ty,
-     $eq:ident, $ne:ident, $lt:ident, $le:ident, $gt:ident, $ge:ident,
-     $meq:ident, $mne:ident, $mlt:ident, $mle:ident, $mgt:ident, $mge:ident) => {
-        #[inline]
-        #[target_feature(enable = "avx512f,avx512vl,avx512dq")]
-        unsafe fn $cmp(op: CmpOp, a: $vec, b: $vec) -> $mask {
-            match op {
-                CmpOp::Eq => $eq(a, b),
-                CmpOp::Ne => $ne(a, b),
-                CmpOp::Lt => $lt(a, b),
-                CmpOp::Le => $le(a, b),
-                CmpOp::Gt => $gt(a, b),
-                CmpOp::Ge => $ge(a, b),
+            #[inline(always)]
+            unsafe fn store(dst: *mut u32, list: Self) {
+                $storeu(dst as *mut i32, list)
             }
         }
-        #[inline]
-        #[target_feature(enable = "avx512f,avx512vl,avx512dq")]
-        unsafe fn $mask_cmp(k: $mask, op: CmpOp, a: $vec, b: $vec) -> $mask {
-            match op {
-                CmpOp::Eq => $meq(k, a, b),
-                CmpOp::Ne => $mne(k, a, b),
-                CmpOp::Lt => $mlt(k, a, b),
-                CmpOp::Le => $mle(k, a, b),
-                CmpOp::Gt => $mgt(k, a, b),
-                CmpOp::Ge => $mge(k, a, b),
-            }
-        }
-    };
-}
 
-def_int_cmp!(
-    cmp_u32_128,
-    mask_cmp_u32_128,
-    __m128i,
-    __mmask8,
-    _mm_cmpeq_epu32_mask,
-    _mm_cmpneq_epu32_mask,
-    _mm_cmplt_epu32_mask,
-    _mm_cmple_epu32_mask,
-    _mm_cmpgt_epu32_mask,
-    _mm_cmpge_epu32_mask,
-    _mm_mask_cmpeq_epu32_mask,
-    _mm_mask_cmpneq_epu32_mask,
-    _mm_mask_cmplt_epu32_mask,
-    _mm_mask_cmple_epu32_mask,
-    _mm_mask_cmpgt_epu32_mask,
-    _mm_mask_cmpge_epu32_mask
-);
-def_int_cmp!(
-    cmp_u32_256,
-    mask_cmp_u32_256,
-    __m256i,
-    __mmask8,
-    _mm256_cmpeq_epu32_mask,
-    _mm256_cmpneq_epu32_mask,
-    _mm256_cmplt_epu32_mask,
-    _mm256_cmple_epu32_mask,
-    _mm256_cmpgt_epu32_mask,
-    _mm256_cmpge_epu32_mask,
-    _mm256_mask_cmpeq_epu32_mask,
-    _mm256_mask_cmpneq_epu32_mask,
-    _mm256_mask_cmplt_epu32_mask,
-    _mm256_mask_cmple_epu32_mask,
-    _mm256_mask_cmpgt_epu32_mask,
-    _mm256_mask_cmpge_epu32_mask
-);
-def_int_cmp!(
-    cmp_u32_512,
-    mask_cmp_u32_512,
-    __m512i,
-    __mmask16,
-    _mm512_cmpeq_epu32_mask,
-    _mm512_cmpneq_epu32_mask,
-    _mm512_cmplt_epu32_mask,
-    _mm512_cmple_epu32_mask,
-    _mm512_cmpgt_epu32_mask,
-    _mm512_cmpge_epu32_mask,
-    _mm512_mask_cmpeq_epu32_mask,
-    _mm512_mask_cmpneq_epu32_mask,
-    _mm512_mask_cmplt_epu32_mask,
-    _mm512_mask_cmple_epu32_mask,
-    _mm512_mask_cmpgt_epu32_mask,
-    _mm512_mask_cmpge_epu32_mask
-);
-
-def_int_cmp!(
-    cmp_i32_128,
-    mask_cmp_i32_128,
-    __m128i,
-    __mmask8,
-    _mm_cmpeq_epi32_mask,
-    _mm_cmpneq_epi32_mask,
-    _mm_cmplt_epi32_mask,
-    _mm_cmple_epi32_mask,
-    _mm_cmpgt_epi32_mask,
-    _mm_cmpge_epi32_mask,
-    _mm_mask_cmpeq_epi32_mask,
-    _mm_mask_cmpneq_epi32_mask,
-    _mm_mask_cmplt_epi32_mask,
-    _mm_mask_cmple_epi32_mask,
-    _mm_mask_cmpgt_epi32_mask,
-    _mm_mask_cmpge_epi32_mask
-);
-def_int_cmp!(
-    cmp_i32_256,
-    mask_cmp_i32_256,
-    __m256i,
-    __mmask8,
-    _mm256_cmpeq_epi32_mask,
-    _mm256_cmpneq_epi32_mask,
-    _mm256_cmplt_epi32_mask,
-    _mm256_cmple_epi32_mask,
-    _mm256_cmpgt_epi32_mask,
-    _mm256_cmpge_epi32_mask,
-    _mm256_mask_cmpeq_epi32_mask,
-    _mm256_mask_cmpneq_epi32_mask,
-    _mm256_mask_cmplt_epi32_mask,
-    _mm256_mask_cmple_epi32_mask,
-    _mm256_mask_cmpgt_epi32_mask,
-    _mm256_mask_cmpge_epi32_mask
-);
-def_int_cmp!(
-    cmp_i32_512,
-    mask_cmp_i32_512,
-    __m512i,
-    __mmask16,
-    _mm512_cmpeq_epi32_mask,
-    _mm512_cmpneq_epi32_mask,
-    _mm512_cmplt_epi32_mask,
-    _mm512_cmple_epi32_mask,
-    _mm512_cmpgt_epi32_mask,
-    _mm512_cmpge_epi32_mask,
-    _mm512_mask_cmpeq_epi32_mask,
-    _mm512_mask_cmpneq_epi32_mask,
-    _mm512_mask_cmplt_epi32_mask,
-    _mm512_mask_cmple_epi32_mask,
-    _mm512_mask_cmpgt_epi32_mask,
-    _mm512_mask_cmpge_epi32_mask
-);
-
-macro_rules! def_f32_cmp {
-    ($cmp:ident, $mask_cmp:ident, $vec:ty, $mask:ty, $cast:ident, $cmpfn:ident, $mask_cmpfn:ident) => {
-        #[inline]
-        #[target_feature(enable = "avx512f,avx512vl,avx512dq")]
-        unsafe fn $cmp(op: CmpOp, a: $vec, b: $vec) -> $mask {
-            let (fa, fb) = ($cast(a), $cast(b));
-            // Ordered, quiet predicates: NaN lanes compare false for every
-            // operator, matching `NativeType::cmp_op`.
-            match op {
-                CmpOp::Eq => $cmpfn::<_CMP_EQ_OQ>(fa, fb),
-                CmpOp::Ne => $cmpfn::<_CMP_NEQ_OQ>(fa, fb),
-                CmpOp::Lt => $cmpfn::<_CMP_LT_OS>(fa, fb),
-                CmpOp::Le => $cmpfn::<_CMP_LE_OS>(fa, fb),
-                CmpOp::Gt => $cmpfn::<_CMP_GT_OS>(fa, fb),
-                CmpOp::Ge => $cmpfn::<_CMP_GE_OS>(fa, fb),
-            }
-        }
-        #[inline]
-        #[target_feature(enable = "avx512f,avx512vl,avx512dq")]
-        unsafe fn $mask_cmp(k: $mask, op: CmpOp, a: $vec, b: $vec) -> $mask {
-            let (fa, fb) = ($cast(a), $cast(b));
-            match op {
-                CmpOp::Eq => $mask_cmpfn::<_CMP_EQ_OQ>(k, fa, fb),
-                CmpOp::Ne => $mask_cmpfn::<_CMP_NEQ_OQ>(k, fa, fb),
-                CmpOp::Lt => $mask_cmpfn::<_CMP_LT_OS>(k, fa, fb),
-                CmpOp::Le => $mask_cmpfn::<_CMP_LE_OS>(k, fa, fb),
-                CmpOp::Gt => $mask_cmpfn::<_CMP_GT_OS>(k, fa, fb),
-                CmpOp::Ge => $mask_cmpfn::<_CMP_GE_OS>(k, fa, fb),
-            }
-        }
-    };
-}
-
-def_f32_cmp!(
-    cmp_f32_128,
-    mask_cmp_f32_128,
-    __m128i,
-    __mmask8,
-    _mm_castsi128_ps,
-    _mm_cmp_ps_mask,
-    _mm_mask_cmp_ps_mask
-);
-def_f32_cmp!(
-    cmp_f32_256,
-    mask_cmp_f32_256,
-    __m256i,
-    __mmask8,
-    _mm256_castsi256_ps,
-    _mm256_cmp_ps_mask,
-    _mm256_mask_cmp_ps_mask
-);
-def_f32_cmp!(
-    cmp_f32_512,
-    mask_cmp_f32_512,
-    __m512i,
-    __mmask16,
-    _mm512_castsi512_ps,
-    _mm512_cmp_ps_mask,
-    _mm512_mask_cmp_ps_mask
-);
-
-// --- the kernel skeleton ------------------------------------------------
-
-macro_rules! avx512_kernel {
-    ($modname:ident, $elem:ty, $lanes:expr, $vec:ty, $mask:ty,
-     $loadu:ident, $maskz_loadu:ident, $storeu:ident, $set1:ident, $setzero:ident,
-     $maskz_compress:ident, $permutex2var:ident, $add:ident,
-     $iota:ident, $merge:ident,
-     $cmp:ident, $mask_cmp:ident,
-     |$gsrc:ident, $gk:ident, $gidx:ident, $gbase:ident| $gather:expr) => {
-        /// One width × element-kind instantiation of the fused kernel.
-        pub mod $modname {
-            use super::*;
-
-            /// Lanes per register.
-            pub const LANES: usize = $lanes;
-
-            struct State<'a> {
-                cols: &'a [&'a [$elem]],
-                ops: &'a [CmpOp],
-                stages: Stages,
-                nsplat: [$vec; MAX_PREDICATES],
-                plists: [$vec; MAX_PREDICATES],
-                counts: [usize; MAX_PREDICATES],
-                out: Vec<u32>,
-                total: u64,
-            }
-
-            /// Append `fresh[..m]` (left-aligned, zero-padded) to follower
-            /// stage `s` (1-based).
-            #[target_feature(enable = "avx512f,avx512vl,avx512bw,avx512dq,avx2,popcnt")]
-            unsafe fn push<const EMIT: bool, const RUN: bool>(
-                st: &mut State<'_>,
-                s: usize,
-                fresh: $vec,
-                m: usize,
-            ) {
-                if st.counts[s] + m > LANES {
-                    // Process the incomplete list first, then start a new
-                    // list with the batch (paper §III).
-                    flush::<EMIT, RUN>(st, s);
-                    st.plists[s] = fresh;
-                    st.counts[s] = m;
+        impl Reg32 for $v {
+            #[inline(always)]
+            unsafe fn load(src: *const u32, n: usize) -> Self {
+                if n == $lanes {
+                    $loadu(src as *const i32)
                 } else {
-                    let ctl = $loadu($merge[st.counts[s]].as_ptr() as *const i32);
-                    st.plists[s] = $permutex2var(st.plists[s], ctl, fresh);
-                    st.counts[s] += m;
-                }
-                if st.counts[s] == LANES {
-                    flush::<EMIT, RUN>(st, s);
+                    $maskz_loadu(lane_mask(n) as $kmask, src as *const i32)
                 }
             }
 
-            /// Gather the pending positions of stage `s` once and compare
-            /// them against each predicate of its run under mask,
-            /// forwarding survivors to stage `s + 1` (or the output).
-            #[target_feature(enable = "avx512f,avx512vl,avx512bw,avx512dq,avx2,popcnt")]
-            unsafe fn flush<const EMIT: bool, const RUN: bool>(st: &mut State<'_>, s: usize) {
-                let c = st.counts[s];
-                if c == 0 {
-                    return;
-                }
-                let plist = st.plists[s];
-                st.plists[s] = $setzero();
-                st.counts[s] = 0;
-
-                let km = (fts_simd::model::lane_mask(c) as $mask);
-                let run = if RUN { st.stages.preds(s) } else { s..s + 1 };
-                let col = st.cols[run.start];
-                let vals = {
-                    let $gsrc = $setzero();
-                    let $gk = km;
-                    let $gidx = plist;
-                    let $gbase = col.as_ptr() as *const i32;
-                    $gather
-                };
-                let mut k2 = $mask_cmp(km, st.ops[run.start], vals, st.nsplat[run.start]);
-                for p in run.start + 1..run.end {
-                    k2 = $mask_cmp(k2, st.ops[p], vals, st.nsplat[p]);
-                }
-                let m2 = (k2 as u32).count_ones() as usize;
-                if m2 == 0 {
-                    return;
-                }
-                let fresh2 = $maskz_compress(k2, plist);
-                if s + 1 == st.stages.len() {
-                    emit::<EMIT>(st, fresh2, m2);
-                } else {
-                    push::<EMIT, RUN>(st, s + 1, fresh2, m2);
-                }
-            }
-
-            #[target_feature(enable = "avx512f,avx512vl,avx512bw,avx512dq,avx2,popcnt")]
-            unsafe fn emit<const EMIT: bool>(st: &mut State<'_>, fresh: $vec, m: usize) {
-                st.total += m as u64;
-                if EMIT {
-                    let len = st.out.len();
-                    st.out.reserve(LANES);
-                    $storeu(st.out.as_mut_ptr().add(len) as *mut i32, fresh);
-                    st.out.set_len(len + m);
-                }
-            }
-
-            /// The scan loop; `RUN` compiles in the further compares of
-            /// same-column runs, so a run-free chain keeps one compare per
-            /// stage.
-            #[target_feature(enable = "avx512f,avx512vl,avx512bw,avx512dq,avx2,popcnt")]
-            unsafe fn kernel<const EMIT: bool, const RUN: bool>(
-                cols: &[&[$elem]],
-                ops: &[CmpOp],
-                needles: &[$elem],
-                stages: Stages,
-            ) -> (u64, Vec<u32>) {
-                let rows = cols[0].len();
-                let driver_end = stages.preds(0).end;
-                let mut st = State {
-                    cols,
-                    ops,
-                    stages,
-                    nsplat: std::array::from_fn(|i| {
-                        $set1(needles.get(i).map_or(0, |n| Elem32::bits(*n)))
-                    }),
-                    plists: [$setzero(); MAX_PREDICATES],
-                    counts: [0; MAX_PREDICATES],
-                    out: Vec::new(),
-                    total: 0,
-                };
-                let col0 = cols[0].as_ptr() as *const i32;
-                let op0 = ops[0];
-                let needle0 = st.nsplat[0];
-                let iota = $loadu($iota.as_ptr() as *const i32);
-
-                let full_blocks = rows / LANES;
-                for blk in 0..full_blocks {
-                    let v = $loadu(col0.add(blk * LANES));
-                    let mut k = $cmp(op0, v, needle0);
-                    if RUN {
-                        for p in 1..driver_end {
-                            k = $mask_cmp(k, ops[p], v, st.nsplat[p]);
-                        }
-                    }
-                    if k == 0 {
-                        continue;
-                    }
-                    let m = (k as u32).count_ones() as usize;
-                    let idx = $add(iota, $set1((blk * LANES) as i32));
-                    let fresh = $maskz_compress(k, idx);
-                    if stages.len() == 1 {
-                        emit::<EMIT>(&mut st, fresh, m);
-                    } else {
-                        push::<EMIT, RUN>(&mut st, 1, fresh, m);
-                    }
-                }
-
-                let tail = rows % LANES;
-                if tail != 0 {
-                    let base = full_blocks * LANES;
-                    let kt = fts_simd::model::lane_mask(tail) as $mask;
-                    let v = $maskz_loadu(kt, col0.add(base));
-                    let mut k = $mask_cmp(kt, op0, v, needle0);
-                    if RUN {
-                        for p in 1..driver_end {
-                            k = $mask_cmp(k, ops[p], v, st.nsplat[p]);
-                        }
-                    }
-                    if k != 0 {
-                        let m = (k as u32).count_ones() as usize;
-                        let idx = $add(iota, $set1(base as i32));
-                        let fresh = $maskz_compress(k, idx);
-                        if stages.len() == 1 {
-                            emit::<EMIT>(&mut st, fresh, m);
-                        } else {
-                            push::<EMIT, RUN>(&mut st, 1, fresh, m);
-                        }
-                    }
-                }
-
-                // Drain partial lists in ascending stage order.
-                for s in 1..stages.len() {
-                    flush::<EMIT, RUN>(&mut st, s);
-                }
-                (st.total, st.out)
-            }
-
-            /// Safe entry point. Panics without AVX-512 or on an invalid
-            /// chain (ragged columns, > [`MAX_PREDICATES`] predicates).
-            pub fn fused_scan(preds: &[TypedPred<'_, $elem>], mode: OutputMode) -> ScanOutput {
-                assert!(has_avx512(), "AVX-512 not available on this host");
-                assert!(
-                    preds.len() <= MAX_PREDICATES,
-                    "chain too long for one fused kernel"
-                );
-                let empty = match mode {
-                    OutputMode::Count => ScanOutput::Count(0),
-                    OutputMode::Positions => ScanOutput::Positions(PosList::new()),
-                };
-                let Some(first) = preds.first() else {
-                    return empty;
-                };
-                let rows = first.data.len();
-                for p in preds {
-                    assert_eq!(p.data.len(), rows, "chain columns must have equal length");
-                }
-                assert!(
-                    rows <= i32::MAX as usize,
-                    "chunk exceeds 32-bit gather index range"
-                );
-
-                let cols: Vec<&[$elem]> = preds.iter().map(|p| p.data).collect();
-                let ops: Vec<CmpOp> = preds.iter().map(|p| p.op).collect();
-                let needles: Vec<$elem> = preds.iter().map(|p| p.needle).collect();
-                let stages = Stages::of(cols.iter().map(|c| (c.as_ptr(), c.len())));
-                // SAFETY: AVX-512 presence asserted; columns validated.
-                let (total, out) = unsafe {
-                    match (mode, stages.len() < preds.len()) {
-                        (OutputMode::Count, false) => {
-                            kernel::<false, false>(&cols, &ops, &needles, stages)
-                        }
-                        (OutputMode::Count, true) => {
-                            kernel::<false, true>(&cols, &ops, &needles, stages)
-                        }
-                        (OutputMode::Positions, false) => {
-                            kernel::<true, false>(&cols, &ops, &needles, stages)
-                        }
-                        (OutputMode::Positions, true) => {
-                            kernel::<true, true>(&cols, &ops, &needles, stages)
-                        }
-                    }
-                };
-                match mode {
-                    OutputMode::Count => ScanOutput::Count(total),
-                    OutputMode::Positions => ScanOutput::Positions(PosList::from_vec(out)),
-                }
+            #[inline(always)]
+            unsafe fn gather(base: *const u32, idx: Self, k: u32) -> Self {
+                $mask_gather::<4>($setzero(), k as $kmask, idx, base as *const i32)
             }
         }
     };
 }
 
-// u32 kernels — the paper's 4-byte integers.
-avx512_kernel!(
-    u32_w128,
-    u32,
-    4,
+reg32!(
     __m128i,
+    4,
     __mmask8,
+    [0, 1, 2, 3],
+    MERGE4,
+    _mm_set1_epi32,
+    _mm_setzero_si128,
+    _mm_add_epi32,
     _mm_loadu_epi32,
     _mm_maskz_loadu_epi32,
     _mm_storeu_epi32,
-    _mm_set1_epi32,
-    _mm_setzero_si128,
     _mm_maskz_compress_epi32,
     _mm_permutex2var_epi32,
-    _mm_add_epi32,
-    IOTA4,
-    MERGE4,
-    cmp_u32_128,
-    mask_cmp_u32_128,
-    |src, k, idx, base| _mm_mmask_i32gather_epi32::<4>(src, k, idx, base)
+    _mm_mmask_i32gather_epi32
 );
-avx512_kernel!(
-    u32_w256,
-    u32,
-    8,
+reg32!(
     __m256i,
+    8,
     __mmask8,
+    [0, 1, 2, 3, 4, 5, 6, 7],
+    MERGE8,
+    _mm256_set1_epi32,
+    _mm256_setzero_si256,
+    _mm256_add_epi32,
     _mm256_loadu_epi32,
     _mm256_maskz_loadu_epi32,
     _mm256_storeu_epi32,
-    _mm256_set1_epi32,
-    _mm256_setzero_si256,
     _mm256_maskz_compress_epi32,
     _mm256_permutex2var_epi32,
-    _mm256_add_epi32,
-    IOTA8,
-    MERGE8,
-    cmp_u32_256,
-    mask_cmp_u32_256,
-    |src, k, idx, base| _mm256_mmask_i32gather_epi32::<4>(src, k, idx, base)
+    _mm256_mmask_i32gather_epi32
 );
-avx512_kernel!(
-    u32_w512,
-    u32,
-    16,
+reg32!(
     __m512i,
+    16,
     __mmask16,
+    [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
+    MERGE16,
+    _mm512_set1_epi32,
+    _mm512_setzero_si512,
+    _mm512_add_epi32,
     _mm512_loadu_epi32,
     _mm512_maskz_loadu_epi32,
     _mm512_storeu_epi32,
-    _mm512_set1_epi32,
-    _mm512_setzero_si512,
     _mm512_maskz_compress_epi32,
     _mm512_permutex2var_epi32,
-    _mm512_add_epi32,
-    IOTA16,
-    MERGE16,
-    cmp_u32_512,
-    mask_cmp_u32_512,
-    |src, k, idx, base| _mm512_mask_i32gather_epi32::<4>(src, k, idx, base)
+    _mm512_mask_i32gather_epi32
 );
 
-// i32 kernels — signed compares.
-avx512_kernel!(
-    i32_w128,
-    i32,
-    4,
-    __m128i,
-    __mmask8,
-    _mm_loadu_epi32,
-    _mm_maskz_loadu_epi32,
-    _mm_storeu_epi32,
-    _mm_set1_epi32,
-    _mm_setzero_si128,
-    _mm_maskz_compress_epi32,
-    _mm_permutex2var_epi32,
-    _mm_add_epi32,
-    IOTA4,
-    MERGE4,
-    cmp_i32_128,
-    mask_cmp_i32_128,
-    |src, k, idx, base| _mm_mmask_i32gather_epi32::<4>(src, k, idx, base)
-);
-avx512_kernel!(
-    i32_w256,
-    i32,
-    8,
-    __m256i,
-    __mmask8,
-    _mm256_loadu_epi32,
-    _mm256_maskz_loadu_epi32,
-    _mm256_storeu_epi32,
-    _mm256_set1_epi32,
-    _mm256_setzero_si256,
-    _mm256_maskz_compress_epi32,
-    _mm256_permutex2var_epi32,
-    _mm256_add_epi32,
-    IOTA8,
-    MERGE8,
-    cmp_i32_256,
-    mask_cmp_i32_256,
-    |src, k, idx, base| _mm256_mmask_i32gather_epi32::<4>(src, k, idx, base)
-);
-avx512_kernel!(
-    i32_w512,
-    i32,
-    16,
-    __m512i,
-    __mmask16,
-    _mm512_loadu_epi32,
-    _mm512_maskz_loadu_epi32,
-    _mm512_storeu_epi32,
-    _mm512_set1_epi32,
-    _mm512_setzero_si512,
-    _mm512_maskz_compress_epi32,
-    _mm512_permutex2var_epi32,
-    _mm512_add_epi32,
-    IOTA16,
-    MERGE16,
-    cmp_i32_512,
-    mask_cmp_i32_512,
-    |src, k, idx, base| _mm512_mask_i32gather_epi32::<4>(src, k, idx, base)
-);
+// One row per element kind and register. A `match` over a loop-invariant
+// `CmpOp` compiles to one well-predicted branch; the JIT backend in
+// `fts-jit` removes even that.
+macro_rules! lanes {
+    (@impl $t:ty, $v:ty, $kmask:ty, $set1:ident, $bits:ty, $cmp:ident, $mask_cmp:ident,
+     [$($cast:ident)?] $eq:ident, $ne:ident, $lt:ident, $le:ident, $gt:ident, $ge:ident) => {
+        impl Lanes<$v> for $t {
+            #[inline(always)]
+            unsafe fn splat(self) -> $v {
+                $set1(self.bits() as $bits)
+            }
 
-// f32 kernels — float compares on the same integer plumbing.
-avx512_kernel!(
-    f32_w128,
-    f32,
-    4,
-    __m128i,
-    __mmask8,
-    _mm_loadu_epi32,
-    _mm_maskz_loadu_epi32,
-    _mm_storeu_epi32,
-    _mm_set1_epi32,
-    _mm_setzero_si128,
-    _mm_maskz_compress_epi32,
-    _mm_permutex2var_epi32,
-    _mm_add_epi32,
-    IOTA4,
-    MERGE4,
-    cmp_f32_128,
-    mask_cmp_f32_128,
-    |src, k, idx, base| _mm_mmask_i32gather_epi32::<4>(src, k, idx, base)
-);
-avx512_kernel!(
-    f32_w256,
-    f32,
-    8,
-    __m256i,
-    __mmask8,
-    _mm256_loadu_epi32,
-    _mm256_maskz_loadu_epi32,
-    _mm256_storeu_epi32,
-    _mm256_set1_epi32,
-    _mm256_setzero_si256,
-    _mm256_maskz_compress_epi32,
-    _mm256_permutex2var_epi32,
-    _mm256_add_epi32,
-    IOTA8,
-    MERGE8,
-    cmp_f32_256,
-    mask_cmp_f32_256,
-    |src, k, idx, base| _mm256_mmask_i32gather_epi32::<4>(src, k, idx, base)
-);
-avx512_kernel!(
-    f32_w512,
-    f32,
-    16,
-    __m512i,
-    __mmask16,
-    _mm512_loadu_epi32,
-    _mm512_maskz_loadu_epi32,
-    _mm512_storeu_epi32,
-    _mm512_set1_epi32,
-    _mm512_setzero_si512,
-    _mm512_maskz_compress_epi32,
-    _mm512_permutex2var_epi32,
-    _mm512_add_epi32,
-    IOTA16,
-    MERGE16,
-    cmp_f32_512,
-    mask_cmp_f32_512,
-    |src, k, idx, base| _mm512_mask_i32gather_epi32::<4>(src, k, idx, base)
-);
+            #[inline(always)]
+            unsafe fn cmp(op: CmpOp, a: $v, b: $v) -> u32 {
+                $(let (a, b) = ($cast(a), $cast(b));)?
+                (match op {
+                    CmpOp::Eq => $cmp::<$eq>(a, b),
+                    CmpOp::Ne => $cmp::<$ne>(a, b),
+                    CmpOp::Lt => $cmp::<$lt>(a, b),
+                    CmpOp::Le => $cmp::<$le>(a, b),
+                    CmpOp::Gt => $cmp::<$gt>(a, b),
+                    CmpOp::Ge => $cmp::<$ge>(a, b),
+                }) as u32
+            }
+
+            #[inline(always)]
+            unsafe fn mask_cmp(k: u32, op: CmpOp, a: $v, b: $v) -> u32 {
+                $(let (a, b) = ($cast(a), $cast(b));)?
+                let k = k as $kmask;
+                (match op {
+                    CmpOp::Eq => $mask_cmp::<$eq>(k, a, b),
+                    CmpOp::Ne => $mask_cmp::<$ne>(k, a, b),
+                    CmpOp::Lt => $mask_cmp::<$lt>(k, a, b),
+                    CmpOp::Le => $mask_cmp::<$le>(k, a, b),
+                    CmpOp::Gt => $mask_cmp::<$gt>(k, a, b),
+                    CmpOp::Ge => $mask_cmp::<$ge>(k, a, b),
+                }) as u32
+            }
+        }
+    };
+    // Integer lanes: `NLE` is `>` and `NLT` is `>=`.
+    (int: $($t:ty, $v:ty, $kmask:ty, $set1:ident, $bits:ty, $cmp:ident, $mask_cmp:ident;)*) => {$(
+        lanes!(@impl $t, $v, $kmask, $set1, $bits, $cmp, $mask_cmp, []
+            _MM_CMPINT_EQ, _MM_CMPINT_NE, _MM_CMPINT_LT, _MM_CMPINT_LE, _MM_CMPINT_NLE, _MM_CMPINT_NLT);
+    )*};
+    // Float lanes, compared on the integer lanes' bits. Ordered, quiet
+    // predicates: NaN lanes compare false for every operator, matching
+    // `NativeType::cmp_op`.
+    (float: $($t:ty, $v:ty, $kmask:ty, $set1:ident, $bits:ty, $cmp:ident, $mask_cmp:ident,
+     $cast:ident;)*) => {$(
+        lanes!(@impl $t, $v, $kmask, $set1, $bits, $cmp, $mask_cmp, [$cast]
+            _CMP_EQ_OQ, _CMP_NEQ_OQ, _CMP_LT_OS, _CMP_LE_OS, _CMP_GT_OS, _CMP_GE_OS);
+    )*};
+}
+
+lanes! { int:
+    u32, __m128i, __mmask8, _mm_set1_epi32, i32, _mm_cmp_epu32_mask, _mm_mask_cmp_epu32_mask;
+    u32, __m256i, __mmask8, _mm256_set1_epi32, i32, _mm256_cmp_epu32_mask, _mm256_mask_cmp_epu32_mask;
+    u32, __m512i, __mmask16, _mm512_set1_epi32, i32, _mm512_cmp_epu32_mask, _mm512_mask_cmp_epu32_mask;
+    i32, __m128i, __mmask8, _mm_set1_epi32, i32, _mm_cmp_epi32_mask, _mm_mask_cmp_epi32_mask;
+    i32, __m256i, __mmask8, _mm256_set1_epi32, i32, _mm256_cmp_epi32_mask, _mm256_mask_cmp_epi32_mask;
+    i32, __m512i, __mmask16, _mm512_set1_epi32, i32, _mm512_cmp_epi32_mask, _mm512_mask_cmp_epi32_mask;
+    u64, __m512i, __mmask8, _mm512_set1_epi64, i64, _mm512_cmp_epu64_mask, _mm512_mask_cmp_epu64_mask;
+    i64, __m512i, __mmask8, _mm512_set1_epi64, i64, _mm512_cmp_epi64_mask, _mm512_mask_cmp_epi64_mask;
+}
+
+lanes! { float:
+    f32, __m128i, __mmask8, _mm_set1_epi32, i32, _mm_cmp_ps_mask, _mm_mask_cmp_ps_mask, _mm_castsi128_ps;
+    f32, __m256i, __mmask8, _mm256_set1_epi32, i32, _mm256_cmp_ps_mask, _mm256_mask_cmp_ps_mask,
+        _mm256_castsi256_ps;
+    f32, __m512i, __mmask16, _mm512_set1_epi32, i32, _mm512_cmp_ps_mask, _mm512_mask_cmp_ps_mask,
+        _mm512_castsi512_ps;
+    f64, __m512i, __mmask8, _mm512_set1_epi64, i64, _mm512_cmp_pd_mask, _mm512_mask_cmp_pd_mask,
+        _mm512_castsi512_pd;
+}
+
+/// The AVX-512 family over 32-bit lanes: `T` values and their positions
+/// share register `V` (4, 8 or 16 lanes).
+pub(crate) struct Avx512<T, V>(PhantomData<(T, V)>);
+
+impl<T: Lanes<V>, V: Reg32> Family for Avx512<T, V> {
+    type Col<'a> = &'a [T];
+    type Elem = T;
+    type Vals = V;
+    type List = V;
+
+    fn available() -> bool {
+        has_avx512()
+    }
+
+    #[inline(always)]
+    unsafe fn load(col: &[T], row: usize, n: usize) -> V {
+        const {
+            assert!(
+                std::mem::size_of::<T>() == 4,
+                "32-bit lanes hold 4-byte values"
+            )
+        };
+        V::load(col.as_ptr().add(row) as *const u32, n)
+    }
+
+    #[inline(always)]
+    unsafe fn gather(col: &[T], list: V, k: u32) -> V {
+        V::gather(col.as_ptr() as *const u32, list, k)
+    }
+}
+
+/// Run a chain of 32-bit values on the AVX-512 kernel at `width`. Panics
+/// without AVX-512 or on an invalid chain (ragged columns, more than
+/// [`crate::fused::MAX_PREDICATES`] predicates).
+pub(crate) fn fused_scan<T>(
+    width: RegWidth,
+    preds: &[TypedPred<'_, T>],
+    mode: OutputMode,
+) -> ScanOutput
+where
+    T: Lanes<__m128i> + Lanes<__m256i> + Lanes<__m512i>,
+{
+    let (cols, ops, needles) = split(preds);
+    match width {
+        RegWidth::W128 => scan::<Avx512<T, __m128i>>(&cols, &ops, &needles, mode),
+        RegWidth::W256 => scan::<Avx512<T, __m256i>>(&cols, &ops, &needles, mode),
+        RegWidth::W512 => scan::<Avx512<T, __m512i>>(&cols, &ops, &needles, mode),
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -710,16 +299,25 @@ mod tests {
     fn check_u32(preds: &[TypedPred<'_, u32>]) {
         let expected = reference::scan_positions(preds);
         for (name, out) in [
-            ("w128", u32_w128::fused_scan(preds, OutputMode::Positions)),
-            ("w256", u32_w256::fused_scan(preds, OutputMode::Positions)),
-            ("w512", u32_w512::fused_scan(preds, OutputMode::Positions)),
+            (
+                "w128",
+                fused_scan(RegWidth::W128, preds, OutputMode::Positions),
+            ),
+            (
+                "w256",
+                fused_scan(RegWidth::W256, preds, OutputMode::Positions),
+            ),
+            (
+                "w512",
+                fused_scan(RegWidth::W512, preds, OutputMode::Positions),
+            ),
         ] {
             assert_eq!(out.positions().unwrap(), &expected, "{name} positions");
         }
         for (name, out) in [
-            ("w128", u32_w128::fused_scan(preds, OutputMode::Count)),
-            ("w256", u32_w256::fused_scan(preds, OutputMode::Count)),
-            ("w512", u32_w512::fused_scan(preds, OutputMode::Count)),
+            ("w128", fused_scan(RegWidth::W128, preds, OutputMode::Count)),
+            ("w256", fused_scan(RegWidth::W256, preds, OutputMode::Count)),
+            ("w512", fused_scan(RegWidth::W512, preds, OutputMode::Count)),
         ] {
             assert_eq!(out.count(), expected.len() as u64, "{name} count");
         }
@@ -733,7 +331,7 @@ mod tests {
         let a = [2u32, 5, 4, 5, 6, 1, 5, 7, 6, 8, 5, 3, 5, 9, 9, 5];
         let b = [5u32, 2, 3, 1, 1, 3, 6, 0, 8, 7, 3, 3, 2, 9, 3, 2];
         let preds = [TypedPred::eq(&a[..], 5), TypedPred::eq(&b[..], 2)];
-        let out = u32_w128::fused_scan(&preds, OutputMode::Positions);
+        let out = fused_scan(RegWidth::W128, &preds, OutputMode::Positions);
         assert_eq!(out.positions().unwrap().as_slice(), &[1, 12, 15]);
         check_u32(&preds);
     }
@@ -821,9 +419,9 @@ mod tests {
             ];
             let expected = reference::scan_positions(&preds);
             for out in [
-                i32_w128::fused_scan(&preds, OutputMode::Positions),
-                i32_w256::fused_scan(&preds, OutputMode::Positions),
-                i32_w512::fused_scan(&preds, OutputMode::Positions),
+                fused_scan(RegWidth::W128, &preds, OutputMode::Positions),
+                fused_scan(RegWidth::W256, &preds, OutputMode::Positions),
+                fused_scan(RegWidth::W512, &preds, OutputMode::Positions),
             ] {
                 assert_eq!(out.positions().unwrap(), &expected, "{op}");
             }
@@ -846,9 +444,9 @@ mod tests {
             ];
             let expected = reference::scan_positions(&preds);
             for out in [
-                f32_w128::fused_scan(&preds, OutputMode::Positions),
-                f32_w256::fused_scan(&preds, OutputMode::Positions),
-                f32_w512::fused_scan(&preds, OutputMode::Positions),
+                fused_scan(RegWidth::W128, &preds, OutputMode::Positions),
+                fused_scan(RegWidth::W256, &preds, OutputMode::Positions),
+                fused_scan(RegWidth::W512, &preds, OutputMode::Positions),
             ] {
                 assert_eq!(out.positions().unwrap(), &expected, "{op}");
             }

@@ -32,17 +32,30 @@
 //!    positions are ascending;
 //! 4. at end of input, stages drain in ascending order.
 //!
-//! [`scalar`] is the portable reference engine (any [`fts_storage::NativeType`],
-//! any lane count); [`avx2`] and [`avx512`] are the hardware kernels.
+//! Modules:
+//!
+//! * [`scalar`] — the portable reference engine (any
+//!   [`fts_storage::NativeType`], any lane count), which the telemetry also
+//!   replays;
+//! * `skeleton` — the one loop of the static hardware kernels, stamped per
+//!   kernel family: `avx512` (4, 8 or 16 lanes of 32-bit values), `w64` (8
+//!   lanes of 64-bit values), `avx2` (4 lanes, compress and append emulated
+//!   with `vpshufb` tables) and [`packed`] (plain and bit-packed `u32`
+//!   columns on AVX-512 + VBMI2);
+//! * [`for_scan`] and [`bytesliced`] — the frame-of-reference and
+//!   byte-sliced layouts' kernels.
+//!
+//! A chain mixing 32- and 64-bit columns runs as one typed driver plus a
+//! survivor filter in `fts-query`'s executor, not as one kernel.
 
-pub mod avx2;
-pub mod avx512;
+pub(crate) mod avx2;
+pub(crate) mod avx512;
 pub mod bytesliced;
 pub mod for_scan;
-pub mod mixed;
 pub mod packed;
 pub mod scalar;
-pub mod w64;
+pub(crate) mod skeleton;
+pub(crate) mod w64;
 
 use crate::pred::TypedPred;
 

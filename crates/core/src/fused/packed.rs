@@ -1,13 +1,17 @@
 //! Fused Table Scan over **bit-packed** columns — the paper's §VII future
 //! work implemented: null-suppressed (fixed-width bit-packed) columns
 //! participate in the fused chain without being decompressed to memory.
+//! The kernel is the crate's one fused-scan skeleton stamped for the packed
+//! family: 16 lanes of plain or bit-packed `u32` columns on AVX-512 +
+//! VBMI2. Only its column fetch differs from the 512-bit `u32` kernel.
 //!
 //! * **Driver unpack** (widths ≤ 16 bits): one masked word load per
 //!   16-value block, then `vpermd` selects each lane's low word, a second
 //!   `vpermd` its successor, and the VBMI2 funnel shift `vpshrdvd`
 //!   extracts the value — the Willhalm-style unpack-and-compare pipeline,
 //!   fused with the compare. Wider widths unpack the block scalar-side
-//!   (still inside the fused loop).
+//!   (still inside the fused loop). The tail block unpacks only the rows
+//!   that exist.
 //! * **Gather-side extraction** — the challenge the paper names: the
 //!   position list is multiplied by the bit width, split into word index
 //!   and bit offset, *two* masked `vpgatherdd`s fetch each value's word
@@ -19,18 +23,19 @@
 //! maximum are resolved to constant outcomes before the kernel runs.
 
 #![cfg(target_arch = "x86_64")]
-#![allow(unsafe_op_in_unsafe_fn)] // one kernel = one contiguous unsafe context
+#![allow(unsafe_op_in_unsafe_fn)] // one primitive = one intrinsic sequence
 
 use std::arch::x86_64::*;
 
-use fts_simd::model::lane_mask;
 use fts_storage::bitpack::{mask_of, PackedColumn};
 use fts_storage::{CmpOp, PosList};
 
-use crate::fused::{Stages, MAX_PREDICATES, MERGE16};
+use crate::fused::avx512::Reg32;
+use crate::fused::skeleton::{fused_skeleton, Column, Family};
+use crate::fused::MAX_PREDICATES;
 use crate::pred::{OutputMode, ScanOutput, TypedPred};
 
-const LANES: usize = 16;
+fused_skeleton!("avx512f,avx512vl,avx512bw,avx512dq,avx512vbmi2,avx2,popcnt");
 
 /// One predicate of a (possibly) packed chain.
 #[derive(Debug, Clone, Copy)]
@@ -102,31 +107,19 @@ fn resolve(op: CmpOp, needle: u32, bits: u8) -> Resolved {
     }
 }
 
-// --- kernel ---------------------------------------------------------------
-
-#[inline]
-#[target_feature(enable = "avx512f,avx512vl,avx512dq")]
-unsafe fn mask_cmp_u32(k: __mmask16, op: CmpOp, a: __m512i, b: __m512i) -> __mmask16 {
-    match op {
-        CmpOp::Eq => _mm512_mask_cmpeq_epu32_mask(k, a, b),
-        CmpOp::Ne => _mm512_mask_cmpneq_epu32_mask(k, a, b),
-        CmpOp::Lt => _mm512_mask_cmplt_epu32_mask(k, a, b),
-        CmpOp::Le => _mm512_mask_cmple_epu32_mask(k, a, b),
-        CmpOp::Gt => _mm512_mask_cmpgt_epu32_mask(k, a, b),
-        CmpOp::Ge => _mm512_mask_cmpge_epu32_mask(k, a, b),
-    }
-}
-
-/// Per-column plumbing the kernel needs. One short-lived value per column
-/// per scan, so the variant size gap is irrelevant.
+/// A column of a packed chain, with what the kernel needs to read it. One
+/// short-lived value per column per scan, so the variant size gap is
+/// irrelevant.
 #[allow(clippy::large_enum_variant)]
 enum Source<'a> {
-    Plain {
-        data: &'a [u32],
-    },
+    Plain(&'a [u32]),
     Packed {
+        /// The packed words, guard word included.
         words: &'a [u32],
+        rows: usize,
         bits: u32,
+        /// `mask_of(bits)`: clears the bits above a value.
+        mask: u32,
         /// Unpack constants for block alignments 0 and 16 bits (odd widths
         /// alternate): word-index vector, word-index+1 vector, bit-offset
         /// vector. Only built for the vector driver path (bits ≤ 16).
@@ -134,13 +127,18 @@ enum Source<'a> {
     },
 }
 
-impl Source<'_> {
-    /// The column's identity for [`Stages::of`]: its buffer's address and
-    /// length.
-    fn id(&self) -> (*const u32, usize) {
-        match self {
-            Source::Plain { data } => (data.as_ptr(), data.len()),
-            Source::Packed { words, .. } => (words.as_ptr(), words.len()),
+impl Column for &Source<'_> {
+    fn rows(self) -> usize {
+        match *self {
+            Source::Plain(data) => data.len(),
+            Source::Packed { rows, .. } => rows,
+        }
+    }
+
+    fn id(self) -> (usize, usize) {
+        match *self {
+            Source::Plain(data) => data.id(),
+            Source::Packed { words, .. } => words.id(),
         }
     }
 }
@@ -169,211 +167,110 @@ fn unpack_ctl(bits: u32, align: u32) -> UnpackCtl {
     }
 }
 
-struct State<'a> {
-    sources: &'a [Source<'a>],
-    ops: &'a [CmpOp],
-    stages: Stages,
-    nsplat: [__m512i; MAX_PREDICATES],
-    masks: [__m512i; MAX_PREDICATES],
-    plists: [__m512i; MAX_PREDICATES],
-    counts: [usize; MAX_PREDICATES],
-    out: Vec<u32>,
-    total: u64,
-}
-
-#[target_feature(enable = "avx512f,avx512vl,avx512bw,avx512dq,avx512vbmi2,avx2,popcnt")]
-unsafe fn push<const EMIT: bool, const RUN: bool>(
-    st: &mut State<'_>,
-    s: usize,
-    fresh: __m512i,
-    m: usize,
-) {
-    if st.counts[s] + m > LANES {
-        flush::<EMIT, RUN>(st, s);
-        st.plists[s] = fresh;
-        st.counts[s] = m;
-    } else {
-        let ctl = _mm512_loadu_epi32(MERGE16[st.counts[s]].as_ptr() as *const i32);
-        st.plists[s] = _mm512_permutex2var_epi32(st.plists[s], ctl, fresh);
-        st.counts[s] += m;
-    }
-    if st.counts[s] == LANES {
-        flush::<EMIT, RUN>(st, s);
-    }
-}
-
-#[target_feature(enable = "avx512f,avx512vl,avx512bw,avx512dq,avx512vbmi2,avx2,popcnt")]
-unsafe fn flush<const EMIT: bool, const RUN: bool>(st: &mut State<'_>, s: usize) {
-    let c = st.counts[s];
-    if c == 0 {
-        return;
-    }
-    let plist = st.plists[s];
-    st.plists[s] = _mm512_setzero_si512();
-    st.counts[s] = 0;
-
-    let km = lane_mask(c) as __mmask16;
-    let run = if RUN { st.stages.preds(s) } else { s..s + 1 };
-    let vals = match &st.sources[run.start] {
-        Source::Plain { data } => _mm512_mask_i32gather_epi32::<4>(
-            _mm512_setzero_si512(),
-            km,
-            plist,
-            data.as_ptr() as *const i32,
-        ),
-        Source::Packed { words, bits, .. } => {
-            // The §VII challenge: extract packed values at gathered
-            // positions. bit = pos * bits; lo = words[bit>>5],
-            // hi = words[(bit>>5)+1] (guard word!), val = funnel >> (bit&31).
-            let bit = _mm512_mullo_epi32(plist, _mm512_set1_epi32(*bits as i32));
-            let widx = _mm512_srli_epi32::<5>(bit);
-            let off = _mm512_and_si512(bit, _mm512_set1_epi32(31));
-            let base = words.as_ptr() as *const i32;
-            let lo = _mm512_mask_i32gather_epi32::<4>(_mm512_setzero_si512(), km, widx, base);
-            let widx1 = _mm512_add_epi32(widx, _mm512_set1_epi32(1));
-            let hi = _mm512_mask_i32gather_epi32::<4>(_mm512_setzero_si512(), km, widx1, base);
-            _mm512_and_si512(_mm512_shrdv_epi32(lo, hi, off), st.masks[run.start])
-        }
-    };
-    let mut k2 = mask_cmp_u32(km, st.ops[run.start], vals, st.nsplat[run.start]);
-    for p in run.start + 1..run.end {
-        k2 = mask_cmp_u32(k2, st.ops[p], vals, st.nsplat[p]);
-    }
-    let m2 = (k2 as u32).count_ones() as usize;
-    if m2 == 0 {
-        return;
-    }
-    let fresh2 = _mm512_maskz_compress_epi32(k2, plist);
-    if s + 1 == st.stages.len() {
-        emit::<EMIT>(st, fresh2, m2);
-    } else {
-        push::<EMIT, RUN>(st, s + 1, fresh2, m2);
-    }
-}
-
-#[target_feature(enable = "avx512f,avx512vl,avx512bw,avx512dq,avx512vbmi2,avx2,popcnt")]
-unsafe fn emit<const EMIT: bool>(st: &mut State<'_>, fresh: __m512i, m: usize) {
-    st.total += m as u64;
-    if EMIT {
-        let len = st.out.len();
-        st.out.reserve(LANES);
-        _mm512_storeu_epi32(st.out.as_mut_ptr().add(len) as *mut i32, fresh);
-        st.out.set_len(len + m);
-    }
-}
-
-/// Load and unpack one 16-value block of a packed column (vector path,
-/// bits ≤ 16).
-#[inline]
-#[target_feature(enable = "avx512f,avx512vl,avx512bw,avx512dq,avx512vbmi2,avx2,popcnt")]
+/// Unpack rows `row..row + n` of a packed column of at most 16 bits, `row`
+/// a multiple of 16 (vector driver path).
+///
+/// # Safety
+///
+/// The host runs AVX-512 VBMI2, and `words` holds the rows up to `row + n`
+/// plus the column's guard word.
+#[inline(always)]
 unsafe fn unpack_block(
     words: &[u32],
     bits: u32,
-    mask: __m512i,
+    mask: u32,
     ctls: &[UnpackCtl; 2],
-    block: usize,
+    row: usize,
+    n: usize,
 ) -> __m512i {
-    let base_bit = block as u64 * 16 * bits as u64;
+    let base_bit = row as u64 * bits as u64;
     let base_word = (base_bit / 32) as usize;
-    let ctl = &ctls[((base_bit % 32) / 16) as usize];
-    // Words this block touches: ceil((align + 16*bits)/32) + 1 ≤ 10 for
-    // bits ≤ 16; a masked load never reads past them.
     let align = (base_bit % 32) as u32;
-    let wcnt = ((align + 16 * bits).div_ceil(32) + 1).min(16) as usize;
-    let w = _mm512_maskz_loadu_epi32(
-        lane_mask(wcnt) as __mmask16,
-        words.as_ptr().add(base_word) as *const i32,
+    let ctl = &ctls[(align / 16) as usize];
+    // The words the n values touch plus the one after: at most 10 for
+    // bits ≤ 16, the last of them at most the column's guard word. The
+    // masked load reads no further.
+    let wcnt = (align + n as u32 * bits).div_ceil(32) as usize + 1;
+    debug_assert!(
+        base_word + wcnt <= words.len(),
+        "unpack past the guard word"
     );
+    let w = __m512i::load(words.as_ptr().add(base_word), wcnt);
     let lo = _mm512_permutexvar_epi32(_mm512_loadu_epi32(ctl.idx_lo.as_ptr() as *const i32), w);
     let hi = _mm512_permutexvar_epi32(_mm512_loadu_epi32(ctl.idx_hi.as_ptr() as *const i32), w);
     let off = _mm512_loadu_epi32(ctl.offs.as_ptr() as *const i32);
-    _mm512_and_si512(_mm512_shrdv_epi32(lo, hi, off), mask)
+    _mm512_and_si512(
+        _mm512_shrdv_epi32(lo, hi, off),
+        _mm512_set1_epi32(mask as i32),
+    )
 }
 
-/// The scan loop; `RUN` compiles in the further compares of same-column
-/// runs, so a run-free chain keeps one compare per stage.
-#[target_feature(enable = "avx512f,avx512vl,avx512bw,avx512dq,avx512vbmi2,avx2,popcnt")]
-unsafe fn kernel<const EMIT: bool, const RUN: bool>(
-    sources: &[Source<'_>],
-    ops: &[CmpOp],
-    needles: &[u32],
-    rows: usize,
-    stages: Stages,
-) -> (u64, Vec<u32>) {
-    let driver_end = stages.preds(0).end;
-    let mut st = State {
-        sources,
-        ops,
-        stages,
-        nsplat: std::array::from_fn(|i| {
-            _mm512_set1_epi32(needles.get(i).copied().unwrap_or(0) as i32)
-        }),
-        masks: std::array::from_fn(|i| match sources.get(i) {
-            Some(Source::Packed { bits, .. }) => _mm512_set1_epi32(mask_of(*bits as u8) as i32),
-            _ => _mm512_set1_epi32(-1),
-        }),
-        plists: [_mm512_setzero_si512(); MAX_PREDICATES],
-        counts: [0; MAX_PREDICATES],
-        out: Vec::new(),
-        total: 0,
-    };
-    let op0 = ops[0];
-    let needle0 = st.nsplat[0];
-    let iota = _mm512_loadu_epi32(super::avx512::IOTA16_PUB.as_ptr() as *const i32);
-    let mut scalar_buf = [0u32; 16];
+/// The packed family: 16 lanes of `u32`, each column plain or bit-packed.
+struct Packed;
 
-    let full_blocks = rows / LANES;
-    for blk in 0..full_blocks {
-        let v = match &sources[0] {
-            Source::Plain { data } => {
-                _mm512_loadu_epi32(data.as_ptr().add(blk * LANES) as *const i32)
-            }
+impl Family for Packed {
+    type Col<'a> = &'a Source<'a>;
+    type Elem = u32;
+    type Vals = __m512i;
+    type List = __m512i;
+
+    fn available() -> bool {
+        fts_simd::has_avx512() && std::arch::is_x86_feature_detected!("avx512vbmi2")
+    }
+
+    #[inline(always)]
+    unsafe fn load(col: &Source<'_>, row: usize, n: usize) -> __m512i {
+        match *col {
+            Source::Plain(data) => __m512i::load(data.as_ptr().add(row), n),
             Source::Packed {
                 words,
                 bits,
-                unpack: Some(ctls),
-            } => unpack_block(words, *bits, st.masks[0], ctls, blk),
-            Source::Packed { bits, .. } => {
+                mask,
+                unpack: Some(ref ctls),
+                ..
+            } => unpack_block(words, bits, mask, ctls, row, n),
+            Source::Packed {
+                words, bits, mask, ..
+            } => {
                 // Wide widths (> 16 bits): scalar unpack inside the fused
-                // loop. Reconstruct via the column's own accessor-equivalent.
-                let Source::Packed { words, .. } = &sources[0] else {
-                    unreachable!()
-                };
-                for (i, slot) in scalar_buf.iter_mut().enumerate() {
-                    let bit = (blk * LANES + i) as u64 * *bits as u64;
+                // loop.
+                let mut buf = [0u32; 16];
+                for (i, slot) in buf.iter_mut().enumerate().take(n) {
+                    let bit = (row + i) as u64 * bits as u64;
                     let word = (bit / 32) as usize;
                     let off = (bit % 32) as u32;
                     let w =
                         words[word] as u64 | ((*words.get(word + 1).unwrap_or(&0) as u64) << 32);
-                    *slot = (w >> off) as u32 & mask_of(*bits as u8);
+                    *slot = (w >> off) as u32 & mask;
                 }
-                _mm512_loadu_epi32(scalar_buf.as_ptr() as *const i32)
+                _mm512_loadu_epi32(buf.as_ptr() as *const i32)
             }
-        };
-        let mut k = mask_cmp_u32(u16::MAX, op0, v, needle0);
-        if RUN {
-            for (&op, &needle) in ops.iter().zip(&st.nsplat).take(driver_end).skip(1) {
-                k = mask_cmp_u32(k, op, v, needle);
-            }
-        }
-        if k == 0 {
-            continue;
-        }
-        let m = (k as u32).count_ones() as usize;
-        let idx = _mm512_add_epi32(iota, _mm512_set1_epi32((blk * LANES) as i32));
-        let fresh = _mm512_maskz_compress_epi32(k, idx);
-        if stages.len() == 1 {
-            emit::<EMIT>(&mut st, fresh, m);
-        } else {
-            push::<EMIT, RUN>(&mut st, 1, fresh, m);
         }
     }
 
-    // Drain stages; the caller evaluates the tail rows afterwards.
-    for s in 1..stages.len() {
-        flush::<EMIT, RUN>(&mut st, s);
+    #[inline(always)]
+    unsafe fn gather(col: &Source<'_>, list: __m512i, k: u32) -> __m512i {
+        match *col {
+            Source::Plain(data) => __m512i::gather(data.as_ptr(), list, k),
+            Source::Packed {
+                words, bits, mask, ..
+            } => {
+                // The §VII challenge: extract packed values at gathered
+                // positions. bit = pos * bits; lo = words[bit>>5],
+                // hi = words[(bit>>5)+1] (guard word!), val = funnel >> (bit&31).
+                let bit = _mm512_mullo_epi32(list, _mm512_set1_epi32(bits as i32));
+                let widx = _mm512_srli_epi32::<5>(bit);
+                let off = _mm512_and_si512(bit, _mm512_set1_epi32(31));
+                let lo = __m512i::gather(words.as_ptr(), widx, k);
+                let widx1 = _mm512_add_epi32(widx, _mm512_set1_epi32(1));
+                let hi = __m512i::gather(words.as_ptr(), widx1, k);
+                _mm512_and_si512(
+                    _mm512_shrdv_epi32(lo, hi, off),
+                    _mm512_set1_epi32(mask as i32),
+                )
+            }
+        }
     }
-    (st.total, st.out)
 }
 
 /// Errors of the packed fused scan.
@@ -422,7 +319,7 @@ pub fn fused_scan_packed(
     if preds.len() > MAX_PREDICATES {
         return Err(PackedScanError::BadChain(preds.len()));
     }
-    if !fts_simd::has_avx512() || !std::arch::is_x86_feature_detected!("avx512vbmi2") {
+    if !Packed::available() {
         return Err(PackedScanError::IsaUnavailable);
     }
     let empty = match mode {
@@ -450,7 +347,7 @@ pub fn fused_scan_packed(
     for p in preds {
         match p {
             PackedPred::Plain(tp) => {
-                sources.push(Source::Plain { data: tp.data });
+                sources.push(Source::Plain(tp.data));
                 ops.push(tp.op);
                 needles.push(tp.needle);
             }
@@ -467,7 +364,9 @@ pub fn fused_scan_packed(
                 let unpack = (bits <= 16).then(|| [unpack_ctl(bits, 0), unpack_ctl(bits, 16)]);
                 sources.push(Source::Packed {
                     words: col.words(),
+                    rows,
                     bits,
+                    mask: mask_of(col.bits()),
                     unpack,
                 });
                 ops.push(*op);
@@ -484,39 +383,8 @@ pub fn fused_scan_packed(
         });
     }
 
-    // SAFETY: ISA checked; columns validated; guard word present in every
-    // PackedColumn buffer.
-    let stages = Stages::of(sources.iter().map(Source::id));
-    let (mut total, mut out) = unsafe {
-        match (mode, stages.len() < sources.len()) {
-            (OutputMode::Count, false) => {
-                kernel::<false, false>(&sources, &ops, &needles, rows, stages)
-            }
-            (OutputMode::Count, true) => {
-                kernel::<false, true>(&sources, &ops, &needles, rows, stages)
-            }
-            (OutputMode::Positions, false) => {
-                kernel::<true, false>(&sources, &ops, &needles, rows, stages)
-            }
-            (OutputMode::Positions, true) => {
-                kernel::<true, true>(&sources, &ops, &needles, rows, stages)
-            }
-        }
-    };
-
-    // Tail rows, evaluated row-wise after the kernel's drain.
-    for row in rows / LANES * LANES..rows {
-        if preds.iter().all(|p| p.matches(row)) {
-            total += 1;
-            if mode == OutputMode::Positions {
-                out.push(row as u32);
-            }
-        }
-    }
-    Ok(match mode {
-        OutputMode::Count => ScanOutput::Count(total),
-        OutputMode::Positions => ScanOutput::Positions(PosList::from_vec(out)),
-    })
+    let cols: Vec<&Source<'_>> = sources.iter().collect();
+    Ok(scan::<Packed>(&cols, &ops, &needles, mode))
 }
 
 #[cfg(test)]

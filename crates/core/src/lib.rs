@@ -11,8 +11,11 @@
 //! * [`blockwise`] — block-at-a-time baselines with materialized
 //!   intermediates (bitmask AND, selection-vector refinement).
 //! * [`fused`] — the paper's contribution: the scalar model engine
-//!   ([`fused::scalar`]), the AVX2 backport ([`fused::avx2`]) and the
-//!   AVX-512 kernels at 128/256/512 bits ([`fused::avx512`]).
+//!   ([`fused::scalar`]) and one static fused-scan skeleton stamped for
+//!   four kernel families (AVX-512 at 128/256/512 bits over 32-bit lanes,
+//!   AVX-512 over 64-bit lanes, the AVX2 backport, and bit-packed chains in
+//!   [`fused::packed`]), plus the frame-of-reference and byte-sliced
+//!   kernels.
 //! * [`engine`] — runtime dispatch over ISA, element type, register width
 //!   and output mode for typed chains ([`TypedPred`]); the API the query
 //!   layer and benchmarks call.

@@ -295,7 +295,7 @@ proptest! {
     #[test]
     fn packed_chains_agree(
         rows in 0usize..900,
-        bits0 in 1u8..=16,
+        bits0 in 1u8..=32,
         bits1 in 1u8..=32,
         op0 in prop::sample::select(CmpOp::ALL.to_vec()),
         op1 in prop::sample::select(CmpOp::ALL.to_vec()),

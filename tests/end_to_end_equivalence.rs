@@ -9,7 +9,7 @@ use fused_table_scan::jit::{CompiledKernel, JitBackend, ScanSig};
 use fused_table_scan::query::{Engine, JitMode, QueryResult};
 use fused_table_scan::simd::has_avx512;
 use fused_table_scan::storage::gen::{generate_chain, GeneratedChain, PredSpec};
-use fused_table_scan::storage::{CmpOp, Column, ColumnDef, DataType, Table};
+use fused_table_scan::storage::{CmpOp, Column, ColumnDef, DataType, NativeType, Table, Value};
 use proptest::prelude::*;
 
 fn available_impls() -> Vec<ScanImpl> {
@@ -156,27 +156,68 @@ fn sql_pipeline_matches_kernels() {
     }
 }
 
-/// Mixed-width chain (§V): u32 driver, u64 follow-up — hardware kernel vs
-/// the row loop.
+/// Mixed-width chains (§V) through SQL: a `u32` and a `u64` predicate over
+/// several chunks, with the JIT on and off. The executor drives with the
+/// more selective predicate and filters the survivors on the other column;
+/// for every operator on the `u32` predicate, once less and once more
+/// selective than the `u64` one, `COUNT(*)` and `SUM` of the `u64` column
+/// answer as a row loop over the generated vectors does.
 #[test]
-fn mixed_width_kernel_agrees() {
-    if !has_avx512() {
-        eprintln!("skipping: no AVX-512");
-        return;
-    }
-    use fused_table_scan::core::fused::mixed::fused_scan_u32_u64;
-    let a: Vec<u32> = (0..10_000).map(|i| i % 7).collect();
-    let b: Vec<u64> = (0..10_000u64)
-        .map(|i| i.wrapping_mul(0x9E37) % 11)
+fn mixed_width_chains_agree_through_sql() {
+    let rows = 40_000usize;
+    let base = 1u64 << 33;
+    let a: Vec<u32> = (0..rows as u32)
+        .map(|i| i.wrapping_mul(2_654_435_761) % 100)
         .collect();
-    for op in CmpOp::ALL {
-        let p0 = TypedPred::new(&a[..], op, 3u32);
-        let p1 = TypedPred::new(&b[..], CmpOp::Ge, 5u64);
-        let expected: Vec<u32> = (0..10_000usize)
-            .filter(|&r| p0.matches(r) && p1.matches(r))
-            .map(|r| r as u32)
-            .collect();
-        let got = fused_scan_u32_u64(&p0, &p1, OutputMode::Positions);
-        assert_eq!(got.positions().unwrap().as_slice(), &expected[..], "{op}");
+    let b: Vec<u64> = (0..rows as u64)
+        .map(|i| base + i.wrapping_mul(0x9E37) % 1000)
+        .collect();
+    let table = Table::from_chunked_columns(
+        vec![
+            ColumnDef::new("a", DataType::U32),
+            ColumnDef::new("b", DataType::U64),
+        ],
+        vec![Column::from_slice(&a), Column::from_slice(&b)],
+        8192,
+    )
+    .unwrap();
+    // `a OP n` keeps 1–99 % of the rows; `b < base + 5` keeps 0.5 % and
+    // `b < base + 995` 99.5 %.
+    let u32_preds = [
+        (CmpOp::Eq, 7u32),
+        (CmpOp::Ne, 7),
+        (CmpOp::Lt, 30),
+        (CmpOp::Le, 29),
+        (CmpOp::Gt, 69),
+        (CmpOp::Ge, 70),
+    ];
+    for jit in [JitMode::Off, JitMode::On] {
+        let db = Engine::with_jit(jit);
+        db.register("t", table.clone());
+        for (op, n) in u32_preds {
+            for m in [base + 5, base + 995] {
+                let matching: Vec<u64> = (0..rows)
+                    .filter(|&r| a[r].cmp_op(op, n) && b[r] < m)
+                    .map(|r| b[r])
+                    .collect();
+                let cond = format!("a {op} {n} AND b < {m}");
+                let count = db
+                    .query(&format!("SELECT COUNT(*) FROM t WHERE {cond}"))
+                    .unwrap();
+                assert_eq!(
+                    count,
+                    QueryResult::Count(matching.len() as u64),
+                    "jit={jit:?} {cond}"
+                );
+                let sum = db
+                    .query(&format!("SELECT SUM(b) FROM t WHERE {cond}"))
+                    .unwrap();
+                let QueryResult::Rows { rows: sum, .. } = sum else {
+                    panic!("SUM returns rows");
+                };
+                let expected = Value::I64(matching.iter().sum::<u64>() as i64);
+                assert_eq!(sum, vec![vec![expected]], "jit={jit:?} {cond}");
+            }
+        }
     }
 }
