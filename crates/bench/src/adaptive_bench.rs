@@ -7,10 +7,11 @@
 //! degrading to the worst one — i.e. it buys Fig. 5's per-configuration
 //! winner without knowing the configuration up front.
 
+use std::convert::Infallible;
 use std::time::Instant;
 
 use fts_core::fused::packed::{fused_scan_packed, packed_kernel_available, PackedPred};
-use fts_core::{candidate_scan_impls, run_scan, OutputMode, TypedPred};
+use fts_core::{candidate_scan_impls, run_scan, OutputMode, ScanPool, TypedPred};
 use fts_jit::{CompiledKernel, JitBackend, ScanSig};
 use fts_metrics::timing;
 use fts_query::executor::{execute, execute_analyzed};
@@ -103,6 +104,28 @@ fn run_adaptive(prepared: &Prepared) -> u64 {
         .expect("count statement")
 }
 
+/// The total of `count(chunk)` over `chunks` chunks, run through the scan
+/// pool's chunk loop that the executor runs an aggregate on (helpers join
+/// while a core is idle), so a kernel's series gets the cores the
+/// executor's statement gets.
+fn count_chunks(chunks: usize, count: impl Fn(usize) -> u64 + Sync) -> u64 {
+    let pool = ScanPool::global();
+    let _busy = pool.occupy();
+    let mut total = 0;
+    let Ok(()) = pool.fan_out(
+        chunks,
+        usize::MAX,
+        &mut (),
+        || Some(()),
+        |_, c| Ok::<u64, Infallible>(count(c)),
+        |_, _, n| {
+            total += n;
+            Ok(())
+        },
+    );
+    total
+}
+
 /// The kernel calibration settles on for `prepared` on a fresh context.
 fn adaptive_winner(prepared: &Prepared) -> &'static str {
     let (_, report) =
@@ -120,11 +143,11 @@ fn adaptive_winner(prepared: &Prepared) -> &'static str {
 /// runtime of each static candidate kernel, of the compiled JIT kernel
 /// (compiled once, outside the timing) and of the SQL executor's adaptive
 /// selector (a fresh context per repetition, so calibration and JIT
-/// compilation are paid every time). Every kernel runs chunk by chunk over
-/// the same table the executor scans. Adaptive points carry
-/// `ratio_vs_best` / `ratio_vs_worst` against that field. A second section
-/// sweeps the encoding axis: plain 32-bit values versus the bit-packed
-/// compressed-domain kernel.
+/// compilation are paid every time). Every kernel runs over the same
+/// chunks the executor scans, through the same pool chunk loop. Adaptive
+/// points carry `ratio_vs_best` / `ratio_vs_worst` against that field. A
+/// second section sweeps the encoding axis: plain 32-bit values versus the
+/// bit-packed compressed-domain kernel.
 pub fn bench_adaptive(scale: &Scale) -> FigureResult {
     let mut fig = FigureResult::new(
         "BENCH_adaptive",
@@ -205,14 +228,11 @@ pub fn bench_adaptive(scale: &Scale) -> FigureResult {
                     timed(
                         k,
                         &mut || {
-                            chunk_preds
-                                .iter()
-                                .map(|preds| {
-                                    run_scan(imp, preds, OutputMode::Count)
-                                        .expect("static scan")
-                                        .count()
-                                })
-                                .sum()
+                            count_chunks(chunk_preds.len(), |c| {
+                                run_scan(imp, &chunk_preds[c], OutputMode::Count)
+                                    .expect("static scan")
+                                    .count()
+                            })
                         },
                         imp.name(),
                     );
@@ -221,10 +241,9 @@ pub fn bench_adaptive(scale: &Scale) -> FigureResult {
                     timed(
                         statics.len(),
                         &mut || {
-                            chunk_cols
-                                .iter()
-                                .map(|cols| kernel.run(cols).expect("jit scan").count())
-                                .sum()
+                            count_chunks(chunk_cols.len(), |c| {
+                                kernel.run(&chunk_cols[c]).expect("jit scan").count()
+                            })
                         },
                         JIT_LABEL,
                     );

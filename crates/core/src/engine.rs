@@ -121,11 +121,6 @@ pub enum EngineError {
         /// The panic payload, if it was a string.
         message: String,
     },
-    /// A morsel produced no result (a worker died without reporting).
-    MorselMissing {
-        /// Index of the unprocessed morsel.
-        morsel: usize,
-    },
     /// The scheduler's admission budget rejected the work: the bounded
     /// wait queue was full, or the request's declared cost exceeds the
     /// configured budget outright (see
@@ -153,9 +148,6 @@ impl std::fmt::Display for EngineError {
             }
             EngineError::WorkerPanicked { morsel, message } => {
                 write!(f, "scan worker panicked on morsel {morsel}: {message}")
-            }
-            EngineError::MorselMissing { morsel } => {
-                write!(f, "morsel {morsel} was never processed")
             }
             EngineError::Overloaded {
                 running,

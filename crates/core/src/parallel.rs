@@ -1,23 +1,19 @@
 //! Morsel-parallel execution of the fused scan.
 //!
 //! Paper footnote 1: the column-major table "can, however, be horizontally
-//! partitioned into chunks or morsels". This module exploits that: the row
-//! range is split into fixed-size morsels, worker loops pull morsels from
-//! an atomic cursor (classic morsel-driven parallelism), each worker runs
-//! the single-threaded fused kernel on its sub-slices, and per-morsel
-//! outputs are stitched back together in row order.
+//! partitioned into chunks or morsels". This module cuts one chain's row
+//! range into fixed-size morsels and runs them through the scan pool's
+//! chunk loop ([`ScanPool::fan_out`], the loop the SQL executor's
+//! aggregates run on): the calling thread and the pool workers it enlists
+//! claim morsels from one cursor, each runs the single-threaded kernel on
+//! its sub-slices, and the caller stitches the outputs back together in
+//! row order.
 //!
-//! Worker loops run on the process-wide sharded [`ScanPool`] — persistent
-//! per-core workers shared by every concurrent scan — instead of spawning
-//! fresh OS threads per call; the calling thread participates too, so a
-//! scan progresses even when the pool is saturated by other queries.
-//!
-//! Failures never tear down the process: a worker that returns an engine
-//! error — or panics — surfaces as an [`EngineError`] from the stitcher,
-//! with the first failing morsel reported.
+//! Failures never tear down the process: a morsel whose scan returns an
+//! engine error — or panics — surfaces as an [`EngineError`], the lowest
+//! failing morsel's.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use fts_storage::PosList;
 
@@ -30,8 +26,9 @@ use crate::telemetry::{ScanTelemetry, TelemetryLevel};
 /// balance (64 K rows ≈ 256 KiB of u32 per column, L2-resident).
 pub const DEFAULT_MORSEL_ROWS: usize = 1 << 16;
 
-/// Run `imp` over the chain with `threads` workers on `morsel_rows`-row
-/// morsels. Produces exactly the single-threaded result (positions stay
+/// Run `imp` over the chain on `morsel_rows`-row morsels with up to
+/// `threads` threads (the caller plus pool workers, while cores are
+/// idle). Produces exactly the single-threaded result (positions stay
 /// ascending).
 ///
 /// ```
@@ -58,10 +55,10 @@ pub fn run_scan_parallel<T: ScanElem>(
 ///
 /// At [`TelemetryLevel::Off`] no telemetry is collected (the returned
 /// telemetry is empty) and the scan path is identical to
-/// [`run_scan_parallel`]. Otherwise each worker collects a
-/// [`ScanTelemetry`] for its morsels; the stitcher merges them (counter
-/// sums, `morsels` incremented per merge) and stamps the overall
-/// wall-clock time of the parallel region.
+/// [`run_scan_parallel`]. Otherwise each morsel collects a
+/// [`ScanTelemetry`]; the stitcher merges them (counter sums, `morsels`
+/// incremented per merge) and stamps the overall wall-clock time of the
+/// parallel region.
 pub fn run_scan_parallel_telemetered<T: ScanElem>(
     imp: ScanImpl,
     preds: &[TypedPred<'_, T>],
@@ -84,59 +81,54 @@ pub fn run_scan_parallel_telemetered<T: ScanElem>(
     }
 
     let started = std::time::Instant::now();
-    let cursor = AtomicUsize::new(0);
-    type MorselResult = Result<(ScanOutput, ScanTelemetry), EngineError>;
-    let results: Vec<once_slot::Slot<MorselResult>> =
-        (0..morsels).map(|_| once_slot::Slot::new()).collect();
-
-    ScanPool::global().scope_run(threads.min(morsels), |_| loop {
-        let m = cursor.fetch_add(1, Ordering::Relaxed);
-        if m >= morsels {
-            break;
-        }
-        // A panicking morsel must not take down a pool worker: catch it
-        // and report it as an engine error for this morsel.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let base = m * morsel_rows;
-            let end = (base + morsel_rows).min(rows);
-            let sub: Vec<TypedPred<'_, T>> = preds
-                .iter()
-                .map(|p| TypedPred::new(&p.data[base..end], p.op, p.needle))
-                .collect();
-            crate::engine::run_scan_telemetered(imp, &sub, mode, level)
-        }))
-        .unwrap_or_else(|panic| {
-            Err(EngineError::WorkerPanicked {
-                morsel: m,
-                message: panic_text(&panic),
-            })
-        });
-        results[m].set(result);
-    });
-
-    // Stitch morsel outputs in order, rebasing positions.
+    let pool = ScanPool::global();
+    let _busy = pool.occupy();
     let mut total = 0u64;
     let mut positions = PosList::new();
     let mut telemetry: Option<ScanTelemetry> = None;
-    for (m, slot) in results.iter().enumerate() {
-        let (out, morsel_telemetry) = slot
-            .take()
-            .ok_or(EngineError::MorselMissing { morsel: m })??;
-        match out {
-            ScanOutput::Count(n) => total += n,
-            ScanOutput::Positions(pl) => {
-                let base = (m * morsel_rows) as u32;
-                total += pl.len() as u64;
-                for p in &pl {
-                    positions.push(base + p);
+    pool.fan_out(
+        morsels,
+        threads - 1,
+        &mut (),
+        || Some(()),
+        |_, m| {
+            // A panicking morsel must not take down a pool worker: catch
+            // it and report it as an engine error for this morsel.
+            catch_unwind(AssertUnwindSafe(|| {
+                let base = m * morsel_rows;
+                let end = (base + morsel_rows).min(rows);
+                let sub: Vec<TypedPred<'_, T>> = preds
+                    .iter()
+                    .map(|p| TypedPred::new(&p.data[base..end], p.op, p.needle))
+                    .collect();
+                run_single(&sub)
+            }))
+            .unwrap_or_else(|panic| {
+                Err(EngineError::WorkerPanicked {
+                    morsel: m,
+                    message: panic_text(&panic),
+                })
+            })
+        },
+        // Stitch morsel outputs in order, rebasing positions.
+        |_, m, (out, morsel_telemetry)| {
+            match out {
+                ScanOutput::Count(n) => total += n,
+                ScanOutput::Positions(pl) => {
+                    let base = (m * morsel_rows) as u32;
+                    total += pl.len() as u64;
+                    for p in &pl {
+                        positions.push(base + p);
+                    }
                 }
             }
-        }
-        match &mut telemetry {
-            None => telemetry = Some(morsel_telemetry),
-            Some(t) => t.merge(&morsel_telemetry),
-        }
-    }
+            match &mut telemetry {
+                None => telemetry = Some(morsel_telemetry),
+                Some(t) => t.merge(&morsel_telemetry),
+            }
+            Ok(())
+        },
+    )?;
     let mut telemetry = telemetry.unwrap_or_else(|| ScanTelemetry::disabled(imp.name()));
     if level != TelemetryLevel::Off {
         // The parallel region's wall clock, not the sum of worker times.
@@ -157,47 +149,6 @@ fn panic_text(panic: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "<non-string panic payload>".to_string()
-    }
-}
-
-/// Tiny once-settable cell so workers can publish results without locks
-/// (each slot is written by exactly one worker, then read after the
-/// pool's completion barrier).
-mod once_slot {
-    use std::cell::UnsafeCell;
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    pub struct Slot<T> {
-        set: AtomicBool,
-        value: UnsafeCell<Option<T>>,
-    }
-
-    // SAFETY: one writer per slot (distinct morsel index per worker pull),
-    // reads happen only after every worker loop finished (the pool's
-    // completion barrier).
-    unsafe impl<T: Send> Sync for Slot<T> {}
-
-    impl<T> Slot<T> {
-        pub fn new() -> Slot<T> {
-            Slot {
-                set: AtomicBool::new(false),
-                value: UnsafeCell::new(None),
-            }
-        }
-
-        pub fn set(&self, v: T) {
-            // SAFETY: exactly one worker owns this morsel index.
-            unsafe { *self.value.get() = Some(v) };
-            self.set.store(true, Ordering::Release);
-        }
-
-        pub fn take(&self) -> Option<T> {
-            if !self.set.load(Ordering::Acquire) {
-                return None;
-            }
-            // SAFETY: all writers finished before take() is called.
-            unsafe { (*self.value.get()).take() }
-        }
     }
 }
 

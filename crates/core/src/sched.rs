@@ -1,156 +1,183 @@
-//! Scheduler substrate: a per-core sharded morsel pool and query
-//! admission control.
+//! Scheduler substrate: one process-wide pool of scan workers, the
+//! ordered chunk loop that fans a scan out over it, and query admission
+//! control.
 //!
-//! The original [`run_scan_parallel`](crate::run_scan_parallel) spawned a
-//! fresh set of OS threads per scan. That is fine for one query at a time
-//! and catastrophic for a server running hundreds of scans per second:
-//! thread churn, no global cap on CPU oversubscription, and no way to say
-//! *no* under overload. This module replaces it with two cooperating
-//! pieces, modeled on the router → sharder → querier split of
-//! production-grade engines:
-//!
-//! * [`ScanPool`] — a process-wide pool of persistent workers, one per
-//!   core, each owning a sharded task queue with work stealing. Scans
-//!   submit short-lived *worker loops* that drain a morsel cursor; the
-//!   submitting thread participates too (caller-runs), so a scan always
-//!   makes progress even when every pool worker is busy with other
-//!   queries.
+//! * [`ScanPool`] — persistent workers, one per core, fed by one task
+//!   queue. A worker with nothing to do sleeps on the queue's condvar
+//!   until a task arrives, so an idle pool costs nothing.
+//! * [`ScanPool::fan_out`] — the chunk loop: the calling thread scans
+//!   chunks and enlists pool workers as *helpers* while a core is idle.
+//!   Every thread claims the next chunk from one cursor, and the caller
+//!   folds the chunk outputs in chunk order, so the result is the serial
+//!   loop's. The pool counts the busy scan threads (statements that
+//!   [occupy](ScanPool::occupy) it, plus enlisted helpers), which is how
+//!   "a core is idle" is decided.
 //! * [`AdmissionController`] — a configurable concurrency + byte budget
 //!   with a bounded FIFO wait queue. Work that fits runs, work that can
 //!   wait queues, and work beyond the bound is rejected with an explicit
 //!   [`EngineError::Overloaded`] instead of piling up unboundedly.
 //!
-//! Both are deliberately engine-agnostic: the pool runs any `FnOnce`, the
-//! controller admits any cost expressed in bytes, so the SQL server, the
-//! benches and the library path all share one scheduler.
+//! Both are deliberately engine-agnostic: the pool runs any closure, the
+//! controller admits any cost expressed in bytes, so the SQL executor,
+//! the server, the benches and the library path all share one scheduler.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
 
 use crate::engine::EngineError;
 
+/// Lock with poison recovery: every critical section here leaves its
+/// state consistent, and tasks run outside the locks.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// A unit of pool work. Tasks are `'static`: scoped borrows enter the
-/// pool only through [`ScanPool::scope_run`], which erases the lifetime
-/// and re-establishes safety with a completion barrier.
+/// pool only through [`ScanPool::scope`], which erases the lifetime and
+/// re-establishes safety by taking back or waiting for every task.
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
-struct ShardState {
-    queue: VecDeque<Task>,
+/// The pool's one queue; each task is tagged with the scope that queued
+/// it, so that scope can take it back.
+struct Queue {
+    tasks: VecDeque<(u64, Task)>,
     shutdown: bool,
 }
 
-/// One per-worker task queue.
-struct Shard {
-    state: Mutex<ShardState>,
-    /// Signalled when work arrives or shutdown begins.
+struct Shared {
+    queue: Mutex<Queue>,
+    /// Signalled when a task arrives or shutdown begins.
     available: Condvar,
+    /// Scan threads counted as busy: occupying callers plus enlisted
+    /// helpers.
+    busy: AtomicUsize,
+    /// The last scope id handed out.
+    scopes: AtomicU64,
 }
 
-impl Shard {
-    fn new() -> Shard {
-        Shard {
-            state: Mutex::new(ShardState {
-                queue: VecDeque::new(),
-                shutdown: false,
-            }),
-            available: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, ShardState> {
-        self.state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    fn push(&self, task: Task) {
-        self.lock().queue.push_back(task);
-        self.available.notify_one();
-    }
-
-    /// Pop from the front (the owner's end).
-    fn pop(&self) -> Option<Task> {
-        self.lock().queue.pop_front()
-    }
-
-    /// Steal from the back (the thief's end), keeping the owner's FIFO
-    /// head untouched as long as possible.
-    fn steal(&self) -> Option<Task> {
-        self.lock().queue.pop_back()
-    }
-}
-
-/// A process-wide pool of persistent scan workers with per-core sharded
-/// queues and work stealing.
+/// A pool of persistent scan workers, one per core, fed by one queue.
 ///
-/// Workers never block on scan results, only on empty queues — scans wait
-/// for *their own* tasks via a completion barrier, so the pool cannot
-/// deadlock on nested waits as long as tasks themselves never call
-/// [`ScanPool::scope_run`] (morsel tasks are leaves by construction).
+/// Workers never block on scan results, only on an empty queue: a scope
+/// runs its own still-queued tasks itself and waits only for the ones a
+/// worker has started, so nested waits cannot deadlock as long as tasks
+/// never open a scope of their own (chunk scans are leaves).
 pub struct ScanPool {
-    shards: Vec<Arc<Shard>>,
-    /// Round-robin submission cursor.
-    next: AtomicUsize,
+    shared: Arc<Shared>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ScanPool {
-    /// A pool with `workers` persistent threads (min 1).
+    /// A pool with `workers` persistent threads (min 1). The pool counts
+    /// that many cores when it decides whether one is idle.
     pub fn new(workers: usize) -> ScanPool {
-        let workers = workers.max(1);
-        let shards: Vec<Arc<Shard>> = (0..workers).map(|_| Arc::new(Shard::new())).collect();
-        let handles = (0..workers)
+        let shared = Arc::new(Shared {
+            queue: Mutex::new(Queue {
+                tasks: VecDeque::new(),
+                shutdown: false,
+            }),
+            available: Condvar::new(),
+            busy: AtomicUsize::new(0),
+            scopes: AtomicU64::new(0),
+        });
+        let workers = (0..workers.max(1))
             .map(|i| {
-                let mine = Arc::clone(&shards[i]);
-                let others: Vec<Arc<Shard>> = (0..workers)
-                    .filter(|&j| j != i)
-                    .map(|j| Arc::clone(&shards[j]))
-                    .collect();
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("fts-scan-{i}"))
-                    .spawn(move || worker_loop(&mine, &others))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn scan worker")
             })
             .collect();
-        ScanPool {
-            shards,
-            next: AtomicUsize::new(0),
-            workers: handles,
-        }
+        ScanPool { shared, workers }
     }
 
-    /// The process-wide pool, sized by `FTS_POOL_WORKERS` or the number
-    /// of available cores (capped at 64), created on first use.
+    /// The process-wide pool, one worker per available core (capped at
+    /// 64), created on first use.
     pub fn global() -> &'static ScanPool {
         static POOL: OnceLock<ScanPool> = OnceLock::new();
         POOL.get_or_init(|| {
-            let workers = std::env::var("FTS_POOL_WORKERS")
-                .ok()
-                .and_then(|s| s.parse::<usize>().ok())
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(4)
-                })
-                .clamp(1, 64);
-            ScanPool::new(workers)
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            ScanPool::new(cores.clamp(1, 64))
         })
     }
 
-    /// Number of persistent workers.
+    /// Number of persistent workers, which is also the number of cores
+    /// the pool keeps busy at most.
     pub fn workers(&self) -> usize {
-        self.shards.len()
+        self.workers.len()
+    }
+
+    /// Scan threads currently counted as busy.
+    fn busy(&self) -> usize {
+        self.shared.busy.load(Ordering::Relaxed)
+    }
+
+    /// Count the calling thread as a busy scan thread until the guard
+    /// drops. A statement occupies the pool for its whole run, whether or
+    /// not it fans out, so other statements see its core taken.
+    pub fn occupy(&self) -> Busy<'_> {
+        self.shared.busy.fetch_add(1, Ordering::Relaxed);
+        Busy(&self.shared.busy)
+    }
+
+    /// Take one busy slot if a core is idle (fewer busy threads than
+    /// workers); the enlisted helper gives it back when it finishes.
+    fn reserve(&self) -> bool {
+        let cores = self.workers();
+        self.shared
+            .busy
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| {
+                (b < cores).then_some(b + 1)
+            })
+            .is_ok()
+    }
+
+    /// Run `body` on the calling thread with a [`Scope`] through which it
+    /// can queue helper tasks, each running `task(k)` on a pool worker
+    /// (`k` counts the spawns from 1). Before returning, the scope takes
+    /// back its tasks no worker has started and runs them here, then
+    /// waits for the started ones. Panics are caught per task and
+    /// re-raised here once every task has finished; a panic in `body`
+    /// wins.
+    fn scope<'env, R>(
+        &self,
+        task: &'env (dyn Fn(usize) + Send + Sync + 'env),
+        body: impl FnOnce(&Scope<'_>) -> R,
+    ) -> R {
+        let task: &'static (dyn Fn(usize) + Send + Sync) =
+            // SAFETY: `scope` does not return, or unwind, before every
+            // task that captured this reference has run: queued ones are
+            // taken back and run on this thread, started ones are waited
+            // for (`done.wait()`), and `Scope` never lets the reference
+            // out. So no task touches `task` or its borrows after this
+            // stack frame is gone.
+            unsafe { std::mem::transmute(task) };
+        let scope = Scope {
+            pool: self,
+            id: self.shared.scopes.fetch_add(1, Ordering::Relaxed),
+            task,
+            done: Arc::new(Completion::default()),
+            spawned: Cell::new(0),
+        };
+        let own = catch_unwind(AssertUnwindSafe(|| body(&scope)));
+        scope.take_back();
+        let helper_panic = scope.done.wait();
+        match (own, helper_panic) {
+            (Err(panic), _) | (Ok(_), Some(panic)) => resume_unwind(panic),
+            (Ok(result), None) => result,
+        }
     }
 
     /// Run `f(0), …, f(tasks-1)` to completion, borrowing from the
     /// caller's scope. `f(0)` runs on the calling thread (caller-runs, so
-    /// the scan progresses even on a saturated pool); the rest are
-    /// sharded round-robin across the pool workers. Panics inside `f`
-    /// are caught per task and re-raised on the caller once every task
-    /// has finished, so borrowed data never outlives a running task.
+    /// the work progresses even on a saturated pool); the rest are queued
+    /// for the pool workers, and those no worker has started when `f(0)`
+    /// returns run on the caller too. Panics inside `f` are caught per
+    /// task and re-raised on the caller once every task has finished, so
+    /// borrowed data never outlives a running task.
     pub fn scope_run<'env, F>(&self, tasks: usize, f: F)
     where
         F: Fn(usize) + Send + Sync + 'env,
@@ -158,109 +185,209 @@ impl ScanPool {
         if tasks == 0 {
             return;
         }
-        if tasks == 1 {
-            f(0);
-            return;
-        }
-        let barrier = Arc::new(Completion::new(tasks - 1));
-        {
-            // Erase the closure's lifetime: the barrier wait below keeps
-            // `f` (and everything it borrows) alive until every task ran.
-            let f_ref: &(dyn Fn(usize) + Send + Sync) = &f;
-            let f_static: &'static (dyn Fn(usize) + Send + Sync) =
-                // SAFETY: `scope_run` does not return before
-                // `barrier.wait()` observes that all submitted tasks have
-                // completed (their panics captured), so no task can touch
-                // `f` or its borrows after this stack frame unwinds.
-                unsafe { std::mem::transmute(f_ref) };
-            for i in 1..tasks {
-                let barrier = Arc::clone(&barrier);
-                let shard = self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-                self.shards[shard].push(Box::new(move || {
-                    let result = catch_unwind(AssertUnwindSafe(|| f_static(i)));
-                    barrier.task_done(result.err());
-                }));
+        self.scope(&f, |scope| {
+            for _ in 1..tasks {
+                scope.spawn();
             }
-        }
-        // The caller works too, then blocks until the pool finished.
-        let own = catch_unwind(AssertUnwindSafe(|| f(0)));
-        let pool_panic = barrier.wait();
-        if let Err(panic) = own {
-            resume_unwind(panic);
-        }
-        if let Some(panic) = pool_panic {
-            resume_unwind(panic);
-        }
+            f(0)
+        })
+    }
+
+    /// Scan `chunks` chunks on the calling thread plus pool helpers, and
+    /// fold their outputs on the calling thread in chunk order.
+    ///
+    /// Every thread claims the next chunk from one cursor and runs
+    /// `scan(worker, chunk)` with its own worker state: the caller's is
+    /// `own`, a helper builds its own with `helper` (and does not help if
+    /// that returns `None`). Between its own chunks the caller folds
+    /// every finished output in order with `fold(own, chunk, output)`.
+    ///
+    /// * Before each claim the caller enlists one more helper (at most
+    ///   `max_helpers` in all) if chunks remain and the pool counts fewer
+    ///   busy threads than cores; a helper stops claiming once the count
+    ///   exceeds the cores. The caller should [occupy](Self::occupy) the
+    ///   pool for the duration, or it does not count itself.
+    /// * A chunk is claimed at most `2 × workers` chunks ahead of the next
+    ///   one to fold, so buffered outputs never grow with the chunk count.
+    /// * Once the caller has no chunk left to claim it takes back its
+    ///   helpers that have not started; it waits only for helpers that
+    ///   are mid-chunk.
+    /// * After a failing chunk no chunk past it is claimed; the result is
+    ///   the error of the lowest-numbered failing chunk, or the first
+    ///   error `fold` returns, as a serial loop would report.
+    /// * A panic on a helper re-raises on the caller once every started
+    ///   helper has finished; the pool's workers survive it.
+    pub fn fan_out<W, T, E>(
+        &self,
+        chunks: usize,
+        max_helpers: usize,
+        own: &mut W,
+        helper: impl Fn() -> Option<W> + Sync,
+        scan: impl Fn(&mut W, usize) -> Result<T, E> + Sync,
+        mut fold: impl FnMut(&mut W, usize, T) -> Result<(), E>,
+    ) -> Result<(), E>
+    where
+        T: Send,
+        E: Send,
+    {
+        let claims = Claims::new(chunks, 2 * self.workers());
+        let help = |_: usize| {
+            // Gives back the busy slot `reserve` took for this helper.
+            let _busy = Busy(&self.shared.busy);
+            if !claims.remaining() {
+                return;
+            }
+            let Some(mut worker) = helper() else { return };
+            while self.busy() <= self.workers() {
+                let Some(chunk) = claims.claim() else { break };
+                match catch_unwind(AssertUnwindSafe(|| scan(&mut worker, chunk))) {
+                    Ok(out) => claims.store(chunk, out),
+                    Err(panic) => {
+                        claims.poison();
+                        resume_unwind(panic);
+                    }
+                }
+            }
+        };
+        self.scope(&help, |scope| {
+            // However the caller leaves — done, failed or unwinding — no
+            // helper claims another chunk.
+            let _stop = StopClaims(&claims);
+            let mut helpers = 0;
+            let mut next = 0;
+            while next < chunks {
+                match claims.take(next) {
+                    Taken::Ready(out) => {
+                        out.and_then(|t| fold(own, next, t))?;
+                        next += 1;
+                        claims.folded.store(next, Ordering::Relaxed);
+                        continue;
+                    }
+                    Taken::Poisoned => return Ok(()),
+                    Taken::Pending => {}
+                }
+                if helpers < max_helpers && claims.remaining() && self.reserve() {
+                    scope.spawn();
+                    helpers += 1;
+                }
+                match claims.claim() {
+                    Some(chunk) => claims.store(chunk, scan(own, chunk)),
+                    None => {
+                        if !claims.remaining() {
+                            scope.take_back();
+                        }
+                        claims.wait(next);
+                    }
+                }
+            }
+            Ok(())
+        })
     }
 }
 
 impl Drop for ScanPool {
     fn drop(&mut self) {
-        for shard in &self.shards {
-            shard.lock().shutdown = true;
-            shard.available.notify_all();
-        }
+        lock(&self.shared.queue).shutdown = true;
+        self.shared.available.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-fn worker_loop(mine: &Shard, others: &[Arc<Shard>]) {
+fn worker_loop(shared: &Shared) {
+    let mut queue = lock(&shared.queue);
     loop {
-        // Own queue first, then steal.
-        let task = mine.pop().or_else(|| others.iter().find_map(|s| s.steal()));
-        match task {
-            Some(task) => task(),
-            None => {
-                let guard = mine.lock();
-                if guard.shutdown {
-                    return;
-                }
-                if guard.queue.is_empty() {
-                    // Timed wait so steals of work submitted to other
-                    // shards are picked up even without a local notify.
-                    let (guard, _) = mine
-                        .available
-                        .wait_timeout(guard, Duration::from_millis(1))
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                    if guard.shutdown {
-                        return;
-                    }
-                }
-            }
+        if let Some((_, task)) = queue.tasks.pop_front() {
+            drop(queue);
+            task();
+            queue = lock(&shared.queue);
+        } else if queue.shutdown {
+            return;
+        } else {
+            queue = shared
+                .available
+                .wait(queue)
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
         }
     }
 }
 
-/// Completion barrier for one [`ScanPool::scope_run`] call: counts tasks
-/// down and carries the first captured panic payload back to the caller.
+/// One thread counted as a busy scan thread; the count drops with it.
+pub struct Busy<'a>(&'a AtomicUsize);
+
+impl Drop for Busy<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// A caller's handle on the helper tasks it queued during
+/// [`ScanPool::scope`].
+struct Scope<'p> {
+    pool: &'p ScanPool,
+    id: u64,
+    task: &'static (dyn Fn(usize) + Send + Sync),
+    done: Arc<Completion>,
+    spawned: Cell<usize>,
+}
+
+impl Scope<'_> {
+    /// Queue one more helper task for the pool's workers.
+    fn spawn(&self) {
+        let k = self.spawned.get() + 1;
+        self.spawned.set(k);
+        self.done.add();
+        let (task, done) = (self.task, Arc::clone(&self.done));
+        let run: Task = Box::new(move || {
+            let result = catch_unwind(AssertUnwindSafe(|| task(k)));
+            done.task_done(result.err());
+        });
+        let shared = &self.pool.shared;
+        lock(&shared.queue).tasks.push_back((self.id, run));
+        shared.available.notify_one();
+    }
+
+    /// Take this scope's tasks that no worker has started off the queue
+    /// and run them on the calling thread.
+    fn take_back(&self) {
+        let mine: Vec<Task> = {
+            let mut queue = lock(&self.pool.shared.queue);
+            if !queue.tasks.iter().any(|(id, _)| *id == self.id) {
+                return;
+            }
+            let (mine, others) = std::mem::take(&mut queue.tasks)
+                .into_iter()
+                .partition(|(id, _)| *id == self.id);
+            queue.tasks = others;
+            mine.into_iter().map(|(_, task)| task).collect()
+        };
+        mine.into_iter().for_each(|task| task());
+    }
+}
+
+/// Completion count for one scope's tasks: counts them up as they are
+/// queued and down as they finish, and carries the first captured panic
+/// payload back to the caller.
+#[derive(Default)]
 struct Completion {
     state: Mutex<CompletionState>,
     done: Condvar,
 }
 
+#[derive(Default)]
 struct CompletionState {
     remaining: usize,
     panic: Option<Box<dyn std::any::Any + Send>>,
 }
 
 impl Completion {
-    fn new(tasks: usize) -> Completion {
-        Completion {
-            state: Mutex::new(CompletionState {
-                remaining: tasks,
-                panic: None,
-            }),
-            done: Condvar::new(),
-        }
+    fn add(&self) {
+        lock(&self.state).remaining += 1;
     }
 
     fn task_done(&self, panic: Option<Box<dyn std::any::Any + Send>>) {
-        let mut guard = self
-            .state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let mut guard = lock(&self.state);
         guard.remaining -= 1;
         if guard.panic.is_none() {
             guard.panic = panic;
@@ -271,10 +398,7 @@ impl Completion {
     }
 
     fn wait(&self) -> Option<Box<dyn std::any::Any + Send>> {
-        let mut guard = self
-            .state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let mut guard = lock(&self.state);
         while guard.remaining > 0 {
             guard = self
                 .done
@@ -282,6 +406,118 @@ impl Completion {
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
         }
         guard.panic.take()
+    }
+}
+
+/// The shared state of one [`ScanPool::fan_out`] loop: the claim cursor
+/// and its bounds, and one output slot per chunk. The atomics publish no
+/// data (outputs pass through the `slots` mutex), so they are `Relaxed`:
+/// the cursor's read-modify-write hands each chunk to one claimant under
+/// any ordering, and a stale bound costs at most a deferred claim or a
+/// chunk scanned past a failure whose output is never folded.
+struct Claims<T, E> {
+    /// How far past the next chunk to fold a chunk may be claimed.
+    ahead: usize,
+    /// The next chunk to claim.
+    next: AtomicUsize,
+    /// Chunks the caller has folded.
+    folded: AtomicUsize,
+    /// Claims stay below this: the lowest failing chunk, or 0 once the
+    /// loop stops.
+    limit: AtomicUsize,
+    slots: Mutex<Slots<T, E>>,
+    filled: Condvar,
+}
+
+struct Slots<T, E> {
+    outputs: Vec<Option<Result<T, E>>>,
+    poisoned: bool,
+}
+
+/// What the caller found in the slot of the next chunk to fold.
+enum Taken<T, E> {
+    Ready(Result<T, E>),
+    Pending,
+    Poisoned,
+}
+
+impl<T, E> Claims<T, E> {
+    fn new(chunks: usize, ahead: usize) -> Self {
+        Claims {
+            ahead: ahead.max(1),
+            next: AtomicUsize::new(0),
+            folded: AtomicUsize::new(0),
+            limit: AtomicUsize::new(chunks),
+            slots: Mutex::new(Slots {
+                outputs: (0..chunks).map(|_| None).collect(),
+                poisoned: false,
+            }),
+            filled: Condvar::new(),
+        }
+    }
+
+    /// Claim the next chunk, unless none is left below the limit or it
+    /// lies too far ahead of the fold.
+    fn claim(&self) -> Option<usize> {
+        self.next
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
+                let window = self.folded.load(Ordering::Relaxed) + self.ahead;
+                (c < self.limit.load(Ordering::Relaxed) && c < window).then_some(c + 1)
+            })
+            .ok()
+    }
+
+    /// Whether some chunk below the limit is still unclaimed.
+    fn remaining(&self) -> bool {
+        self.next.load(Ordering::Relaxed) < self.limit.load(Ordering::Relaxed)
+    }
+
+    fn store(&self, chunk: usize, out: Result<T, E>) {
+        if out.is_err() {
+            self.limit.fetch_min(chunk, Ordering::Relaxed);
+        }
+        lock(&self.slots).outputs[chunk] = Some(out);
+        self.filled.notify_all();
+    }
+
+    /// A helper panicked: stop claiming and wake the caller.
+    fn poison(&self) {
+        self.limit.store(0, Ordering::Relaxed);
+        lock(&self.slots).poisoned = true;
+        self.filled.notify_all();
+    }
+
+    fn take(&self, chunk: usize) -> Taken<T, E> {
+        let mut slots = lock(&self.slots);
+        if slots.poisoned {
+            return Taken::Poisoned;
+        }
+        match slots.outputs[chunk].take() {
+            Some(out) => Taken::Ready(out),
+            None => Taken::Pending,
+        }
+    }
+
+    /// Wait until `chunk`'s output is stored or a helper panicked. Only
+    /// called when `chunk` is claimed by a helper or the claim limit
+    /// stops at it, so a store is coming.
+    fn wait(&self, chunk: usize) {
+        let mut slots = lock(&self.slots);
+        while slots.outputs[chunk].is_none() && !slots.poisoned {
+            slots = self
+                .filled
+                .wait(slots)
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+        }
+    }
+}
+
+/// Stops a [`ScanPool::fan_out`] loop's claims when dropped.
+struct StopClaims<'a, T, E>(&'a Claims<T, E>);
+
+impl<T, E> Drop for StopClaims<'_, T, E> {
+    fn drop(&mut self) {
+        self.0.limit.store(0, Ordering::Relaxed);
     }
 }
 
@@ -476,7 +712,9 @@ impl Drop for Permit<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
+    use std::sync::Barrier;
+    use std::time::Duration;
 
     #[test]
     fn pool_runs_all_tasks_with_borrows() {
@@ -528,6 +766,122 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn a_queued_helper_never_holds_up_its_caller() {
+        let pool = ScanPool::new(1);
+        // `started` releases once the other caller, its task on the worker
+        // and this thread all arrived, so the worker is blocked then.
+        let (started, release) = (Barrier::new(3), Barrier::new(2));
+        std::thread::scope(|s| {
+            // Block the only worker inside another caller's task.
+            let blocker = s.spawn(|| {
+                pool.scope_run(2, |i| {
+                    started.wait();
+                    if i == 1 {
+                        release.wait();
+                    }
+                })
+            });
+            started.wait();
+            // This caller's helper task queues behind the blocked worker;
+            // the scope ends by running it here instead of waiting.
+            let caller = std::thread::current().id();
+            let ran_on = Mutex::new(None);
+            pool.scope(
+                &|_| *lock(&ran_on) = Some(std::thread::current().id()),
+                |scope| scope.spawn(),
+            );
+            assert_eq!(*lock(&ran_on), Some(caller));
+            release.wait();
+            blocker.join().unwrap();
+        });
+    }
+
+    #[test]
+    fn fan_out_folds_in_chunk_order() {
+        let pool = ScanPool::new(3);
+        let data: Vec<u64> = (0..10_000).collect();
+        let _busy = pool.occupy();
+        let mut order = Vec::new();
+        pool.fan_out(
+            100,
+            usize::MAX,
+            &mut (),
+            || Some(()),
+            |_, c| Ok::<u64, ()>(data[c * 100..(c + 1) * 100].iter().sum()),
+            |_, c, sum| {
+                order.push((c, sum));
+                Ok(())
+            },
+        )
+        .unwrap();
+        let expected: Vec<(usize, u64)> = (0..100)
+            .map(|c| (c, (c as u64 * 100..(c as u64 + 1) * 100).sum()))
+            .collect();
+        assert_eq!(order, expected);
+        drop(_busy);
+        assert_eq!(pool.busy(), 0, "every helper gave its busy slot back");
+    }
+
+    #[test]
+    fn fan_out_reports_the_lowest_failing_chunk() {
+        let pool = ScanPool::new(2);
+        for _ in 0..20 {
+            let folded = AtomicUsize::new(0);
+            let err = pool
+                .fan_out(
+                    64,
+                    usize::MAX,
+                    &mut (),
+                    || Some(()),
+                    |_, c| if c % 16 == 7 { Err(c) } else { Ok(c) },
+                    |_, c, out| {
+                        assert_eq!(c, out);
+                        folded.fetch_add(1, Ordering::Relaxed);
+                        Ok(())
+                    },
+                )
+                .unwrap_err();
+            assert_eq!(err, 7);
+            assert_eq!(folded.load(Ordering::Relaxed), 7, "chunks 0..7 fold first");
+        }
+    }
+
+    #[test]
+    fn fan_out_reraises_a_helper_panic_and_the_pool_survives() {
+        let pool = ScanPool::new(2);
+        let caller = std::thread::current().id();
+        // The caller's first chunk and the helper's meet here, so the
+        // helper has claimed a chunk before the caller can finish alone.
+        let (met, caller_met) = (Barrier::new(2), AtomicBool::new(false));
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.fan_out(
+                64,
+                1,
+                &mut (),
+                || Some(()),
+                |_, c| {
+                    if std::thread::current().id() != caller {
+                        met.wait();
+                        panic!("helper exploded on chunk {c}");
+                    }
+                    if !caller_met.swap(true, Ordering::Relaxed) {
+                        met.wait();
+                    }
+                    Ok::<(), ()>(())
+                },
+                |_, _, ()| Ok(()),
+            )
+        }));
+        assert!(result.is_err(), "the helper's panic reaches the caller");
+        let ran = AtomicUsize::new(0);
+        pool.scope_run(4, |_| {
+            ran.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(ran.load(Ordering::Relaxed), 4);
+        assert_eq!(pool.busy(), 0);
     }
 
     #[test]

@@ -38,6 +38,14 @@
 //! running state (exact `i128` integer sums, `f64` float sums in position
 //! order, MIN/MAX continuing from the running best). A lone `COUNT(*)`
 //! never leaves count mode.
+//!
+//! An aggregate statement's chunks **fan out** over the process-wide scan
+//! pool ([`ScanPool::fan_out`]): while a core is idle, pool workers join
+//! the calling thread as helpers, each claiming chunks from the
+//! statement's one cursor and scanning them with its own compiled tree,
+//! and the calling thread folds the chunk outputs in chunk order, so every
+//! answer is the serial loop's. Projections (LIMIT stops early), shared
+//! passes and `EXPLAIN ANALYZE` stay on the calling thread.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -49,7 +57,7 @@ use fts_core::blockwise::Bitmap;
 use fts_core::fused::packed::{fused_scan_packed, packed_kernel_available, PackedPred};
 use fts_core::{
     best_fused_impl, run_scan, run_scan_telemetered, value_key_bits, BoolExpr, OutputMode,
-    RegWidth, ScanElem, ScanImpl, ScanOutput, ScanTelemetry, TelemetryLevel, TypedPred,
+    RegWidth, ScanElem, ScanImpl, ScanOutput, ScanPool, ScanTelemetry, TelemetryLevel, TypedPred,
 };
 use fts_core::{fused_scan_for, scan_bytesliced, ByteSlicedPred, ForPred};
 use fts_jit::kernel::JitRunElem;
@@ -99,6 +107,9 @@ pub struct ExecContext {
     pub chunks_pruned: AtomicU64,
     /// Chunks actually scanned.
     pub chunks_scanned: AtomicU64,
+    /// Chunks of `chunks_scanned` that a scan-pool helper scanned for an
+    /// aggregate statement's calling thread.
+    pub chunks_helped: AtomicU64,
 }
 
 impl Default for ExecContext {
@@ -114,6 +125,7 @@ impl Default for ExecContext {
             calibration: Arc::new(CalibrationRegistry::new()),
             chunks_pruned: AtomicU64::new(0),
             chunks_scanned: AtomicU64::new(0),
+            chunks_helped: AtomicU64::new(0),
         }
     }
 }
@@ -476,12 +488,15 @@ pub(crate) const CALIBRATION_CAPACITY: usize = 1024;
 ///
 /// The calibrator for a chain is a little state machine (probe →
 /// winner → drift re-probe) whose transitions assume its observations
-/// arrive one at a time; two statements interleaving raw `observe`
-/// calls on one instance would corrupt probe timings and winner
-/// choice. The registry therefore hands out each chain's state behind
-/// its own `Mutex`: a statement locks it for the duration of one chunk
-/// scan, so observations serialize per chain while different chains —
-/// and different tables — calibrate fully in parallel. Sharing the
+/// arrive one at a time, and whose probe timings assume a quiet kernel
+/// run. The registry therefore hands out each chain's state behind its
+/// own `Mutex`. While the chain calibrates, a scan holds the lock from
+/// the phase read across the kernel run to the observation, so probes
+/// run one at a time; in steady state it locks only to read the phase
+/// and again to observe, so the threads of one statement, and
+/// concurrent statements, scan the chain's chunks without waiting on
+/// each other. Different chains — and different tables — calibrate
+/// fully in parallel. Sharing the
 /// state is also what makes a server warm: the second connection to ask
 /// the same question starts in steady state instead of re-probing. A
 /// statement holds its chains' states through their `Arc`s, so an
@@ -1347,14 +1362,8 @@ fn run_plain_chain<T: PlainElem>(
         .collect::<Option<_>>()
         .ok_or(ExecError::PredicateTypeError)?;
     let state = calibration.map(|c| c.calibrator::<T>(ctx, preds.len()));
-    // Hold the chain's calibration lock for the chunk: the phase read and
-    // the observe that follows must see no interleaved writer, or probe
-    // timings would corrupt.
-    let mut guard = state.as_deref().map(lock_plain);
-    let adaptive = guard.as_deref_mut();
-    let picked = adaptive.as_ref().map(|cal| match cal.phase() {
-        Phase::Calibrating(k) | Phase::Steady(k) => k,
-    });
+    let adaptive = state.as_deref().map(ChainLock::new);
+    let picked = adaptive.as_ref().map(|held| held.kernel);
     let rows = preds[0].data.len() as u64;
     let use_jit = match picked {
         Some(kernel) => kernel == QueryKernel::Jit,
@@ -1364,8 +1373,8 @@ fn run_plain_chain<T: PlainElem>(
         // One cache key per kernel: a calibrated chain and the same chain
         // driving a longer one share the compiled code.
         if let Some((out, wall)) = run_jit(&ctx.kernels, &preds, &[], mode) {
-            if let Some(cal) = adaptive {
-                cal.observe(QueryKernel::Jit, rows, wall.as_nanos() as u64, out.count());
+            if let Some(held) = adaptive {
+                held.observe(QueryKernel::Jit, rows, wall, out.count());
             }
             if let Some(r) = analyze {
                 // The JIT kernel implements the same per-block fused
@@ -1405,19 +1414,54 @@ fn run_plain_chain<T: PlainElem>(
         let out = run_scan(imp, &preds, mode).map_err(engine_error)?;
         (out, started.elapsed())
     };
-    if let Some(cal) = adaptive {
-        cal.observe(
-            QueryKernel::Static(imp),
-            rows,
-            wall.as_nanos() as u64,
-            out.count(),
-        );
+    if let Some(held) = adaptive {
+        held.observe(QueryKernel::Static(imp), rows, wall, out.count());
     }
     Ok(out)
 }
 
-/// Execute an optimized logical plan.
+/// A chain's calibrator as one chunk scan holds it. While the chain
+/// calibrates, the lock is held from the phase read across the kernel run
+/// to the observation, so probes run one at a time and time a quiet
+/// kernel. A steady chain is locked only to read the phase and again to
+/// observe, so the threads scanning its chunks never wait on each other.
+struct ChainLock<'s> {
+    state: &'s Mutex<ChainCalibrator>,
+    /// The lock, while probing.
+    probing: Option<MutexGuard<'s, ChainCalibrator>>,
+    /// The kernel the phase picked: a probe candidate or the winner.
+    kernel: QueryKernel,
+}
+
+impl<'s> ChainLock<'s> {
+    fn new(state: &'s Mutex<ChainCalibrator>) -> ChainLock<'s> {
+        let cal = lock_plain(state);
+        match cal.phase() {
+            Phase::Calibrating(kernel) => ChainLock {
+                state,
+                probing: Some(cal),
+                kernel,
+            },
+            Phase::Steady(kernel) => ChainLock {
+                state,
+                probing: None,
+                kernel,
+            },
+        }
+    }
+
+    /// Feed the calibrator what the chunk's kernel run did.
+    fn observe(self, kernel: QueryKernel, rows: u64, wall: Duration, matches: u64) {
+        let mut cal = self.probing.unwrap_or_else(|| lock_plain(self.state));
+        cal.observe(kernel, rows, wall.as_nanos() as u64, matches);
+    }
+}
+
+/// Execute an optimized logical plan. An aggregate's chunks fan out over
+/// the scan pool's idle cores; the statement counts as one busy scan
+/// thread while it runs.
 pub fn execute(plan: &Lqp, ctx: &ExecContext) -> Result<QueryResult, ExecError> {
+    let _busy = ScanPool::global().occupy();
     execute_with(plan, ctx, None)
 }
 
@@ -1428,6 +1472,7 @@ pub fn execute_analyzed(
     plan: &Lqp,
     ctx: &ExecContext,
 ) -> Result<(QueryResult, AnalyzeReport), ExecError> {
+    let _busy = ScanPool::global().occupy();
     let mut report = AnalyzeReport::default();
     let jit0 = ctx.jit_stats();
     let pruned0 = ctx.chunks_pruned.load(Ordering::Relaxed);
@@ -1478,6 +1523,7 @@ pub fn execute_shared(
     if plans.is_empty() {
         return None;
     }
+    let _busy = ScanPool::global().occupy();
     let mut queries = Vec::with_capacity(plans.len());
     for plan in plans {
         let Lqp::Aggregate { input, aggs } = plan else {
@@ -1533,24 +1579,10 @@ pub fn execute_shared(
 fn execute_with(
     plan: &Lqp,
     ctx: &ExecContext,
-    mut analyze: Option<&mut AnalyzeReport>,
+    analyze: Option<&mut AnalyzeReport>,
 ) -> Result<QueryResult, ExecError> {
     match plan {
-        Lqp::Aggregate { input, aggs } => {
-            let (entry, mut scan) = StatementScan::build(input)?;
-            let mut agg = Aggregation::new(aggs)?;
-            for (ci, chunk) in entry.table.chunks().iter().enumerate() {
-                if scan.prune(entry, ci) {
-                    ctx.chunks_pruned.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                ctx.chunks_scanned.fetch_add(1, Ordering::Relaxed);
-                let out = scan.scan(entry, ci, chunk, ctx, agg.mode(), analyze.as_deref_mut())?;
-                agg.fold(chunk, &out, analyze.as_deref_mut())?;
-            }
-            scan.finish(analyze);
-            agg.finish()
-        }
+        Lqp::Aggregate { input, aggs } => aggregate(input, aggs, ctx, analyze),
         Lqp::Limit { input, n } => {
             // A projection stops once `n` rows are materialized; anything
             // else (an aggregate's single row) truncates afterwards.
@@ -1579,6 +1611,71 @@ fn execute_with(
         } => project(input, columns, names, usize::MAX, ctx, analyze),
         other => Err(ExecError::UnsupportedPlan(format!("{other:?}"))),
     }
+}
+
+/// One thread's share of an aggregate statement's chunk loop: its own
+/// compiled tree (a tree holds per-thread row counters and the calibrators
+/// it took), and on the calling thread the `EXPLAIN ANALYZE` report.
+struct AggWorker<'a, 'r> {
+    scan: StatementScan<'a>,
+    analyze: Option<&'r mut AnalyzeReport>,
+    helper: bool,
+}
+
+/// Run an aggregate statement as one [`ScanPool::fan_out`] chunk loop:
+/// the calling thread and the helpers it enlists each claim a chunk, prune
+/// it or scan it, and the calling thread folds the outputs into the
+/// aggregates in chunk order. `EXPLAIN ANALYZE` enlists no helper: its one
+/// report and its per-chunk replay stay on the calling thread.
+fn aggregate(
+    input: &Lqp,
+    aggs: &[BoundAgg],
+    ctx: &ExecContext,
+    analyze: Option<&mut AnalyzeReport>,
+) -> Result<QueryResult, ExecError> {
+    let (entry, scan) = StatementScan::build(input)?;
+    let mut agg = Aggregation::new(aggs)?;
+    let mode = agg.mode();
+    let chunks = entry.table.chunks();
+    let helpers = if analyze.is_some() { 0 } else { usize::MAX };
+    let mut own = AggWorker {
+        scan,
+        analyze,
+        helper: false,
+    };
+    ScanPool::global().fan_out(
+        chunks.len(),
+        helpers,
+        &mut own,
+        || {
+            let (_, scan) = StatementScan::build(input).ok()?;
+            Some(AggWorker {
+                scan,
+                analyze: None,
+                helper: true,
+            })
+        },
+        |w, ci| {
+            if w.scan.prune(entry, ci) {
+                ctx.chunks_pruned.fetch_add(1, Ordering::Relaxed);
+                return Ok(None);
+            }
+            ctx.chunks_scanned.fetch_add(1, Ordering::Relaxed);
+            if w.helper {
+                ctx.chunks_helped.fetch_add(1, Ordering::Relaxed);
+            }
+            let analyze = w.analyze.as_deref_mut();
+            w.scan
+                .scan(entry, ci, &chunks[ci], ctx, mode, analyze)
+                .map(Some)
+        },
+        |w, ci, out| match out {
+            Some(out) => agg.fold(&chunks[ci], &out, w.analyze.as_deref_mut()),
+            None => Ok(()),
+        },
+    )?;
+    own.scan.finish(own.analyze);
+    agg.finish()
 }
 
 /// Materialize `columns` of the rows the scan under `input` keeps, in

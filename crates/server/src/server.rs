@@ -241,7 +241,7 @@ impl QueryServer {
              queries: admitted={} queued={} rejected={} completed={} errors={}\n\
              batching: shared_passes={} shared_queries={} hit_rate={:.1}%\n\
              jit: kernels={} hits={} misses={} evictions={}\n\
-             scan: chunks_scanned={} chunks_pruned={} calibrated_chains={}\n\
+             scan: chunks_scanned={} chunks_pruned={} chunks_helped={} calibrated_chains={}\n\
              advisor: passes={} scored={} reencoded={} deferred={} bytes_saved={}\n\
              advisor decode GB/s: {decode}",
             s.peak_running,
@@ -262,6 +262,7 @@ impl QueryServer {
             jit.evictions,
             ctx.chunks_scanned.load(Ordering::Relaxed),
             ctx.chunks_pruned.load(Ordering::Relaxed),
+            ctx.chunks_helped.load(Ordering::Relaxed),
             ctx.calibration.len(),
             a.passes,
             a.chunks_scored,

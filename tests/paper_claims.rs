@@ -4,6 +4,7 @@
 //! quantitative reproduction lives in the benchmark harness
 //! (`fts-bench`, see EXPERIMENTS.md).
 
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use fused_table_scan::core::{run_scan, OutputMode, RegWidth, ScanImpl, TypedPred};
@@ -14,16 +15,27 @@ use fused_table_scan::simd::has_avx512;
 use fused_table_scan::storage::gen::{generate_chain, PredSpec};
 use fused_table_scan::storage::{CmpOp, Column, ColumnDef, DataType, Table};
 
-fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut t: Vec<f64> = (0..reps)
-        .map(|_| {
-            let s = Instant::now();
-            f();
-            s.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    t.sort_by(f64::total_cmp);
-    t[t.len() / 2]
+/// The timing claims hold this lock, so no two of them overlap and
+/// neither times a kernel while the other's scans share the cores.
+fn timing_claim() -> MutexGuard<'static, ()> {
+    static TIMING: Mutex<()> = Mutex::new(());
+    TIMING
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// The fastest of `reps` runs of `a` and of `b` in ms, the runs
+/// alternating: drift on a shared host lands on both kernels alike, and
+/// the minimum drops the runs a neighbour slowed.
+fn min_ms_alternating(reps: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    let ms = |f: &mut dyn FnMut()| {
+        let s = Instant::now();
+        f();
+        s.elapsed().as_secs_f64() * 1e3
+    };
+    (0..reps).fold((f64::INFINITY, f64::INFINITY), |(ta, tb), _| {
+        (ta.min(ms(&mut a)), tb.min(ms(&mut b)))
+    })
 }
 
 /// Title claim (§IV Fig. 4): the fused AVX-512 scan beats the SISD scan —
@@ -35,6 +47,7 @@ fn fused_scan_beats_sisd() {
         eprintln!("skipping: no AVX-512");
         return;
     }
+    let _timing = timing_claim();
     let chain = generate_chain(
         8_000_000,
         &[PredSpec::eq(5u32, 0.1), PredSpec::eq(2u32, 0.5)],
@@ -45,19 +58,22 @@ fn fused_scan_beats_sisd() {
         TypedPred::eq(&chain.columns[0][..], 5u32),
         TypedPred::eq(&chain.columns[1][..], 2u32),
     ];
-    let sisd = median_ms(5, || {
-        let out = run_scan(ScanImpl::SisdBranching, &preds, OutputMode::Count).unwrap();
-        assert_eq!(out.count(), chain.matching_rows.len() as u64);
-    });
-    let fused = median_ms(5, || {
-        let out = run_scan(
-            ScanImpl::FusedAvx512(RegWidth::W512),
-            &preds,
-            OutputMode::Count,
-        )
-        .unwrap();
-        assert_eq!(out.count(), chain.matching_rows.len() as u64);
-    });
+    let (sisd, fused) = min_ms_alternating(
+        7,
+        || {
+            let out = run_scan(ScanImpl::SisdBranching, &preds, OutputMode::Count).unwrap();
+            assert_eq!(out.count(), chain.matching_rows.len() as u64);
+        },
+        || {
+            let out = run_scan(
+                ScanImpl::FusedAvx512(RegWidth::W512),
+                &preds,
+                OutputMode::Count,
+            )
+            .unwrap();
+            assert_eq!(out.count(), chain.matching_rows.len() as u64);
+        },
+    );
     assert!(
         fused * 1.5 < sisd,
         "fused scan must clearly beat SISD: fused={fused:.2}ms sisd={sisd:.2}ms"
@@ -71,6 +87,7 @@ fn wider_registers_win() {
         eprintln!("skipping: no AVX-512");
         return;
     }
+    let _timing = timing_claim();
     let chain = generate_chain(
         8_000_000,
         &[PredSpec::eq(5u32, 0.5), PredSpec::eq(2u32, 0.5)],
@@ -81,22 +98,10 @@ fn wider_registers_win() {
         TypedPred::eq(&chain.columns[0][..], 5u32),
         TypedPred::eq(&chain.columns[1][..], 2u32),
     ];
-    let w128 = median_ms(5, || {
-        run_scan(
-            ScanImpl::FusedAvx512(RegWidth::W128),
-            &preds,
-            OutputMode::Count,
-        )
-        .unwrap();
-    });
-    let w512 = median_ms(5, || {
-        run_scan(
-            ScanImpl::FusedAvx512(RegWidth::W512),
-            &preds,
-            OutputMode::Count,
-        )
-        .unwrap();
-    });
+    let run = |width| {
+        run_scan(ScanImpl::FusedAvx512(width), &preds, OutputMode::Count).unwrap();
+    };
+    let (w128, w512) = min_ms_alternating(7, || run(RegWidth::W128), || run(RegWidth::W512));
     assert!(
         w512 * 1.3 < w128,
         "512-bit must beat 128-bit: w512={w512:.2} w128={w128:.2}"
@@ -139,6 +144,7 @@ fn advantage_grows_with_predicate_count() {
         eprintln!("skipping: no AVX-512");
         return;
     }
+    let _timing = timing_claim();
     let rows = 4_000_000;
     let mut ratios = Vec::new();
     for p in [2usize, 5] {
@@ -151,17 +157,14 @@ fn advantage_grows_with_predicate_count() {
             .zip(&specs)
             .map(|(c, s)| TypedPred::eq(&c[..], s.needle))
             .collect();
-        let sisd = median_ms(3, || {
-            run_scan(ScanImpl::SisdAutoVec, &preds, OutputMode::Count).unwrap();
-        });
-        let fused = median_ms(3, || {
-            run_scan(
-                ScanImpl::FusedAvx512(RegWidth::W512),
-                &preds,
-                OutputMode::Count,
-            )
-            .unwrap();
-        });
+        let run = |imp| {
+            run_scan(imp, &preds, OutputMode::Count).unwrap();
+        };
+        let (sisd, fused) = min_ms_alternating(
+            7,
+            || run(ScanImpl::SisdAutoVec),
+            || run(ScanImpl::FusedAvx512(RegWidth::W512)),
+        );
         ratios.push(sisd / fused);
     }
     assert!(
@@ -181,6 +184,7 @@ fn jit_compile_cost_is_negligible() {
         eprintln!("skipping: no AVX-512");
         return;
     }
+    let _timing = timing_claim();
     let sig = ScanSig::chain::<u32>(&[(CmpOp::Eq, 5), (CmpOp::Eq, 2)], false);
     let k = CompiledKernel::compile(sig, JitBackend::Avx512).unwrap();
     assert!(
