@@ -109,10 +109,8 @@ fn run_adaptive(prepared: &Prepared) -> u64 {
 /// while a core is idle), so a kernel's series gets the cores the
 /// executor's statement gets.
 fn count_chunks(chunks: usize, count: impl Fn(usize) -> u64 + Sync) -> u64 {
-    let pool = ScanPool::global();
-    let _busy = pool.occupy();
     let mut total = 0;
-    let Ok(()) = pool.fan_out(
+    let Ok(()) = ScanPool::global().fan_out(
         chunks,
         usize::MAX,
         &mut (),

@@ -4,8 +4,7 @@
 //! and persists JSON for EXPERIMENTS.md.
 
 use fts_core::{
-    run_scan, run_scan_telemetered, stride, OutputMode, RegWidth, ScanImpl, TelemetryLevel,
-    TypedPred,
+    run_scan, run_scan_telemetered, stride, OutputMode, RegWidth, ScanImpl, ScanPool, TypedPred,
 };
 use fts_jit::{CompiledKernel, JitBackend, KernelCache, ScanSig};
 use fts_metrics::{instrument, timing, HwModel};
@@ -197,9 +196,8 @@ pub fn fig5(scale: &Scale) -> FigureResult {
         // report for EXPERIMENTS.md.
         let peak = stride::peak_bandwidth_gbps();
         let imp = fts_core::best_fused_impl::<u32>();
-        let (out, telemetry) =
-            run_scan_telemetered(imp, &preds, OutputMode::Count, TelemetryLevel::Full)
-                .expect("auto impl is always available");
+        let (out, telemetry) = run_scan_telemetered(imp, &preds, OutputMode::Count)
+            .expect("auto impl is always available");
         assert_eq!(out.count(), expected, "{} wrong result", imp.name());
         fig.push_telemetry(&format!("{} sel={sel}", imp.name()), &telemetry, peak);
     }
@@ -401,15 +399,19 @@ pub fn ablation_jit(scale: &Scale) -> FigureResult {
 
 /// Ablation: morsel-driven parallel scaling of the fused scan (paper
 /// footnote 1 allows horizontal partitioning; this shows the operator
-/// composes with morsel-driven parallelism).
+/// composes with morsel-driven parallelism). Each thread count gets a
+/// scan pool of that many workers, and the chain's morsels run through
+/// its chunk loop ([`ScanPool::fan_out`]): the calling thread plus up to
+/// `threads - 1` helpers each claim a morsel and scan its slices.
 pub fn ablation_parallel(scale: &Scale) -> FigureResult {
+    const MORSEL_ROWS: usize = 1 << 16;
     let mut fig = FigureResult::new(
         "ablation_parallel",
         "morsel-parallel fused scan scaling",
         "threads",
     );
     fig.config("rows", scale.rows);
-    fig.config("morsel_rows", fts_core::DEFAULT_MORSEL_ROWS);
+    fig.config("morsel_rows", MORSEL_ROWS);
     let chain = equality_chain(scale.rows, 2, 0.1, 900);
     let preds = preds_of(&chain);
     let expected = chain.matching_rows.len() as u64;
@@ -417,21 +419,35 @@ pub fn ablation_parallel(scale: &Scale) -> FigureResult {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
+    let morsels = scale.rows.div_ceil(MORSEL_ROWS);
     let mut base_ms = None;
     for threads in [1usize, 2, 4, 8, 16] {
         if threads > cores * 2 {
             break;
         }
+        let pool = ScanPool::new(threads);
         let ms = median_ms(scale.reps, || {
-            let out = fts_core::run_scan_parallel(
-                imp,
-                &preds,
-                OutputMode::Count,
-                threads,
-                fts_core::DEFAULT_MORSEL_ROWS,
+            let mut total = 0;
+            pool.fan_out(
+                morsels,
+                usize::MAX,
+                &mut (),
+                || Some(()),
+                |_, m| {
+                    let rows = m * MORSEL_ROWS..((m + 1) * MORSEL_ROWS).min(scale.rows);
+                    let morsel: Vec<TypedPred<'_, u32>> = preds
+                        .iter()
+                        .map(|p| TypedPred::new(&p.data[rows.clone()], p.op, p.needle))
+                        .collect();
+                    run_scan(imp, &morsel, OutputMode::Count).map(|out| out.count())
+                },
+                |_, _, n| {
+                    total += n;
+                    Ok(())
+                },
             )
-            .expect("parallel scan");
-            assert_eq!(out.count(), expected);
+            .expect("morsel scan");
+            assert_eq!(total, expected);
         });
         let base = *base_ms.get_or_insert(ms);
         fig.push(

@@ -428,9 +428,7 @@ fn format_metric(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fts_core::{
-        run_scan_telemetered, OutputMode, RegWidth, ScanImpl, TelemetryLevel, TypedPred,
-    };
+    use fts_core::{run_scan_telemetered, OutputMode, RegWidth, ScanImpl, TypedPred};
 
     #[test]
     fn build_and_render() {
@@ -466,7 +464,6 @@ mod tests {
             ScanImpl::FusedScalar(RegWidth::W512),
             &preds,
             OutputMode::Count,
-            TelemetryLevel::Full,
         )
         .unwrap();
         let mut fig = FigureResult::new("figT", "demo", "rows");

@@ -20,7 +20,6 @@
 //! measurements, one chunk per morsel.
 
 use crate::engine::{RegWidth, ScanElem, ScanImpl};
-use crate::parallel::DEFAULT_MORSEL_ROWS;
 use fts_simd::{detect, SimdLevel};
 use fts_storage::DataType;
 
@@ -62,7 +61,8 @@ pub struct CalibrationConfig {
     /// Absolute drift floor, so near-zero estimates don't re-probe on
     /// noise.
     pub drift_floor: f64,
-    /// Rows of steady-state scanning between drift checks.
+    /// Rows of steady-state scanning between drift checks (2 Mi by
+    /// default).
     pub recheck_rows: u64,
 }
 
@@ -73,7 +73,7 @@ impl Default for CalibrationConfig {
             top_candidates: 3,
             drift_threshold: 0.5,
             drift_floor: 0.02,
-            recheck_rows: 32 * DEFAULT_MORSEL_ROWS as u64,
+            recheck_rows: 2 << 20,
         }
     }
 }

@@ -9,7 +9,7 @@ use fts_simd::{detect, SimdLevel};
 use fts_storage::{DataType, NativeType, PosList};
 
 use crate::pred::{OutputMode, ScanOutput, TypedPred};
-use crate::telemetry::{ScanTelemetry, TelemetryLevel};
+use crate::telemetry::ScanTelemetry;
 use crate::{blockwise, fused, sisd};
 
 /// AVX register width used by a fused kernel.
@@ -114,13 +114,6 @@ pub enum EngineError {
     },
     /// Chain longer than [`fused::MAX_PREDICATES`].
     ChainTooLong(usize),
-    /// A parallel worker panicked while scanning one morsel.
-    WorkerPanicked {
-        /// Index of the morsel whose scan panicked.
-        morsel: usize,
-        /// The panic payload, if it was a string.
-        message: String,
-    },
     /// The scheduler's admission budget rejected the work: the bounded
     /// wait queue was full, or the request's declared cost exceeds the
     /// configured budget outright (see
@@ -145,9 +138,6 @@ impl std::fmt::Display for EngineError {
             }
             EngineError::ChainTooLong(n) => {
                 write!(f, "{n} predicates exceed the fused-kernel limit")
-            }
-            EngineError::WorkerPanicked { morsel, message } => {
-                write!(f, "scan worker panicked on morsel {morsel}: {message}")
             }
             EngineError::Overloaded {
                 running,
@@ -303,28 +293,19 @@ pub fn run_scan<T: ScanElem>(
     })
 }
 
-/// Run `preds` with the chosen implementation and collect
-/// [`ScanTelemetry`] at the requested level.
-///
-/// At [`TelemetryLevel::Off`] this is exactly [`run_scan`] — the kernels
-/// contain no telemetry code — and the returned record is
-/// [`ScanTelemetry::disabled`]. Otherwise the real kernel is timed, and at
-/// [`TelemetryLevel::Full`] stage statistics are collected afterwards
-/// (see [`crate::telemetry`] for the replay/analytic strategy and its
-/// one-extra-pass cost).
+/// Run `preds` with the chosen implementation and collect its
+/// [`ScanTelemetry`]: the real kernel is timed, and its stage statistics
+/// are collected afterwards (see [`crate::telemetry`] for the
+/// replay/analytic strategy and its one-extra-pass cost).
 pub fn run_scan_telemetered<T: ScanElem>(
     imp: ScanImpl,
     preds: &[TypedPred<'_, T>],
     mode: OutputMode,
-    level: TelemetryLevel,
 ) -> Result<(ScanOutput, ScanTelemetry), EngineError> {
-    if level == TelemetryLevel::Off {
-        return run_scan(imp, preds, mode).map(|o| (o, ScanTelemetry::disabled(imp.name())));
-    }
     let started = std::time::Instant::now();
     let out = run_scan(imp, preds, mode)?;
     let wall = started.elapsed();
-    let mut telemetry = crate::telemetry::collect(imp, preds, level);
+    let mut telemetry = crate::telemetry::collect(imp, preds);
     telemetry.wall = wall;
     Ok((out, telemetry))
 }

@@ -28,8 +28,8 @@
 //!   of every type with kernels.
 //! * [`pred`], [`telemetry`] — predicate and output types; per-stage scan
 //!   statistics and the bandwidth-vs-compute verdict.
-//! * [`parallel`], [`sched`] — morsel-parallel scans, admission control
-//!   and the per-core scan pool.
+//! * [`sched`] — the per-core scan pool, its one chunk loop
+//!   ([`ScanPool::fan_out`]), and admission control.
 //! * [`stride`] — the strided-scan bandwidth microbenchmark of Fig. 2.
 
 #![warn(missing_docs)]
@@ -39,7 +39,6 @@ pub mod blockwise;
 pub mod bool_expr;
 pub mod engine;
 pub mod fused;
-pub mod parallel;
 pub mod pred;
 pub mod reference;
 pub mod sched;
@@ -59,7 +58,6 @@ pub use fused::bytesliced::{scan_bytesliced, ByteSliceStats, ByteSlicedPred};
 pub use fused::for_scan::{
     fused_scan_for, scan_for_reference, ForPred, ForScanError, ForScanStats,
 };
-pub use parallel::{run_scan_parallel, run_scan_parallel_telemetered, DEFAULT_MORSEL_ROWS};
 pub use pred::{OutputMode, ScanOutput, TypedPred};
 pub use sched::{AdmissionConfig, AdmissionController, Permit, ScanPool};
-pub use telemetry::{BoundVerdict, ScanTelemetry, StageTelemetry, TelemetryLevel};
+pub use telemetry::{BoundVerdict, ScanTelemetry, StageTelemetry};

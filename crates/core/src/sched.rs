@@ -5,13 +5,13 @@
 //! * [`ScanPool`] — persistent workers, one per core, fed by one task
 //!   queue. A worker with nothing to do sleeps on the queue's condvar
 //!   until a task arrives, so an idle pool costs nothing.
-//! * [`ScanPool::fan_out`] — the chunk loop: the calling thread scans
+//! * [`ScanPool::fan_out`] — the one chunk loop: the calling thread scans
 //!   chunks and enlists pool workers as *helpers* while a core is idle.
 //!   Every thread claims the next chunk from one cursor, and the caller
 //!   folds the chunk outputs in chunk order, so the result is the serial
-//!   loop's. The pool counts the busy scan threads (statements that
-//!   [occupy](ScanPool::occupy) it, plus enlisted helpers), which is how
-//!   "a core is idle" is decided.
+//!   loop's. The pool counts the busy scan threads (callers inside
+//!   `fan_out`, plus enlisted helpers), which is how "a core is idle" is
+//!   decided.
 //! * [`AdmissionController`] — a configurable concurrency + byte budget
 //!   with a bounded FIFO wait queue. Work that fits runs, work that can
 //!   wait queues, and work beyond the bound is rejected with an explicit
@@ -19,7 +19,7 @@
 //!
 //! Both are deliberately engine-agnostic: the pool runs any closure, the
 //! controller admits any cost expressed in bytes, so the SQL executor,
-//! the server, the benches and the library path all share one scheduler.
+//! the server and the benches share one scheduler.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -51,8 +51,8 @@ struct Shared {
     queue: Mutex<Queue>,
     /// Signalled when a task arrives or shutdown begins.
     available: Condvar,
-    /// Scan threads counted as busy: occupying callers plus enlisted
-    /// helpers.
+    /// Scan threads counted as busy: callers inside
+    /// [`ScanPool::fan_out`] plus enlisted helpers.
     busy: AtomicUsize,
     /// The last scope id handed out.
     scopes: AtomicU64,
@@ -113,14 +113,6 @@ impl ScanPool {
     /// Scan threads currently counted as busy.
     fn busy(&self) -> usize {
         self.shared.busy.load(Ordering::Relaxed)
-    }
-
-    /// Count the calling thread as a busy scan thread until the guard
-    /// drops. A statement occupies the pool for its whole run, whether or
-    /// not it fans out, so other statements see its core taken.
-    pub fn occupy(&self) -> Busy<'_> {
-        self.shared.busy.fetch_add(1, Ordering::Relaxed);
-        Busy(&self.shared.busy)
     }
 
     /// Take one busy slot if a core is idle (fewer busy threads than
@@ -202,11 +194,12 @@ impl ScanPool {
     /// that returns `None`). Between its own chunks the caller folds
     /// every finished output in order with `fold(own, chunk, output)`.
     ///
-    /// * Before each claim the caller enlists one more helper (at most
+    /// * The caller counts as a busy scan thread while the loop runs.
+    ///   Before each claim it enlists one more helper (at most
     ///   `max_helpers` in all) if chunks remain and the pool counts fewer
     ///   busy threads than cores; a helper stops claiming once the count
-    ///   exceeds the cores. The caller should [occupy](Self::occupy) the
-    ///   pool for the duration, or it does not count itself.
+    ///   exceeds the cores. Never call `fan_out` from a pool task: the
+    ///   pool cannot deadlock only while tasks open no scope of their own.
     /// * A chunk is claimed at most `2 × workers` chunks ahead of the next
     ///   one to fold, so buffered outputs never grow with the chunk count.
     /// * Once the caller has no chunk left to claim it takes back its
@@ -230,6 +223,8 @@ impl ScanPool {
         T: Send,
         E: Send,
     {
+        self.shared.busy.fetch_add(1, Ordering::Relaxed);
+        let _caller = Busy(&self.shared.busy);
         let claims = Claims::new(chunks, 2 * self.workers());
         let help = |_: usize| {
             // Gives back the busy slot `reserve` took for this helper.
@@ -314,7 +309,7 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// One thread counted as a busy scan thread; the count drops with it.
-pub struct Busy<'a>(&'a AtomicUsize);
+struct Busy<'a>(&'a AtomicUsize);
 
 impl Drop for Busy<'_> {
     fn drop(&mut self) {
@@ -803,7 +798,6 @@ mod tests {
     fn fan_out_folds_in_chunk_order() {
         let pool = ScanPool::new(3);
         let data: Vec<u64> = (0..10_000).collect();
-        let _busy = pool.occupy();
         let mut order = Vec::new();
         pool.fan_out(
             100,
@@ -821,7 +815,6 @@ mod tests {
             .map(|c| (c, (c as u64 * 100..(c as u64 + 1) * 100).sum()))
             .collect();
         assert_eq!(order, expected);
-        drop(_busy);
         assert_eq!(pool.busy(), 0, "every helper gave its busy slot back");
     }
 
@@ -846,7 +839,26 @@ mod tests {
                 .unwrap_err();
             assert_eq!(err, 7);
             assert_eq!(folded.load(Ordering::Relaxed), 7, "chunks 0..7 fold first");
+            assert_eq!(pool.busy(), 0);
         }
+    }
+
+    #[test]
+    fn fan_out_counts_its_caller_as_busy() {
+        let pool = ScanPool::new(2);
+        pool.fan_out(
+            4,
+            0,
+            &mut (),
+            || Some(()),
+            |_, _| Ok::<usize, ()>(pool.busy()),
+            |_, _, busy| {
+                assert_eq!(busy, 1, "the caller counts itself, no helper joins");
+                Ok(())
+            },
+        )
+        .unwrap();
+        assert_eq!(pool.busy(), 0);
     }
 
     #[test]

@@ -7,16 +7,15 @@
 //! `EXPLAIN ANALYZE` block; the benchmark harness embeds it in JSON
 //! reports.
 //!
-//! Collection is zero-cost when disabled: at [`TelemetryLevel::Off`] the
-//! engine dispatches straight to the uninstrumented kernels — the hot
-//! loops contain no telemetry code at all (the same no-op-sink idiom as
-//! `fts_metrics::probe`). When enabled, the stage statistics for the
-//! hardware fused kernels come from replaying the portable scalar model
-//! engine ([`crate::fused::scalar`]) at the matching lane count with a
-//! counting sink: all fused implementations execute the identical
-//! per-block algorithm (they are differential-tested against the model),
-//! so the replay's flush/gather counts are exact, while the wall-clock
-//! time is measured on the real kernel.
+//! The kernels themselves contain no telemetry code: a plain
+//! [`crate::run_scan`] is uninstrumented. [`crate::run_scan_telemetered`]
+//! times the real kernel, and the stage statistics for the hardware fused
+//! kernels come from replaying the portable scalar model engine
+//! ([`crate::fused::scalar`]) at the matching lane count with a counting
+//! sink: all fused implementations execute the identical per-block
+//! algorithm (they are differential-tested against the model), so the
+//! replay's flush/gather counts are exact, while the wall-clock time is
+//! measured on the real kernel.
 
 use std::time::Duration;
 
@@ -26,22 +25,6 @@ use crate::fused::scalar::{fused_scan_model_sink, FusedSink};
 use crate::fused::Stages;
 use crate::pred::{OutputMode, TypedPred};
 use fts_storage::NativeType;
-
-/// How much telemetry a scan collects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TelemetryLevel {
-    /// No collection; the scan path is byte-identical to the plain one.
-    #[default]
-    Off,
-    /// Wall-clock, row/block counts and a bytes estimate only — no extra
-    /// data passes.
-    Timing,
-    /// Everything: per-stage flush/gather statistics and per-predicate
-    /// survivor counts. Costs one additional instrumented pass over the
-    /// chain (the scalar-model replay or an analytic survivor pass), so
-    /// use it for `EXPLAIN ANALYZE` and reports, not steady-state scans.
-    Full,
-}
 
 /// Counters for one follow-up stage (stage `1..`) of a fused scan: one
 /// gather of its column, compared against each predicate of its run.
@@ -57,10 +40,12 @@ pub struct StageTelemetry {
     pub survivors: u64,
 }
 
-/// What one scan (or one aggregated parallel scan) did.
+/// What one scan (or the merged morsels of one statement) did.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ScanTelemetry {
-    /// Whether anything was collected (`false` ⇒ all fields are zero).
+    /// Whether any scan was recorded: `false` only for the empty
+    /// [`Default`] record (all fields zero), e.g. a statement whose every
+    /// chunk was pruned.
     pub enabled: bool,
     /// The kernels that ran ([`ScanImpl::name`] or a query-layer kernel
     /// name), each with the morsels it ran, in first-run order: one entry
@@ -75,24 +60,22 @@ pub struct ScanTelemetry {
     /// Blocks processed by the driver loop (for row-at-a-time
     /// implementations, rows; for the blockwise baselines, row-blocks).
     pub blocks: u64,
-    /// Rows surviving predicates `0..=k`, one entry per predicate
-    /// (populated at [`TelemetryLevel::Full`]).
+    /// Rows surviving predicates `0..=k`, one entry per predicate.
     pub pred_survivors: Vec<u64>,
     /// The fused stage that evaluated each predicate (0 = driver; fused
-    /// implementations at [`TelemetryLevel::Full`] only).
+    /// implementations only).
     pub pred_stages: Vec<usize>,
     /// Flush/gather counters per follow-up stage, stage 1 first (fused
-    /// implementations at [`TelemetryLevel::Full`] only).
+    /// implementations only).
     pub stages: Vec<StageTelemetry>,
     /// Column bytes the implementation actually touched (driver reads plus
     /// gathers/rescans; see [`collect`] for the per-implementation model).
     pub bytes_touched: u64,
-    /// Wall-clock time of the real kernel (for parallel scans: the
-    /// parallel region, not the sum of worker times).
+    /// Wall-clock time of the real kernel, summed over merged morsels.
     pub wall: Duration,
-    /// Morsels aggregated into this record (1 for a single-threaded run).
+    /// Morsels (chunks) merged into this record.
     pub morsels: u64,
-    /// Worker threads that ran (1 for a single-threaded run).
+    /// Threads that scanned those morsels.
     pub threads: usize,
 }
 
@@ -117,15 +100,6 @@ impl std::fmt::Display for BoundVerdict {
 }
 
 impl ScanTelemetry {
-    /// The record produced when collection is off: everything zero,
-    /// `enabled == false`.
-    pub fn disabled(impl_name: &'static str) -> ScanTelemetry {
-        ScanTelemetry {
-            kernels: vec![(impl_name, 1)],
-            ..ScanTelemetry::default()
-        }
-    }
-
     /// The first kernel that ran (the only one unless merged morsels ran
     /// different kernels).
     pub fn impl_name(&self) -> &'static str {
@@ -147,7 +121,7 @@ impl ScanTelemetry {
 
     /// Observed selectivity of each predicate: survivors of predicate `k`
     /// over the rows it evaluated (rows surviving `0..k`). Every entry is
-    /// in `[0, 1]`; empty unless collected at [`TelemetryLevel::Full`].
+    /// in `[0, 1]`.
     pub fn selectivities(&self) -> Vec<f64> {
         let mut prev = self.rows;
         self.pred_survivors
@@ -351,11 +325,7 @@ fn replay<T: NativeType, const N: usize>(preds: &[TypedPred<'_, T>]) -> StatsSin
 /// * Fused — the driver streams all rows once; each follow-up stage
 ///   gathers its column once at exactly the survivors of the previous
 ///   stage (a run of predicates on one column is one stage).
-pub fn collect<T: NativeType>(
-    imp: ScanImpl,
-    preds: &[TypedPred<'_, T>],
-    level: TelemetryLevel,
-) -> ScanTelemetry {
+pub fn collect<T: NativeType>(imp: ScanImpl, preds: &[TypedPred<'_, T>]) -> ScanTelemetry {
     let size = std::mem::size_of::<T>() as u64;
     let rows = preds.first().map_or(0, |p| p.data.len()) as u64;
     let lanes = fused_lanes::<T>(imp);
@@ -376,7 +346,7 @@ pub fn collect<T: NativeType>(
         threads: 1,
         ..ScanTelemetry::default()
     };
-    if level != TelemetryLevel::Full || preds.is_empty() {
+    if preds.is_empty() {
         return t;
     }
 
@@ -453,8 +423,7 @@ mod tests {
             TypedPred::eq(&c[..], 1u32),
         ];
         let imp = ScanImpl::FusedScalar(RegWidth::W512);
-        let (out, t) =
-            run_scan_telemetered(imp, &preds, OutputMode::Count, TelemetryLevel::Full).unwrap();
+        let (out, t) = run_scan_telemetered(imp, &preds, OutputMode::Count).unwrap();
         assert!(t.enabled);
         assert_eq!(t.rows, 4096);
         assert_eq!(t.lanes, 16);
@@ -485,8 +454,7 @@ mod tests {
             TypedPred::eq(&a[..], 1u32),
         ];
         let imp = ScanImpl::FusedScalar(RegWidth::W512);
-        let (out, t) =
-            run_scan_telemetered(imp, &preds, OutputMode::Count, TelemetryLevel::Full).unwrap();
+        let (out, t) = run_scan_telemetered(imp, &preds, OutputMode::Count).unwrap();
         // i%4 ≥ 1 → 3072; ≤ 2 → 2048; of those i odd (i%4 == 1) → 1024.
         assert_eq!(out.count(), 1024);
         assert_eq!(t.pred_survivors, vec![3072, 2048, 1024]);
@@ -498,9 +466,7 @@ mod tests {
         assert!(text.contains("pred 1 (driver): survivors=2048"), "{text}");
         assert!(text.contains("pred 2 (stage 1): flushes="), "{text}");
         // A lone BETWEEN gathers nothing and reads one column.
-        let (_, t) =
-            run_scan_telemetered(imp, &preds[..2], OutputMode::Count, TelemetryLevel::Full)
-                .unwrap();
+        let (_, t) = run_scan_telemetered(imp, &preds[..2], OutputMode::Count).unwrap();
         assert!(t.stages.is_empty());
         assert_eq!(t.bytes_touched, 4096 * 4);
         assert!(!t.render().contains("gathered"), "{}", t.render());
@@ -547,8 +513,7 @@ mod tests {
             ScanImpl::FusedScalar(RegWidth::W128),
             crate::engine::best_fused_impl::<u32>(),
         ] {
-            let (out, t) =
-                run_scan_telemetered(imp, &preds, OutputMode::Count, TelemetryLevel::Full).unwrap();
+            let (out, t) = run_scan_telemetered(imp, &preds, OutputMode::Count).unwrap();
             assert_eq!(out.count(), expected, "{}", imp.name());
             assert_eq!(
                 *t.pred_survivors.last().unwrap(),
@@ -562,26 +527,11 @@ mod tests {
     }
 
     #[test]
-    fn disabled_telemetry_changes_nothing() {
-        let (a, b, _) = chain(1000);
-        let preds = [TypedPred::eq(&a[..], 1u32), TypedPred::eq(&b[..], 1u32)];
-        let imp = crate::engine::best_fused_impl::<u32>();
-        let plain = run_scan(imp, &preds, OutputMode::Positions).unwrap();
-        let (out, t) =
-            run_scan_telemetered(imp, &preds, OutputMode::Positions, TelemetryLevel::Off).unwrap();
-        assert_eq!(out, plain);
-        assert!(!t.enabled);
-        assert_eq!(t.rows, 0);
-        assert_eq!(t.wall, Duration::ZERO);
-    }
-
-    #[test]
     fn merge_sums_counters() {
         let (a, b, _) = chain(1024);
         let preds = [TypedPred::eq(&a[..], 1u32), TypedPred::eq(&b[..], 1u32)];
         let imp = ScanImpl::FusedScalar(RegWidth::W256);
-        let (_, whole) =
-            run_scan_telemetered(imp, &preds, OutputMode::Count, TelemetryLevel::Full).unwrap();
+        let (_, whole) = run_scan_telemetered(imp, &preds, OutputMode::Count).unwrap();
         let half = [
             TypedPred::eq(&a[..512], 1u32),
             TypedPred::eq(&b[..512], 1u32),
@@ -590,10 +540,8 @@ mod tests {
             TypedPred::eq(&a[512..], 1u32),
             TypedPred::eq(&b[512..], 1u32),
         ];
-        let (_, mut m0) =
-            run_scan_telemetered(imp, &half, OutputMode::Count, TelemetryLevel::Full).unwrap();
-        let (_, m1) =
-            run_scan_telemetered(imp, &other, OutputMode::Count, TelemetryLevel::Full).unwrap();
+        let (_, mut m0) = run_scan_telemetered(imp, &half, OutputMode::Count).unwrap();
+        let (_, m1) = run_scan_telemetered(imp, &other, OutputMode::Count).unwrap();
         m0.merge(&m1);
         assert_eq!(m0.rows, whole.rows);
         assert_eq!(
@@ -612,7 +560,6 @@ mod tests {
             crate::engine::best_fused_impl::<u32>(),
             &preds,
             OutputMode::Count,
-            TelemetryLevel::Full,
         )
         .unwrap();
         assert!(t.gb_per_sec() > 0.0);
@@ -624,7 +571,7 @@ mod tests {
         let text = t.render();
         assert!(text.contains("values/µs"), "{text}");
         assert!(text.contains("pred 0"), "{text}");
-        let off = ScanTelemetry::disabled("X");
+        let off = ScanTelemetry::default();
         assert!(off.render().contains("telemetry off"));
     }
 }

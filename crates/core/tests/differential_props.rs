@@ -3,9 +3,7 @@
 //! chain lengths, and row counts — including the position-list invariants
 //! the fused engines rely on.
 
-use fts_core::{
-    reference, run_scan, run_scan_parallel, OutputMode, RegWidth, ScanElem, ScanImpl, TypedPred,
-};
+use fts_core::{reference, run_scan, OutputMode, RegWidth, ScanElem, ScanImpl, TypedPred};
 use fts_storage::{CmpOp, NativeType};
 use proptest::prelude::*;
 
@@ -98,11 +96,6 @@ fn check_chain<T: ScanElem + NativeType>(
         let got = run_scan(imp, preds, OutputMode::Count).unwrap();
         prop_assert_eq!(got.count(), expected.len() as u64, "{} count", imp.name());
     }
-
-    // Morsel-parallel path over the best impl.
-    let best = fts_core::best_fused_impl::<T>();
-    let got = run_scan_parallel(best, preds, OutputMode::Positions, 4, 257).unwrap();
-    prop_assert_eq!(got.positions().unwrap(), &expected, "parallel positions");
     Ok(())
 }
 

@@ -39,16 +39,19 @@
 //! order, MIN/MAX continuing from the running best). A lone `COUNT(*)`
 //! never leaves count mode.
 //!
-//! An aggregate statement's chunks **fan out** over the process-wide scan
-//! pool ([`ScanPool::fan_out`]): while a core is idle, pool workers join
-//! the calling thread as helpers, each claiming chunks from the
-//! statement's one cursor and scanning them with its own compiled tree,
-//! and the calling thread folds the chunk outputs in chunk order, so every
-//! answer is the serial loop's. Projections (LIMIT stops early), shared
-//! passes and `EXPLAIN ANALYZE` stay on the calling thread.
+//! Every statement's chunks run through **one chunk loop**, the
+//! process-wide scan pool's [`ScanPool::fan_out`]: while a core is idle,
+//! pool workers join the calling thread as helpers, each claiming chunks
+//! from one cursor and scanning them with its own compiled trees, and the
+//! calling thread folds the chunk outputs in chunk order, so every answer
+//! is the serial loop's. A shared pass (several aggregate statements over
+//! one table) is the same loop with one tree per statement. Projections
+//! and `EXPLAIN ANALYZE` enlist no helper: a LIMIT projection stops at the
+//! chunk that fills it.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -57,7 +60,7 @@ use fts_core::blockwise::Bitmap;
 use fts_core::fused::packed::{fused_scan_packed, packed_kernel_available, PackedPred};
 use fts_core::{
     best_fused_impl, run_scan, run_scan_telemetered, value_key_bits, BoolExpr, OutputMode,
-    RegWidth, ScanElem, ScanImpl, ScanOutput, ScanPool, ScanTelemetry, TelemetryLevel, TypedPred,
+    RegWidth, ScanElem, ScanImpl, ScanOutput, ScanPool, ScanTelemetry, TypedPred,
 };
 use fts_core::{fused_scan_for, scan_bytesliced, ByteSlicedPred, ForPred};
 use fts_jit::kernel::JitRunElem;
@@ -68,7 +71,7 @@ use fts_storage::{
     NativeType, PackedColumn, PosList, Segment, Value,
 };
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::ast::AggFunc;
 use crate::catalog::CatalogEntry;
@@ -107,8 +110,9 @@ pub struct ExecContext {
     pub chunks_pruned: AtomicU64,
     /// Chunks actually scanned.
     pub chunks_scanned: AtomicU64,
-    /// Chunks of `chunks_scanned` that a scan-pool helper scanned for an
-    /// aggregate statement's calling thread.
+    /// Chunks of `chunks_scanned` that a scan-pool helper scanned for a
+    /// statement's calling thread: an aggregate or a shared pass (one per
+    /// statement).
     pub chunks_helped: AtomicU64,
 }
 
@@ -1116,7 +1120,7 @@ fn run_driver(
     }
 }
 
-/// A Timing-grade scan record (rows, a bytes model and the measured wall
+/// A timing-only scan record (rows, a bytes model and the measured wall
 /// time) for kernels whose stage statistics are not replayable: the
 /// packed, FoR and byte-sliced drivers.
 fn timing_record(
@@ -1382,11 +1386,8 @@ fn run_plain_chain<T: PlainElem>(
                 // scalar-model replay at `T`'s lane count yields its exact
                 // stage counters; only the wall time comes from the
                 // machine-code run.
-                let mut t = fts_core::telemetry::collect(
-                    ScanImpl::FusedAvx512(RegWidth::W512),
-                    &preds,
-                    TelemetryLevel::Full,
-                );
+                let mut t =
+                    fts_core::telemetry::collect(ScanImpl::FusedAvx512(RegWidth::W512), &preds);
                 t.kernels = vec![(QueryKernel::Jit.name(), 1)];
                 t.wall = wall;
                 r.note_scan(&t);
@@ -1404,8 +1405,7 @@ fn run_plain_chain<T: PlainElem>(
     // does not bias the probe timings.
     let engine_error = |e: fts_core::EngineError| ExecError::UnsupportedPlan(e.to_string());
     let (out, wall) = if let Some(r) = analyze {
-        let (out, t) =
-            run_scan_telemetered(imp, &preds, mode, TelemetryLevel::Full).map_err(engine_error)?;
+        let (out, t) = run_scan_telemetered(imp, &preds, mode).map_err(engine_error)?;
         let wall = t.wall;
         r.note_scan(&t);
         (out, wall)
@@ -1458,21 +1458,19 @@ impl<'s> ChainLock<'s> {
 }
 
 /// Execute an optimized logical plan. An aggregate's chunks fan out over
-/// the scan pool's idle cores; the statement counts as one busy scan
-/// thread while it runs.
+/// the scan pool's idle cores; a projection's stay on the calling thread.
 pub fn execute(plan: &Lqp, ctx: &ExecContext) -> Result<QueryResult, ExecError> {
-    let _busy = ScanPool::global().occupy();
     execute_with(plan, ctx, None)
 }
 
-/// Execute a plan and collect an [`AnalyzeReport`] — the `EXPLAIN ANALYZE`
-/// path. Scans run at [`TelemetryLevel::Full`], so this costs one extra
-/// instrumented pass per chunk; plain [`execute`] stays uninstrumented.
+/// Execute a plan on the calling thread and collect an [`AnalyzeReport`]
+/// — the `EXPLAIN ANALYZE` path. Each chunk's scan collects its
+/// telemetry, which costs one extra instrumented pass per chunk; plain
+/// [`execute`] stays uninstrumented.
 pub fn execute_analyzed(
     plan: &Lqp,
     ctx: &ExecContext,
 ) -> Result<(QueryResult, AnalyzeReport), ExecError> {
-    let _busy = ScanPool::global().occupy();
     let mut report = AnalyzeReport::default();
     let jit0 = ctx.jit_stats();
     let pruned0 = ctx.chunks_pruned.load(Ordering::Relaxed);
@@ -1498,82 +1496,33 @@ pub fn execute_analyzed(
 }
 
 /// Execute several aggregate statements over the *same* stored table as
-/// one chunk-major shared pass (cooperative scan): the outer loop walks
-/// the table's chunks once, and every statement evaluates its predicate
-/// chain against the chunk while it is hot in cache. With K compatible
+/// one chunk-major shared pass (cooperative scan): the pass walks the
+/// table's chunks once, and every statement evaluates its predicate chain
+/// against the chunk while it is hot in cache. With K compatible
 /// statements this reads each chunk from memory once instead of K times —
 /// the win that makes concurrent-scan batching pay in the bandwidth-bound
-/// regime.
+/// regime. The pass is a solo aggregate's chunk loop with K statements,
+/// so its chunks fan out over idle cores like a solo statement's.
 ///
 /// Returns `None` (caller falls back to per-statement execution) unless
 /// every plan is an `Aggregate` whose scan bottoms out in the same table.
-/// Each statement keeps its own pruning, adaptive state and aggregation,
-/// so per-statement results are bit-identical to solo execution.
+/// Each statement keeps its own pruning, adaptive state, aggregation and
+/// errors, so per-statement results are bit-identical to solo execution.
 pub fn execute_shared(
     plans: &[&Lqp],
     ctx: &ExecContext,
 ) -> Option<Vec<Result<QueryResult, ExecError>>> {
-    struct SharedQuery<'p> {
-        entry: &'p CatalogEntry,
-        scan: StatementScan<'p>,
-        agg: Aggregation<'p>,
-        failed: Option<ExecError>,
-    }
-
-    if plans.is_empty() {
-        return None;
-    }
-    let _busy = ScanPool::global().occupy();
-    let mut queries = Vec::with_capacity(plans.len());
-    for plan in plans {
-        let Lqp::Aggregate { input, aggs } = plan else {
-            return None;
-        };
-        let (entry, scan) = StatementScan::build(input).ok()?;
-        queries.push(SharedQuery {
-            entry,
-            scan,
-            agg: Aggregation::new(aggs).ok()?,
-            failed: None,
-        });
-    }
-    let first = queries[0].entry;
-    if !queries
+    let statements = plans
         .iter()
-        .all(|q| Arc::ptr_eq(&q.entry.table, &first.table))
-    {
+        .map(|plan| match plan {
+            Lqp::Aggregate { input, aggs } => Some((input.as_ref(), aggs.as_slice())),
+            _ => None,
+        })
+        .collect::<Option<Vec<_>>>()?;
+    if statements.is_empty() {
         return None;
     }
-
-    for (ci, chunk) in first.table.chunks().iter().enumerate() {
-        for q in &mut queries {
-            if q.failed.is_some() {
-                continue;
-            }
-            if q.scan.prune(q.entry, ci) {
-                ctx.chunks_pruned.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            ctx.chunks_scanned.fetch_add(1, Ordering::Relaxed);
-            let folded = q
-                .scan
-                .scan(q.entry, ci, chunk, ctx, q.agg.mode(), None)
-                .and_then(|out| q.agg.fold(chunk, &out, None));
-            if let Err(e) = folded {
-                q.failed = Some(e);
-            }
-        }
-    }
-
-    Some(
-        queries
-            .into_iter()
-            .map(|q| match q.failed {
-                Some(e) => Err(e),
-                None => q.agg.finish(),
-            })
-            .collect(),
-    )
+    aggregate(&statements, ctx, None).ok()
 }
 
 fn execute_with(
@@ -1582,7 +1531,9 @@ fn execute_with(
     analyze: Option<&mut AnalyzeReport>,
 ) -> Result<QueryResult, ExecError> {
     match plan {
-        Lqp::Aggregate { input, aggs } => aggregate(input, aggs, ctx, analyze),
+        Lqp::Aggregate { input, aggs } => aggregate(&[(input.as_ref(), aggs)], ctx, analyze)?
+            .pop()
+            .expect("a pass of one statement has one answer"),
         Lqp::Limit { input, n } => {
             // A projection stops once `n` rows are materialized; anything
             // else (an aggregate's single row) truncates afterwards.
@@ -1613,121 +1564,222 @@ fn execute_with(
     }
 }
 
-/// One thread's share of an aggregate statement's chunk loop: its own
-/// compiled tree (a tree holds per-thread row counters and the calibrators
-/// it took), and on the calling thread the `EXPLAIN ANALYZE` report.
-struct AggWorker<'a, 'r> {
-    scan: StatementScan<'a>,
+/// Ends a pass's chunk loop before its last chunk: a fold broke, or every
+/// statement has failed.
+struct Stop;
+
+/// One thread's share of a pass's chunk loop: its own compiled tree per
+/// statement (a tree holds per-thread row counters and the calibrators it
+/// took), and on the calling thread the `EXPLAIN ANALYZE` report.
+struct PassWorker<'a, 'r> {
+    scans: Vec<StatementScan<'a>>,
     analyze: Option<&'r mut AnalyzeReport>,
     helper: bool,
 }
 
-/// Run an aggregate statement as one [`ScanPool::fan_out`] chunk loop:
-/// the calling thread and the helpers it enlists each claim a chunk, prune
-/// it or scan it, and the calling thread folds the outputs into the
-/// aggregates in chunk order. `EXPLAIN ANALYZE` enlists no helper: its one
-/// report and its per-chunk replay stay on the calling thread.
-fn aggregate(
-    input: &Lqp,
-    aggs: &[BoundAgg],
+/// The one chunk loop of every statement ([`ScanPool::fan_out`]): scan
+/// `chunks` for each statement of a pass, in the statement's output mode,
+/// and hand the outputs to `fold(statement, chunk, output, report)` in
+/// chunk order. The calling thread and up to `helpers` pool helpers each
+/// claim a chunk and prune or scan it for every statement; the calling
+/// thread folds.
+///
+/// A statement whose scan or fold fails is scanned no further and takes
+/// its first error, the lowest failing chunk's, as its answer; the other
+/// statements go on. The loop ends when a fold breaks or every statement
+/// has failed. Returns each statement's error, if it failed.
+fn scan_pass(
+    statements: Vec<(StatementScan<'_>, OutputMode)>,
+    chunks: &[Arc<Chunk>],
     ctx: &ExecContext,
     analyze: Option<&mut AnalyzeReport>,
-) -> Result<QueryResult, ExecError> {
-    let (entry, scan) = StatementScan::build(input)?;
-    let mut agg = Aggregation::new(aggs)?;
-    let mode = agg.mode();
-    let chunks = entry.table.chunks();
-    let helpers = if analyze.is_some() { 0 } else { usize::MAX };
-    let mut own = AggWorker {
-        scan,
+    helpers: usize,
+    mut fold: impl FnMut(
+        usize,
+        &Chunk,
+        &ScanOutput,
+        Option<&mut AnalyzeReport>,
+    ) -> Result<ControlFlow<()>, ExecError>,
+) -> Vec<Option<ExecError>> {
+    let (scans, modes): (Vec<_>, Vec<_>) = statements.into_iter().unzip();
+    let plans: Vec<&Lqp> = scans.iter().map(|s| s.plan).collect();
+    // Per statement, the lowest chunk it failed on: no later chunk is
+    // scanned for it.
+    let stops: Vec<AtomicUsize> = modes.iter().map(|_| AtomicUsize::new(usize::MAX)).collect();
+    let mut failed: Vec<Option<ExecError>> = modes.iter().map(|_| None).collect();
+    let mut own = PassWorker {
+        scans,
         analyze,
         helper: false,
     };
-    ScanPool::global().fan_out(
+    // The pass's loop fails only to stop early; statements keep their own
+    // errors in `failed`.
+    let (Ok(()) | Err(Stop)) = ScanPool::global().fan_out(
         chunks.len(),
         helpers,
         &mut own,
         || {
-            let (_, scan) = StatementScan::build(input).ok()?;
-            Some(AggWorker {
-                scan,
+            let scans = plans.iter().map(|p| StatementScan::build(p).ok());
+            Some(PassWorker {
+                scans: scans.collect::<Option<_>>()?,
                 analyze: None,
                 helper: true,
             })
         },
         |w, ci| {
-            if w.scan.prune(entry, ci) {
-                ctx.chunks_pruned.fetch_add(1, Ordering::Relaxed);
-                return Ok(None);
+            let mut outs = Vec::with_capacity(modes.len());
+            for ((scan, &mode), stop) in w.scans.iter_mut().zip(&modes).zip(&stops) {
+                if ci > stop.load(Ordering::Relaxed) {
+                    outs.push(Ok(None));
+                    continue;
+                }
+                if scan.prune(ci) {
+                    ctx.chunks_pruned.fetch_add(1, Ordering::Relaxed);
+                    outs.push(Ok(None));
+                    continue;
+                }
+                ctx.chunks_scanned.fetch_add(1, Ordering::Relaxed);
+                if w.helper {
+                    ctx.chunks_helped.fetch_add(1, Ordering::Relaxed);
+                }
+                let out = scan.scan(ci, &chunks[ci], ctx, mode, w.analyze.as_deref_mut());
+                if out.is_err() {
+                    stop.fetch_min(ci, Ordering::Relaxed);
+                }
+                outs.push(out.map(Some));
             }
-            ctx.chunks_scanned.fetch_add(1, Ordering::Relaxed);
-            if w.helper {
-                ctx.chunks_helped.fetch_add(1, Ordering::Relaxed);
+            Ok(outs)
+        },
+        |w, ci, outs| {
+            for (s, out) in outs.into_iter().enumerate() {
+                if failed[s].is_some() {
+                    continue;
+                }
+                let flow = match out {
+                    Ok(None) => continue,
+                    Ok(Some(out)) => fold(s, &chunks[ci], &out, w.analyze.as_deref_mut()),
+                    Err(e) => Err(e),
+                };
+                match flow {
+                    Ok(ControlFlow::Continue(())) => {}
+                    Ok(ControlFlow::Break(())) => return Err(Stop),
+                    Err(e) => {
+                        stops[s].fetch_min(ci, Ordering::Relaxed);
+                        failed[s] = Some(e);
+                    }
+                }
             }
-            let analyze = w.analyze.as_deref_mut();
-            w.scan
-                .scan(entry, ci, &chunks[ci], ctx, mode, analyze)
-                .map(Some)
+            if failed.iter().all(Option::is_some) {
+                return Err(Stop);
+            }
+            Ok(())
         },
-        |w, ci, out| match out {
-            Some(out) => agg.fold(&chunks[ci], &out, w.analyze.as_deref_mut()),
-            None => Ok(()),
-        },
-    )?;
-    own.scan.finish(own.analyze);
-    agg.finish()
+    );
+    for scan in &own.scans {
+        scan.finish(own.analyze.as_deref_mut());
+    }
+    failed
+}
+
+/// Answer the aggregate statements of one pass over their table, each
+/// `(scan input, aggregates)`; a solo statement is a pass of one. Each
+/// statement folds its chunk outputs in chunk order, so its answer is the
+/// serial loop's. `EXPLAIN ANALYZE` enlists no helper: its one report and
+/// its per-chunk replay stay on the calling thread. Fails as a whole only
+/// when a statement cannot be set up or the statements read different
+/// tables.
+fn aggregate(
+    statements: &[(&Lqp, &[BoundAgg])],
+    ctx: &ExecContext,
+    analyze: Option<&mut AnalyzeReport>,
+) -> Result<Vec<Result<QueryResult, ExecError>>, ExecError> {
+    let mut pass = Vec::with_capacity(statements.len());
+    let mut aggs = Vec::with_capacity(statements.len());
+    for &(input, bound) in statements {
+        let scan = StatementScan::build(input)?;
+        let agg = Aggregation::new(bound)?;
+        pass.push((scan, agg.mode()));
+        aggs.push(agg);
+    }
+    let entry = pass[0].0.entry;
+    if pass
+        .iter()
+        .any(|(s, _)| !Arc::ptr_eq(&s.entry.table, &entry.table))
+    {
+        return Err(ExecError::UnsupportedPlan(
+            "a shared pass reads one table".into(),
+        ));
+    }
+    let helpers = if analyze.is_some() { 0 } else { usize::MAX };
+    let failed = scan_pass(
+        pass,
+        entry.table.chunks(),
+        ctx,
+        analyze,
+        helpers,
+        |s, chunk, out, analyze| aggs[s].fold(chunk, out, analyze).map(ControlFlow::Continue),
+    );
+    Ok(failed
+        .into_iter()
+        .zip(aggs)
+        .map(|(failed, agg)| match failed {
+            Some(e) => Err(e),
+            None => agg.finish(),
+        })
+        .collect())
 }
 
 /// Materialize `columns` of the rows the scan under `input` keeps, in
 /// chunk order and ascending position within a chunk, stopping once
-/// `limit` rows are materialized (no further chunk is scanned).
+/// `limit` rows are materialized. A projection enlists no helper, so no
+/// chunk past the one that fills the limit is scanned; LIMIT 0 scans
+/// nothing.
 fn project(
     input: &Lqp,
     columns: &[usize],
     names: &[String],
     limit: usize,
     ctx: &ExecContext,
-    mut analyze: Option<&mut AnalyzeReport>,
+    analyze: Option<&mut AnalyzeReport>,
 ) -> Result<QueryResult, ExecError> {
-    let (entry, mut scan) = StatementScan::build(input)?;
+    let scan = StatementScan::build(input)?;
+    let chunks = scan.entry.table.chunks();
+    let chunks = if limit == 0 { &chunks[..0] } else { chunks };
     let mut rows: Vec<Vec<Value>> = Vec::new();
-    for (ci, chunk) in entry.table.chunks().iter().enumerate() {
-        if rows.len() >= limit {
-            break;
-        }
-        if scan.prune(entry, ci) {
-            ctx.chunks_pruned.fetch_add(1, Ordering::Relaxed);
-            continue;
-        }
-        ctx.chunks_scanned.fetch_add(1, Ordering::Relaxed);
-        let out = scan.scan(
-            entry,
-            ci,
-            chunk,
-            ctx,
-            OutputMode::Positions,
-            analyze.as_deref_mut(),
-        )?;
-        let positions = out.positions().expect("positions requested");
-        let take = positions.len().min(limit - rows.len());
-        let started = analyze.is_some().then(Instant::now);
-        for &pos in &positions.as_slice()[..take] {
-            rows.push(
-                columns
-                    .iter()
-                    .map(|&c| chunk.segment(c).value_at(pos as usize))
-                    .collect(),
-            );
-        }
-        if let (Some(r), Some(started)) = (analyze.as_deref_mut(), started) {
-            r.materialize.note(take, columns.len(), started.elapsed());
-        }
+    let failed = scan_pass(
+        vec![(scan, OutputMode::Positions)],
+        chunks,
+        ctx,
+        analyze,
+        0,
+        |_, chunk, out, analyze| {
+            let positions = out.positions().expect("positions requested");
+            let take = positions.len().min(limit - rows.len());
+            let started = analyze.is_some().then(Instant::now);
+            for &pos in &positions.as_slice()[..take] {
+                rows.push(
+                    columns
+                        .iter()
+                        .map(|&c| chunk.segment(c).value_at(pos as usize))
+                        .collect(),
+                );
+            }
+            if let (Some(r), Some(started)) = (analyze, started) {
+                r.materialize.note(take, columns.len(), started.elapsed());
+            }
+            if rows.len() >= limit {
+                return Ok(ControlFlow::Break(()));
+            }
+            Ok(ControlFlow::Continue(()))
+        },
+    );
+    match failed.into_iter().next().flatten() {
+        Some(e) => Err(e),
+        None => Ok(QueryResult::Rows {
+            columns: names.to_vec(),
+            rows,
+        }),
     }
-    scan.finish(analyze);
-    Ok(QueryResult::Rows {
-        columns: names.to_vec(),
-        rows,
-    })
 }
 
 /// Run `$body` with `$get: impl Fn(usize) -> T` reading one row of the
@@ -1765,7 +1817,7 @@ macro_rules! with_values {
 }
 
 /// The aggregates of one statement and their running states, fed one
-/// chunk at a time by both [`execute_with`] and [`execute_shared`].
+/// chunk at a time by [`aggregate`].
 struct Aggregation<'p> {
     aggs: &'p [BoundAgg],
     states: Vec<AggState>,
@@ -2407,30 +2459,37 @@ fn decision(adaptive: &Calibrators) -> Option<AdaptiveDecision> {
 /// drives (a conjunctive chain is a lone driver), shared by every chunk
 /// the statement scans.
 struct StatementScan<'a> {
+    /// The scan subtree the tree was compiled from.
+    plan: &'a Lqp,
     table: &'a str,
+    entry: &'a CatalogEntry,
     root: TreeNode<'a>,
 }
 
 impl<'a> StatementScan<'a> {
     /// Resolve the scan subtree and compile its WHERE clause.
-    fn build(plan: &'a Lqp) -> Result<(&'a CatalogEntry, Self), ExecError> {
+    fn build(plan: &'a Lqp) -> Result<Self, ExecError> {
         let (table, entry, clause) = scan_root(plan)?;
         let root = match clause {
             Where::Chain(preds) => TreeNode::driver(Cow::Borrowed(preds)),
             Where::Tree(expr) => TreeNode::compile(expr, true)?,
         };
-        Ok((entry, StatementScan { table, root }))
+        Ok(StatementScan {
+            plan,
+            table,
+            entry,
+            root,
+        })
     }
 
     /// Whether min/max pruning proves this chunk cannot produce matches.
-    fn prune(&self, entry: &CatalogEntry, chunk_idx: usize) -> bool {
-        !self.root.can_match(entry, chunk_idx)
+    fn prune(&self, chunk_idx: usize) -> bool {
+        !self.root.can_match(self.entry, chunk_idx)
     }
 
     /// Evaluate the WHERE clause over one chunk.
     fn scan(
         &mut self,
-        entry: &CatalogEntry,
         chunk_idx: usize,
         chunk: &Chunk,
         ctx: &ExecContext,
@@ -2439,7 +2498,7 @@ impl<'a> StatementScan<'a> {
     ) -> Result<ScanOutput, ExecError> {
         let at = At {
             table: self.table,
-            entry,
+            entry: self.entry,
             chunk_idx,
             chunk,
             ctx,
@@ -3887,6 +3946,57 @@ mod tests {
                 rows: vec![vec![Value::U64(u64::MAX)]],
             })
         );
+    }
+
+    /// Table `v`, 8 chunks of 4 rows: `x` (the row number) and `y`
+    /// (row % 3) are `u32`, except that chunk `x_chunk` holds `x` and
+    /// chunk `y_chunk` holds `y` as `i64`. `MIN(x)` then fails in its fold
+    /// at `x_chunk`, and `y = 1` fails its scan at `y_chunk`.
+    fn retyped_catalog(x_chunk: usize, y_chunk: usize) -> Catalog {
+        let t = Table::from_chunked_columns(
+            vec![
+                ColumnDef::new("x", DataType::U32),
+                ColumnDef::new("y", DataType::U32),
+            ],
+            vec![
+                Column::from_fn(32, |i| i as u32),
+                Column::from_fn(32, |i| (i % 3) as u32),
+            ],
+            4,
+        )
+        .unwrap();
+        let retyped = |t: Table, chunk: usize, col: usize| {
+            let mut segments: Vec<Segment> = (0..2)
+                .map(|c| t.chunks()[chunk].segment(c).clone())
+                .collect();
+            segments[col] = Segment::Plain(Column::from_fn(4, |i| i as i64));
+            t.with_chunk_replaced(chunk, Arc::new(Chunk::new(segments)))
+        };
+        let mut cat = Catalog::new();
+        cat.register("v", retyped(retyped(t, x_chunk, 0), y_chunk, 1));
+        cat
+    }
+
+    #[test]
+    fn a_failing_chunk_fails_only_its_statement_with_the_lowest_chunks_error() {
+        let changed_type =
+            || ExecError::UnsupportedPlan("aggregate column changes type across chunks".into());
+        for (x_chunk, y_chunk, want) in [
+            (2, 5, changed_type()),
+            (5, 2, ExecError::PredicateTypeError),
+        ] {
+            let cat = retyped_catalog(x_chunk, y_chunk);
+            let prepare = |sql: &str| optimize(plan(&parse(sql).unwrap(), &cat).unwrap());
+            let bad = prepare("SELECT MIN(x) FROM v WHERE y = 1");
+            let good = prepare("SELECT COUNT(*) FROM v");
+            for jit in [JitMode::Off, JitMode::On] {
+                let ctx = make_ctx(jit);
+                assert_eq!(execute(&bad, &ctx), Err(want.clone()), "{x_chunk} {jit:?}");
+                let results = execute_shared(&[&bad, &good], &ctx).unwrap();
+                assert_eq!(results[0], Err(want.clone()), "{x_chunk} {jit:?}");
+                assert_eq!(results[1], Ok(QueryResult::Count(32)), "{x_chunk} {jit:?}");
+            }
+        }
     }
 
     #[test]

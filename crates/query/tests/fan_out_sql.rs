@@ -1,16 +1,19 @@
-//! Fan-out answers equal the serial ones. An aggregate statement's chunks
-//! fan out over the scan pool's idle cores and fold in chunk order, so
-//! every answer must equal a row loop over the generated vectors: counts
-//! and integer sums exactly, float sums bit for bit in position order, and
-//! MIN/MAX keeping the first of tied values (`-0.0` and `+0.0`). Tables
-//! have 512-row chunks in every layout, statements run over chains and
-//! over an OR tree, with the JIT on and off.
+//! Fan-out answers equal the serial ones. A statement's chunks fan out
+//! over the scan pool's idle cores and fold in chunk order, so every
+//! answer must equal a row loop over the generated vectors: counts and
+//! integer sums exactly, float sums bit for bit in position order,
+//! MIN/MAX keeping the first of tied values (`-0.0` and `+0.0`), and
+//! projected rows in row order. Aggregates run alone and as one shared
+//! pass; projections, which stay on the calling thread, run with and
+//! without a LIMIT. Tables have 512-row chunks in every layout,
+//! statements run over chains and over an OR tree, with the JIT on and
+//! off.
 //!
 //! A helper joins only while the pool counts an idle core, and every
 //! running statement counts as busy; this binary holds one test so that
 //! no concurrent test occupies the cores.
 
-use fts_query::{Engine, JitMode, QueryResult};
+use fts_query::{Engine, JitMode, Prepared, QueryResult};
 use fts_storage::{Column, ColumnDef, DataType, Table, Value};
 
 const CHUNK: usize = 512;
@@ -172,6 +175,31 @@ fn expected(d: &Data, keep: fn(&Data, usize) -> bool) -> Vec<Value> {
     ]
 }
 
+/// Every value of a result, rendered by [`render`], row by row.
+fn rendered(r: &QueryResult) -> Vec<Vec<String>> {
+    match r {
+        QueryResult::Count(n) => vec![vec![format!("count:{n}")]],
+        QueryResult::Rows { rows, .. } => rows
+            .iter()
+            .map(|row| row.iter().map(render).collect())
+            .collect(),
+        QueryResult::Explain(text) => panic!("no plan expected: {text}"),
+    }
+}
+
+/// The row loop's rows of `SELECT c, big, x` in row order.
+fn projected(d: &Data, keep: fn(&Data, usize) -> bool) -> Vec<Vec<String>> {
+    (0..ROWS)
+        .filter(|&i| keep(d, i))
+        .map(|i| {
+            [Value::U32(d.c[i]), Value::I64(d.big[i]), Value::F64(d.x[i])]
+                .iter()
+                .map(render)
+                .collect()
+        })
+        .collect()
+}
+
 #[test]
 fn fanned_out_aggregates_equal_a_row_loop() {
     let d = data();
@@ -181,10 +209,14 @@ fn fanned_out_aggregates_equal_a_row_loop() {
     assert_ne!(finite.iter().sum::<f64>().to_bits(), halves.to_bits());
     let base = table(&d);
     let mut helped = 0;
+    let mut pass_helped = 0;
     for (layout, t) in layouts(&base) {
         for jit in [JitMode::On, JitMode::Off] {
             let engine = Engine::with_jit(jit);
             engine.register("t", t.clone());
+            let helped_now = || engine.context().chunks_helped.load(ORDER);
+            // Each aggregate statement with the answer it gave alone.
+            let mut solo: Vec<(String, Vec<Vec<String>>)> = Vec::new();
             for w in clauses() {
                 let want = expected(&d, w.keep);
                 let want_count = match want[0] {
@@ -193,25 +225,26 @@ fn fanned_out_aggregates_equal_a_row_loop() {
                 };
                 let want: Vec<String> = want.iter().map(render).collect();
                 let ctx = format!("{layout} {jit:?} {}", w.sql);
+                let sql = format!(
+                    "SELECT COUNT(*), SUM(big), SUM(x), AVG(big), AVG(x), MIN(x), MAX(x), \
+                     MIN(big), MAX(c) FROM t {}",
+                    w.sql
+                );
+                let count_sql = format!("SELECT COUNT(*) FROM t {}", w.sql);
                 // Twice: the first statement calibrates, the second runs
                 // its chains steady and unlocked.
                 for _ in 0..2 {
-                    let sql = format!(
-                        "SELECT COUNT(*), SUM(big), SUM(x), AVG(big), AVG(x), MIN(x), MAX(x), \
-                         MIN(big), MAX(c) FROM t {}",
-                        w.sql
-                    );
                     let QueryResult::Rows { rows, .. } = engine.query(&sql).unwrap() else {
                         panic!("{ctx}: aggregates return a row");
                     };
                     let got: Vec<String> = rows[0].iter().map(render).collect();
                     assert_eq!(got, want, "{ctx}");
 
-                    let count = engine
-                        .query(&format!("SELECT COUNT(*) FROM t {}", w.sql))
-                        .unwrap();
+                    let count = engine.query(&count_sql).unwrap();
                     assert_eq!(count, QueryResult::Count(want_count), "{ctx}");
                 }
+                solo.push((sql, vec![want]));
+                solo.push((count_sql, vec![vec![format!("count:{want_count}")]]));
                 let scanned = engine.context().chunks_scanned.load(ORDER);
                 let pruned = engine.context().chunks_pruned.load(ORDER);
                 assert_eq!(
@@ -223,11 +256,62 @@ fn fanned_out_aggregates_equal_a_row_loop() {
                 engine.context().chunks_pruned.store(0, ORDER);
             }
             helped += engine.context().chunks_helped.load(ORDER);
+
+            // A projection keeps row order and stays on this thread, with
+            // or without a LIMIT.
+            for w in clauses() {
+                let ctx = format!("{layout} {jit:?} {}", w.sql);
+                let before = helped_now();
+                let rows = engine
+                    .query(&format!("SELECT c, big, x FROM t {}", w.sql))
+                    .unwrap();
+                assert_eq!(rendered(&rows), projected(&d, w.keep), "{ctx} rows");
+                assert_eq!(
+                    helped_now(),
+                    before,
+                    "{ctx}: a projection enlists no helper"
+                );
+                let rows = engine
+                    .query(&format!("SELECT c, big, x FROM t {} LIMIT 5", w.sql))
+                    .unwrap();
+                let mut first = projected(&d, w.keep);
+                first.truncate(5);
+                assert_eq!(rendered(&rows), first, "{ctx} LIMIT 5");
+                assert_eq!(helped_now(), before, "{ctx}: LIMIT enlists no helper");
+            }
+
+            // The aggregate statements as one shared pass: solo answers,
+            // every chunk pruned or scanned once per statement.
+            engine.context().chunks_scanned.store(0, ORDER);
+            engine.context().chunks_pruned.store(0, ORDER);
+            let prepared: Vec<Prepared> = solo
+                .iter()
+                .map(|(sql, _)| engine.prepare(sql).unwrap())
+                .collect();
+            let before = helped_now();
+            let (results, shared) = engine.execute_batch(&prepared.iter().collect::<Vec<_>>());
+            pass_helped += helped_now() - before;
+            assert!(
+                shared,
+                "{layout} {jit:?}: one table's aggregates share a pass"
+            );
+            for ((sql, want), got) in solo.iter().zip(&results) {
+                let got = got.as_ref().unwrap();
+                assert_eq!(&rendered(got), want, "{layout} {jit:?} {sql}");
+            }
+            let scanned = engine.context().chunks_scanned.load(ORDER);
+            let pruned = engine.context().chunks_pruned.load(ORDER);
+            assert_eq!(
+                scanned + pruned,
+                (solo.len() * (ROWS / CHUNK)) as u64,
+                "{layout} {jit:?}: each chunk pruned or scanned once per statement"
+            );
         }
     }
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if cores >= 2 {
         assert!(helped > 0, "no helper scanned a chunk on {cores} cores");
+        assert!(pass_helped > 0, "no helper joined a shared pass");
     }
 }
 
